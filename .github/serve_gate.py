@@ -1,0 +1,82 @@
+"""Deterministic CI gate on the serving path (ROADMAP open item 1c).
+
+Runs the traced ``serve_skew`` host benchmark at a fixed seed and checks
+its last-line JSON against ``serve_gate_oracle.json`` (next to this
+file, outside ``hostbench/``):
+
+* ``correct`` is true and ``failed == 0``;
+* every value under ``equal`` — the simulated-clock results and the
+  router's migration/re-split counts, all properties of the code and the
+  seed alone — matches exactly;
+* every value under ``at_most`` — Python calls per op in the ``shard``
+  layer, the deterministic stand-in for host time — is no higher.
+
+Wall-clock metrics are never compared.  ``correct`` also covers the
+benchmark's own "was the process descheduled" check, the one input a
+busy runner can disturb, so a run that fails on ``correct`` alone is
+repeated once before the gate gives up.
+
+Usage: ``python3 .github/serve_gate.py``.  A change that is *meant* to
+move one of these numbers edits the oracle by hand from the values the
+failing gate prints.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ORACLE = Path(__file__).with_name("serve_gate_oracle.json")
+COMMAND = [
+    sys.executable, "hostbench/run.py",
+    "--workload", "serve_skew", "--trace", "1", "--seconds", "2", "--seed", "1",
+]  # fmt: skip
+
+
+def run_benchmark() -> dict:
+    done = subprocess.run(COMMAND, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        sys.exit(f"serve_gate: benchmark printed nothing (exit {done.returncode})")
+    return json.loads(lines[-1])
+
+
+def violations(report: dict, oracle: dict) -> list[str]:
+    values = {name: metric["value"] for name, metric in report["metrics"].items()}
+    found = [
+        f"{name} = {values.get(name)!r}, oracle says exactly {want!r}"
+        for name, want in oracle["equal"].items()
+        if values.get(name) != want
+    ]
+    found += [
+        f"{name} = {values.get(name)!r}, oracle allows at most {limit!r}"
+        for name, limit in oracle["at_most"].items()
+        if not values.get(name, float("inf")) <= limit
+    ]
+    if report["failed"] != 0:
+        found.append(f"{report['failed']} of {report['attempted']} ops failed")
+    return found
+
+
+def main() -> int:
+    oracle = json.loads(ORACLE.read_text())
+    report = run_benchmark()
+    found = violations(report, oracle)
+    if not found and not report["correct"]:
+        print("serve_gate: counts match but the run was disturbed; repeating once")
+        report = run_benchmark()
+        found = violations(report, oracle)
+    if not report["correct"]:
+        found.append("benchmark reports correct = false (see its stderr above)")
+    for line in found:
+        print(f"serve_gate: FAIL {line}", file=sys.stderr)
+    if not found:
+        print(f"serve_gate: ok ({len(oracle['equal'])} exact, {len(oracle['at_most'])} bounded)")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

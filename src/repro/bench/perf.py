@@ -263,7 +263,7 @@ def _bench_serve_skew_budget(n: int) -> tuple[int, float, dict]:
     """Three-way elastic-memory comparison at 4 shards, same total memory.
 
     fixed-equal (boundary diffusion only, budgets pinned equal) vs
-    heat-proportional (the BudgetRebalancer re-splits the global limit
+    heat-proportional (the fleet controller re-splits the global limit
     by shard heat) vs heat + split/merge (structural fleet elasticity on
     top: the planner splits the hot shard when its decayed busy time
     clears ``split_load``).  The ``serve_skew_budget`` extra records the

@@ -60,8 +60,7 @@ from dataclasses import replace
 from time import perf_counter  # reprolint: allow[RL004]
 from typing import Any
 
-from repro.shard.budget import BudgetConfig
-from repro.shard.rebalance import RebalanceConfig
+from repro.shard.config import BudgetConfig, RebalanceConfig
 
 __all__ = ["run_serve", "run_serve_skew", "main"]
 
@@ -197,68 +196,61 @@ def run_serve(
     }
 
 
-def _force_split(
-    router: Any,
-    engines: list[Any],
-    models: list[Any],
-    free_at: list[float],
-    shard_ops: list[int],
-) -> float | None:
-    """Force one split of the busiest shard, if the fleet is quiescent.
+class _Lane:
+    """One shard's slot in the open-loop queueing model.
 
-    Returns the simulated resize cost charged to the split shard (its
-    half-budget shrink may trigger an immediate release cycle), or
-    ``None`` when the split cannot run yet — a migration or merge is in
-    flight, or the busiest shard's range/budget is too small — and the
-    caller retries on the next op.  The busy-horizon charge lands at the
-    pre-event index, which is still valid: the fleet-event realignment
-    runs after this returns.
+    The router's engines carry no notion of time-of-day; the harness
+    keeps, per live engine, the simulated instant it next falls idle
+    (``free_at``), the ops it served, and the cache-hit baseline of the
+    current reporting window.  ``lanes[sid]`` mirrors ``router.shards``.
     """
-    if router.migration is not None or router.retiring is not None:
-        return None
-    hot = max(range(len(engines)), key=shard_ops.__getitem__)
-    lo, hi = router.partitioner.shard_range(hot)
-    if hi - lo < 2 or router.shard_budgets[hot] < 2 * router.budget_floor:
-        return None
-    split = router.heat.split_key(hot, 0.5) if router.heat is not None else None
-    if split is None:
-        split = (lo + hi) // 2
-    split = min(max(split, lo + 1), hi - 1)
-    before = engines[hot].snapshot()
-    router.begin_split(hot, split)
-    extra = before.delta(engines[hot].snapshot()).elapsed_ns(1, models[hot])
-    free_at[hot] += extra
-    return extra
+
+    __slots__ = ("engine", "free_at", "ops", "hits")
+
+    def __init__(self, engine: Any, free_at: float = 0.0) -> None:
+        self.engine = engine
+        self.free_at = free_at
+        self.ops = 0
+        self.hits = engine.cache_hit_stats()
 
 
-def _force_merge(
-    router: Any,
-    engines: list[Any],
-    models: list[Any],
-    free_at: list[float],
-    shard_ops: list[int],
-) -> float | None:
-    """Force one merge of the coldest adjacent pair, if quiescent.
+def _settle(lanes: list[_Lane], befores: list[Any]) -> float:
+    """Charge maintenance work to the engines that did it.
 
-    Engine and model *objects* are captured before ``begin_merge``: a
-    one-key-wide retiring shard finishes its merge inline, popping the
-    retired engine from the fleet list before this returns.  Returns the
-    simulated cost charged to the pair, or ``None`` to retry later.
+    ``befores`` are the lanes' engine snapshots taken before the work;
+    each engine's simulated time since then extends its busy horizon —
+    maintenance competes with serving on exactly the shards involved,
+    so a cheaper p99 cannot come from uncharged work.  Returns the
+    total charged.
     """
-    if router.migration is not None or router.retiring is not None:
-        return None
-    if len(engines) < 2:
-        return None
-    cold = min(range(len(shard_ops) - 1), key=lambda s: shard_ops[s] + shard_ops[s + 1])
-    sid = cold + 1
-    src_engine, dst_engine = engines[sid], engines[sid - 1]
-    src_model, dst_model = models[sid], models[sid - 1]
-    src_before, dst_before = src_engine.snapshot(), dst_engine.snapshot()
-    router.begin_merge(sid)
-    extra = src_before.delta(src_engine.snapshot()).elapsed_ns(1, src_model)
-    extra += dst_before.delta(dst_engine.snapshot()).elapsed_ns(1, dst_model)
-    free_at[sid - 1] += extra
-    return extra
+    total = 0.0
+    for lane, before in zip(lanes, befores):
+        engine = lane.engine
+        spent = before.delta(engine.snapshot()).elapsed_ns(1, engine.thread_model)
+        lane.free_at += spent
+        total += spent
+    return total
+
+
+def _follow_fleet(lanes: list[_Lane], router: Any, now_ns: float) -> None:
+    """Fold the controller's split/merge events into the lanes."""
+    events = router.fleet.events
+    if not events:
+        return
+    for kind, sid in events:
+        if kind == "split":
+            # The new shard is born idle: it can serve (and drain) from
+            # the current arrival onward.
+            lanes.insert(sid + 1, _Lane(router.shards[sid + 1], now_ns))
+        else:
+            gone = lanes.pop(sid)
+            kept = lanes[sid - 1]
+            kept.free_at = max(kept.free_at, gone.free_at)
+            kept.ops += gone.ops
+    events.clear()
+    # Per-window hit-rate deltas restart: positions changed identity.
+    for lane in lanes:
+        lane.hits = lane.engine.cache_hit_stats()
 
 
 def run_serve_skew(
@@ -326,10 +318,10 @@ def run_serve_skew(
     uncharged maintenance.
 
     ``force_cycle`` forces one shard *split* once a third of the ops
-    have been served and one *merge* at two thirds (each waits for the
-    fleet to be migration-free) — the deterministic way to exercise the
+    have been served and one *merge* at two thirds (each waits until no
+    transfer is in flight) — the deterministic way to exercise the
     fleet-elasticity machinery end to end under the smoke checks;
-    requires ``rebalance`` (the drain path belongs to the rebalancer).
+    requires ``rebalance`` (the heat ledger that picks the split key).
     Organic splits/merges are configured through the rebalance spec
     instead (``max_shards``/``split_load``/``merge_load``).
 
@@ -385,15 +377,12 @@ def run_serve_skew(
     router.flush()
     preload_wall_s = perf_counter() - wall0
 
-    # ``engines`` is a live alias of the router's shard list: splits and
-    # merges mutate that list in place, so the alias tracks the fleet.
-    # The positional companions (models, free_at, shard_ops, hit_base)
-    # are realigned from ``router.fleet_events`` after every op.
-    engines = router.shards
-    models = [shard.thread_model for shard in engines]
+    fleet = router.fleet
     partitioner = router.partitioner
-    rebalancer = router.rebalancer
-    budgeter = router.budgeter
+    # ``lanes[sid]`` mirrors ``router.shards[sid]``; splits and merges
+    # are folded in from the controller's event log right after every
+    # step that can cause one.
+    lanes = [_Lane(engine) for engine in router.shards]
     # Structural planning (organic splits/merges) resizes engines from
     # inside the scheduler-paced planning task; only then is the extra
     # per-op bookkeeping needed to keep the busy horizons honest.
@@ -405,8 +394,6 @@ def run_serve_skew(
     zipf = ZipfianGenerator(keys, theta=theta, seed=seed * 1000 + 2)
     arrivals = random.Random(seed * 1000 + 3)
     mean_gap_ns = 1e9 / (rate_kops * 1e3)
-    free_at = [0.0] * shards
-    shard_ops = [0] * shards
     latencies_ns: list[float] = []
     makespan_ns = 0.0
     migration_busy_ns = 0.0
@@ -415,34 +402,13 @@ def run_serve_skew(
     model: dict[int, bytes] = dict.fromkeys(key_list, value)
     window_ops = max(1, ops // max(1, windows))
     window_rows: list[dict[str, Any]] = []
-    hit_base = [engine.cache_hit_stats() for engine in engines]
-    split_done = not force_cycle
-    merge_done = not force_cycle
-
-    def realign_fleet() -> None:
-        """Fold a just-occurred split/merge into the positional state.
-
-        Called immediately after every step that can mutate the fleet
-        (drain, forced cycle, maintenance tick), so the positional
-        companions never go stale between steps of the same op.
-        """
-        nonlocal hit_base
-        if not router.fleet_events:
-            return
-        for kind, fsid in router.fleet_events:
-            if kind == "split":
-                # The new shard is born idle: it can serve (and drain)
-                # from the current arrival onward.
-                free_at.insert(fsid + 1, ready_ns)
-                shard_ops.insert(fsid + 1, 0)
-                models.insert(fsid + 1, engines[fsid + 1].thread_model)
-            else:
-                free_at[fsid - 1] = max(free_at[fsid - 1], free_at.pop(fsid))
-                shard_ops[fsid - 1] += shard_ops.pop(fsid)
-                models.pop(fsid)
-        router.fleet_events.clear()
-        # Per-window hit-rate deltas restart: positions changed identity.
-        hit_base = [engine.cache_hit_stats() for engine in engines]
+    # Forced fleet cycle: one split at a third of the run, one merge at
+    # two thirds, each deferred until no transfer is in flight.
+    forced = (
+        [(ops // 3, fleet.split_heaviest), (2 * ops // 3, fleet.merge_lightest)]
+        if force_cycle
+        else []
+    )
 
     wall0 = perf_counter()
     ready_ns = 0.0
@@ -455,35 +421,32 @@ def run_serve_skew(
             key = rng.randrange(1 << 40)
             is_get = False
         sid = partitioner.shard_of(key)
-        involved = [sid]
-        befores = [engines[sid].snapshot()]
+        lane = lanes[sid]
+        engine = lane.engine
+        before = engine.snapshot()
+        fallback = None
         if is_get:
-            got = engines[sid].read(key)
-            migration = router.migration
-            if (
-                got is None
-                and migration is not None
-                and sid == migration.dst
-                and migration.covers(key)
-            ):
-                # The router's double-read seam: the key has not been
-                # copied off the migration source yet.
-                src = migration.src
-                befores.append(engines[src].snapshot())
-                engines[src].read(key)
-                involved.append(src)
+            transfer = router.transfer
+            if engine.read(key) is None and transfer is not None and transfer.covers(key):
+                # Double-read under the published descriptor: the key
+                # has not been copied off the transfer source yet.
+                fallback = lanes[transfer.src]
         else:
-            engines[sid].insert(key, value)
+            engine.insert(key, value)
             model[key] = value
-        service_ns = sum(
-            before.delta(engines[s].snapshot()).elapsed_ns(1, models[s])
-            for s, before in zip(involved, befores)
-        )
-        start_ns = max([ready_ns] + [free_at[s] for s in involved])
+        service_ns = before.delta(engine.snapshot()).elapsed_ns(1, engine.thread_model)
+        start_ns = max(ready_ns, lane.free_at)
+        if fallback is not None:
+            source = fallback.engine
+            before = source.snapshot()
+            source.read(key)
+            service_ns += before.delta(source.snapshot()).elapsed_ns(1, source.thread_model)
+            start_ns = max(start_ns, fallback.free_at)
         finish_ns = start_ns + service_ns
-        for s in involved:
-            free_at[s] = finish_ns
-        shard_ops[sid] += 1
+        lane.free_at = finish_ns
+        if fallback is not None:
+            fallback.free_at = finish_ns
+        lane.ops += 1
         latencies_ns.append(finish_ns - ready_ns)
         if finish_ns > makespan_ns:
             makespan_ns = finish_ns
@@ -491,110 +454,77 @@ def run_serve_skew(
         # Heat + drain + pacing.  Draining is opportunistic: a chunk
         # moves only when neither involved engine has a serving backlog
         # (their busy horizon is at or behind the current simulated
-        # frontier) — migration runs at low priority, consuming idle
-        # capacity instead of starving queued requests.  Its simulated
-        # cost lands on the source and destination clocks and extends
-        # their busy horizon; the rest of the fleet keeps serving.
+        # frontier) — transfers run at low priority, consuming idle
+        # capacity instead of starving queued requests.
         router.note_heat(sid, key, service_ns, start_ns - ready_ns)
-        active = router.migration
-        if (
-            active is not None
-            and rebalancer is not None
-            and free_at[active.src] <= finish_ns
-            and free_at[active.dst] <= finish_ns
-        ):
-            # Engine *objects* are captured, not indices: a drain chunk
-            # that completes a merge pops the retired engine, shifting
-            # every index after it.
-            asrc, adst = active.src, active.dst
-            src_engine, dst_engine = engines[asrc], engines[adst]
-            src_model, dst_model = models[asrc], models[adst]
-            src_before = src_engine.snapshot()
-            dst_before = dst_engine.snapshot()
-            rebalancer.drain_tick()
-            src_ns = src_before.delta(src_engine.snapshot()).elapsed_ns(1, src_model)
-            dst_ns = dst_before.delta(dst_engine.snapshot()).elapsed_ns(1, dst_model)
-            free_at[asrc] += src_ns
-            free_at[adst] += dst_ns
-            migration_busy_ns += src_ns + dst_ns
-            realign_fleet()
+        active = router.transfer
+        if active is not None:
+            pair = [lanes[active.src], lanes[active.dst]]
+            if pair[0].free_at <= finish_ns and pair[1].free_at <= finish_ns:
+                befores = [side.engine.snapshot() for side in pair]
+                fleet.drain_tick()
+                migration_busy_ns += _settle(pair, befores)
+                _follow_fleet(lanes, router, ready_ns)
 
-        # Forced fleet cycle: one split at a third of the run, one merge
-        # at two thirds, each deferred until the fleet is quiescent (no
-        # migration in flight, no merge mid-drain).
-        if not split_done and i + 1 >= ops // 3:
-            forced = _force_split(router, engines, models, free_at, shard_ops)
-            if forced is not None:
-                reshard_busy_ns += forced
-                split_done = True
-                realign_fleet()
-        elif split_done and not merge_done and i + 1 >= 2 * ops // 3:
-            forced = _force_merge(router, engines, models, free_at, shard_ops)
-            if forced is not None:
-                reshard_busy_ns += forced
-                merge_done = True
-                realign_fleet()
+        if forced and i + 1 >= forced[0][0] and router.transfer is None:
+            # Shard weights are the ops each lane served so far; the
+            # split shard's half-budget shrink may trigger an immediate
+            # release cycle, which lands on its busy horizon.  An
+            # infeasible reshape (False) is retried on the next op.
+            reshape = forced[0][1]
+            present = list(lanes)
+            befores = [side.engine.snapshot() for side in present]
+            if reshape([side.ops for side in present]):
+                del forced[0]
+                reshard_busy_ns += _settle(present, befores)
+                _follow_fleet(lanes, router, ready_ns)
 
         # The paced budget task, harness-driven like draining: resize
-        # work (release cycles, evictions) lands on the engines' clocks
-        # and must extend their busy horizons too.
-        if budget_interval and budgeter is not None and (i + 1) % budget_interval == 0:
-            befores_all = [engine.snapshot() for engine in engines]
-            budgeter.run_once()
-            for s, (engine, before) in enumerate(zip(engines, befores_all)):
-                extra = before.delta(engine.snapshot()).elapsed_ns(1, models[s])
-                if extra > 0.0:
-                    free_at[s] += extra
-                    budget_busy_ns += extra
+        # work (release cycles, evictions) lands on the engines' clocks.
+        if budget_interval and (i + 1) % budget_interval == 0:
+            befores = [side.engine.snapshot() for side in lanes]
+            fleet.budget_tick()
+            budget_busy_ns += _settle(lanes, befores)
 
         if structural:
             # Organic splits/merges fire inside the paced planning task;
-            # snapshot around the tick so their resize work (an immediate
-            # release cycle on the halved shard) is charged to the
-            # pre-event shard positions.
-            pre_engines = list(engines)
-            pre_models = list(models)
-            pre_snaps = [engine.snapshot() for engine in pre_engines]
+            # snapshot around the tick so their resize work is charged
+            # to the pre-event shards.
+            present = list(lanes)
+            befores = [side.engine.snapshot() for side in present]
             router.maintenance_tick(1)
-            if router.fleet_events:
-                for s, (engine, before) in enumerate(zip(pre_engines, pre_snaps)):
-                    extra = before.delta(engine.snapshot()).elapsed_ns(1, pre_models[s])
-                    if extra > 0.0:
-                        free_at[s] += extra
-                        reshard_busy_ns += extra
-                realign_fleet()
+            if fleet.events:
+                reshard_busy_ns += _settle(present, befores)
+                _follow_fleet(lanes, router, ready_ns)
         else:
             router.maintenance_tick(1)
 
         if (i + 1) % window_ops == 0:
-            hit_now = [engine.cache_hit_stats() for engine in engines]
             rates: list[float | None] = []
-            for (h0, m0), (h1, m1) in zip(hit_base, hit_now):
+            for side in lanes:
+                h0, m0 = side.hits
+                side.hits = h1, m1 = side.engine.cache_hit_stats()
                 lookups = (h1 - h0) + (m1 - m0)
                 rates.append(round((h1 - h0) / lookups, 4) if lookups > 0 else None)
             window_rows.append(
                 {
                     "op": i + 1,
-                    "shards": len(engines),
-                    "budget_bytes": list(router.shard_budgets),
+                    "shards": len(lanes),
+                    "budget_bytes": list(fleet.budgets),
                     "cache_hit_rate": rates,
                 }
             )
-            hit_base = hit_now
     serve_wall_s = perf_counter() - wall0
-
-    migrations = rebalancer.migrations_started if rebalancer is not None else 0
-    keys_moved = rebalancer.keys_moved if rebalancer is not None else 0
 
     smoke_ok: bool | None = None
     if smoke:
-        # Quiesce: drain any still-active migration, then verify.
+        # Quiesce: drain any still-active transfer, then verify.
         guard = 0
-        while router.migration is not None and rebalancer is not None:
-            rebalancer.drain_tick()
+        while router.transfer is not None:
+            fleet.drain_tick()
             guard += 1
             if guard > 100_000:
-                raise RuntimeError("migration failed to drain")
+                raise RuntimeError("transfer failed to drain")
         probe = sorted(model)
         gets_ok = router.get_many(probe) == [model[k] for k in probe]
         reference = build_system(
@@ -635,19 +565,19 @@ def run_serve_skew(
         "p99_us": round(_percentile(measured, 0.99) / 1e3, 3),
         "mean_us": round(sum(measured) / len(measured) / 1e3, 3),
         "makespan_ms": round(makespan_ns / 1e6, 3),
-        "per_shard_ops": shard_ops,
-        "migrations": migrations,
-        "keys_moved": keys_moved,
+        "per_shard_ops": [lane.ops for lane in lanes],
+        "migrations": fleet.migrations_started,
+        "keys_moved": fleet.keys_moved,
         "migration_busy_ms": round(migration_busy_ns / 1e6, 3),
-        # Forced splits/merges bypass the rebalancer's planner, so the
-        # authoritative counters are the router's own fleet-event stats.
+        # Forced and planned splits/merges alike are counted by the
+        # controller's fleet-event stats.
         "splits": int(router.runtime.stats["fleet_splits"]),
         "merges": int(router.runtime.stats["fleet_merges"]),
         "budget_resplits": int(router.runtime.stats["budget_resplits"]),
         "budget_busy_ms": round(budget_busy_ns / 1e6, 3),
         "reshard_busy_ms": round(reshard_busy_ns / 1e6, 3),
-        "final_shards": len(engines),
-        "per_shard_budget_bytes": list(router.shard_budgets),
+        "final_shards": len(lanes),
+        "per_shard_budget_bytes": list(fleet.budgets),
         "windows": window_rows,
         "preload_wall_s": round(preload_wall_s, 3),
         "serve_wall_s": round(serve_wall_s, 3),

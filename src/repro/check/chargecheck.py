@@ -219,7 +219,7 @@ _RECEIVER_TYPES: dict[str, tuple[str, ...]] = {
     "sstable": ("SSTable",),
     "precleaner": ("PreCleaner",),
     "budget": ("MemoryBudget",),
-    "rebalancer": ("Rebalancer",),
+    "fleet": ("FleetController",),
     "heat": ("ShardHeat",),
     "scheduler": ("BackgroundScheduler",),
     "_scheduler": ("BackgroundScheduler",),

@@ -1047,7 +1047,7 @@ def check_shard_router(router: "ShardRouter") -> list[Violation]:
                 )
             previous = max(previous, sid)
     _check_weighted_boundaries(out, partitioner)
-    _check_migration(out, router)
+    _check_transfer(out, router)
     _check_budgets(out, router)
     return out.violations
 
@@ -1085,68 +1085,73 @@ def _check_weighted_boundaries(out: "_Collector", partitioner: object) -> None:
         )
 
 
-def _check_migration(out: "_Collector", router: "ShardRouter") -> None:
-    """In-flight migration descriptor invariants (DESIGN.md §11).
+def _check_transfer(out: "_Collector", router: "ShardRouter") -> None:
+    """In-flight transfer descriptor invariants (DESIGN.md §11).
 
-    The protocol's commit point publishes the descriptor and swaps the
+    The lifecycle's commit point publishes the descriptor and swaps the
     routing table together, so whenever a sweep observes a descriptor
     the in-flight range must already route to the destination — any key
     in ``[lo, hi)`` resolving to another shard means the double-read
-    seam is reading the wrong pair of engines.
+    seam is reading the wrong pair of engines.  A retiring transfer (a
+    merge) must additionally drain into the source's left neighbour —
+    the finish step folds the source into ``src - 1``.
     """
-    migration = getattr(router, "migration", None)
-    if migration is None:
+    transfer = router.transfer
+    if transfer is None:
         return
     n = len(router.shards)
-    if not (0 <= migration.src < n and 0 <= migration.dst < n):
+    if not (0 <= transfer.src < n and 0 <= transfer.dst < n):
         out.add(
             "shard-migration",
-            f"migration {migration.src}->{migration.dst} names shards "
+            f"transfer {transfer.src}->{transfer.dst} names shards "
             f"outside [0, {n})",
         )
         return
-    if abs(migration.src - migration.dst) != 1:
+    if abs(transfer.src - transfer.dst) != 1:
         out.add(
             "shard-migration",
-            f"migration {migration.src}->{migration.dst} is not between "
+            f"transfer {transfer.src}->{transfer.dst} is not between "
             "adjacent shards",
         )
-    if not migration.lo < migration.hi:
+    if transfer.retire and transfer.dst != transfer.src - 1:
         out.add(
-            "shard-migration",
-            f"migration range [{migration.lo}, {migration.hi}) is empty",
+            "shard-merge",
+            f"retire of shard {transfer.src} drains into shard "
+            f"{transfer.dst}; a merge must drain the retiring shard into "
+            "its left neighbour",
         )
-    if not migration.lo <= migration.cursor <= migration.hi:
+    if not transfer.lo < transfer.hi:
         out.add(
             "shard-migration",
-            f"drain cursor {migration.cursor} outside "
-            f"[{migration.lo}, {migration.hi}]",
+            f"transfer range [{transfer.lo}, {transfer.hi}) is empty",
+        )
+    if not transfer.lo <= transfer.cursor <= transfer.hi:
+        out.add(
+            "shard-migration",
+            f"drain cursor {transfer.cursor} outside "
+            f"[{transfer.lo}, {transfer.hi}]",
         )
     partitioner = router.partitioner
-    for key in (migration.lo, migration.hi - 1):
+    for key in (transfer.lo, transfer.hi - 1):
         sid = partitioner.shard_of(key)
-        if sid != migration.dst:
+        if sid != transfer.dst:
             out.add(
                 "shard-migration",
                 f"in-flight key {key} routes to shard {sid}, not the "
-                f"migration destination {migration.dst}; the routing table "
+                f"transfer destination {transfer.dst}; the routing table "
                 "swap and the descriptor are out of sync",
             )
 
 
 def _check_budgets(out: "_Collector", router: "ShardRouter") -> None:
-    """Budget-pool and fleet-change invariants (DESIGN.md §11.4).
+    """Budget-pool invariants (DESIGN.md §11.4).
 
-    The budget rebalancer and shard splits/merges all re-partition one
+    Budget re-splits and shard splits/merges all re-partition one
     conserved pool, so the per-shard ledger must cover exactly the
     fleet, sum to the pool total (budget moves, it is never created or
-    destroyed), and never dip below one byte.  A pending merge retire
-    must also agree with the in-flight drain descriptor — a drain whose
-    source is not the retiring shard would fold the wrong engine.
+    destroyed), and never dip below one byte.
     """
-    budgets = getattr(router, "shard_budgets", None)
-    if budgets is None:
-        return
+    budgets = router.fleet.budgets
     n = len(router.shards)
     if len(budgets) != n:
         out.add(
@@ -1159,32 +1164,12 @@ def _check_budgets(out: "_Collector", router: "ShardRouter") -> None:
             "shard-budget",
             f"a shard's budget fell below one byte: {list(budgets)}",
         )
-    total = getattr(router, "total_memory_limit", None)
-    if total is not None and sum(budgets) != total:
+    total = router.fleet.total
+    if sum(budgets) != total:
         out.add(
             "shard-budget",
             f"shard budgets sum to {sum(budgets)} but the pool holds "
             f"{total}; re-splits must conserve the total",
-        )
-    retiring = getattr(router, "retiring", None)
-    if retiring is None:
-        return
-    if not 0 < retiring < n:
-        out.add(
-            "shard-merge",
-            f"retiring shard {retiring} has no left neighbour in a "
-            f"fleet of {n}",
-        )
-        return
-    migration = getattr(router, "migration", None)
-    if migration is not None and (
-        migration.src != retiring or migration.dst != retiring - 1
-    ):
-        out.add(
-            "shard-merge",
-            f"retire of shard {retiring} disagrees with the drain "
-            f"descriptor {migration.src}->{migration.dst}; a merge must "
-            "drain the retiring shard into its left neighbour",
         )
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
+
+from repro.core.spec import parse_pairs
 
 
 @dataclass(frozen=True)
@@ -44,26 +46,35 @@ class CachePolicyConfig:
     ) -> "CachePolicyConfig":
         """Parse a ``layer=policy`` list, e.g. ``block=s3fifo,row=lfu``.
 
-        Unnamed layers keep their defaults; this is the grammar behind
-        system specs like ``ART-LSM@block=s3fifo,row=lfu``.  ``layers``
-        restricts the accepted layer names to the ones a particular
-        system actually caches on, and ``system`` names that system in
-        the error, so ``ART-LSM@pool=lru`` says "ART-LSM has no pool
-        layer; its layers are block, row" instead of silently accepting
-        a knob the build ignores.
+        This is the grammar behind system specs like
+        ``ART-LSM@block=s3fifo,row=lfu``; see :meth:`from_pairs`.
+        """
+        return cls.from_pairs(parse_pairs(spec, ",", "="), layers=layers, system=system)
+
+    @classmethod
+    def from_pairs(
+        cls,
+        chosen: Mapping[str, str],
+        *,
+        layers: Optional[Sequence[str]] = None,
+        system: Optional[str] = None,
+    ) -> "CachePolicyConfig":
+        """Build from already-split ``layer -> policy`` pairs.
+
+        Unnamed layers keep their defaults.  ``layers`` restricts the
+        accepted layer names to the ones a particular system actually
+        caches on, and ``system`` names that system in the error, so
+        ``ART-LSM@pool=lru`` says "ART-LSM has no pool layer; its layers
+        are block, row" instead of silently accepting a knob the build
+        ignores.
         """
         all_layers = {field.name for field in fields(cls)}
         valid = tuple(layers) if layers is not None else tuple(sorted(all_layers))
-        chosen: dict[str, str] = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            layer, sep, policy = part.partition("=")
-            if not sep or not policy or layer not in all_layers:
+        for layer, policy in chosen.items():
+            if layer not in all_layers:
                 raise ValueError(
-                    f"bad cache-policy spec {part!r}; expected layer=policy with "
-                    f"layer one of {', '.join(valid)}"
+                    f"bad cache-policy spec '{layer}={policy}'; expected "
+                    f"layer=policy with layer one of {', '.join(valid)}"
                 )
             if layer not in valid:
                 owner = f"system {system!r}" if system else "this system"
@@ -71,9 +82,6 @@ class CachePolicyConfig:
                     f"cache layer {layer!r} does not exist on {owner}; "
                     f"valid layers: {', '.join(valid)}"
                 )
-            if layer in chosen:
-                raise ValueError(f"layer {layer!r} named twice in spec {spec!r}")
-            chosen[layer] = policy
         return cls(**chosen)
 
 

@@ -8,7 +8,8 @@ live key-range migration), and EXPERIMENTS.md for the
 concurrent-serving methodology.
 """
 
-from repro.shard.budget import BudgetConfig, BudgetRebalancer
+from repro.shard.config import BudgetConfig, RebalanceConfig
+from repro.shard.fleet import FleetController, RangeTransfer
 from repro.shard.heat import ShardHeat
 from repro.shard.ownership import (
     OwnershipViolation,
@@ -24,19 +25,17 @@ from repro.shard.partition import (
     make_partitioner,
 )
 from repro.shard.pool import ShardWorkerPool
-from repro.shard.rebalance import RangeMigration, RebalanceConfig, Rebalancer
 from repro.shard.router import ShardRouter
 
 __all__ = [
     "BudgetConfig",
-    "BudgetRebalancer",
+    "FleetController",
     "HashPartitioner",
     "OwnershipViolation",
     "Partitioner",
-    "RangeMigration",
     "RangePartitioner",
+    "RangeTransfer",
     "RebalanceConfig",
-    "Rebalancer",
     "ShardHeat",
     "ShardRouter",
     "ShardWorkerPool",

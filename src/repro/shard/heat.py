@@ -3,7 +3,7 @@
 :class:`ShardHeat` is the router's foreground-only load ledger: every
 routed operation notes its shard (op count), and the serving harness
 additionally notes per-request simulated service time and queueing
-delay.  The :class:`~repro.shard.rebalance.Rebalancer` reads the ledger
+delay.  The :class:`~repro.shard.fleet.FleetController` reads the ledger
 to detect imbalance, pick the hot shard, and choose a split key; after
 each decision round it decays every counter so heat tracks the *recent*
 load, not the whole history (DESIGN.md §11).

@@ -7,7 +7,7 @@ few recently-read pages for spatial locality (Section II-D).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.art.tree import AdaptiveRadixTree
 from repro.core.adapters import ARTIndexX
@@ -18,7 +18,7 @@ from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
 from repro.sim.runtime import EngineRuntime
 from repro.sim.threads import ThreadModel
-from repro.systems.base import KVSystem
+from repro.systems.base import IndeXYSystem
 
 
 class _DiskBTreeAsY:
@@ -49,7 +49,16 @@ class _DiskBTreeAsY:
         return self.tree.pool.disk
 
 
-class ArtBPlusSystem(KVSystem):
+def _pool_bytes(memory_limit_bytes: int, page_size: int) -> int:
+    """Transfer-pool byte budget for a memory limit.
+
+    Floor of 24 pages: the paper's 512 MB-of-5 GB transfer pool cannot
+    scale below a handful of frames without thrashing.
+    """
+    return max(24 * page_size, memory_limit_bytes // 8)
+
+
+class ArtBPlusSystem(IndeXYSystem):
     name = "ART-B+"
 
     def __init__(
@@ -66,9 +75,7 @@ class ArtBPlusSystem(KVSystem):
     ) -> None:
         super().__init__(costs, thread_model, runtime=runtime)
         policies = cache_policies or CachePolicyConfig()
-        # Floor of 24 pages: the paper's 512 MB-of-5 GB transfer pool
-        # cannot scale below a handful of frames without thrashing.
-        pool = transfer_pool_bytes or max(24 * page_size, memory_limit_bytes // 8)
+        pool = transfer_pool_bytes or _pool_bytes(memory_limit_bytes, page_size)
         config = indexy_config or IndeXYConfig(memory_limit_bytes=memory_limit_bytes)
         x = ARTIndexX(AdaptiveRadixTree(clock=self.clock, costs=self.costs))
         tree = DiskBPlusTree(
@@ -83,85 +90,15 @@ class ArtBPlusSystem(KVSystem):
         indexy_kwargs.setdefault("debug_checks", sanitize_enabled())
         self.index = IndeXY(x, _DiskBTreeAsY(tree), config, runtime=self.runtime, **indexy_kwargs)
 
-    def insert(self, key: int, value: bytes) -> None:
-        self._op()
-        self.index.insert(self.encode_key(key), value)
-
-    def put_many(self, keys: Iterable[int], value: bytes) -> None:
-        # Same per-key charge sequence as insert(), locals hoisted.
-        charge = self.clock.charge_cpu
-        overhead = self.costs.op_overhead
-        bump = self.stats.bump
-        encode = self.encode_key
-        insert = self.index.insert
-        for key in keys:
-            charge(overhead)
-            bump("ops")
-            insert(encode(key), value)
-
-    def read(self, key: int) -> Optional[bytes]:
-        self._op()
-        return self.index.get(self.encode_key(key))
-
-    def get_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
-        charge = self.clock.charge_cpu
-        overhead = self.costs.op_overhead
-        bump = self.stats.bump
-        encode = self.encode_key
-        get = self.index.get
-        out: list[Optional[bytes]] = []
-        append = out.append
-        for key in keys:
-            charge(overhead)
-            bump("ops")
-            append(get(encode(key)))
-        return out
-
-    def delete(self, key: int) -> bool:
-        self._op()
-        return self.index.delete(self.encode_key(key))
-
-    def delete_many(self, keys: Iterable[int]) -> list[bool]:
-        # Same per-key charge sequence as delete(), locals hoisted.
-        charge = self.clock.charge_cpu
-        overhead = self.costs.op_overhead
-        bump = self.stats.bump
-        encode = self.encode_key
-        delete = self.index.delete
-        out: list[bool] = []
-        append = out.append
-        for key in keys:
-            charge(overhead)
-            bump("ops")
-            append(delete(encode(key)))
-        return out
-
-    def scan(self, key: int, count: int) -> list[tuple[bytes, bytes]]:
-        self._op()
-        return self.index.scan(self.encode_key(key), count)
-
     def flush(self) -> None:
         self.index.flush()
         self.y_tree.flush_all()
 
-    def set_memory_limit(self, memory_limit_bytes: int) -> None:
-        """Re-budget the live system: Index X watermarks + transfer pool.
-
-        Both consumers are refit with the constructor's own formulas so
-        a system resized to limit ``L`` budgets exactly like one built
-        at ``L``; the X side enforces immediately (a shrink triggers a
-        release cycle right away) and the pool resizes in place, dirty
-        victims flushing through the normal eviction path.
-        """
-        self.index.set_memory_limit(memory_limit_bytes, enforce=True)
-        page_size = self.y_tree.pool.config.page_size
-        self.y_tree.pool.resize(max(24 * page_size, memory_limit_bytes // 8))
+    def _resize_y(self, memory_limit_bytes: int) -> None:
+        pool = self.y_tree.pool
+        pool.resize(_pool_bytes(memory_limit_bytes, pool.config.page_size))
 
     def cache_hit_stats(self) -> tuple[float, float]:
         """Index X residency plus the transfer pool's page-hit ledger."""
         hits = float(self.stats["x_hits"] + self.stats["pool_hits"])
         return hits, float(self.stats["pool_misses"])
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.index.memory_bytes

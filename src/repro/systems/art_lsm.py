@@ -6,7 +6,7 @@ hot keys, a write-optimized log-structured store for the overflow.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any
 
 from repro.art.tree import AdaptiveRadixTree
 from repro.core.adapters import ARTIndexX
@@ -16,10 +16,23 @@ from repro.lsm.store import LSMConfig, LSMStore
 from repro.sim.costs import CostModel
 from repro.sim.runtime import EngineRuntime
 from repro.sim.threads import ThreadModel
-from repro.systems.base import KVSystem
+from repro.systems.base import IndeXYSystem
 
 
-class ArtLsmSystem(KVSystem):
+def _lsm_budgets(memory_limit_bytes: int) -> tuple[int, int]:
+    """(memtable, block cache) byte budgets for a memory limit.
+
+    Floors keep the transfer buffers useful at simulation scale: a "few
+    MB out of 5 GB" buffer cannot shrink below a handful of blocks
+    without becoming pure thrash (see DESIGN.md deviations).
+    """
+    return (
+        max(32 * 1024, memory_limit_bytes // 20),
+        max(64 * 1024, memory_limit_bytes // 8),
+    )
+
+
+class ArtLsmSystem(IndeXYSystem):
     name = "ART-LSM"
 
     def __init__(
@@ -35,12 +48,10 @@ class ArtLsmSystem(KVSystem):
     ) -> None:
         super().__init__(costs, thread_model, runtime=runtime)
         policies = cache_policies or CachePolicyConfig()
-        # Floors keep the transfer buffers useful at simulation scale:
-        # a "few MB out of 5 GB" buffer cannot shrink below a handful of
-        # blocks without becoming pure thrash (see DESIGN.md deviations).
+        memtable_bytes, block_cache_bytes = _lsm_budgets(memory_limit_bytes)
         lsm_config = lsm_config or LSMConfig(
-            memtable_bytes=max(32 * 1024, memory_limit_bytes // 20),
-            block_cache_bytes=max(64 * 1024, memory_limit_bytes // 8),
+            memtable_bytes=memtable_bytes,
+            block_cache_bytes=block_cache_bytes,
             block_cache_policy=policies.block,
             row_cache_policy=policies.row,
         )
@@ -52,84 +63,15 @@ class ArtLsmSystem(KVSystem):
         indexy_kwargs.setdefault("debug_checks", sanitize_enabled())
         self.index = IndeXY(x, y, config, runtime=self.runtime, **indexy_kwargs)
 
-    def insert(self, key: int, value: bytes) -> None:
-        self._op()
-        self.index.insert(self.encode_key(key), value)
-
-    def put_many(self, keys: Iterable[int], value: bytes) -> None:
-        # Same per-key charge sequence as insert(), locals hoisted.
-        charge = self.clock.charge_cpu
-        overhead = self.costs.op_overhead
-        bump = self.stats.bump
-        encode = self.encode_key
-        insert = self.index.insert
-        for key in keys:
-            charge(overhead)
-            bump("ops")
-            insert(encode(key), value)
-
-    def read(self, key: int) -> Optional[bytes]:
-        self._op()
-        return self.index.get(self.encode_key(key))
-
-    def get_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
-        charge = self.clock.charge_cpu
-        overhead = self.costs.op_overhead
-        bump = self.stats.bump
-        encode = self.encode_key
-        get = self.index.get
-        out: list[Optional[bytes]] = []
-        append = out.append
-        for key in keys:
-            charge(overhead)
-            bump("ops")
-            append(get(encode(key)))
-        return out
-
-    def delete(self, key: int) -> bool:
-        self._op()
-        return self.index.delete(self.encode_key(key))
-
-    def delete_many(self, keys: Iterable[int]) -> list[bool]:
-        # Same per-key charge sequence as delete(), locals hoisted.
-        charge = self.clock.charge_cpu
-        overhead = self.costs.op_overhead
-        bump = self.stats.bump
-        encode = self.encode_key
-        delete = self.index.delete
-        out: list[bool] = []
-        append = out.append
-        for key in keys:
-            charge(overhead)
-            bump("ops")
-            append(delete(encode(key)))
-        return out
-
-    def scan(self, key: int, count: int) -> list[tuple[bytes, bytes]]:
-        self._op()
-        return self.index.scan(self.encode_key(key), count)
-
     def flush(self) -> None:
         self.index.flush()
         self.index.y.flush()  # memtable -> SSTable: a real checkpoint
 
-    def set_memory_limit(self, memory_limit_bytes: int) -> None:
-        """Re-budget the live system: Index X watermarks plus LSM caches.
-
-        Both consumers are refit with the constructor's own formulas so
-        a system resized to limit ``L`` budgets exactly like one built
-        at ``L``; the X side enforces immediately (a shrink triggers a
-        release cycle right away, not on the next insert), and the LSM
-        side resizes through :meth:`LSMStore.resize_caches`, evicting
-        via the cache policies so surviving contents stay warm.
-        """
-        self.index.set_memory_limit(memory_limit_bytes, enforce=True)
+    def _resize_y(self, memory_limit_bytes: int) -> None:
         store = self.index.y
         assert isinstance(store, LSMStore)
-        store.resize_caches(
-            max(64 * 1024, memory_limit_bytes // 8),
-            memtable_bytes=max(32 * 1024, memory_limit_bytes // 20),
-        )
+        memtable_bytes, block_cache_bytes = _lsm_budgets(memory_limit_bytes)
+        store.resize_caches(block_cache_bytes, memtable_bytes=memtable_bytes)
 
     def cache_hit_stats(self) -> tuple[float, float]:
         """Index X residency plus the LSM block/row cache ledgers."""
@@ -141,7 +83,3 @@ class ArtLsmSystem(KVSystem):
             hits += store.row_cache.hits
             misses += store.row_cache.misses
         return hits, misses
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.index.memory_bytes

@@ -8,7 +8,7 @@ a single suboptimal Index Y choice.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.art.tree import AdaptiveRadixTree
 from repro.core.adapters import ARTIndexX
@@ -21,10 +21,23 @@ from repro.sim.costs import CostModel
 from repro.sim.runtime import EngineRuntime
 from repro.sim.threads import ThreadModel
 from repro.systems.art_bplus import _DiskBTreeAsY
-from repro.systems.base import KVSystem
+from repro.systems.base import IndeXYSystem
 
 
-class ArtMultiYSystem(KVSystem):
+def _budgets(memory_limit_bytes: int, page_size: int) -> tuple[int, int, int]:
+    """(memtable, LSM block cache, B+ pool) byte budgets for a memory limit.
+
+    The scan-friendly backend is provisioned for scans: its pool must
+    cover a hot scan range, or every range read thrashes page frames.
+    """
+    return (
+        max(32 * 1024, memory_limit_bytes // 20),
+        max(64 * 1024, memory_limit_bytes // 16),
+        max(48 * page_size, memory_limit_bytes // 8),
+    )
+
+
+class ArtMultiYSystem(IndeXYSystem):
     name = "ART-Multi"
 
     def __init__(
@@ -41,19 +54,18 @@ class ArtMultiYSystem(KVSystem):
     ) -> None:
         super().__init__(costs, thread_model, runtime=runtime)
         policies = cache_policies or CachePolicyConfig()
-        lsm = LSMStore(
+        memtable_bytes, block_cache_bytes, pool_bytes = _budgets(memory_limit_bytes, page_size)
+        self.store = LSMStore(
             config=LSMConfig(
-                memtable_bytes=max(32 * 1024, memory_limit_bytes // 20),
-                block_cache_bytes=max(64 * 1024, memory_limit_bytes // 16),
+                memtable_bytes=memtable_bytes,
+                block_cache_bytes=block_cache_bytes,
                 block_cache_policy=policies.block,
                 row_cache_policy=policies.row,
             ),
             runtime=self.runtime,
         )
-        # The scan-friendly backend is provisioned for scans: its pool must
-        # cover a hot scan range, or every range read thrashes page frames.
-        btree = DiskBPlusTree(
-            pool_bytes=max(48 * page_size, memory_limit_bytes // 8),
+        self.y_tree = DiskBPlusTree(
+            pool_bytes=pool_bytes,
             page_size=page_size,
             pool_policy=policies.pool,
             runtime=self.runtime,
@@ -65,7 +77,9 @@ class ArtMultiYSystem(KVSystem):
             scan_threshold=scan_threshold,
         )
         self.routed = RoutedIndexY(
-            {"lsm": lsm, "btree": _DiskBTreeAsY(btree)}, router, runtime=self.runtime
+            {"lsm": self.store, "btree": _DiskBTreeAsY(self.y_tree)},
+            router,
+            runtime=self.runtime,
         )
         x = ARTIndexX(AdaptiveRadixTree(clock=self.clock, costs=self.costs))
         config = IndeXYConfig(memory_limit_bytes=memory_limit_bytes)
@@ -74,31 +88,15 @@ class ArtMultiYSystem(KVSystem):
         indexy_kwargs.setdefault("debug_checks", sanitize_enabled())
         self.index = IndeXY(x, self.routed, config, runtime=self.runtime, **indexy_kwargs)
 
-    def insert(self, key: int, value: bytes) -> None:
-        self._op()
-        self.index.insert(self.encode_key(key), value)
-
-    def read(self, key: int) -> Optional[bytes]:
-        self._op()
-        return self.index.get(self.encode_key(key))
-
-    def delete(self, key: int) -> bool:
-        self._op()
-        return self.index.delete(self.encode_key(key))
-
-    def scan(self, key: int, count: int) -> list[tuple[bytes, bytes]]:
-        self._op()
-        return self.index.scan(self.encode_key(key), count)
-
     def flush(self) -> None:
         self.index.flush()
-        for backend in self.routed.backends.values():
-            flush = getattr(backend, "flush", None)
-            if flush is not None:
-                flush()
-            else:
-                backend.tree.flush_all()
+        self.store.flush()
+        self.y_tree.flush_all()
 
-    @property
-    def memory_bytes(self) -> int:
-        return self.index.memory_bytes
+    def _resize_y(self, memory_limit_bytes: int) -> None:
+        pool = self.y_tree.pool
+        memtable_bytes, block_cache_bytes, pool_bytes = _budgets(
+            memory_limit_bytes, pool.config.page_size
+        )
+        self.store.resize_caches(block_cache_bytes, memtable_bytes=memtable_bytes)
+        pool.resize(pool_bytes)

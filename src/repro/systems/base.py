@@ -11,13 +11,16 @@ operations per simulated second via :meth:`Snapshot.throughput_ops`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.art.keys import encode_int
 from repro.sim.costs import CostModel
 from repro.sim.effects import charges
 from repro.sim.runtime import EngineRuntime
 from repro.sim.threads import ThreadModel
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.core.indexy import IndeXY
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,16 @@ class Snapshot:
             ops=later.ops - self.ops,
             disk_read_bytes=later.disk_read_bytes - self.disk_read_bytes,
             disk_write_bytes=later.disk_write_bytes - self.disk_write_bytes,
+        )
+
+    def __add__(self, other: "Snapshot") -> "Snapshot":
+        return Snapshot(
+            cpu_ns=self.cpu_ns + other.cpu_ns,
+            background_ns=self.background_ns + other.background_ns,
+            disk_busy_ns=self.disk_busy_ns + other.disk_busy_ns,
+            ops=self.ops + other.ops,
+            disk_read_bytes=self.disk_read_bytes + other.disk_read_bytes,
+            disk_write_bytes=self.disk_write_bytes + other.disk_write_bytes,
         )
 
     def elapsed_ns(self, threads: int, model: ThreadModel) -> float:
@@ -177,3 +190,94 @@ class KVSystem:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(ops={self.stats['ops']:.0f})"
+
+
+class IndeXYSystem(KVSystem):
+    """The verbs of every system whose engine is one :class:`IndeXY`.
+
+    Subclasses assemble ``self.index`` (an Index X over their Index Y)
+    and implement :meth:`_resize_y`; the operation contract is identical
+    whatever sits under the framework, so it is written once here.
+    """
+
+    index: "IndeXY"
+
+    def insert(self, key: int, value: bytes) -> None:
+        self._op()
+        self.index.insert(self.encode_key(key), value)
+
+    # The batch verbs bind ``encode_int`` itself, not the ``encode_key``
+    # wrapper: one Python frame per key is what a batch exists to save.
+    def put_many(self, keys: Iterable[int], value: bytes) -> None:
+        # Same per-key charge sequence as insert(), locals hoisted.
+        charge = self.clock.charge_cpu
+        overhead = self.costs.op_overhead
+        bump = self.stats.bump
+        encode = encode_int
+        insert = self.index.insert
+        for key in keys:
+            charge(overhead)
+            bump("ops")
+            insert(encode(key), value)
+
+    def read(self, key: int) -> Optional[bytes]:
+        self._op()
+        return self.index.get(self.encode_key(key))
+
+    def get_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
+        charge = self.clock.charge_cpu
+        overhead = self.costs.op_overhead
+        bump = self.stats.bump
+        encode = encode_int
+        get = self.index.get
+        out: list[Optional[bytes]] = []
+        append = out.append
+        for key in keys:
+            charge(overhead)
+            bump("ops")
+            append(get(encode(key)))
+        return out
+
+    def delete(self, key: int) -> bool:
+        self._op()
+        return self.index.delete(self.encode_key(key))
+
+    def delete_many(self, keys: Iterable[int]) -> list[bool]:
+        # Same per-key charge sequence as delete(), locals hoisted.
+        charge = self.clock.charge_cpu
+        overhead = self.costs.op_overhead
+        bump = self.stats.bump
+        encode = encode_int
+        delete = self.index.delete
+        out: list[bool] = []
+        append = out.append
+        for key in keys:
+            charge(overhead)
+            bump("ops")
+            append(delete(encode(key)))
+        return out
+
+    def scan(self, key: int, count: int) -> list[tuple[bytes, bytes]]:
+        self._op()
+        return self.index.scan(self.encode_key(key), count)
+
+    def set_memory_limit(self, memory_limit_bytes: int) -> None:
+        """Re-budget the live system: Index X watermarks plus Index Y caches.
+
+        Both consumers are refit with the constructor's own byte split,
+        so a system resized to limit ``L`` budgets exactly like one
+        built at ``L``.  The X side enforces immediately (a shrink
+        triggers a release cycle right away, not on the next insert);
+        the Y side resizes in place, evicting through its cache policies
+        so surviving contents stay warm.
+        """
+        self.index.set_memory_limit(memory_limit_bytes, enforce=True)
+        self._resize_y(memory_limit_bytes)
+
+    def _resize_y(self, memory_limit_bytes: int) -> None:
+        """Refit Index Y's caches to the system's byte split of the limit."""
+        raise NotImplementedError
+
+    @property
+    def memory_bytes(self) -> int:
+        return self.index.memory_bytes

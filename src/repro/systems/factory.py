@@ -10,9 +10,11 @@ spec reads as a one-line fix instead of a bare ``KeyError``.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.core.config import CachePolicyConfig
+from repro.core.spec import parse_pairs
+from repro.shard.config import BudgetConfig, RebalanceConfig
 from repro.sim.costs import CostModel
 from repro.sim.threads import ThreadModel
 from repro.systems.art_bplus import ArtBPlusSystem
@@ -26,117 +28,43 @@ from repro.systems.rocksdb_like import RocksDbLikeSystem
 #: :func:`build_system` additionally accepts everything in the registry.
 SYSTEM_NAMES = ("ART-LSM", "ART-B+", "B+-B+", "RocksDB")
 
-_Builder = Callable[..., KVSystem]
 
-
-def _build_art_lsm(
-    memory_limit_bytes: int,
-    page_size: int,
-    costs: CostModel | None,
-    thread_model: ThreadModel | None,
-    **kwargs: Any,
-) -> KVSystem:
-    return ArtLsmSystem(memory_limit_bytes, costs=costs, thread_model=thread_model, **kwargs)
-
-
-def _build_art_bplus(
-    memory_limit_bytes: int,
-    page_size: int,
-    costs: CostModel | None,
-    thread_model: ThreadModel | None,
-    **kwargs: Any,
-) -> KVSystem:
-    return ArtBPlusSystem(
-        memory_limit_bytes,
-        page_size=page_size,
-        costs=costs,
-        thread_model=thread_model,
-        **kwargs,
-    )
-
-
-def _build_bplus_bplus(
-    memory_limit_bytes: int,
-    page_size: int,
-    costs: CostModel | None,
-    thread_model: ThreadModel | None,
-    **kwargs: Any,
-) -> KVSystem:
-    return BPlusBPlusSystem(
-        memory_limit_bytes,
-        page_size=page_size,
-        costs=costs,
-        thread_model=thread_model,
-        **kwargs,
-    )
-
-
-def _build_rocksdb(
-    memory_limit_bytes: int,
-    page_size: int,
-    costs: CostModel | None,
-    thread_model: ThreadModel | None,
-    **kwargs: Any,
-) -> KVSystem:
-    return RocksDbLikeSystem(memory_limit_bytes, costs=costs, thread_model=thread_model, **kwargs)
-
-
-def _build_art_multi(
-    memory_limit_bytes: int,
-    page_size: int,
-    costs: CostModel | None,
-    thread_model: ThreadModel | None,
-    **kwargs: Any,
-) -> KVSystem:
-    return ArtMultiYSystem(
-        memory_limit_bytes,
-        page_size=page_size,
-        costs=costs,
-        thread_model=thread_model,
-        **kwargs,
-    )
-
-
-def _build_sharded(
-    memory_limit_bytes: int,
-    page_size: int,
-    costs: CostModel | None,
-    thread_model: ThreadModel | None,
-    **kwargs: Any,
-) -> KVSystem:
+def _shard_router(**kwargs: Any) -> KVSystem:
     # Deferred import: the router builds its shards through this factory,
     # so a module-level import either way would be circular.
     from repro.shard.router import ShardRouter
 
-    return ShardRouter(
-        memory_limit_bytes=memory_limit_bytes,
-        page_size=page_size,
-        costs=costs,
-        thread_model=thread_model,
-        **kwargs,
-    )
+    return ShardRouter(**kwargs)
 
 
-_REGISTRY: dict[str, _Builder] = {
-    "ART-LSM": _build_art_lsm,
-    "ART-B+": _build_art_bplus,
-    "B+-B+": _build_bplus_bplus,
-    "RocksDB": _build_rocksdb,
-    "ART-Multi": _build_art_multi,
-    "Sharded": _build_sharded,
+class _System(NamedTuple):
+    """One registry row: how to build a system and what its spec may name."""
+
+    build: Callable[..., KVSystem]
+    #: whether ``page_size`` is forwarded (the page-based structures only).
+    paged: bool
+    #: the cache layers the system actually builds: a spec naming any
+    #: other layer is a no-op knob, so :func:`parse_system_spec` rejects
+    #: it with this list instead of silently ignoring it.
+    layers: tuple[str, ...]
+
+
+_REGISTRY: dict[str, _System] = {
+    "ART-LSM": _System(ArtLsmSystem, False, ("block", "row")),
+    "ART-B+": _System(ArtBPlusSystem, True, ("pool",)),
+    "B+-B+": _System(BPlusBPlusSystem, True, ("pool",)),
+    "RocksDB": _System(RocksDbLikeSystem, False, ("block", "row")),
+    "ART-Multi": _System(ArtMultiYSystem, True, ("pool", "block", "row")),
+    # Forwards its policies to whatever base system the shards run, so
+    # it accepts every layer.
+    "Sharded": _System(_shard_router, True, ("pool", "block", "row")),
 }
 
-#: the cache layers each system actually builds: a spec naming any other
-#: layer is a no-op knob, so :func:`parse_system_spec` rejects it with
-#: this list instead of silently ignoring it.  ``Sharded`` forwards its
-#: policies to whatever base system the shards run, so it accepts all.
-_SYSTEM_LAYERS: dict[str, tuple[str, ...]] = {
-    "ART-LSM": ("block", "row"),
-    "ART-B+": ("pool",),
-    "B+-B+": ("pool",),
-    "RocksDB": ("block", "row"),
-    "ART-Multi": ("pool", "block", "row"),
-    "Sharded": ("pool", "block", "row"),
+#: ``Sharded``-only spec parts, routed to the router's same-named keyword
+#: arguments as the config each ``name:value+...`` value parses into.
+_ROUTER_KNOBS: dict[str, Callable[[str], object]] = {
+    "rebalance": RebalanceConfig.coerce,
+    "budget": BudgetConfig.coerce,
 }
 
 
@@ -145,83 +73,49 @@ def registered_systems() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-#: ``Sharded``-only spec knobs routed to router keyword arguments rather
-#: than cache-policy layers: elastic resharding and the heat-proportional
-#: budget layer.
-_ROUTER_SPEC_KNOBS = ("rebalance", "budget")
-
-
-def split_router_spec(spec: str) -> tuple[str, dict[str, str]]:
-    """Split router-knob parts (``rebalance=``, ``budget=``) out of a spec.
-
-    ``Sharded@rebalance=on``, ``Sharded@budget=floor:0.1`` and
-    ``Sharded@block=s3fifo,rebalance=threshold:1.3,budget=on`` all route
-    their knob values (the grammars of
-    :meth:`~repro.shard.rebalance.RebalanceConfig.from_spec` and
-    :meth:`~repro.shard.budget.BudgetConfig.from_spec`) to the matching
-    router keyword argument; the remaining parts stay a normal
-    cache-policy spec.  Only ``Sharded`` accepts these knobs — they name
-    router mechanisms no single-engine system has.
-    """
-    name, sep, params = spec.partition("@")
-    if not sep:
-        return spec, {}
-    kept: list[str] = []
-    knobs: dict[str, str] = {}
-    for part in params.split(","):
-        key, eq, value = part.partition("=")
-        key = key.strip()
-        if eq and key in _ROUTER_SPEC_KNOBS:
-            if name != "Sharded":
-                raise ValueError(
-                    f"system {name!r} has no router; {key + '='!r} is a "
-                    "'Sharded' spec knob"
-                )
-            if key in knobs:
-                raise ValueError(f"{key!r} named twice in spec {spec!r}")
-            knobs[key] = value.strip()
-        elif part.strip():
-            kept.append(part)
-    remainder = name + (f"@{','.join(kept)}" if kept else "")
-    return remainder, knobs
-
-
-def split_rebalance_spec(spec: str) -> tuple[str, str | None]:
-    """Compatibility wrapper: the ``rebalance=`` part of a system spec.
-
-    Prefer :func:`split_router_spec`, which extracts every router knob.
-    Raises if the spec also carries other router knobs this wrapper
-    would silently drop.
-    """
-    remainder, knobs = split_router_spec(spec)
-    extra = sorted(set(knobs) - {"rebalance"})
-    if extra:
-        raise ValueError(
-            f"spec {spec!r} carries router knobs {extra} this helper cannot "
-            "return; use split_router_spec"
-        )
-    return remainder, knobs.get("rebalance")
-
-
-def parse_system_spec(spec: str) -> tuple[str, CachePolicyConfig | None]:
-    """Split ``name@layer=policy,...`` into (name, cache policies).
-
-    A bare name returns ``(name, None)`` unchecked (callers that build
-    report unknown systems themselves).  When a policy part is present
-    the system name is validated first — the layer grammar is
-    per-system — and then parsed by :meth:`CachePolicyConfig.from_spec`
-    restricted to the layers that system caches on, so an unknown layer
-    lists the valid layers *for that system*.
-    """
-    name, sep, params = spec.partition("@")
-    if not sep:
-        return name, None
-    if name not in _REGISTRY:
+def _lookup(name: str) -> _System:
+    entry = _REGISTRY.get(name)
+    if entry is None:
         known = ", ".join(registered_systems())
         raise ValueError(f"unknown system {name!r}; registered systems: {known}")
-    return name, CachePolicyConfig.from_spec(
-        params, layers=_SYSTEM_LAYERS[name], system=name
-    )
+    return entry
+
+
+def parse_system_spec(spec: str) -> tuple[str, dict[str, Any]]:
+    """Split ``name@key=value,...`` into (name, build keyword arguments).
+
+    A bare name returns ``(name, {})`` unchecked (callers that build
+    report unknown systems themselves).  Otherwise the system name is
+    validated first — the grammar after ``@`` is per-system — and each
+    ``key=value`` part is either a cache layer (``block=s3fifo``),
+    collected into ``cache_policies`` through
+    :meth:`CachePolicyConfig.from_pairs` restricted to the layers that
+    system caches on, or a router knob
+    (``Sharded@rebalance=threshold:1.3+interval:128,budget=on``), parsed
+    into its config dataclass and passed under its own name.  Only
+    ``Sharded`` accepts those — they name router mechanisms no
+    single-engine system has.
+    """
+    name, sep, params = spec.partition("@")
+    if not sep:
+        return name, {}
+    entry = _lookup(name)
+    pairs = parse_pairs(params, ",", "=")
+    kwargs: dict[str, Any] = {
+        knob: parse(pairs.pop(knob))
+        for knob, parse in _ROUTER_KNOBS.items()
+        if knob in pairs
+    }
+    if kwargs and name != "Sharded":
+        raise ValueError(
+            f"system {name!r} has no router; spec knobs "
+            f"{', '.join(kwargs)} only configure 'Sharded'"
+        )
+    if pairs:
+        kwargs["cache_policies"] = CachePolicyConfig.from_pairs(
+            pairs, layers=entry.layers, system=name
+        )
+    return name, kwargs
 
 
 def build_system(
@@ -251,24 +145,20 @@ def build_system(
     to passing the keyword directly, which must not be given alongside
     the spec form.
     """
-    name, router_knobs = split_router_spec(name)
-    for knob, spec_value in router_knobs.items():
-        if kwargs.get(knob) is not None:
+    name, spec_kwargs = parse_system_spec(name)
+    for key, value in spec_kwargs.items():
+        if kwargs.get(key) is not None:
             raise ValueError(
-                f"system spec already selects a {knob} config; "
-                f"drop the explicit {knob} argument"
+                f"system spec {name!r} already selects {key}; "
+                f"drop the explicit {key} argument"
             )
-        kwargs[knob] = spec_value
-    name, spec_policies = parse_system_spec(name)
-    if spec_policies is not None:
-        if kwargs.get("cache_policies") is not None:
-            raise ValueError(
-                f"system spec {name!r} already selects cache policies; "
-                "drop the explicit cache_policies argument"
-            )
-        kwargs["cache_policies"] = spec_policies
-    builder = _REGISTRY.get(name)
-    if builder is None:
-        known = ", ".join(registered_systems())
-        raise ValueError(f"unknown system {name!r}; registered systems: {known}")
-    return builder(memory_limit_bytes, page_size, costs, thread_model, **kwargs)
+        kwargs[key] = value
+    entry = _lookup(name)
+    if entry.paged:
+        kwargs["page_size"] = page_size
+    return entry.build(
+        memory_limit_bytes=memory_limit_bytes,
+        costs=costs,
+        thread_model=thread_model,
+        **kwargs,
+    )

@@ -21,7 +21,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterable, Optional
 
-from repro.shard.rebalance import RangeMigration
 from repro.shard.router import ShardRouter
 from repro.systems.base import KVSystem
 
@@ -158,19 +157,14 @@ class CleanCountingRouter(ShardRouter):
 
 
 class CleanMigrationRouter(ShardRouter):
-    """Clean counterpart of :class:`MidDispatchResharder`: the migration
+    """Clean counterpart of :class:`MidDispatchResharder`: the transfer
     commit point — descriptor publish plus boundary swap — runs on the
-    foreground *between* dispatches, exactly as the real rebalancer
-    does; dispatched thunks only ever read the routing table."""
+    foreground *between* dispatches, through the fleet controller's one
+    ``begin``; dispatched thunks only ever read the routing table."""
 
     def put_then_reshard(self, keys: list[int], value: bytes, split: int) -> None:
         self.put_many(keys, value)  # a full scatter/gather completes first
-        partitioner = self.partitioner
-        if hasattr(partitioner, "move_boundary") and self.migration is None:
-            lo, hi = partitioner.shard_range(0)  # type: ignore[attr-defined]
-            if lo < split < hi:
-                self.migration = RangeMigration(src=0, dst=1, lo=split, hi=hi)
-                partitioner.move_boundary(1, split)  # type: ignore[attr-defined]
+        self.fleet.begin(0, 1, split)
         self.put_many(keys, value)  # routed against the swapped table
 
 

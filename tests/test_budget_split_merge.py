@@ -1,8 +1,8 @@
 """Tests for heat-proportional budgets and true shard splits/merges.
 
 Covers the budget config grammar and the ``proportional_split`` helper,
-the :class:`BudgetRebalancer`'s hysteresis/floor/min-load gates and its
-charge-free resize rounds, the router's conserved budget pool
+the budget round's hysteresis/floor/min-load gates and its
+charge-free resizes, the router's conserved budget pool
 (``apply_budgets`` / total ``set_memory_limit``), the live shrink path of
 every registered system under every registered cache policy, true shard
 splits and merges end to end (content preservation, budget conservation,
@@ -23,12 +23,12 @@ from repro.shard import (
     ShardRouter,
     WeightedRangePartitioner,
 )
-from repro.systems.factory import build_system, split_router_spec
+from repro.systems.factory import build_system
 
 LIMIT = 256 * 1024
 VALUE = b"budget-value!!!!"
 SPACE = 1 << 16
-ALL_SYSTEMS = ("ART-LSM", "ART-B+", "B+-B+", "RocksDB")
+ALL_SYSTEMS = ("ART-LSM", "ART-B+", "B+-B+", "RocksDB", "ART-Multi")
 
 
 def make_router(shards: int = 4, **kw) -> ShardRouter:
@@ -115,21 +115,13 @@ def test_budget_config_from_spec_and_coerce():
 
 
 def test_factory_budget_spec_routes_to_router():
-    name, knobs = split_router_spec("Sharded@budget=on,rebalance=on")
-    assert name == "Sharded"
-    assert knobs == {"budget": "on", "rebalance": "on"}
-    name, knobs = split_router_spec("Sharded@block=s3fifo,budget=interval:128")
-    assert name == "Sharded@block=s3fifo"
-    assert knobs == {"budget": "interval:128"}
-    with pytest.raises(ValueError, match="has no router"):
-        split_router_spec("ART-LSM@budget=on")
     router = build_system(
         "Sharded@budget=on",
         memory_limit_bytes=LIMIT,
         shards=2,
         partitioner="weighted",
     )
-    assert router.budgeter is not None
+    assert router.fleet.budget_config == BudgetConfig()
     names = {task.name for task in router.runtime.scheduler.tasks}
     assert "budget" in names
     router.close()
@@ -150,93 +142,93 @@ def test_factory_budget_spec_routes_to_router():
 
 def test_router_opens_with_equal_budgets():
     router = make_router(shards=4)
-    per = router.shard_budgets[0]
-    assert router.shard_budgets == [per] * 4
-    assert sum(router.shard_budgets) == router.total_memory_limit
+    per = router.fleet.budgets[0]
+    assert router.fleet.budgets == [per] * 4
+    assert sum(router.fleet.budgets) == router.fleet.total
     router.close()
 
 
 def test_apply_budgets_validates_coverage_and_conservation():
     router = make_router(shards=2)
-    total = router.total_memory_limit
+    total = router.fleet.total
     with pytest.raises(ValueError, match="targets"):
-        router.apply_budgets([total])
+        router.fleet.apply_budgets([total])
     with pytest.raises(ValueError, match="pool holds"):
-        router.apply_budgets([total, total])
-    router.apply_budgets([total - total // 4, total // 4])
-    assert router.shard_budgets == [total - total // 4, total // 4]
+        router.fleet.apply_budgets([total, total])
+    router.fleet.apply_budgets([total - total // 4, total // 4])
+    assert router.fleet.budgets == [total - total // 4, total // 4]
     assert check_shard_router(router) == []
     router.close()
 
 
 def test_router_total_resize_preserves_ratios():
     router = make_router(shards=2)
-    total = router.total_memory_limit
-    router.apply_budgets([3 * total // 4, total - 3 * total // 4])
+    total = router.fleet.total
+    router.fleet.apply_budgets([3 * total // 4, total - 3 * total // 4])
     router.set_memory_limit(2 * total)
-    assert sum(router.shard_budgets) == 2 * total
-    assert router.total_memory_limit == 2 * total
+    assert sum(router.fleet.budgets) == 2 * total
+    assert router.fleet.total == 2 * total
     # The 3:1 shape survives the pool resize.
-    assert router.shard_budgets[0] > 2 * router.shard_budgets[1]
+    assert router.fleet.budgets[0] > 2 * router.fleet.budgets[1]
     router.close()
 
 
-def test_budget_rebalancer_follows_heat():
+def test_budget_round_follows_heat():
     router = make_router(shards=2, budget="interval:64+hysteresis:0.01")
     keys = list(range(50, SPACE, 97))
     router.put_many(keys, VALUE)
-    equal = list(router.shard_budgets)
+    equal = list(router.fleet.budgets)
     heat_shard(router, 0, 80_000.0)
     heat_shard(router, 1, 1_000.0)
-    router.budgeter.run_once()
-    assert router.budgeter.resplits == 1
-    assert router.shard_budgets != equal
-    assert router.shard_budgets[0] > router.shard_budgets[1]
-    assert sum(router.shard_budgets) == router.total_memory_limit
+    router.fleet.budget_tick()
+    assert router.fleet.resplits == 1
+    assert router.fleet.budgets != equal
+    assert router.fleet.budgets[0] > router.fleet.budgets[1]
+    assert sum(router.fleet.budgets) == router.fleet.total
     # Contents survive the resize and the ledger stays clean.
     assert router.get_many(keys) == [VALUE] * len(keys)
     assert check_shard_router(router) == []
     router.close()
 
 
-def test_budget_rebalancer_hysteresis_and_min_load_gates():
+def test_budget_round_hysteresis_and_min_load_gates():
     router = make_router(shards=2, budget="on")
-    equal = list(router.shard_budgets)
+    equal = list(router.fleet.budgets)
     # Below min_load: nothing moves however lopsided.
     router.heat.note(0, 5, service_ns=4.0)
-    router.budgeter.run_once()
-    assert router.shard_budgets == equal
+    router.fleet.budget_tick()
+    assert router.fleet.budgets == equal
     # Near-equal heat: inside the hysteresis band, nothing moves.
     heat_shard(router, 0, 10_000.0)
     heat_shard(router, 1, 9_900.0)
-    router.budgeter.run_once()
-    assert router.shard_budgets == equal
-    assert router.budgeter.resplits == 0
+    router.fleet.budget_tick()
+    assert router.fleet.budgets == equal
+    assert router.fleet.resplits == 0
     router.close()
 
 
-def test_budget_rebalancer_floor_protects_cold_shards():
+def test_budget_round_floor_protects_cold_shards():
     router = make_router(shards=2, budget="floor:0.25+hysteresis:0.01")
     heat_shard(router, 0, 100_000.0)
     heat_shard(router, 1, 1.0)
-    router.budgeter.run_once()
-    equal = router.total_memory_limit / 2
-    assert router.shard_budgets[1] >= int(equal * 0.25)
-    assert sum(router.shard_budgets) == router.total_memory_limit
+    router.fleet.budget_tick()
+    equal = router.fleet.total / 2
+    assert router.fleet.budgets[1] >= int(equal * 0.25)
+    assert sum(router.fleet.budgets) == router.fleet.total
     router.close()
 
 
 def test_budget_rounds_skip_while_migration_in_flight():
     router = make_router(shards=2, budget="hysteresis:0.01", rebalance="on")
-    equal = list(router.shard_budgets)
+    equal = list(router.fleet.budgets)
     for __ in range(2):
         heat_shard(router, 0, 10_000.0)
         heat_shard(router, 1, 100.0)
-        router.rebalancer.run_once()
-    assert router.migration is not None
+        router.fleet.plan_tick()
+    assert router.transfer is not None
     heat_shard(router, 0, 10_000.0)
-    router.budgeter.run_once()
-    assert router.shard_budgets == equal  # skipped: placement still moving
+    router.fleet.budget_tick()
+    assert router.fleet.budgets == equal  # skipped: placement still moving
     router.close()
 
 
@@ -247,8 +239,8 @@ def test_budget_resize_charges_nothing():
     heat_shard(router, 0, 80_000.0)
     heat_shard(router, 1, 1_000.0)
     before = [shard.snapshot() for shard in router.shards]
-    router.budgeter.run_once()
-    assert router.budgeter.resplits == 1
+    router.fleet.budget_tick()
+    assert router.fleet.resplits == 1
     for shard, snap in zip(router.shards, before):
         delta = snap.delta(shard.snapshot())
         assert delta.cpu_ns == 0.0
@@ -288,6 +280,24 @@ def test_set_memory_limit_shrink_preserves_contents(system, policy):
     # Grow back: also live, contents still intact.
     engine.set_memory_limit(LIMIT)
     assert engine.read(keys[0]) == VALUE
+
+
+def test_sharded_art_multi_fleet_takes_budget_resplits():
+    # ART-Multi had no live-resize seam: the first heat-driven re-split
+    # of a Sharded(ART-Multi, budget=on) fleet raised NotImplementedError.
+    router = make_router(shards=2, base_system="ART-Multi", budget="hysteresis:0.01")
+    keys = list(range(50, SPACE, 97))
+    router.put_many(keys, VALUE)
+    heat_shard(router, 0, 80_000.0)
+    heat_shard(router, 1, 1_000.0)
+    router.fleet.budget_tick()
+    assert router.fleet.resplits == 1
+    hot, cold = router.shards
+    assert hot.index.config.memory_limit_bytes == router.fleet.budgets[0]
+    assert cold.index.config.memory_limit_bytes == router.fleet.budgets[1]
+    assert router.fleet.budgets[0] > router.fleet.budgets[1]
+    assert router.get_many(keys) == [VALUE] * len(keys)
+    router.close()
 
 
 def test_set_memory_limit_shrink_reparts_bplus_pool():
@@ -397,132 +407,26 @@ def test_partitioner_split_of_one_key_shard_rejected():
 # ----------------------------------------------------------------------
 
 
-def drain_all(router: ShardRouter, guard_max: int = 10_000) -> None:
-    guard = 0
-    while router.migration is not None:
-        router.rebalancer.drain_tick()
-        guard += 1
-        assert guard < guard_max
-
-
 def test_begin_split_validates_preconditions():
     router = make_router(shards=2, rebalance="on")
     lo, hi = router.partitioner.shard_range(0)
     with pytest.raises(ValueError, match="outside"):
-        router.begin_split(0, hi + 10)
+        router.fleet.begin(0, 1, hi + 10, spawn=True)
     with pytest.raises(ValueError, match="outside"):
-        router.begin_split(0, lo)
+        router.fleet.begin(0, 1, lo, spawn=True)
     hash_router = ShardRouter(shards=2, memory_limit_bytes=LIMIT, partitioner="hash")
     with pytest.raises(ValueError, match="weighted"):
-        hash_router.begin_split(0, 10)
+        hash_router.fleet.begin(0, 1, 10, spawn=True)
     hash_router.close()
-    router.close()
-
-
-def test_split_grows_fleet_and_preserves_contents():
-    router = make_router(shards=2, rebalance="chunk:64", debug_checks=True)
-    keys = list(range(100, SPACE, 61))
-    router.put_many(keys, VALUE)
-    total = router.total_memory_limit
-    lo, hi = router.partitioner.shard_range(0)
-    split = (lo + hi) // 2
-    router.begin_split(0, split)
-    assert router.num_shards == 3
-    assert len(router.shard_budgets) == 3
-    assert sum(router.shard_budgets) == total
-    assert router.fleet_events == [("split", 0)]
-    assert router.migration is not None
-    assert (router.migration.src, router.migration.dst) == (0, 1)
-    # Mid-drain: every key still readable through the double-read seam.
-    assert router.get_many(keys) == [VALUE] * len(keys)
-    assert check_shard_router(router) == []
-    drain_all(router)
-    assert router.get_many(keys) == [VALUE] * len(keys)
-    # The upper half physically lives on the new shard now.
-    moved = [k for k in keys if split <= k < hi]
-    assert moved
-    for key in moved[:20]:
-        assert router.shards[1].read(key) == VALUE
-    assert check_shard_router(router) == []
-    assert router.runtime.stats["fleet_splits"] == 1
-    router.close()
-
-
-def test_split_rejected_while_migration_in_flight():
-    router = make_router(shards=2, rebalance="on")
-    lo, hi = router.partitioner.shard_range(0)
-    router.begin_split(0, (lo + hi) // 2)
-    with pytest.raises(RuntimeError, match="in flight"):
-        router.begin_split(0, (lo + hi) // 4)
-    router.close()
-
-
-def test_merge_shrinks_fleet_and_preserves_contents():
-    router = make_router(shards=3, rebalance="chunk:64", debug_checks=True)
-    keys = list(range(100, SPACE, 61))
-    router.put_many(keys, VALUE)
-    total = router.total_memory_limit
-    router.begin_merge(1)
-    assert router.retiring == 1
-    assert router.migration is not None
-    assert (router.migration.src, router.migration.dst) == (1, 0)
-    assert check_shard_router(router) == []
-    # Mid-drain reads keep working through the double-read seam.
-    assert router.get_many(keys) == [VALUE] * len(keys)
-    drain_all(router)
-    # The drain task folds the sliver and retires the engine itself.
-    assert router.retiring is None
-    assert router.num_shards == 2
-    assert sum(router.shard_budgets) == total
-    assert ("merge", 1) in router.fleet_events
-    assert router.get_many(keys) == [VALUE] * len(keys)
-    assert check_shard_router(router) == []
-    assert router.runtime.stats["fleet_merges"] == 1
     router.close()
 
 
 def test_merge_validates_sid_range():
     router = make_router(shards=2, rebalance="on")
     with pytest.raises(ValueError, match="left neighbour"):
-        router.begin_merge(0)
+        router.fleet.begin(0, -1)
     with pytest.raises(ValueError, match="left neighbour"):
-        router.begin_merge(2)
-    router.close()
-
-
-def test_merge_of_one_key_shard_finishes_inline():
-    router = make_router(shards=2, rebalance="on", debug_checks=True)
-    part = router.partitioner
-    lo, hi = part.shard_range(1)
-    part.move_boundary(1, hi - 1)  # shard 1 owns a single key
-    router.put_many([hi - 1, lo, lo + 5], VALUE)
-    router.begin_merge(1)
-    # Nothing to bulk-drain: the retire completed synchronously.
-    assert router.migration is None
-    assert router.retiring is None
-    assert router.num_shards == 1
-    assert router.read(hi - 1) == VALUE
-    assert router.read(lo) == VALUE
-    assert check_shard_router(router) == []
-    router.close()
-
-
-def test_split_then_merge_cycle_conserves_everything():
-    router = make_router(shards=2, rebalance="chunk:64", budget="on", debug_checks=True)
-    keys = list(range(100, SPACE, 61))
-    router.put_many(keys, VALUE)
-    total = router.total_memory_limit
-    lo, hi = router.partitioner.shard_range(1)
-    router.begin_split(1, (lo + hi) // 2)
-    drain_all(router)
-    assert router.num_shards == 3
-    router.begin_merge(2)
-    drain_all(router)
-    assert router.num_shards == 2
-    assert sum(router.shard_budgets) == total
-    assert router.get_many(keys) == [VALUE] * len(keys)
-    assert [e[0] for e in router.fleet_events] == ["split", "merge"]
-    assert check_shard_router(router) == []
+        router.fleet.begin(2, 1)
     router.close()
 
 
@@ -530,7 +434,7 @@ def test_fleet_change_resets_heat_ledger():
     router = make_router(shards=2, rebalance="on")
     heat_shard(router, 0, 5_000.0)
     lo, hi = router.partitioner.shard_range(0)
-    router.begin_split(0, (lo + hi) // 2)
+    router.fleet.begin(0, 1, (lo + hi) // 2, spawn=True)
     assert router.heat.shards == 3
     assert router.heat.ops == [0.0, 0.0, 0.0]
     assert router.heat.total_ops == [0, 0, 0]
@@ -540,11 +444,11 @@ def test_fleet_change_resets_heat_ledger():
 def test_sanitizer_flags_budget_ledger_corruption():
     router = make_router(shards=2, debug_checks=True)
     assert check_shard_router(router) == []
-    router.shard_budgets[0] += 64  # breaks conservation
+    router.fleet.budgets[0] += 64  # breaks conservation
     violations = check_shard_router(router)
     assert any(v.check == "shard-budget" for v in violations)
-    router.shard_budgets[0] -= 64
-    router.shard_budgets.append(1)  # breaks coverage
+    router.fleet.budgets[0] -= 64
+    router.fleet.budgets.append(1)  # breaks coverage
     violations = check_shard_router(router)
     assert any(v.check == "shard-budget" for v in violations)
     router.close()
@@ -553,9 +457,9 @@ def test_sanitizer_flags_budget_ledger_corruption():
 def test_sanitizer_flags_merge_descriptor_mismatch():
     router = make_router(shards=3, rebalance="on", debug_checks=True)
     router.put_many(list(range(100, SPACE, 61)), VALUE)
-    router.begin_merge(1)
+    router.fleet.begin(1, 0)
     assert check_shard_router(router) == []
-    router.migration.dst = 2  # a merge must drain into the left neighbour
+    router.transfer.dst = 2  # a merge must drain into the left neighbour
     violations = check_shard_router(router)
     assert any(v.check == "shard-merge" for v in violations)
     router.close()

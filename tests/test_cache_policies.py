@@ -26,6 +26,7 @@ from repro.check.sanitizer import (
 from repro.core.config import CachePolicyConfig
 from repro.diskbtree import BufferPool, BufferPoolConfig, LeafPage
 from repro.lsm.cache import LRUCache
+from repro.shard import BudgetConfig, RebalanceConfig
 from repro.sim import SimClock, SimDisk
 from repro.systems.factory import build_system, parse_system_spec
 from repro.systems.rocksdb_like import _lsm_budgets
@@ -224,10 +225,68 @@ def test_policy_cache_clear_resets_policy_state():
 # spec-driven selection through the factory
 # ----------------------------------------------------------------------
 def test_parse_system_spec():
-    assert parse_system_spec("ART-LSM") == ("ART-LSM", None)
-    name, policies = parse_system_spec("ART-LSM@block=s3fifo,row=lfu")
-    assert name == "ART-LSM"
-    assert policies == CachePolicyConfig(block="s3fifo", row="lfu")
+    assert parse_system_spec("ART-LSM") == ("ART-LSM", {})
+    assert parse_system_spec("Sharded") == ("Sharded", {})
+    assert parse_system_spec("ART-LSM@block=s3fifo,row=lfu") == (
+        "ART-LSM",
+        {"cache_policies": CachePolicyConfig(block="s3fifo", row="lfu")},
+    )
+    # Router knobs reach the router as typed configs, next to (not
+    # inside) the cache-policy part of the same spec.
+    assert parse_system_spec("Sharded@rebalance=on") == (
+        "Sharded",
+        {"rebalance": RebalanceConfig()},
+    )
+    assert parse_system_spec("Sharded@budget=on,rebalance=on") == (
+        "Sharded",
+        {"rebalance": RebalanceConfig(), "budget": BudgetConfig()},
+    )
+    assert parse_system_spec("Sharded@block=s3fifo,rebalance=threshold:1.3") == (
+        "Sharded",
+        {
+            "rebalance": RebalanceConfig(threshold=1.3),
+            "cache_policies": CachePolicyConfig(block="s3fifo"),
+        },
+    )
+    assert parse_system_spec("Sharded@block=s3fifo,budget=interval:128") == (
+        "Sharded",
+        {
+            "budget": BudgetConfig(interval_ops=128),
+            "cache_policies": CachePolicyConfig(block="s3fifo"),
+        },
+    )
+    assert parse_system_spec("Sharded@budget=off") == ("Sharded", {"budget": None})
+
+
+@pytest.mark.parametrize(
+    "spec,names",
+    [
+        # a router knob on a system without a router
+        ("ART-LSM@rebalance=on", ["has no router", "rebalance"]),
+        ("ART-LSM@budget=on", ["has no router", "budget"]),
+        # duplicate names, at either nesting level
+        ("Sharded@rebalance=on,rebalance=off", ["'rebalance' named twice"]),
+        (
+            "Sharded@rebalance=threshold:2.5+threshold:3.0",
+            ["'threshold' named twice", "threshold:2.5+threshold:3.0"],
+        ),
+        ("ART-LSM@block=lru,block=lfu", ["'block' named twice"]),
+        # a value the knob's type cannot parse
+        ("Sharded@rebalance=max_shards:abc", ["'max_shards:abc'", "int"]),
+        ("Sharded@budget=floor:high", ["'floor:high'", "float"]),
+        # unknown names
+        ("Sharded@rebalance=warmth:9", ["'warmth:9'", "threshold"]),
+        ("Sharded@budget=warmth:9", ["'warmth:9'", "hysteresis"]),
+        # a part that is not name=value / name:value at all
+        ("ART-LSM@nonsense", ["'nonsense'", "name=value"]),
+        ("Sharded@rebalance=threshold", ["'threshold'", "name:value"]),
+    ],
+)
+def test_parse_system_spec_names_the_offending_part(spec, names):
+    with pytest.raises(ValueError) as caught:
+        parse_system_spec(spec)
+    for name in names:
+        assert name in str(caught.value)
 
 
 def test_cache_policy_config_rejects_bad_specs():
@@ -249,9 +308,11 @@ def test_spec_rejects_layer_absent_from_the_system():
     with pytest.raises(ValueError, match=r"valid layers: pool"):
         parse_system_spec("B+-B+@block=s3fifo")
     # ART-Multi runs page pools *and* an LSM, so every layer is live.
-    name, policies = parse_system_spec("ART-Multi@pool=mglru,block=s3fifo,row=lfu")
+    name, kwargs = parse_system_spec("ART-Multi@pool=mglru,block=s3fifo,row=lfu")
     assert name == "ART-Multi"
-    assert policies == CachePolicyConfig(pool="mglru", block="s3fifo", row="lfu")
+    assert kwargs == {
+        "cache_policies": CachePolicyConfig(pool="mglru", block="s3fifo", row="lfu")
+    }
 
 
 def test_spec_validates_system_name_before_layers():

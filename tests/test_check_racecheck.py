@@ -47,7 +47,7 @@ REAL_RELS = (
     "shard/pool.py",
     "shard/ownership.py",
     "shard/heat.py",
-    "shard/rebalance.py",
+    "shard/fleet.py",
     "systems/base.py",
 )
 
@@ -287,7 +287,7 @@ def test_clean_migration_router_commits_on_the_foreground(workers):
     keys = range_spread_keys(router)
     lo, hi = router.partitioner.shard_range(0)
     router.put_then_reshard(keys, VALUE, split=(lo + hi) // 2)
-    assert router.migration is not None  # descriptor published
+    assert router.transfer is not None  # descriptor published
     assert router.get_many(keys) == [VALUE] * len(keys)
 
 

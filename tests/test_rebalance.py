@@ -1,5 +1,5 @@
 """Tests for the elastic resharding layer (``repro.shard.heat`` /
-``repro.shard.rebalance`` / the weighted range partitioner).
+``repro.shard.fleet`` / the weighted range partitioner).
 
 Covers the heat ledger's accounting and time-weighted split quantiles,
 the rebalance config grammar, boundary-table auditing on the weighted
@@ -15,7 +15,7 @@ import pytest
 
 from repro.check.sanitizer import check_shard_router
 from repro.shard import (
-    RangeMigration,
+    RangeTransfer,
     RebalanceConfig,
     ShardHeat,
     ShardRouter,
@@ -23,7 +23,6 @@ from repro.shard import (
     make_partitioner,
 )
 from repro.shard.partition import RangePartitioner
-from repro.systems.factory import split_rebalance_spec
 
 LIMIT = 256 * 1024
 VALUE = b"rebalance-value!"
@@ -164,25 +163,17 @@ def test_config_from_spec_and_coerce():
     assert custom.threshold == 1.3
     assert custom.interval_ops == 128
     assert custom.cooldown_rounds == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'warmth:9'"):
         RebalanceConfig.from_spec("warmth:9")
+    with pytest.raises(ValueError, match="'max_shards:abc'"):
+        RebalanceConfig.from_spec("max_shards:abc")
+    with pytest.raises(ValueError, match="'threshold' named twice"):
+        RebalanceConfig.from_spec("threshold:2.5+threshold:3.0")
     assert RebalanceConfig.coerce(None) is None
     assert RebalanceConfig.coerce(False) is None
     assert RebalanceConfig.coerce("off") is None
     assert RebalanceConfig.coerce(True) == RebalanceConfig()
     assert RebalanceConfig.coerce(custom) is custom
-
-
-def test_factory_split_rebalance_spec():
-    assert split_rebalance_spec("Sharded") == ("Sharded", None)
-    assert split_rebalance_spec("Sharded@rebalance=on") == ("Sharded", "on")
-    name, spec = split_rebalance_spec("Sharded@block=s3fifo,rebalance=threshold:1.3")
-    assert name == "Sharded@block=s3fifo"
-    assert spec == "threshold:1.3"
-    with pytest.raises(ValueError, match="has no router"):
-        split_rebalance_spec("ART-LSM@rebalance=on")
-    with pytest.raises(ValueError, match="named twice"):
-        split_rebalance_spec("Sharded@rebalance=on,rebalance=off")
 
 
 def test_router_requires_weighted_partitioner_for_rebalance():
@@ -242,12 +233,12 @@ def test_migration_needs_persistent_imbalance():
     heat_shard(router, 0, 10_000.0)
     for sid in (1, 2, 3):
         heat_shard(router, sid, 100.0)
-    router.rebalancer.run_once()  # first sighting: pending only
-    assert router.migration is None
+    router.fleet.plan_tick()  # first sighting: pending only
+    assert router.transfer is None
     assert router.partitioner.boundaries == before
     heat_shard(router, 0, 10_000.0)  # same imbalance persists
-    router.rebalancer.run_once()
-    assert router.migration is not None
+    router.fleet.plan_tick()
+    assert router.transfer is not None
     assert router.partitioner.boundaries != before
     router.close()
 
@@ -257,9 +248,9 @@ def test_balanced_fleet_never_migrates():
     for __ in range(6):
         for sid in range(4):
             heat_shard(router, sid, 1_000.0)
-        router.rebalancer.run_once()
-    assert router.migration is None
-    assert router.rebalancer.migrations_started == 0
+        router.fleet.plan_tick()
+    assert router.transfer is None
+    assert router.fleet.migrations_started == 0
     router.close()
 
 
@@ -270,8 +261,8 @@ def test_threshold_clamps_to_fleet_width():
     for __ in range(2):
         heat_shard(router, 0, 10_000.0)
         heat_shard(router, 1, 100.0)
-        router.rebalancer.run_once()
-    assert router.migration is not None
+        router.fleet.plan_tick()
+    assert router.transfer is not None
     router.close()
 
 
@@ -281,8 +272,8 @@ def test_diffusion_moves_between_hottest_adjacent_pair():
         heat_shard(router, 0, 10_000.0)
         for sid in (1, 2, 3):
             heat_shard(router, sid, 100.0)
-        router.rebalancer.run_once()
-    migration = router.migration
+        router.fleet.plan_tick()
+    migration = router.transfer
     assert (migration.src, migration.dst) == (0, 1)
     # The in-flight range already routes to the destination.
     assert router.partitioner.shard_of(migration.lo) == migration.dst
@@ -293,9 +284,9 @@ def test_diffusion_moves_between_hottest_adjacent_pair():
 def test_min_load_gate_keeps_cold_fleet_still():
     router = make_router()
     router.heat.note(0, 5, service_ns=4.0)  # total below min_load
-    router.rebalancer.run_once()
-    router.rebalancer.run_once()
-    assert router.migration is None
+    router.fleet.plan_tick()
+    router.fleet.plan_tick()
+    assert router.transfer is None
     router.close()
 
 
@@ -304,14 +295,14 @@ def test_min_load_gate_keeps_cold_fleet_still():
 # ----------------------------------------------------------------------
 
 
-def start_migration(router: ShardRouter) -> RangeMigration:
+def start_migration(router: ShardRouter) -> RangeTransfer:
     for __ in range(2):
         heat_shard(router, 0, 10_000.0)
         for sid in (1, 2, 3):
             heat_shard(router, sid, 100.0)
-        router.rebalancer.run_once()
-    assert router.migration is not None
-    return router.migration
+        router.fleet.plan_tick()
+    assert router.transfer is not None
+    return router.transfer
 
 
 def test_drain_moves_keys_and_completes():
@@ -324,50 +315,20 @@ def test_drain_moves_keys_and_completes():
     in_flight = [k for k in keys if lo <= k < hi]
     assert in_flight, "test workload must cover the migrated range"
     guard = 0
-    while router.migration is not None:
-        router.rebalancer.drain_tick()
+    while router.transfer is not None:
+        router.fleet.drain_tick()
         guard += 1
         assert guard < 10_000
-    rebalancer = router.rebalancer
-    assert rebalancer.migrations_completed == 1
-    assert rebalancer.keys_moved >= len(in_flight)
+    fleet = router.fleet
+    assert fleet.migrations_completed == 1
+    assert fleet.keys_moved >= len(in_flight)
     assert router.heat.ops == [0.0] * 4  # ledger reset on completion
-    assert rebalancer._cooldown == rebalancer.config.cooldown_rounds
+    assert fleet._cooldown == fleet.config.cooldown_rounds
     # Every key still reads back; the moved range now lives on dst.
     assert router.get_many(keys) == [model[k] for k in keys]
     for key in in_flight:
         assert router.shards[migration.dst].read(key) == VALUE
     router.close()
-
-
-def test_double_read_seam_serves_in_flight_keys():
-    router = make_router()
-    keys = list(range(100, SPACE, 61))
-    router.put_many(keys, VALUE)
-    migration = start_migration(router)
-    in_flight = [k for k in keys if migration.covers(k)]
-    # Nothing drained yet: the keys route to dst but live on src.
-    assert router.get_many(in_flight) == [VALUE] * len(in_flight)
-    assert all(router.read(k) == VALUE for k in in_flight[:5])
-    # Deletes reach both copies, so the double-read cannot resurrect.
-    victim = in_flight[0]
-    assert router.delete(victim) is True
-    assert router.read(victim) is None
-    router.close()
-
-
-def test_scan_merges_across_migration_seam():
-    router = make_router()
-    keys = list(range(100, SPACE, 61))
-    router.put_many(keys, VALUE)
-    reference = make_router(rebalance=None)
-    reference.put_many(keys, VALUE)
-    start_migration(router)
-    starts = [keys[0], keys[len(keys) // 2], keys[-5]]
-    for start in starts:
-        assert router.scan(start, 50) == reference.scan(start, 50)
-    router.close()
-    reference.close()
 
 
 def test_sanitizer_checks_migration_invariants():
@@ -377,7 +338,7 @@ def test_sanitizer_checks_migration_invariants():
     start_migration(router)
     assert check_shard_router(router) == []
     # Corrupt the descriptor: the in-flight range no longer routes to dst.
-    router.migration.dst = router.migration.src
+    router.transfer.dst = router.transfer.src
     violations = check_shard_router(router)
     assert any(v.check == "shard-migration" for v in violations)
     router.close()
@@ -424,8 +385,8 @@ def drive_skewed(workers: int):
         router.get_many(spread[round_no::3])
     state = (
         router.partitioner.boundaries,
-        router.rebalancer.migrations_started,
-        router.rebalancer.keys_moved,
+        router.fleet.migrations_started,
+        router.fleet.keys_moved,
         router.scan(0, 200),
         router.get_many(spread),
         [shard.stats.as_dict() for shard in router.shards],
