@@ -61,9 +61,6 @@ class BLeaf(_FrameworkMeta):
             + payload
         )
 
-    def lowest_key(self) -> bytes:
-        return self.keys[0]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BLeaf(n={len(self.keys)}, dirty={self.dirty})"
 

@@ -74,10 +74,6 @@ class CachePolicy:
         """Tell the policy the cache's byte budget (construction/resize)."""
         self.capacity_bytes = capacity_bytes
 
-    def size_of(self, key: Hashable) -> int:
-        """Charged size of a tracked key."""
-        return self._sizes[key]
-
     def __len__(self) -> int:
         return len(self._sizes)
 

@@ -8,59 +8,11 @@ Two halves:
   an :class:`~repro.core.indexy.IndeXY` is built with
   ``debug_checks=True`` and by :class:`StoreSanitizer` for the baseline
   systems.
-* :mod:`repro.check.reprolint` — a repo-specific AST lint enforcing the
-  EngineRuntime architecture (``python -m repro.check``).
+* ``python -m repro.check`` — the static analyser: one engine
+  (:mod:`repro.check.engine`), one rule table (:mod:`repro.check.rules`),
+  four rule families enforcing the EngineRuntime architecture.
+
+Import what you need from the submodule that defines it; this package
+re-exports nothing, so ``repro.check.flags`` (read by every
+``build_system``) stays a cheap import.
 """
-
-from __future__ import annotations
-
-from repro.check.flags import sanitize_enabled, set_sanitize
-from repro.check.reprolint import RULES, Finding, Rule, lint_paths, lint_source
-from repro.check.sanitizer import (
-    CacheSanitizer,
-    CheckBackAuditor,
-    CheckError,
-    ClockMonotonicityGuard,
-    IndexSanitizer,
-    StoreSanitizer,
-    Violation,
-    check_art,
-    check_art_memory,
-    check_btree,
-    check_buffer_pool,
-    check_disk_btree,
-    check_flush_coherence,
-    check_indexy,
-    check_lsm,
-    check_no_leaked_pins,
-    check_policy_cache,
-    check_release_watermark,
-)
-
-__all__ = [
-    "CacheSanitizer",
-    "CheckBackAuditor",
-    "CheckError",
-    "ClockMonotonicityGuard",
-    "Finding",
-    "IndexSanitizer",
-    "RULES",
-    "Rule",
-    "StoreSanitizer",
-    "Violation",
-    "check_art",
-    "check_art_memory",
-    "check_btree",
-    "check_buffer_pool",
-    "check_disk_btree",
-    "check_flush_coherence",
-    "check_indexy",
-    "check_lsm",
-    "check_no_leaked_pins",
-    "check_policy_cache",
-    "check_release_watermark",
-    "lint_paths",
-    "lint_source",
-    "sanitize_enabled",
-    "set_sanitize",
-]

@@ -1,16 +1,16 @@
 """CLI entry point: ``python -m repro.check [paths...]``.
 
-Runs the reprolint AST rules over the given files/directories (default:
+Argument parsing and output formats only; loading, the rule table and
+the driver are :mod:`repro.check.engine` and :mod:`repro.check.rules`.
+A bare run applies the shallow RL0xx rules to the given paths (default:
 the installed ``repro`` package source) and exits non-zero when any
-finding survives the inline pragmas.  ``--deep`` adds the RL1xx
-CFG/dataflow/call-graph rules (see :mod:`repro.check.deepcheck`), the
-RL2xx concurrency rules (see :mod:`repro.check.racecheck`), and the
-RL3xx charge-effect rules (see :mod:`repro.check.chargecheck`);
-``--rules RL30x,RL101`` restricts the run to a rule subset (a trailing
-``x`` is a prefix wildcard); ``--unused-pragmas`` audits ``allow[...]``
-pragmas that no longer suppress anything; ``--list-rules`` prints the
-rule catalogue (``--format markdown`` emits the DESIGN.md table);
-``--format json|sarif`` emits machine-readable output for CI upload.
+finding survives the inline pragmas.  ``--deep`` runs every family
+(RL1xx deep, RL2xx concurrency, RL3xx charge); ``--rules RL30x,RL101``
+runs exactly the named rules (a trailing ``x`` is a prefix wildcard);
+``--unused-pragmas`` audits ``allow[...]`` pragmas that no longer
+suppress anything; ``--list-rules`` prints the rule catalogue
+(``--format markdown`` emits the DESIGN.md table); ``--format
+json|sarif`` emits machine-readable output for CI upload.
 """
 
 from __future__ import annotations
@@ -25,37 +25,16 @@ import time  # reprolint: allow[RL004]
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.check.chargecheck import CHARGE_RULES, charge_lint_paths
-from repro.check.deepcheck import DEEP_RULES, deep_lint_paths
-from repro.check.racecheck import RACE_RULES, race_lint_paths
-from repro.check.reprolint import RULES, Finding, Rule, iter_pragmas, lint_paths
+from repro.check.engine import Analysis, Finding, iter_pragmas, load
+from repro.check.rules import RULES, run
 
 #: SARIF 2.1.0 is the smallest schema GitHub code scanning ingests.
 _SARIF_SCHEMA = "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
-
-#: rule family names keyed by id prefix, embedded in SARIF rule metadata
-#: so code-scanning UIs can group the four layers.
-_FAMILIES = (
-    ("RL3", "charge"),
-    ("RL2", "concurrency"),
-    ("RL1", "deep"),
-    ("RL0", "shallow"),
-)
-
-#: every rule across the four layers, in catalogue order.
-ALL_RULES: tuple[Rule, ...] = (*RULES, *DEEP_RULES, *RACE_RULES, *CHARGE_RULES)
 
 
 def _default_target() -> Path:
     # .../src/repro/check/__main__.py -> .../src/repro
     return Path(__file__).resolve().parents[1]
-
-
-def _family(rule_id: str) -> str:
-    for prefix, family in _FAMILIES:
-        if rule_id.startswith(prefix):
-            return family
-    return "shallow"
 
 
 def _parse_rule_spec(spec: str) -> frozenset[str]:
@@ -65,7 +44,7 @@ def _parse_rule_spec(spec: str) -> frozenset[str]:
     written with trailing ``x`` characters (``RL30x``, ``RL3xx``).
     Unknown parts are an error — a typo must not silently select nothing.
     """
-    known = {rule.rule_id for rule in ALL_RULES}
+    known = {rule.rule_id for rule in RULES}
     selected: set[str] = set()
     for part in spec.split(","):
         part = part.strip()
@@ -92,9 +71,9 @@ def _rule_catalogue_markdown() -> str:
         "| Rule | Name | Layer | Scope | Contract |",
         "| --- | --- | --- | --- | --- |",
     ]
-    for rule in ALL_RULES:
+    for rule in RULES:
         lines.append(
-            f"| {rule.rule_id} | `{rule.name}` | {_family(rule.rule_id)} "
+            f"| {rule.rule_id} | `{rule.name}` | {rule.family} "
             f"| {rule.scope} | {rule.summary} |"
         )
     return "\n".join(lines)
@@ -122,9 +101,9 @@ def _as_sarif(findings: list[Finding]) -> str:
             "shortDescription": {"text": rule.summary},
             "fullDescription": {"text": f"{rule.summary} [scope: {rule.scope}]"},
             "defaultConfiguration": {"level": "error"},
-            "properties": {"family": _family(rule.rule_id)},
+            "properties": {"family": rule.family},
         }
-        for rule in ALL_RULES
+        for rule in RULES
     ]
     results = [
         {
@@ -161,43 +140,33 @@ def _as_sarif(findings: list[Finding]) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _unused_pragmas(targets: list[Path]) -> list[str]:
+def _unused_pragmas(analysis: Analysis) -> list[str]:
     """Pragma lines whose ``allow[...]`` suppresses no raw finding.
 
-    Runs all four rule layers with suppression off, then reports every
-    pragma line where none of the allowed rule ids (nor ``*`` matching
-    anything) actually fires.
+    Runs every rule with suppression off, then reports every pragma line
+    where none of the allowed rule ids (nor ``*`` matching anything)
+    actually fires.
     """
-    raw = lint_paths(targets, apply_pragmas=False)
-    raw += deep_lint_paths(targets, apply_pragmas=False)
-    raw += race_lint_paths(targets, apply_pragmas=False)
-    raw += charge_lint_paths(targets, apply_pragmas=False)
     fired: dict[tuple[str, int], set[str]] = {}
-    for finding in raw:
+    for finding in run(analysis, apply_pragmas=False):
         fired.setdefault((finding.path, finding.line), set()).add(finding.rule)
 
     stale: list[str] = []
-    seen: set[Path] = set()
-    for entry in targets:
-        files = sorted(entry.rglob("*.py")) if entry.is_dir() else [entry]
-        for file in files:
-            if "tests" in file.parts or file.suffix != ".py" or file in seen:
-                continue
-            seen.add(file)
-            source = file.read_text(encoding="utf-8")
-            for lineno, allowed in iter_pragmas(source):
-                rules_here = fired.get((str(file), lineno), set())
-                if "*" in allowed:
-                    if rules_here:
-                        continue
-                    stale.append(f"{file}:{lineno}: stale pragma allow[*]: no rule fires here")
-                    continue
-                unused = sorted(r for r in allowed if r not in rules_here)
-                if unused:
+    for module in analysis.modules:
+        for lineno, allowed in iter_pragmas(module.source):
+            rules_here = fired.get((module.path, lineno), set())
+            if "*" in allowed:
+                if not rules_here:
                     stale.append(
-                        f"{file}:{lineno}: stale pragma allow[{', '.join(unused)}]: "
-                        "the rule no longer fires on this line"
+                        f"{module.path}:{lineno}: stale pragma allow[*]: no rule fires here"
                     )
+                continue
+            unused = sorted(r for r in allowed if r not in rules_here)
+            if unused:
+                stale.append(
+                    f"{module.path}:{lineno}: stale pragma allow[{', '.join(unused)}]: "
+                    "the rule no longer fires on this line"
+                )
     return stale
 
 
@@ -255,7 +224,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.format == "markdown":
             print(_rule_catalogue_markdown())
         else:
-            for rule in ALL_RULES:
+            for rule in RULES:
                 print(
                     f"{rule.rule_id}  {rule.name:<28} {rule.summary}"
                     f"  [{rule.scope}]"
@@ -280,39 +249,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: no such path: {target}", file=sys.stderr)
         return 2
 
+    started = time.monotonic()
+    analysis = load(targets)
     if args.unused_pragmas:
-        stale = _unused_pragmas(targets)
+        stale = _unused_pragmas(analysis)
         for line in stale:
             print(line)
         if stale:
             print(f"\n{len(stale)} stale pragma(s)", file=sys.stderr)
         return 1 if stale else 0
 
-    def wants(rules: tuple[Rule, ...]) -> bool:
-        """True when the selection touches this layer (default: all)."""
-        return selected is None or any(r.rule_id in selected for r in rules)
-
-    # An explicit --rules naming only deep-layer rules runs those layers
-    # without requiring --deep; a bare run stays shallow-only.
-    deep = args.deep or (
-        selected is not None
-        and any(not rule_id.startswith("RL0") for rule_id in selected)
-    )
-
-    started = time.monotonic()
-    findings: list[Finding] = []
-    if wants(RULES):
-        shallow = lint_paths(targets)
-        if selected is not None:
-            shallow = [f for f in shallow if f.rule in selected]
-        findings += shallow
-    if deep:
-        if wants(DEEP_RULES):
-            findings += deep_lint_paths(targets, rules=selected)
-        if wants(RACE_RULES):
-            findings += race_lint_paths(targets, rules=selected)
-        if wants(CHARGE_RULES):
-            findings += charge_lint_paths(targets, rules=selected)
+    # A bare run is the shallow family; --deep is every rule; an explicit
+    # --rules selection runs exactly the rules it names.
+    if selected is None and not args.deep:
+        selected = frozenset(r.rule_id for r in RULES if r.family == "shallow")
+    findings = run(analysis, selected)
     elapsed = time.monotonic() - started
 
     if args.format == "json":

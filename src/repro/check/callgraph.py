@@ -41,12 +41,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.check.cfg import FunctionNode, iter_function_defs
-from repro.check.reprolint import module_rel_path
 
-__all__ = ["FunctionInfo", "CallSite", "CallGraph", "build_callgraph", "parse_tree"]
+__all__ = [
+    "FunctionInfo",
+    "CallSite",
+    "CallGraph",
+    "bound_alias_chains",
+    "build_callgraph",
+    "callee_name",
+    "rooted_at_self",
+]
 
 
 @dataclass(frozen=True)
@@ -69,9 +75,13 @@ class CallSite:
     call: ast.Call = field(compare=False, hash=False)
 
 
-def parse_tree(paths: dict[str, str]) -> dict[str, ast.Module]:
-    """Parse ``rel path -> source`` into ``rel path -> module AST``."""
-    return {rel: ast.parse(src, filename=rel) for rel, src in paths.items()}
+def callee_name(func: ast.expr) -> str | None:
+    """The name a call (or decorator) expression invokes: ``f`` / ``x.f``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
 
 
 def _attr_chain(expr: ast.expr) -> list[str] | None:
@@ -88,6 +98,13 @@ def _attr_chain(expr: ast.expr) -> list[str] | None:
     return parts
 
 
+def rooted_at_self(node: ast.expr) -> bool:
+    """True when an attribute/subscript chain bottoms out at ``self``."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
 class CallGraph:
     """Function index plus resolved call edges; see the module docstring."""
 
@@ -96,6 +113,8 @@ class CallGraph:
         self.edges: dict[str, list[CallSite]] = {}
         #: method/function name -> every definition key with that name.
         self.by_name: dict[str, list[str]] = {}
+        #: rel -> {local name -> name it was imported as} (``from m import n``).
+        self.imports: dict[str, dict[str, str]] = {}
         #: class name -> {method name -> key}; class name -> base names.
         self._methods: dict[str, dict[str, str]] = {}
         self._bases: dict[str, list[str]] = {}
@@ -121,6 +140,24 @@ class CallGraph:
             stack.extend(self._bases.get(cls, []))
         return None
 
+    def resolve_name(self, rel: str, name: str, spelled: str | None = None) -> list[str]:
+        """A bare-name call inside module ``rel``: direct -> imported -> ``__init__``.
+
+        ``name`` is the callee after local bound-alias resolution;
+        ``spelled`` is the identifier as written at the call site, which
+        is what an import binds (defaults to ``name``).
+        """
+        direct = f"{rel}::{name}"
+        if direct in self.functions:
+            return [direct]
+        target = self.imports.get(rel, {}).get(spelled or name)
+        if target is not None:
+            hits = [key for key in self.by_name.get(target, []) if "." not in key.split("::")[1]]
+            if hits:
+                return hits
+        init = self.resolve_method(name, "__init__")
+        return [init] if init is not None else []
+
     def reachable_from(self, roots: list[str]) -> set[str]:
         """Keys of every function reachable from ``roots`` via call edges."""
         seen = set(roots)
@@ -139,8 +176,6 @@ class _ModuleIndexer:
 
     def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
-        #: rel -> {local name -> target module-or-function key hint}
-        self.imports: dict[str, dict[str, str]] = {}
 
     def index(self, rel: str, tree: ast.Module) -> None:
         graph = self.graph
@@ -165,22 +200,15 @@ class _ModuleIndexer:
             if isinstance(node, ast.ImportFrom) and node.module:
                 for alias in node.names:
                     local[alias.asname or alias.name] = alias.name
-        self.imports[rel] = local
+        graph.imports[rel] = local
 
 
 class _CallCollector(ast.NodeVisitor):
     """Second pass: resolve the call sites of one function body."""
 
-    def __init__(
-        self,
-        graph: CallGraph,
-        info: FunctionInfo,
-        imported: dict[str, str],
-        local_aliases: dict[str, str],
-    ) -> None:
+    def __init__(self, graph: CallGraph, info: FunctionInfo, local_aliases: dict[str, str]) -> None:
         self.graph = graph
         self.info = info
-        self.imported = imported
         self.local_aliases = local_aliases
         self.sites: list[CallSite] = []
 
@@ -210,22 +238,9 @@ class _CallCollector(ast.NodeVisitor):
         func = node.func
         if isinstance(func, ast.Name):
             name = self.local_aliases.get(func.id, func.id)
-            # Same-module function or method of the enclosing class's module.
-            direct = f"{self.info.rel}::{name}"
-            if direct in graph.functions:
-                return [direct]
-            # Imported name (cross-module).
-            target = self.imported.get(func.id)
-            if target is not None:
-                hits = [
-                    key for key in graph.by_name.get(target, []) if "." not in key.split("::")[1]
-                ]
-                if hits:
-                    return hits
-            # Class instantiation -> __init__.
-            init = graph.resolve_method(name, "__init__")
-            if init is not None:
-                return [init]
+            hits = graph.resolve_name(self.info.rel, name, spelled=func.id)
+            if hits:
+                return hits
             # Bound-alias name: resolved by local_aliases above when the
             # alias mapped to a method name.
             method = graph.resolve_method(self.info.class_name or "", name)
@@ -252,19 +267,13 @@ class _CallCollector(ast.NodeVisitor):
 
 def _partial_target(node: ast.Call) -> ast.expr | None:
     """The wrapped callable of ``partial(f, ...)``/``functools.partial(f, ...)``."""
-    func = node.func
-    name: str | None = None
-    if isinstance(func, ast.Name):
-        name = func.id
-    elif isinstance(func, ast.Attribute):
-        name = func.attr
-    if name != "partial" or not node.args:
+    if callee_name(node.func) != "partial" or not node.args:
         return None
     return node.args[0]
 
 
-def _bound_aliases(func: FunctionNode) -> dict[str, str]:
-    """Local ``name = self.method`` / ``name = obj.method`` bindings.
+def bound_alias_chains(func: FunctionNode) -> dict[str, tuple[str, ...]]:
+    """Local ``name = a.b.method`` bindings as ``name -> ("a", "b", "method")``.
 
     ``name = partial(obj.method, ...)`` binds the same way: calling the
     name runs the wrapped method.  A later bare call through the name
@@ -272,7 +281,7 @@ def _bound_aliases(func: FunctionNode) -> dict[str, str]:
     the function counts) — the def-use layer exists for rules that need
     flow precision; the call graph only needs may-call edges.
     """
-    out: dict[str, str] = {}
+    out: dict[str, tuple[str, ...]] = {}
     for node in ast.walk(func):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
@@ -286,7 +295,7 @@ def _bound_aliases(func: FunctionNode) -> dict[str, str]:
             if isinstance(value, ast.Attribute):
                 chain = _attr_chain(value)
                 if chain is not None and len(chain) >= 2:
-                    out[target.id] = chain[-1]
+                    out[target.id] = tuple(chain)
     return out
 
 
@@ -297,24 +306,9 @@ def build_callgraph(trees: dict[str, ast.Module]) -> CallGraph:
     for rel, tree in sorted(trees.items()):
         indexer.index(rel, tree)
     for key, info in graph.functions.items():
-        aliases = _bound_aliases(info.node)
-        collector = _CallCollector(graph, info, indexer.imports.get(info.rel, {}), aliases)
+        aliases = {name: chain[-1] for name, chain in bound_alias_chains(info.node).items()}
+        collector = _CallCollector(graph, info, aliases)
         for stmt in info.node.body:
             collector.visit(stmt)
         graph.edges[key] = collector.sites
     return graph
-
-
-def load_sources(paths: list[Path]) -> dict[str, str]:
-    """Read every ``*.py`` under ``paths`` keyed by package-relative path."""
-    out: dict[str, str] = {}
-    for entry in paths:
-        if entry.is_dir():
-            files = sorted(entry.rglob("*.py"))
-        else:
-            files = [entry]
-        for file in files:
-            if "tests" in file.parts:
-                continue
-            out[module_rel_path(file)] = file.read_text(encoding="utf-8")
-    return out

@@ -29,7 +29,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
-from repro.check.chargecheck import ChargeAnalysis, ChargeSummary, analyze_paths
+from repro.check.chargecheck import ChargeAnalysis, ChargeSummary, summarize
+from repro.check.engine import load
 from repro.sim.clock import SimClock
 from repro.sim.disk import DiskSpec, SimDisk
 from repro.sim.effects import EFFECT_NAMES, MANY
@@ -236,7 +237,7 @@ def charge_audit_preflight(
         import repro
         from pathlib import Path
 
-        analysis = analyze_paths([Path(repro.__file__).parent])
+        analysis = summarize(load([Path(repro.__file__).parent]))
     violations: list[str] = []
     for name in SYSTEM_NAMES:
         violations.extend(_audit_system(analysis, name, ops))

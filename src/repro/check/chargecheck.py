@@ -58,73 +58,23 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from repro.check.callgraph import (
     CallGraph,
     FunctionInfo,
     _attr_chain,
-    build_callgraph,
+    _partial_target,
+    bound_alias_chains,
+    callee_name,
+    rooted_at_self,
 )
-from repro.check.cfg import CFG, Element, build_cfg
-from repro.check.dataflow import _use_exprs
-from repro.check.deepcheck import _Module, _parse_modules, _Sink
-from repro.check.reprolint import (
-    Finding,
-    Rule,
-    filter_findings,
-    module_rel_path,
-)
-from repro.sim.effects import EFFECT_NAMES, MANY
+from repro.check.cfg import CFG, Element
+from repro.check.dataflow import element_calls
+from repro.check.engine import Analysis, Findings, Module
+from repro.sim.effects import EFFECT_NAMES, MANY, parse_effect
 
-__all__ = [
-    "CHARGE_RULES",
-    "ChargeAnalysis",
-    "ChargeSummary",
-    "analyze_paths",
-    "analyze_sources",
-    "charge_lint_paths",
-    "charge_lint_sources",
-]
-
-CHARGE_RULES: tuple[Rule, ...] = (
-    Rule(
-        "RL301",
-        "charge-completeness",
-        "every path through a @charges function charges each declared effect "
-        "within its multiplicity (cache-hit guards excepted)",
-        scope="@charges-declared functions",
-    ),
-    Rule(
-        "RL302",
-        "double-charge",
-        "no path charges a declared effect more times than its declared "
-        "upper bound, including transitively through helpers",
-        scope="@charges-declared functions",
-    ),
-    Rule(
-        "RL303",
-        "bucket-confusion",
-        "foreground verbs must not reach undeclared background_ns charges; "
-        "maintenance runners must not reach undeclared cpu_ns charges",
-        scope="sim/ diskbtree/ lsm/ art/ btree/ core/ shard/ systems/",
-    ),
-    Rule(
-        "RL304",
-        "exception-charge-skew",
-        "no raise edge between a state mutation and its paired charge "
-        "(or vice versa)",
-        scope="sim/ diskbtree/ lsm/ core/",
-    ),
-    Rule(
-        "RL305",
-        "charge-audit",
-        "runtime cross-validation: ChargeAuditor verb multisets must lie "
-        "within the static summaries (bench --sanitize)",
-        scope="runtime oracle (chargeaudit.py); not a lint-pass rule",
-    ),
-)
+__all__ = ["ChargeAnalysis", "ChargeSummary", "check", "summarize"]
 
 #: modules whose code participates in the charge analysis.
 _SCOPE_PREFIXES = (
@@ -393,7 +343,7 @@ class _FuncCharge:
 
     key: str
     info: FunctionInfo
-    module: _Module
+    module: Module
     cfg: CFG
     declared: Optional[dict[str, Interval]]
     elems: list[_ElemInfo]
@@ -447,17 +397,8 @@ class ChargeAnalysis:
 
 def _declared_contract(func: ast.AST) -> Optional[dict[str, Interval]]:
     """Parse an ``@charges(...)`` decorator syntactically (no imports)."""
-    from repro.sim.effects import parse_effect
-
     for dec in getattr(func, "decorator_list", []):
-        if not isinstance(dec, ast.Call):
-            continue
-        name = None
-        if isinstance(dec.func, ast.Name):
-            name = dec.func.id
-        elif isinstance(dec.func, ast.Attribute):
-            name = dec.func.attr
-        if name != "charges":
+        if not isinstance(dec, ast.Call) or callee_name(dec.func) != "charges":
             continue
         contract: dict[str, Interval] = {}
         for arg in dec.args:
@@ -470,34 +411,6 @@ def _declared_contract(func: ast.AST) -> Optional[dict[str, Interval]]:
             contract[effect] = interval
         return contract
     return None
-
-
-def _alias_chains(func: ast.AST) -> dict[str, tuple[str, ...]]:
-    """Local ``name = a.b.c`` / ``name = partial(a.b.c, ...)`` bindings.
-
-    Flow-insensitive, like the call graph's ``_bound_aliases``: a later
-    bare call through the name is treated as a call through the chain.
-    """
-    out: dict[str, tuple[str, ...]] = {}
-    for node in ast.walk(func):  # type: ignore[arg-type]
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        value: ast.expr = node.value
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "partial"
-            and value.args
-        ):
-            value = value.args[0]
-        if isinstance(value, ast.Attribute):
-            chain = _attr_chain(value)
-            if chain is not None and len(chain) >= 2:
-                out[target.id] = tuple(chain)
-    return out
 
 
 def _call_target_chain(
@@ -568,15 +481,10 @@ class _Resolver:
     """
 
     def __init__(
-        self,
-        graph: CallGraph,
-        info: FunctionInfo,
-        imported: dict[str, str],
-        aliases: dict[str, tuple[str, ...]],
+        self, graph: CallGraph, info: FunctionInfo, aliases: dict[str, tuple[str, ...]]
     ) -> None:
         self.graph = graph
         self.info = info
-        self.imported = imported
         self.aliases = aliases
         prefix = info.rel.split("/", 1)[0] + "/"
         self._receiver_types = dict(_RECEIVER_TYPES)
@@ -606,25 +514,14 @@ class _Resolver:
         graph = self.graph
         if name in _BUILTIN_NAMES:
             return []
-        direct = f"{self.info.rel}::{name}"
-        if direct in graph.functions:
-            return [direct]
+        hits = graph.resolve_name(self.info.rel, name)
+        if hits:
+            return hits
         if self.info.class_name:
+            # A closure defined inside one of the class's methods.
             nested = graph.resolve_method(self.info.class_name, name)
             if nested is not None:
                 return [nested]
-        target = self.imported.get(name)
-        if target is not None:
-            hits = [
-                key
-                for key in graph.by_name.get(target, [])
-                if "." not in key.split("::")[1]
-            ]
-            if hits:
-                return hits
-        init = graph.resolve_method(name, "__init__")
-        if init is not None:
-            return [init]
         if name[:1].isupper():
             return []  # non-project class/exception constructor
         return None
@@ -663,38 +560,12 @@ class _Resolver:
         return None
 
 
-def _call_display_name(call: ast.Call) -> str:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return "<dynamic>"
-
-
-# ----------------------------------------------------------------------
-# building the per-function model
-# ----------------------------------------------------------------------
-
-
-def _iter_element_calls(elem: Element) -> Iterable[ast.Call]:
-    for expr in _use_exprs(elem):
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                yield node
-
-
 def _runner_key(
     graph: CallGraph, info: FunctionInfo, arg: ast.expr
 ) -> Optional[str]:
     """Resolve a runner argument of ``scheduler.register(...)`` to a key."""
-    if (
-        isinstance(arg, ast.Call)
-        and isinstance(arg.func, ast.Name)
-        and arg.func.id == "partial"
-        and arg.args
-    ):
-        arg = arg.args[0]
+    if isinstance(arg, ast.Call):
+        arg = _partial_target(arg) or arg
     chain = _attr_chain(arg)
     if chain is None:
         return None
@@ -712,14 +583,10 @@ def _runner_key(
 
 
 def _build_func_charge(
-    graph: CallGraph,
-    info: FunctionInfo,
-    module: _Module,
-    imported: dict[str, str],
+    graph: CallGraph, info: FunctionInfo, module: Module, cfg: CFG
 ) -> _FuncCharge:
-    aliases = _alias_chains(info.node)
-    resolver = _Resolver(graph, info, imported, aliases)
-    cfg = build_cfg(info.node)
+    aliases = bound_alias_chains(info.node)
+    resolver = _Resolver(graph, info, aliases)
     elems: list[_ElemInfo] = []
     runners: list[str] = []
     for block in cfg.blocks:
@@ -729,7 +596,7 @@ def _build_func_charge(
             unresolved: list[str] = []
             cpu_sites: list[ast.Call] = []
             bg_sites: list[ast.Call] = []
-            for call in _iter_element_calls(elem):
+            for call in element_calls(elem):
                 prim = _primitive_vec(call, aliases)
                 if prim is not None:
                     const = _vec_add(const, prim)
@@ -749,7 +616,7 @@ def _build_func_charge(
                             runners.append(key)
                 resolved = resolver.resolve(call)
                 if resolved is None:
-                    unresolved.append(_call_display_name(call))
+                    unresolved.append(callee_name(call.func) or "<dynamic>")
                 else:
                     callees.extend(resolved)
             if (
@@ -985,7 +852,7 @@ def _check_contracts(
     fa: _FuncCharge,
     vec_of: dict[str, Vec],
     active: frozenset[str],
-    sink: _Sink,
+    sink: Findings,
 ) -> None:
     """RL301 + RL302 for one declared function."""
     declared = fa.declared
@@ -1066,7 +933,7 @@ def _is_kvsystem_class(graph: CallGraph, class_name: str) -> bool:
 def _check_buckets(
     analyses: dict[str, _FuncCharge],
     graph: CallGraph,
-    sink: _Sink,
+    sink: Findings,
 ) -> None:
     """RL303: foreground/background bucket confusion via reachability."""
 
@@ -1141,12 +1008,6 @@ def _check_buckets(
 
 def _element_mutations(elem: Element) -> bool:
     """Self-rooted state mutation: attribute/subscript store or delete."""
-
-    def rooted_at_self(node: ast.expr) -> bool:
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        return isinstance(node, ast.Name) and node.id == "self"
-
     targets: list[ast.expr] = []
     if isinstance(elem, ast.Assign):
         targets = list(elem.targets)
@@ -1163,7 +1024,7 @@ def _element_mutations(elem: Element) -> bool:
 
 
 def _check_exception_skew(
-    fa: _FuncCharge, vec_of: dict[str, Vec], sink: _Sink
+    fa: _FuncCharge, vec_of: dict[str, Vec], sink: Findings
 ) -> None:
     """RL304 for one function (pre-filtered to raise+charge+mutation)."""
     cfg = fa.cfg
@@ -1251,44 +1112,23 @@ def _check_exception_skew(
 
 
 # ----------------------------------------------------------------------
-# entry points
+# the pass and the summary API
 # ----------------------------------------------------------------------
 
 
-def _in_scope(rel: str) -> bool:
-    return rel.startswith(_SCOPE_PREFIXES)
-
-
-def _build_analyses(
-    modules: list[_Module],
-) -> tuple[CallGraph, dict[str, _FuncCharge]]:
-    scoped = [m for m in modules if _in_scope(m.rel)]
-    trees = {m.rel: m.tree for m in scoped}
-    graph = build_callgraph(trees)
-    imports: dict[str, dict[str, str]] = {}
-    for module in scoped:
-        local: dict[str, str] = {}
-        for node in module.tree.body:
-            if isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    local[alias.asname or alias.name] = alias.name
-        imports[module.rel] = local
-    by_rel = {m.rel: m for m in scoped}
-    analyses: dict[str, _FuncCharge] = {}
-    for key, info in graph.functions.items():
-        if key in _FIXED_SUMMARIES:
-            continue
-        module = by_rel.get(info.rel)
-        if module is None:
-            continue
-        analyses[key] = _build_func_charge(
-            graph, info, module, imports.get(info.rel, {})
-        )
+def _build_analyses(analysis: Analysis) -> tuple[CallGraph, dict[str, _FuncCharge]]:
+    graph = analysis.callgraph(_SCOPE_PREFIXES)
+    analyses = {
+        key: _build_func_charge(graph, info, analysis.by_rel[info.rel], analysis.cfg(info.node))
+        for key, info in graph.functions.items()
+        if key not in _FIXED_SUMMARIES
+    }
     return graph, analyses
 
 
-def _analyze_modules(modules: list[_Module]) -> ChargeAnalysis:
-    graph, analyses = _build_analyses(modules)
+def summarize(analysis: Analysis) -> ChargeAnalysis:
+    """Charge summaries of every in-scope function (the RL305 auditor's input)."""
+    graph, analyses = _build_analyses(analysis)
     vec_of = _compute_summaries(analyses)
     complete = _compute_completeness(analyses, vec_of)
     summaries: dict[str, ChargeSummary] = {}
@@ -1308,77 +1148,20 @@ def _analyze_modules(modules: list[_Module]) -> ChargeAnalysis:
     return ChargeAnalysis(graph, summaries)
 
 
-def analyze_sources(files: dict[str, tuple[str, str]]) -> ChargeAnalysis:
-    """Charge summaries for ``rel -> (display path, source)`` (RL305 API)."""
-    return _analyze_modules(_parse_modules(files))
-
-
-def analyze_paths(paths: Sequence[str | Path]) -> ChargeAnalysis:
-    """Charge summaries for files/directories (tests excluded)."""
-    return analyze_sources(_load_files(paths))
-
-
-def charge_lint_sources(
-    files: dict[str, tuple[str, str]],
-    rules: Optional[Iterable[str]] = None,
-    *,
-    apply_pragmas: bool = True,
-) -> list[Finding]:
-    """Run RL301–RL304 over ``rel -> (display path, source)``.
-
-    ``rules`` restricts the run to a subset of RL3xx ids;
-    ``apply_pragmas=False`` keeps suppressed findings (stale-pragma audit).
-    """
-    active = (
-        frozenset(rules)
-        if rules is not None
-        else frozenset(r.rule_id for r in CHARGE_RULES)
-    )
-    modules = _parse_modules(files)
-    sink = _Sink()
-    if active & {"RL301", "RL302", "RL303", "RL304"}:
-        graph, analyses = _build_analyses(modules)
-        vec_of = _compute_summaries(analyses)
-        if active & {"RL301", "RL302"}:
-            for fa in analyses.values():
-                if fa.declared is not None:
-                    _check_contracts(fa, vec_of, active, sink)
-        if "RL303" in active:
-            _check_buckets(analyses, graph, sink)
-        if "RL304" in active:
-            for fa in analyses.values():
-                if fa.info.rel.startswith(_SKEW_PREFIXES) and fa.info.name not in (
-                    "__init__",
-                    "__new__",
-                ):
-                    _check_exception_skew(fa, vec_of, sink)
-    raw = sorted(sink.raw, key=lambda f: (f.path, f.line, f.col, f.rule))
-    if not apply_pragmas:
-        return raw
-    lines_by_path = {m.path: m.source.splitlines() for m in modules}
-    return filter_findings(raw, lines_by_path)
-
-
-def _load_files(paths: Sequence[str | Path]) -> dict[str, tuple[str, str]]:
-    files: dict[str, tuple[str, str]] = {}
-    for entry in paths:
-        path = Path(entry)
-        candidates = sorted(path.rglob("*.py")) if path.is_dir() else [path]
-        for file in candidates:
-            if "tests" in file.parts or file.suffix != ".py":
-                continue
-            files[module_rel_path(file)] = (
-                str(file),
-                file.read_text(encoding="utf-8"),
-            )
-    return files
-
-
-def charge_lint_paths(
-    paths: Sequence[str | Path],
-    rules: Optional[Iterable[str]] = None,
-    *,
-    apply_pragmas: bool = True,
-) -> list[Finding]:
-    """Run the charge rules over files/directories (tests excluded)."""
-    return charge_lint_sources(_load_files(paths), rules, apply_pragmas=apply_pragmas)
+def check(analysis: Analysis, active: frozenset[str], out: Findings) -> None:
+    """The charge pass: RL301–RL304 over the in-scope summaries."""
+    graph, analyses = _build_analyses(analysis)
+    vec_of = _compute_summaries(analyses)
+    if active & {"RL301", "RL302"}:
+        for fa in analyses.values():
+            if fa.declared is not None:
+                _check_contracts(fa, vec_of, active, out)
+    if "RL303" in active:
+        _check_buckets(analyses, graph, out)
+    if "RL304" in active:
+        for fa in analyses.values():
+            if fa.info.rel.startswith(_SKEW_PREFIXES) and fa.info.name not in (
+                "__init__",
+                "__new__",
+            ):
+                _check_exception_skew(fa, vec_of, out)

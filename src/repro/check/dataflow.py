@@ -19,10 +19,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.check.cfg import CFG, Block, Element
 
-__all__ = ["Definition", "Use", "ReachingDefs", "element_defs", "element_uses", "def_use_chains"]
+__all__ = [
+    "Definition",
+    "Use",
+    "ReachingDefs",
+    "element_calls",
+    "element_defs",
+    "element_uses",
+    "def_use_chains",
+]
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,14 @@ def element_uses(elem: Element) -> list[ast.Name]:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.append(node)
     return names
+
+
+def element_calls(elem: Element) -> Iterator[ast.Call]:
+    """Every call expression in ``elem`` (never recursing into bodies)."""
+    for expr in _use_exprs(elem):
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Call):
+                yield node
 
 
 class ReachingDefs:

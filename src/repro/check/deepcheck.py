@@ -41,57 +41,21 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
-from repro.check.callgraph import (
-    CallGraph,
-    _attr_chain,
-    build_callgraph,
-)
-from repro.check.cfg import CFG, Block, FunctionNode, build_cfg, iter_function_defs
+from repro.check.callgraph import CallGraph, _attr_chain, callee_name
+from repro.check.cfg import CFG, FunctionNode, iter_function_defs
 from repro.check.dataflow import (
     Definition,
     ReachingDefs,
     def_use_chains,
+    element_calls,
     element_uses,
 )
-from repro.check.reprolint import (
-    _MAINTENANCE_OWNERS,
-    Finding,
-    Rule,
-    filter_findings,
-    module_rel_path,
-)
+from repro.check.engine import HOT_PREFIXES, Analysis, Findings, LoopDepthVisitor, Module
+from repro.check.reprolint import _MAINTENANCE_OWNERS
 
-__all__ = ["DEEP_RULES", "deep_lint_sources", "deep_lint_paths"]
-
-DEEP_RULES: tuple[Rule, ...] = (
-    Rule(
-        "RL101",
-        "transitive-inline-background",
-        "no inline call chain from a foreground entry point to a maintenance routine",
-        scope="foreground entry points -> maintenance owners (call graph)",
-    ),
-    Rule(
-        "RL102",
-        "determinism-taint",
-        "id()/hash()/set-order/env values must not reach clock charges, seeds, or results",
-        scope="src/repro (tests excluded)",
-    ),
-    Rule(
-        "RL103",
-        "paired-mutation",
-        "accounting mutations execute their paired bookkeeping update on every path",
-        scope="paired accounting fields (curated table)",
-    ),
-    Rule(
-        "RL104",
-        "transitive-hot-alloc",
-        "hot-path loops must not call unconditionally-allocating helpers",
-        scope="hot modules (art/ lsm/ sim/ diskbtree/)",
-    ),
-)
+__all__ = ["check"]
 
 #: method names that constitute the foreground (user-facing) surface; any
 #: project function with one of these names seeds RL101's reachability.
@@ -115,59 +79,12 @@ _ENTRY_NAMES = frozenset(
 #: the maintenance routines (shared with RL003's owner table).
 _MAINTENANCE_NAMES = frozenset(_MAINTENANCE_OWNERS)
 
-#: hot packages policed by RL104 (same set as RL007).
-_HOT_PREFIXES = ("art/", "lsm/", "sim/", "diskbtree/")
-
-# ----------------------------------------------------------------------
-# shared plumbing
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class _Module:
-    rel: str
-    path: str  # display path for findings
-    source: str
-    tree: ast.Module
-
-
-class _Sink:
-    """Accumulates raw findings for one run."""
-
-    def __init__(self) -> None:
-        self.raw: list[Finding] = []
-
-    def add(self, path: str, node: ast.AST, rule: str, message: str) -> None:
-        self.raw.append(
-            Finding(
-                path,
-                getattr(node, "lineno", 1),
-                getattr(node, "col_offset", 0),
-                rule,
-                message,
-            )
-        )
-
-
-def _parse_modules(files: dict[str, tuple[str, str]]) -> list[_Module]:
-    modules: list[_Module] = []
-    for rel, (path, source) in sorted(files.items()):
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            continue  # the shallow pass reports RL000 for unparseable files
-        modules.append(_Module(rel, path, source, tree))
-    return modules
-
-
 # ----------------------------------------------------------------------
 # RL101: transitive inline-background
 # ----------------------------------------------------------------------
 
 
-def _rule_inline_background(
-    graph: CallGraph, display: dict[str, str], sink: _Sink
-) -> None:
+def _rule_inline_background(analysis: Analysis, graph: CallGraph, sink: Findings) -> None:
     roots = sorted(
         key for key, info in graph.functions.items() if info.name in _ENTRY_NAMES
     )
@@ -197,7 +114,7 @@ def _rule_inline_background(
                 chain.reverse()
                 path_str = " -> ".join(chain + [callee.name])
                 sink.add(
-                    display.get(caller.rel, caller.rel),
+                    analysis.by_rel[caller.rel].path,
                     site.call,
                     "RL101",
                     f"maintenance routine {callee.name}() is reachable inline from "
@@ -247,9 +164,9 @@ _OS_STATE_SOURCES = frozenset(
 class _TaintAnalysis:
     """Intra-procedural fixpoint over one function's definitions."""
 
-    def __init__(self, func: FunctionNode) -> None:
-        self.cfg = build_cfg(func)
-        reaching = ReachingDefs(self.cfg)
+    def __init__(self, cfg: CFG) -> None:
+        self.cfg = cfg
+        reaching = ReachingDefs(cfg)
         self.use_defs: dict[int, frozenset[Definition]] = {
             id(use.name): use.defs for use in def_use_chains(self.cfg, reaching)
         }
@@ -370,32 +287,16 @@ class _TaintAnalysis:
                     changed = True
 
 
-def _iter_element_calls(cfg: CFG) -> Iterable[ast.Call]:
-    from repro.check.dataflow import _use_exprs  # shared element shapes
-
-    for block in cfg.blocks:
-        for elem in block.elements:
-            for expr in _use_exprs(elem):
-                for node in ast.walk(expr):
-                    if isinstance(node, ast.Call):
-                        yield node
-
-
-def _rule_determinism(module: _Module, func: FunctionNode, sink: _Sink) -> None:
-    analysis = _TaintAnalysis(func)
+def _rule_determinism(module: Module, cfg: CFG, sink: Findings) -> None:
+    analysis = _TaintAnalysis(cfg)
     if not analysis.tainted:
         return
-    for call in _iter_element_calls(analysis.cfg):
-        func_expr = call.func
-        name = None
-        chain = None
-        if isinstance(func_expr, ast.Name):
-            name = func_expr.id
-        elif isinstance(func_expr, ast.Attribute):
-            name = func_expr.attr
-            chain = _attr_chain(func_expr)
+    calls = (c for block in cfg.blocks for elem in block.elements for c in element_calls(elem))
+    for call in calls:
+        name = callee_name(call.func)
         if name is None:
             continue
+        chain = _attr_chain(call.func) if isinstance(call.func, ast.Attribute) else None
         args = list(call.args) + [kw.value for kw in call.keywords]
         if not args:
             continue
@@ -558,7 +459,9 @@ _PAIRS: tuple[MutationPair, ...] = (
 )
 
 
-def _rule_paired_mutation(module: _Module, func: FunctionNode, sink: _Sink) -> None:
+def _rule_paired_mutation(
+    analysis: Analysis, module: Module, func: FunctionNode, sink: Findings
+) -> None:
     if func.name in ("__init__", "__new__"):
         # Constructors initialize fields on an object no registry knows
         # about yet; accounting starts when the object is admitted.
@@ -577,7 +480,7 @@ def _rule_paired_mutation(module: _Module, func: FunctionNode, sink: _Sink) -> N
         if not has_trigger:
             continue
         if cfg is None:
-            cfg = build_cfg(func)
+            cfg = analysis.cfg(func)
         required_bids = frozenset(
             block.bid
             for block in cfg.blocks
@@ -645,60 +548,33 @@ def _unconditional_allocation(func: FunctionNode) -> ast.AST | None:
     return None
 
 
-class _LoopCallCollector(ast.NodeVisitor):
-    """In-loop call sites of one function (same loop model as RL007)."""
+class _LoopCallCollector(LoopDepthVisitor):
+    """In-loop call sites of one function (the loop model RL007 uses)."""
 
     def __init__(self) -> None:
         self.calls: list[ast.Call] = []
-        self._depth = 0
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         pass  # nested defs are separate functions
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        pass
-
-    def _loop(self, node: ast.For | ast.AsyncFor) -> None:
-        self.visit(node.iter)  # the iterator expression runs once
-        self._depth += 1
-        self.visit(node.target)
-        for stmt in node.body:
-            self.visit(stmt)
-        for stmt in node.orelse:
-            self.visit(stmt)
-        self._depth -= 1
-
-    def visit_For(self, node: ast.For) -> None:
-        self._loop(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._loop(node)
-
-    def visit_While(self, node: ast.While) -> None:
-        self._depth += 1
-        self.generic_visit(node)
-        self._depth -= 1
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self._depth > 0:
+        if self.loop_depth > 0:
             self.calls.append(node)
         self.generic_visit(node)
 
 
-def _rule_hot_alloc(
-    graph: CallGraph, modules: dict[str, _Module], sink: _Sink
-) -> None:
+def _rule_hot_alloc(analysis: Analysis, graph: CallGraph, sink: Findings) -> None:
     for key, info in graph.functions.items():
-        if not info.rel.startswith(_HOT_PREFIXES):
+        if not info.rel.startswith(HOT_PREFIXES):
             continue
         if info.name in _MAINTENANCE_NAMES:
             # Maintenance routines are background batch work; their loops
             # allocate by design (merge outputs, flush batches).  RL104
             # protects the foreground hot path.
             continue
-        module = modules.get(info.rel)
-        if module is None:
-            continue
+        module = analysis.by_rel[info.rel]
         collector = _LoopCallCollector()
         for stmt in info.node.body:
             collector.visit(stmt)
@@ -740,68 +616,16 @@ def _rule_hot_alloc(
                 break  # one finding per call site is enough
 
 
-# ----------------------------------------------------------------------
-# entry points
-# ----------------------------------------------------------------------
-
-
-def deep_lint_sources(
-    files: dict[str, tuple[str, str]],
-    rules: Optional[Iterable[str]] = None,
-    *,
-    apply_pragmas: bool = True,
-) -> list[Finding]:
-    """Run the deep rules over ``rel -> (display path, source)``.
-
-    ``rules`` restricts the run to a subset of RL1xx ids (used by the
-    fixture tests to prove each rule pulls its weight);
-    ``apply_pragmas=False`` keeps suppressed findings (stale-pragma audit).
-    """
-    active = frozenset(rules) if rules is not None else frozenset(r.rule_id for r in DEEP_RULES)
-    modules = _parse_modules(files)
-    by_rel = {m.rel: m for m in modules}
-    display = {m.rel: m.path for m in modules}
-    trees = {m.rel: m.tree for m in modules}
-    graph = build_callgraph(trees)
-    sink = _Sink()
-
+def check(analysis: Analysis, active: frozenset[str], out: Findings) -> None:
+    """The deep pass: RL101/RL104 over the call graph, RL102/RL103 per function."""
     if "RL101" in active:
-        _rule_inline_background(graph, display, sink)
+        _rule_inline_background(analysis, analysis.callgraph(), out)
     if "RL104" in active:
-        _rule_hot_alloc(graph, by_rel, sink)
+        _rule_hot_alloc(analysis, analysis.callgraph(), out)
     if "RL102" in active or "RL103" in active:
-        for module in modules:
+        for module in analysis.modules:
             for _cls, func in iter_function_defs(module.tree):
                 if "RL102" in active:
-                    _rule_determinism(module, func, sink)
+                    _rule_determinism(module, analysis.cfg(func), out)
                 if "RL103" in active:
-                    _rule_paired_mutation(module, func, sink)
-
-    raw = sorted(sink.raw, key=lambda f: (f.path, f.line, f.col, f.rule))
-    if not apply_pragmas:
-        return raw
-    # Pragma suppression, shared grammar with the shallow rules.
-    lines_by_path: dict[str, list[str]] = {
-        m.path: m.source.splitlines() for m in modules
-    }
-    return filter_findings(raw, lines_by_path)
-
-
-def deep_lint_paths(
-    paths: Sequence[str | Path],
-    rules: Optional[Iterable[str]] = None,
-    *,
-    apply_pragmas: bool = True,
-) -> list[Finding]:
-    """Run the deep rules over files/directories (tests excluded)."""
-    files: dict[str, tuple[str, str]] = {}
-    for entry in paths:
-        path = Path(entry)
-        candidates = (
-            sorted(path.rglob("*.py")) if path.is_dir() else [path]
-        )
-        for file in candidates:
-            if "tests" in file.parts or file.suffix != ".py":
-                continue
-            files[module_rel_path(file)] = (str(file), file.read_text(encoding="utf-8"))
-    return deep_lint_sources(files, rules, apply_pragmas=apply_pragmas)
+                    _rule_paired_mutation(analysis, module, func, out)

@@ -57,16 +57,12 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.check.callgraph import CallGraph, _attr_chain
-from repro.check.cfg import FunctionNode, build_cfg, iter_function_defs
+from repro.check.callgraph import CallGraph, _attr_chain, callee_name
+from repro.check.cfg import CFG, FunctionNode, iter_function_defs
 from repro.check.dataflow import Definition, ReachingDefs
+from repro.check.engine import Analysis, Findings, Module
 
-__all__ = [
-    "ContractRegistry",
-    "RaceFinding",
-    "analyze_module",
-    "build_registry",
-]
+__all__ = ["ContractRegistry", "analyze_module", "build_registry"]
 
 _POOL_CLASS = "ShardWorkerPool"
 #: per-engine simulated substrate attributes; mutating them from a thunk
@@ -107,16 +103,6 @@ _CONTAINER_MUTATORS = frozenset(
 _FRESH_BUILTINS = frozenset({"list", "dict", "tuple", "sorted", "set"})
 
 _MAX_WALK_DEPTH = 3
-
-
-@dataclass(frozen=True)
-class RaceFinding:
-    """One raw finding, attributed to the module it occurred in."""
-
-    rel: str
-    node: ast.AST
-    rule: str
-    message: str
 
 
 # ----------------------------------------------------------------------
@@ -172,13 +158,8 @@ class ContractRegistry:
 
 
 def _decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef) -> set[str]:
-    names: set[str] = set()
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        chain = _attr_chain(target)
-        if chain:
-            names.add(chain[-1])
-    return names
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return {name for name in map(callee_name, targets) if name is not None}
 
 
 def _collect_attr_types(node: ast.ClassDef, into: dict[str, str]) -> None:
@@ -310,9 +291,8 @@ class _Scope:
     element, never the loop head.
     """
 
-    def __init__(self, func: FunctionNode) -> None:
-        self.func = func
-        self.cfg = build_cfg(func)
+    def __init__(self, cfg: CFG) -> None:
+        self.cfg = cfg
         self.reaching = ReachingDefs(self.cfg)
         self.params = set(self.reaching.params)
         self._pos: dict[int, tuple[int, int]] = {}
@@ -381,24 +361,27 @@ class _SiteAnalysis:
 
     def __init__(
         self,
+        analysis: Analysis,
         rel: str,
         class_name: Optional[str],
         scope: _Scope,
         reg: ContractRegistry,
         graph: CallGraph,
         active: frozenset[str],
+        out: Findings,
     ) -> None:
+        self.analysis = analysis
         self.rel = rel
         self.class_name = class_name
         self.scope = scope
         self.reg = reg
         self.graph = graph
         self.active = active
-        self.findings: list[RaceFinding] = []
+        self.out = out
 
     def add(self, node: ast.AST, rule: str, message: str, rel: str | None = None) -> None:
         if rule in self.active:
-            self.findings.append(RaceFinding(rel or self.rel, node, rule, message))
+            self.out.add(self.analysis.by_rel[rel or self.rel].path, node, rule, message)
 
     # -- expression classification -------------------------------------
     def classify(
@@ -923,15 +906,16 @@ class _ThunkAnalyzer(_SiteAnalysis):
 
 
 def analyze_module(
-    rel: str,
-    tree: ast.Module,
+    analysis: Analysis,
+    module: Module,
     reg: ContractRegistry,
     graph: CallGraph,
     active: frozenset[str],
-) -> list[RaceFinding]:
+    out: Findings,
+) -> None:
     """Run the escape/ownership rules over one shard-layer module."""
-    findings: list[RaceFinding] = []
-    for class_name, func in iter_function_defs(tree):
+    rel = module.rel
+    for class_name, func in iter_function_defs(module.tree):
         qual = f"{class_name}.{func.name}" if class_name else func.name
         key = f"{rel}::{qual}"
         own_forward = reg.forwarders.get(key)
@@ -965,9 +949,7 @@ def analyze_module(
                         sites.append((node, node.args[work_idx]))
         if not sites:
             continue
-        scope = _Scope(func)
-        analyzer = _ThunkAnalyzer(rel, class_name, scope, reg, graph, active)
+        scope = _Scope(analysis.cfg(func))
+        analyzer = _ThunkAnalyzer(analysis, rel, class_name, scope, reg, graph, active, out)
         for call, work in sites:
             analyzer.analyze_site(call, work, call)
-        findings.extend(analyzer.findings)
-    return findings

@@ -1,12 +1,9 @@
 """Concurrency-safety rules for the shard dispatch contract (RL2xx).
 
-The rule *driver* for the escape/ownership analysis in
-:mod:`repro.check.escape`: it parses the analyzed tree, builds the
-contract registry and project call graph once, runs RL201–RL203 over
-every ``shard/`` module's dispatch sites, adds the syntactic RL204
-barrier-bypass scan, and reports through the same
-:class:`~repro.check.reprolint.Finding` / pragma machinery as the
-shallow and deep layers.
+The concurrency pass: it builds the contract registry over the engine's
+call graph, runs the escape/ownership analysis of
+:mod:`repro.check.escape` (RL201–RL203) over every ``shard/`` module's
+dispatch sites, and adds the syntactic RL204 barrier-bypass scan.
 
 =======  ==============================================================
 RL201    thread-escape: state reachable from a dispatched thunk that is
@@ -33,51 +30,12 @@ choices) still fails loudly in debug mode.  See DESIGN.md §10.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterable, Optional, Sequence
 
-from repro.check.callgraph import build_callgraph
-from repro.check.deepcheck import _Module, _parse_modules, _Sink
+from repro.check.callgraph import callee_name
+from repro.check.engine import Analysis, Findings, Module
 from repro.check.escape import analyze_module, build_registry
-from repro.check.reprolint import (
-    Finding,
-    Rule,
-    filter_findings,
-    module_rel_path,
-)
 
-__all__ = ["RACE_RULES", "race_lint_sources", "race_lint_paths"]
-
-RACE_RULES: tuple[Rule, ...] = (
-    Rule(
-        "RL201",
-        "thread-escape",
-        "state escaping into a dispatched thunk must be one shard's engine, "
-        "immutable, shared-readonly, or fresh",
-        scope="shard/ dispatch sites",
-    ),
-    Rule(
-        "RL202",
-        "ownership-partition",
-        "no two dispatched thunks may alias the same mutable root (distinct "
-        "shard per thunk)",
-        scope="shard/ dispatch sites",
-    ),
-    Rule(
-        "RL203",
-        "shared-read-immutability",
-        "@shared_readonly objects must not be written on any path reachable "
-        "from a dispatched thunk",
-        scope="shard/ (reachable from dispatched thunks)",
-    ),
-    Rule(
-        "RL204",
-        "barrier-bypass",
-        "no executor primitives outside ShardWorkerPool; pool.run is the only "
-        "fork/join seam",
-        scope="shard/ (pool.py owns the barrier)",
-    ),
-)
+__all__ = ["check"]
 
 #: modules the contract binds; the pool implements the barrier itself.
 _SCOPE_PREFIX = "shard/"
@@ -90,11 +48,7 @@ _EXECUTOR_CALLS = frozenset({"submit", "map_async", "apply_async"})
 _EXECUTOR_NAMES = frozenset({"as_completed", "ThreadPoolExecutor", "ProcessPoolExecutor", "wait"})
 
 
-def _in_scope(rel: str) -> bool:
-    return rel.startswith(_SCOPE_PREFIX) and rel != _BARRIER_OWNER
-
-
-def _rule_barrier_bypass(module: _Module, sink: _Sink) -> None:
+def _rule_barrier_bypass(module: Module, sink: Findings) -> None:
     flagged_lines: set[int] = set()
 
     def add(node: ast.AST, message: str) -> None:
@@ -106,12 +60,7 @@ def _rule_barrier_bypass(module: _Module, sink: _Sink) -> None:
 
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Call):
-            func = node.func
-            name: Optional[str] = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
+            name = callee_name(node.func)
             if name in _EXECUTOR_CALLS:
                 add(
                     node,
@@ -137,56 +86,20 @@ def _rule_barrier_bypass(module: _Module, sink: _Sink) -> None:
             )
 
 
-def race_lint_sources(
-    files: dict[str, tuple[str, str]],
-    rules: Optional[Iterable[str]] = None,
-    *,
-    apply_pragmas: bool = True,
-) -> list[Finding]:
-    """Run the race rules over ``rel -> (display path, source)``.
-
-    ``rules`` restricts the run to a subset of RL2xx ids;
-    ``apply_pragmas=False`` keeps suppressed findings (stale-pragma audit).
-    """
-    active = (
-        frozenset(rules) if rules is not None else frozenset(r.rule_id for r in RACE_RULES)
-    )
-    modules = _parse_modules(files)
-    sink = _Sink()
-    scoped = [m for m in modules if _in_scope(m.rel)]
-    if scoped:
-        trees = {m.rel: m.tree for m in modules}
-        display = {m.rel: m.path for m in modules}
-        graph = build_callgraph(trees)
-        registry = build_registry(trees, graph)
-        for module in scoped:
-            if "RL204" in active:
-                _rule_barrier_bypass(module, sink)
-            if active & {"RL201", "RL202", "RL203"}:
-                for raw in analyze_module(module.rel, module.tree, registry, graph, active):
-                    sink.add(
-                        display.get(raw.rel, raw.rel), raw.node, raw.rule, raw.message
-                    )
-    raw_findings = sorted(sink.raw, key=lambda f: (f.path, f.line, f.col, f.rule))
-    if not apply_pragmas:
-        return raw_findings
-    lines_by_path = {m.path: m.source.splitlines() for m in modules}
-    return filter_findings(raw_findings, lines_by_path)
-
-
-def race_lint_paths(
-    paths: Sequence[str | Path],
-    rules: Optional[Iterable[str]] = None,
-    *,
-    apply_pragmas: bool = True,
-) -> list[Finding]:
-    """Run the race rules over files/directories (tests excluded)."""
-    files: dict[str, tuple[str, str]] = {}
-    for entry in paths:
-        path = Path(entry)
-        candidates = sorted(path.rglob("*.py")) if path.is_dir() else [path]
-        for file in candidates:
-            if "tests" in file.parts or file.suffix != ".py":
-                continue
-            files[module_rel_path(file)] = (str(file), file.read_text(encoding="utf-8"))
-    return race_lint_sources(files, rules, apply_pragmas=apply_pragmas)
+def check(analysis: Analysis, active: frozenset[str], out: Findings) -> None:
+    """The concurrency pass over every in-scope ``shard/`` module."""
+    scoped = [
+        m
+        for m in analysis.by_rel.values()
+        if m.rel.startswith(_SCOPE_PREFIX) and m.rel != _BARRIER_OWNER
+    ]
+    if not scoped:
+        return
+    graph = analysis.callgraph()
+    trees = {rel: m.tree for rel, m in analysis.by_rel.items()}
+    registry = build_registry(trees, graph)
+    for module in scoped:
+        if "RL204" in active:
+            _rule_barrier_bypass(module, out)
+        if active & {"RL201", "RL202", "RL203"}:
+            analyze_module(analysis, module, registry, graph, active, out)

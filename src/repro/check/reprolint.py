@@ -55,114 +55,20 @@ RL009    policy-determinism: inside ``cache/`` modules, no ``time`` /
 A finding on a given line is suppressed by the inline pragma
 ``# reprolint: allow[RL00X]`` (comma-separated ids, or ``allow[*]`` for
 all rules); pragmas document *why* at the call site, like ``noqa`` but
-scoped to this linter.  Files under a ``tests`` directory are never
-linted: the contracts bind the library, and tests must be free to build
-corrupted or standalone fixtures.
+scoped to this linter.  This module holds only the rule logic and its
+curated tables; loading, the rule catalogue, sorting and pragma
+filtering are the engine's (:mod:`repro.check.engine`,
+:mod:`repro.check.rules`).
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator
 
-__all__ = [
-    "Finding",
-    "Rule",
-    "RULES",
-    "allowed_rules",
-    "filter_findings",
-    "iter_pragmas",
-    "lint_source",
-    "lint_paths",
-    "module_rel_path",
-]
+from repro.check.callgraph import _attr_chain, callee_name, rooted_at_self
+from repro.check.engine import HOT_PREFIXES, Analysis, Findings, LoopDepthVisitor, Module
 
-
-@dataclass(frozen=True)
-class Finding:
-    """One rule violation at a source location."""
-
-    path: str
-    line: int
-    col: int
-    rule: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-
-@dataclass(frozen=True)
-class Rule:
-    """Static description of one lint rule (for ``--list-rules``)."""
-
-    rule_id: str
-    name: str
-    summary: str
-    #: where the rule applies — module prefixes, a construct, or a runtime
-    #: oracle; shown by ``--list-rules`` and the generated DESIGN.md table.
-    scope: str = "src/repro (tests excluded)"
-
-
-RULES: tuple[Rule, ...] = (
-    Rule(
-        "RL001",
-        "raw-substrate",
-        "construct SimClock/SimDisk/StatCounters only in repro/sim",
-        scope="everywhere outside sim/",
-    ),
-    Rule(
-        "RL002",
-        "disk-bypass",
-        "no SimDisk internals access outside repro/sim",
-        scope="everywhere outside sim/",
-    ),
-    Rule(
-        "RL003",
-        "inline-background",
-        "maintenance runs via the BackgroundScheduler",
-        scope="maintenance entry points (curated owner table)",
-    ),
-    Rule(
-        "RL004",
-        "wall-clock",
-        "no time/datetime imports in simulated code",
-        scope="everywhere outside bench/ and check/",
-    ),
-    Rule(
-        "RL005",
-        "unseeded-random",
-        "all randomness comes from an explicitly seeded RNG",
-        scope="src/repro (tests excluded)",
-    ),
-    Rule(
-        "RL006",
-        "mutable-default",
-        "no mutable default argument values",
-        scope="src/repro (tests excluded)",
-    ),
-    Rule(
-        "RL007",
-        "hot-path-overhead",
-        "no function-local imports or in-loop attribute-chain calls in hot modules",
-        scope="hot modules (art/ lsm/ sim/ diskbtree/)",
-    ),
-    Rule(
-        "RL008",
-        "router-dispatch-shared-state",
-        "no lock acquisition or shared-mutable-state writes in shard dispatch loops",
-        scope="shard/ dispatch loops",
-    ),
-    Rule(
-        "RL009",
-        "policy-determinism",
-        "cache-policy modules: no time/random/os imports, no bare-set iteration",
-        scope="cache/ policy modules",
-    ),
-)
+__all__ = ["check"]
 
 #: substrate classes whose construction is reserved to ``repro/sim``.
 _SUBSTRATE_NAMES = frozenset({"SimClock", "SimDisk", "StatCounters"})
@@ -206,10 +112,6 @@ _MUTABLE_CONSTRUCTORS = frozenset(
     {"dict", "list", "set", "bytearray", "Counter", "defaultdict", "deque", "OrderedDict"}
 )
 
-#: packages forming the simulator's hot paths; RL007 polices wall-clock
-#: overhead patterns in these modules only.
-_HOT_PREFIXES = ("art/", "lsm/", "sim/", "diskbtree/")
-
 #: imports that would let a cache policy observe anything beyond its
 #: hook-call sequence (RL009).
 _POLICY_BANNED_IMPORTS = frozenset({"time", "random", "os"})
@@ -233,76 +135,23 @@ _SHARD_MUTATORS = frozenset(
     }
 )
 
-_PRAGMA_RE = re.compile(r"#\s*reprolint:\s*allow\[([^\]]*)\]")
-
-
-def module_rel_path(path: str | Path) -> str:
-    """Path of ``path`` relative to the ``repro`` package root.
-
-    Files outside the package (lint fixtures, ad-hoc scripts) fall back to
-    their bare filename, so the module-scoped allowances never match them.
-    """
-    posix = Path(path).as_posix()
-    marker = "/repro/"
-    if posix.startswith("repro/"):
-        return posix[len("repro/") :]
-    idx = posix.rfind(marker)
-    if idx >= 0:
-        return posix[idx + len(marker) :]
-    return Path(posix).name
-
 
 def _in_sim(rel: str) -> bool:
     return rel.startswith("sim/")
 
 
-def _is_hot(rel: str) -> bool:
-    return rel.startswith(_HOT_PREFIXES)
-
-
-class _Visitor(ast.NodeVisitor):
-    def __init__(self, rel: str) -> None:
-        self.rel = rel
-        self.findings: list[tuple[int, int, str, str]] = []
-        self._hot = _is_hot(rel)
+class _Visitor(LoopDepthVisitor):
+    def __init__(self, module: Module, out: Findings) -> None:
+        self.rel = rel = module.rel
+        self._path = module.path
+        self._out = out
+        self._hot = rel.startswith(HOT_PREFIXES)
         self._shard = rel.startswith("shard/")
         self._policy = rel.startswith("cache/")
         self._func_depth = 0
-        self._loop_depth = 0
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
-        self.findings.append(
-            (getattr(node, "lineno", 1), getattr(node, "col_offset", 0), rule, message)
-        )
-
-    # -- helpers -------------------------------------------------------
-    @staticmethod
-    def _callee_name(func: ast.expr) -> str | None:
-        if isinstance(func, ast.Name):
-            return func.id
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        return None
-
-    @staticmethod
-    def _rooted_at_self(node: ast.expr) -> bool:
-        """True when an attribute/subscript chain bottoms out at ``self``."""
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        return isinstance(node, ast.Name) and node.id == "self"
-
-    @staticmethod
-    def _dotted(node: ast.expr) -> str | None:
-        """Render an attribute chain rooted at a plain name (``a.b.c``)."""
-        parts: list[str] = []
-        cur: ast.expr = node
-        while isinstance(cur, ast.Attribute):
-            parts.append(cur.attr)
-            cur = cur.value
-        if not isinstance(cur, ast.Name):
-            return None
-        parts.append(cur.id)
-        return ".".join(reversed(parts))
+        self._out.add(self._path, node, rule, message)
 
     # -- RL009: bare-set iteration in policy modules -------------------
     @staticmethod
@@ -339,36 +188,15 @@ class _Visitor(ast.NodeVisitor):
     def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
         self._visit_comprehension(node)
 
-    # -- RL007: loop / function-scope tracking -------------------------
-    def _visit_for(self, node: ast.For | ast.AsyncFor) -> None:
+    def visit_For(self, node: ast.For | ast.AsyncFor) -> None:
         self._check_policy_iteration(node.iter)
-        # The iterator expression runs once, outside the per-iteration
-        # cost, so it is visited at the enclosing loop depth.
-        self.visit(node.iter)
-        self._loop_depth += 1
-        self.visit(node.target)
-        for stmt in node.body:
-            self.visit(stmt)
-        for stmt in node.orelse:
-            self.visit(stmt)
-        self._loop_depth -= 1
+        super().visit_For(node)
 
-    def visit_For(self, node: ast.For) -> None:
-        self._visit_for(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._visit_for(node)
-
-    def visit_While(self, node: ast.While) -> None:
-        # Unlike a for-iterator, the while-test re-evaluates every
-        # iteration, so it counts as loop-body code.
-        self._loop_depth += 1
-        self.generic_visit(node)
-        self._loop_depth -= 1
+    visit_AsyncFor = visit_For
 
     # -- RL001 / RL003 / RL005: calls ----------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        name = self._callee_name(node.func)
+        name = callee_name(node.func)
         if name in _SUBSTRATE_NAMES and not _in_sim(self.rel):
             self._add(
                 node,
@@ -412,7 +240,7 @@ class _Visitor(ast.NodeVisitor):
                     "RL005",
                     "Random() without a seed is OS-seeded; pass an explicit seed",
                 )
-        if self._shard and self._loop_depth > 0:
+        if self._shard and self.loop_depth > 0:
             if name in ("acquire", "release"):
                 self._add(
                     node,
@@ -424,7 +252,7 @@ class _Visitor(ast.NodeVisitor):
             elif (
                 isinstance(node.func, ast.Attribute)
                 and name in _SHARD_MUTATORS
-                and self._rooted_at_self(node.func.value)
+                and rooted_at_self(node.func.value)
             ):
                 self._add(
                     node,
@@ -435,7 +263,7 @@ class _Visitor(ast.NodeVisitor):
                 )
         if (
             self._hot
-            and self._loop_depth > 0
+            and self.loop_depth > 0
             and isinstance(node.func, ast.Attribute)
             and isinstance(node.func.value, ast.Attribute)
         ):
@@ -443,12 +271,12 @@ class _Visitor(ast.NodeVisitor):
             # loop-invariant by construction (``self`` cannot rebind),
             # so the bound method can always be hoisted.  A chain rooted
             # at a loop variable usually cannot.
-            chain = self._dotted(node.func)
-            if chain is not None and chain.startswith("self."):
+            chain = _attr_chain(node.func)
+            if chain is not None and chain[0] == "self":
                 self._add(
                     node,
                     "RL007",
-                    f"attribute-chain call {chain}() inside a loop on a hot "
+                    f"attribute-chain call {'.'.join(chain)}() inside a loop on a hot "
                     "path; bind the method to a local before the loop",
                 )
         self.generic_visit(node)
@@ -473,7 +301,7 @@ class _Visitor(ast.NodeVisitor):
             )
 
     def _check_shard_state_write(self, target: ast.expr) -> None:
-        if self._shard and self._loop_depth > 0 and self._rooted_at_self(target):
+        if self._shard and self.loop_depth > 0 and rooted_at_self(target):
             self._add(
                 target,
                 "RL008",
@@ -500,12 +328,12 @@ class _Visitor(ast.NodeVisitor):
 
     # -- RL008: per-operation lock scopes ------------------------------
     def _check_with(self, node: ast.With | ast.AsyncWith) -> None:
-        if not (self._shard and self._loop_depth > 0):
+        if not (self._shard and self.loop_depth > 0):
             return
         for item in node.items:
             expr = item.context_expr
             held = expr.func if isinstance(expr, ast.Call) else expr
-            if self._rooted_at_self(held):
+            if rooted_at_self(held):
                 self._add(
                     item.context_expr,
                     "RL008",
@@ -593,7 +421,7 @@ class _Visitor(ast.NodeVisitor):
                 (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp),
             )
             if isinstance(default, ast.Call):
-                callee = self._callee_name(default.func)
+                callee = callee_name(default.func)
                 mutable = callee in _MUTABLE_CONSTRUCTORS
             if mutable:
                 self._add(
@@ -616,110 +444,7 @@ class _Visitor(ast.NodeVisitor):
         self._func_depth -= 1
 
 
-def allowed_rules(line: str) -> frozenset[str] | None:
-    """Rule ids the line's pragma allows, or None when there is no pragma.
-
-    Shared by the shallow rules here and the deep RL1xx rules in
-    :mod:`repro.check.deepcheck` — one ``# reprolint: allow[...]`` pragma
-    grammar suppresses findings from either layer.
-    """
-    match = _PRAGMA_RE.search(line)
-    if match is None:
-        return None
-    return frozenset(part.strip() for part in match.group(1).split(",") if part.strip())
-
-
-def iter_pragmas(source: str) -> list[tuple[int, frozenset[str]]]:
-    """Every ``allow[...]`` pragma in ``source`` as ``(lineno, rule ids)``.
-
-    The stale-pragma audit (``--unused-pragmas``) compares these against
-    the raw findings each line would produce without suppression.  Only
-    genuine ``#`` comments count — the tokenizer distinguishes a real
-    pragma from a docstring that merely *mentions* the pragma grammar.
-    """
-    import io
-    import tokenize
-
-    out: list[tuple[int, frozenset[str]]] = []
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenizeError, SyntaxError):
-        return out
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
-            continue
-        allowed = allowed_rules(token.string)
-        if allowed is not None:
-            out.append((token.start[0], allowed))
-    return out
-
-
-def filter_findings(
-    findings: Iterable[Finding], lines_by_path: dict[str, list[str]]
-) -> list[Finding]:
-    """Drop findings suppressed by a same-line ``allow[...]`` pragma.
-
-    One filter serves all three rule layers (shallow RL0xx, deep RL1xx,
-    race RL2xx) so the pragma grammar cannot drift between them.
-    """
-    kept: list[Finding] = []
-    for finding in findings:
-        lines = lines_by_path.get(finding.path, [])
-        text = lines[finding.line - 1] if 0 < finding.line <= len(lines) else ""
-        allowed = allowed_rules(text)
-        if allowed is not None and (finding.rule in allowed or "*" in allowed):
-            continue
-        kept.append(finding)
-    return kept
-
-
-def lint_source(
-    source: str, path: str | Path, *, apply_pragmas: bool = True
-) -> list[Finding]:
-    """Lint one module's source text; returns findings sorted by location.
-
-    ``apply_pragmas=False`` returns the raw findings including suppressed
-    ones — the substrate of the stale-pragma audit.
-    """
-    rel = module_rel_path(path)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return [
-            Finding(str(path), exc.lineno or 1, exc.offset or 0, "RL000", f"syntax error: {exc.msg}")
-        ]
-    visitor = _Visitor(rel)
-    visitor.visit(tree)
-    raw = [
-        Finding(str(path), line, col, rule, message)
-        for line, col, rule, message in sorted(visitor.findings)
-    ]
-    if not apply_pragmas:
-        return raw
-    return filter_findings(raw, {str(path): source.splitlines()})
-
-
-def _iter_py_files(paths: Iterable[str | Path]) -> Iterator[Path]:
-    for entry in paths:
-        path = Path(entry)
-        if path.is_dir():
-            for sub in sorted(path.rglob("*.py")):
-                if "tests" in sub.parts:
-                    continue
-                yield sub
-        elif path.suffix == ".py":
-            yield path
-
-
-def lint_paths(
-    paths: Iterable[str | Path], *, apply_pragmas: bool = True
-) -> list[Finding]:
-    """Lint every ``*.py`` file under ``paths`` (test directories excluded)."""
-    findings: list[Finding] = []
-    for path in _iter_py_files(paths):
-        findings.extend(
-            lint_source(
-                path.read_text(encoding="utf-8"), path, apply_pragmas=apply_pragmas
-            )
-        )
-    return findings
+def check(analysis: Analysis, active: frozenset[str], out: Findings) -> None:
+    """The shallow pass: one AST visit per module emits RL001–RL009."""
+    for module in analysis.modules:
+        _Visitor(module, out).visit(module.tree)

@@ -1,0 +1,245 @@
+"""The rule table and the one driver that runs it.
+
+:data:`RULES` is the single catalogue ``--list-rules``, the SARIF
+metadata, ``--rules`` validation and :func:`run` all read.  Each row
+names the pass that emits the rule; passes (one per family module) hold
+the rule logic and report into the engine's sink.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional
+
+from repro.check import chargecheck, deepcheck, racecheck, reprolint
+from repro.check.engine import Analysis, Finding, Findings, Rule
+
+__all__ = ["RULES", "run"]
+
+RULES: tuple[Rule, ...] = (
+    Rule(
+        "RL000",
+        "syntax-error",
+        "every analysed file parses; an unparseable file is a finding, never skipped",
+        "src/repro (tests excluded)",
+        "shallow",
+        None,  # emitted by the loader, whatever rules are selected
+    ),
+    Rule(
+        "RL001",
+        "raw-substrate",
+        "construct SimClock/SimDisk/StatCounters only in repro/sim",
+        "everywhere outside sim/",
+        "shallow",
+        reprolint.check,
+    ),
+    Rule(
+        "RL002",
+        "disk-bypass",
+        "no SimDisk internals access outside repro/sim",
+        "everywhere outside sim/",
+        "shallow",
+        reprolint.check,
+    ),
+    Rule(
+        "RL003",
+        "inline-background",
+        "maintenance runs via the BackgroundScheduler",
+        "maintenance entry points (curated owner table)",
+        "shallow",
+        reprolint.check,
+    ),
+    Rule(
+        "RL004",
+        "wall-clock",
+        "no time/datetime imports in simulated code",
+        "everywhere outside bench/ and check/",
+        "shallow",
+        reprolint.check,
+    ),
+    Rule(
+        "RL005",
+        "unseeded-random",
+        "all randomness comes from an explicitly seeded RNG",
+        "src/repro (tests excluded)",
+        "shallow",
+        reprolint.check,
+    ),
+    Rule(
+        "RL006",
+        "mutable-default",
+        "no mutable default argument values",
+        "src/repro (tests excluded)",
+        "shallow",
+        reprolint.check,
+    ),
+    Rule(
+        "RL007",
+        "hot-path-overhead",
+        "no function-local imports or in-loop attribute-chain calls in hot modules",
+        "hot modules (art/ lsm/ sim/ diskbtree/)",
+        "shallow",
+        reprolint.check,
+    ),
+    Rule(
+        "RL008",
+        "router-dispatch-shared-state",
+        "no lock acquisition or shared-mutable-state writes in shard dispatch loops",
+        "shard/ dispatch loops",
+        "shallow",
+        reprolint.check,
+    ),
+    Rule(
+        "RL009",
+        "policy-determinism",
+        "cache-policy modules: no time/random/os imports, no bare-set iteration",
+        "cache/ policy modules",
+        "shallow",
+        reprolint.check,
+    ),
+    Rule(
+        "RL101",
+        "transitive-inline-background",
+        "no inline call chain from a foreground entry point to a maintenance routine",
+        "foreground entry points -> maintenance owners (call graph)",
+        "deep",
+        deepcheck.check,
+    ),
+    Rule(
+        "RL102",
+        "determinism-taint",
+        "id()/hash()/set-order/env values must not reach clock charges, seeds, or results",
+        "src/repro (tests excluded)",
+        "deep",
+        deepcheck.check,
+    ),
+    Rule(
+        "RL103",
+        "paired-mutation",
+        "accounting mutations execute their paired bookkeeping update on every path",
+        "paired accounting fields (curated table)",
+        "deep",
+        deepcheck.check,
+    ),
+    Rule(
+        "RL104",
+        "transitive-hot-alloc",
+        "hot-path loops must not call unconditionally-allocating helpers",
+        "hot modules (art/ lsm/ sim/ diskbtree/)",
+        "deep",
+        deepcheck.check,
+    ),
+    Rule(
+        "RL201",
+        "thread-escape",
+        "state escaping into a dispatched thunk must be one shard's engine, "
+        "immutable, shared-readonly, or fresh",
+        "shard/ dispatch sites",
+        "concurrency",
+        racecheck.check,
+    ),
+    Rule(
+        "RL202",
+        "ownership-partition",
+        "no two dispatched thunks may alias the same mutable root (distinct "
+        "shard per thunk)",
+        "shard/ dispatch sites",
+        "concurrency",
+        racecheck.check,
+    ),
+    Rule(
+        "RL203",
+        "shared-read-immutability",
+        "@shared_readonly objects must not be written on any path reachable "
+        "from a dispatched thunk",
+        "shard/ (reachable from dispatched thunks)",
+        "concurrency",
+        racecheck.check,
+    ),
+    Rule(
+        "RL204",
+        "barrier-bypass",
+        "no executor primitives outside ShardWorkerPool; pool.run is the only "
+        "fork/join seam",
+        "shard/ (pool.py owns the barrier)",
+        "concurrency",
+        racecheck.check,
+    ),
+    Rule(
+        "RL301",
+        "charge-completeness",
+        "every path through a @charges function charges each declared effect "
+        "within its multiplicity (cache-hit guards excepted)",
+        "@charges-declared functions",
+        "charge",
+        chargecheck.check,
+    ),
+    Rule(
+        "RL302",
+        "double-charge",
+        "no path charges a declared effect more times than its declared "
+        "upper bound, including transitively through helpers",
+        "@charges-declared functions",
+        "charge",
+        chargecheck.check,
+    ),
+    Rule(
+        "RL303",
+        "bucket-confusion",
+        "foreground verbs must not reach undeclared background_ns charges; "
+        "maintenance runners must not reach undeclared cpu_ns charges",
+        "sim/ diskbtree/ lsm/ art/ btree/ core/ shard/ systems/",
+        "charge",
+        chargecheck.check,
+    ),
+    Rule(
+        "RL304",
+        "exception-charge-skew",
+        "no raise edge between a state mutation and its paired charge "
+        "(or vice versa)",
+        "sim/ diskbtree/ lsm/ core/",
+        "charge",
+        chargecheck.check,
+    ),
+    Rule(
+        "RL305",
+        "charge-audit",
+        "runtime cross-validation: ChargeAuditor verb multisets must lie "
+        "within the static summaries (bench --sanitize)",
+        "runtime oracle (chargeaudit.py); not a lint-pass rule",
+        "charge",
+        None,  # checked at runtime by ChargeAuditor, not by a pass
+    ),
+)
+
+_FAMILIES = tuple(dict.fromkeys(rule.family for rule in RULES))
+#: findings are reported family-major, families in catalogue order.
+_RANK = {rule.rule_id: _FAMILIES.index(rule.family) for rule in RULES}
+
+
+def _order(f: Finding) -> tuple[int, str, int, int, str, str]:
+    return (_RANK[f.rule], f.path, f.line, f.col, f.rule, f.message)
+
+
+def run(
+    analysis: Analysis,
+    selected: Optional[Iterable[str]] = None,
+    *,
+    apply_pragmas: bool = True,
+) -> list[Finding]:
+    """Run the selected rules (default: all) over ``analysis``.
+
+    Each pass a selected rule names runs once; the findings come back
+    sorted family-major by location, with ``RL000`` parse failures
+    included whatever the selection.  ``apply_pragmas=False`` keeps
+    findings an inline ``allow[...]`` pragma suppresses — the substrate
+    of the stale-pragma audit.
+    """
+    active = frozenset(_RANK) if selected is None else frozenset(selected)
+    out = Findings()
+    for check in dict.fromkeys(r.check for r in RULES if r.rule_id in active and r.check):
+        check(analysis, active, out)
+    findings = analysis.errors + [f for f in out.raw if f.rule in active]
+    findings.sort(key=_order)
+    if apply_pragmas:
+        findings = [f for f in findings if not analysis.suppressed(f)]
+    return findings

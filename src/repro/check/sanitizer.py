@@ -4,9 +4,9 @@ Composable validators for every structure in the stack.  Each ``check_*``
 function walks one structure and returns a list of :class:`Violation`
 records (empty when the structure is healthy); :class:`IndexSanitizer`
 composes them into the hook points :class:`~repro.core.indexy.IndeXY`
-calls when constructed with ``debug_checks=True``, and
-:class:`StoreSanitizer` does the same for the framework-less baseline
-systems (B+-B+, RocksDB-like).
+calls when built with ``debug_checks=True``; :class:`StoreSanitizer`
+does the same for the framework-less baselines (B+-B+, RocksDB-like).
+The periodic orchestrators share one cadence, :class:`PeriodicSanitizer`.
 
 The catalogue (see DESIGN.md for the paper mapping):
 
@@ -81,6 +81,7 @@ __all__ = [
     "ClockMonotonicityGuard",
     "IndexSanitizer",
     "OwnershipSanitizer",
+    "PeriodicSanitizer",
     "ShardSanitizer",
     "StoreSanitizer",
     "check_art",
@@ -89,6 +90,7 @@ __all__ = [
     "check_buffer_pool",
     "check_disk_btree",
     "check_flush_coherence",
+    "check_index_y",
     "check_indexy",
     "check_lsm",
     "check_no_leaked_pins",
@@ -138,6 +140,51 @@ class _Collector:
         self._per_check[check] = seen + 1
         if seen < _MAX_PER_CHECK:
             self.violations.append(Violation(check, message))
+
+
+class PeriodicSanitizer:
+    """The cadence every orchestrator shares; subclasses supply the sweep.
+
+    ``after_op`` / ``after_batch(n)`` advance an operation counter and run
+    the full :meth:`sweep` whenever an ``interval`` boundary was crossed,
+    so batched and single-op callers check at the same cadence;
+    :meth:`per_op` (cheap, empty by default) is checked on every call.
+    Any violation raises :class:`CheckError`; ``checks_run`` counts full
+    sweeps.
+    """
+
+    def __init__(self, interval: int) -> None:
+        self.interval = max(1, interval)
+        self.checks_run = 0
+        self._ops = 0
+
+    def sweep(self) -> list[Violation]:
+        raise NotImplementedError
+
+    def per_op(self) -> list[Violation]:
+        return []
+
+    def after_op(self) -> None:
+        self.after_batch(1)
+
+    def after_batch(self, ops: int) -> None:
+        if ops <= 0:
+            return
+        before = self._ops
+        self._ops += ops
+        self._check(before // self.interval != self._ops // self.interval)
+
+    def check_now(self) -> None:
+        """Run the full sweep immediately (tests, checkpoints)."""
+        self._check(True)
+
+    def _check(self, full: bool, extra: Sequence[Violation] = ()) -> None:
+        violations = [*self.per_op(), *extra]
+        if full:
+            self.checks_run += 1
+            violations += self.sweep()
+        if violations:
+            raise CheckError(violations)
 
 
 # ----------------------------------------------------------------------
@@ -608,7 +655,7 @@ def check_policy_cache(cache: PolicyCache, label: str = "cache") -> list[Violati
     return out.violations
 
 
-class CacheSanitizer:
+class CacheSanitizer(PeriodicSanitizer):
     """Periodic consistency checks over a set of labelled ``PolicyCache``s.
 
     The cache-sweep harness registers every byte cache of the system under
@@ -618,23 +665,14 @@ class CacheSanitizer:
     """
 
     def __init__(self, caches: dict[str, PolicyCache], interval: int = 256) -> None:
+        super().__init__(interval)
         self.caches = dict(caches)
-        self.interval = max(1, interval)
-        self.checks_run = 0
-        self._ops = 0
 
-    def after_op(self) -> None:
-        self._ops += 1
-        if self._ops % self.interval == 0:
-            self.check_now()
-
-    def check_now(self) -> None:
-        self.checks_run += 1
+    def sweep(self) -> list[Violation]:
         violations: list[Violation] = []
         for label, cache in self.caches.items():
             violations += check_policy_cache(cache, label)
-        if violations:
-            raise CheckError(violations)
+        return violations
 
 
 # ----------------------------------------------------------------------
@@ -828,19 +866,24 @@ def check_indexy(index: "IndeXY") -> list[Violation]:
         auditor = getattr(index.precleaner, "auditor", None)
         if auditor is not None:
             violations += auditor.audit(iter_btree_nodes(x.tree))
-    violations += _check_index_y(index.y)
+    violations += check_index_y(index.y)
     return violations
 
 
-def _check_index_y(y: Any) -> list[Violation]:
+def check_index_y(y: Any) -> list[Violation]:
+    """Dispatch the structural checks for one disk-resident index.
+
+    ``y`` is an Index Y behind the framework or the bare store/tree a
+    framework-less baseline drives directly.
+    """
     if isinstance(y, LSMStore):
         return check_lsm(y)
     if isinstance(y, RoutedIndexY):
         out: list[Violation] = []
         for backend in y.backends.values():
-            out += _check_index_y(backend)
+            out += check_index_y(backend)
         return out
-    tree = getattr(y, "tree", None)
+    tree = y if isinstance(y, DiskBPlusTree) else getattr(y, "tree", None)
     if isinstance(tree, DiskBPlusTree):
         out = check_disk_btree(tree)
         out += check_no_leaked_pins(tree.pool)
@@ -852,7 +895,7 @@ def _check_index_y(y: Any) -> list[Violation]:
 # ----------------------------------------------------------------------
 # orchestrators
 # ----------------------------------------------------------------------
-class IndexSanitizer:
+class IndexSanitizer(PeriodicSanitizer):
     """Hook-point orchestration for one :class:`~repro.core.indexy.IndeXY`.
 
     Cheap monotonicity checks run on every operation; the full structural
@@ -866,12 +909,10 @@ class IndexSanitizer:
         interval: int = 256,
         max_deleted_tracked: int = 512,
     ) -> None:
+        super().__init__(interval)
         self.index = index
-        self.interval = max(1, interval)
         self.max_deleted_tracked = max_deleted_tracked
         self.guard = ClockMonotonicityGuard(index.runtime)
-        self.checks_run = 0
-        self._ops = 0
         #: recently deleted keys (insertion-ordered, bounded) — the
         #: no-resurrection sample of the structural sweep.
         self._deleted: dict[bytes, None] = {}
@@ -886,41 +927,21 @@ class IndexSanitizer:
             self._deleted.pop(next(iter(self._deleted)))
 
     # -- hook points ----------------------------------------------------
-    def after_op(self) -> None:
-        violations = self.guard.observe()
-        self._ops += 1
-        if self._ops % self.interval == 0:
-            with self.index.runtime.observation():
-                violations += self.structural_violations()
-        self._raise(violations)
+    def per_op(self) -> list[Violation]:
+        return self.guard.observe()
 
     def after_release(self, released: int) -> None:
-        violations = self.guard.observe()
-        with self.index.runtime.observation():
-            violations += check_release_watermark(self.index, released)
-            violations += self.structural_violations()
-        self._raise(violations)
+        self._check(True, check_release_watermark(self.index, released))
 
     def after_flush(self) -> None:
-        violations = self.guard.observe()
         with self.index.runtime.observation():
-            violations += check_flush_coherence(self.index)
-            violations += self.structural_violations()
-        self._raise(violations)
-
-    def check_now(self) -> None:
-        """Run the full sweep immediately (tests, checkpoints)."""
-        violations = self.guard.observe()
-        with self.index.runtime.observation():
-            violations += self.structural_violations()
-        self._raise(violations)
+            coherence = check_flush_coherence(self.index)
+        self._check(True, coherence)
 
     # -- internals ------------------------------------------------------
-    def structural_violations(self) -> list[Violation]:
-        self.checks_run += 1
-        violations = check_indexy(self.index)
-        violations += self._no_resurrection()
-        return violations
+    def sweep(self) -> list[Violation]:
+        with self.index.runtime.observation():
+            return check_indexy(self.index) + self._no_resurrection()
 
     def _no_resurrection(self) -> list[Violation]:
         out = _Collector()
@@ -937,13 +958,8 @@ class IndexSanitizer:
                 )
         return out.violations
 
-    @staticmethod
-    def _raise(violations: list[Violation]) -> None:
-        if violations:
-            raise CheckError(violations)
 
-
-class StoreSanitizer:
+class StoreSanitizer(PeriodicSanitizer):
     """Periodic structural checks for the framework-less baselines.
 
     ``checker`` returns the structure-specific violations; the guard adds
@@ -957,32 +973,17 @@ class StoreSanitizer:
         checker: Callable[[], list[Violation]],
         interval: int = 256,
     ) -> None:
+        super().__init__(interval)
         self.runtime = runtime
         self.checker = checker
-        self.interval = max(1, interval)
         self.guard = ClockMonotonicityGuard(runtime)
-        self.checks_run = 0
-        self._ops = 0
 
-    def after_op(self) -> None:
-        violations = self.guard.observe()
-        self._ops += 1
-        if self._ops % self.interval == 0:
-            with self.runtime.observation():
-                violations += self.structural_violations()
-        if violations:
-            raise CheckError(violations)
+    def per_op(self) -> list[Violation]:
+        return self.guard.observe()
 
-    def check_now(self) -> None:
-        violations = self.guard.observe()
+    def sweep(self) -> list[Violation]:
         with self.runtime.observation():
-            violations += self.structural_violations()
-        if violations:
-            raise CheckError(violations)
-
-    def structural_violations(self) -> list[Violation]:
-        self.checks_run += 1
-        return self.checker()
+            return self.checker()
 
 
 # ----------------------------------------------------------------------
@@ -1173,38 +1174,22 @@ def _check_budgets(out: "_Collector", router: "ShardRouter") -> None:
         )
 
 
-class ShardSanitizer:
+class ShardSanitizer(PeriodicSanitizer):
     """Periodic router-level invariant checks for a :class:`ShardRouter`.
 
     The checks are pure object-graph walks (no charged reads), so no
     ``observation()`` rollback is needed; per-shard structural sweeps run
-    inside the shards' own sanitizers.  ``after_batch`` advances the op
-    counter by the batch size and sweeps when an interval boundary was
-    crossed, so batched and single-op serving check at the same cadence.
+    inside the shards' own sanitizers.  The router reports a whole batch
+    with ``after_batch``, so batched and single-op serving check at the
+    same cadence.
     """
 
     def __init__(self, router: "ShardRouter", interval: int = 1024) -> None:
+        super().__init__(interval)
         self.router = router
-        self.interval = max(1, interval)
-        self.checks_run = 0
-        self._ops = 0
 
-    def after_op(self) -> None:
-        self.after_batch(1)
-
-    def after_batch(self, ops: int) -> None:
-        if ops <= 0:
-            return
-        before = self._ops
-        self._ops += ops
-        if before // self.interval != self._ops // self.interval:
-            self.check_now()
-
-    def check_now(self) -> None:
-        self.checks_run += 1
-        violations = check_shard_router(self.router)
-        if violations:
-            raise CheckError(violations)
+    def sweep(self) -> list[Violation]:
+        return check_shard_router(self.router)
 
 
 # ----------------------------------------------------------------------

@@ -345,10 +345,6 @@ class IndeXY:
         """Total in-memory footprint: Index X plus Y's transfer buffers."""
         return self.x.memory_bytes + self.y.memory_bytes
 
-    @property
-    def key_count_x(self) -> int:
-        return self.x.key_count
-
     def flush(self) -> None:
         """Persist every dirty key to Y (checkpoint / shutdown)."""
         self.runtime.scheduler.drain()

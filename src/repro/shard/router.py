@@ -422,10 +422,6 @@ class ShardRouter(KVSystem):
     def memory_bytes(self) -> int:
         return sum(shard.memory_bytes for shard in self.shards)
 
-    def shard_sizes(self, keys: Sequence[int]) -> list[int]:
-        """How ``keys`` would distribute over shards (balance probe)."""
-        return [len(batch) for batch in self.partitioner.split(keys)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardRouter({self.base_system!r}, shards={self.num_shards}, "

@@ -11,7 +11,7 @@ operations per simulated second via :meth:`Snapshot.throughput_ops`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.art.keys import encode_int
 from repro.sim.costs import CostModel
@@ -281,3 +281,111 @@ class IndeXYSystem(KVSystem):
     @property
     def memory_bytes(self) -> int:
         return self.index.memory_bytes
+
+
+class BaselineSystem(KVSystem):
+    """The verbs of the framework-less baselines (B+-B+, RocksDB-like).
+
+    Subclasses assemble ``self.y`` — the one disk-resident index they
+    drive directly, with the ``put``/``get``/``delete``/``scan`` surface
+    of an Index Y — and call :meth:`_install_sanitizer`; the operation
+    contract is the same whatever the index is, so it is written once
+    here.  ``delete`` assumes the index reports presence itself; a
+    subclass whose index does not overrides the two delete verbs.
+    """
+
+    y: Any
+    sanitizer: Optional[Any] = None
+
+    def _install_sanitizer(self, debug_checks: bool | None) -> None:
+        """Attach a ``StoreSanitizer`` over ``self.y`` when debug checks are on."""
+        if debug_checks is None:
+            from repro.check.flags import sanitize_enabled
+
+            debug_checks = sanitize_enabled()
+        if debug_checks:
+            from repro.check.sanitizer import StoreSanitizer, check_index_y
+
+            self.sanitizer = StoreSanitizer(self.runtime, lambda: check_index_y(self.y))
+
+    def _sanitize(self) -> None:
+        if self.sanitizer is not None:
+            self.sanitizer.after_op()
+
+    def insert(self, key: int, value: bytes) -> None:
+        self._op()
+        self.y.put(self.encode_key(key), value)
+        self._sanitize()
+
+    def put_many(self, keys: Iterable[int], value: bytes) -> None:
+        # Same per-key charge sequence as insert(), locals hoisted.
+        charge = self.clock.charge_cpu
+        overhead = self.costs.op_overhead
+        bump = self.stats.bump
+        encode = self.encode_key
+        put = self.y.put
+        sanitizer = self.sanitizer
+        for key in keys:
+            charge(overhead)
+            bump("ops")
+            put(encode(key), value)
+            if sanitizer is not None:
+                sanitizer.after_op()
+
+    def read(self, key: int) -> Optional[bytes]:
+        self._op()
+        value = self.y.get(self.encode_key(key))
+        self._sanitize()
+        return value
+
+    def get_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
+        charge = self.clock.charge_cpu
+        overhead = self.costs.op_overhead
+        bump = self.stats.bump
+        encode = self.encode_key
+        get = self.y.get
+        sanitizer = self.sanitizer
+        out: list[Optional[bytes]] = []
+        append = out.append
+        for key in keys:
+            charge(overhead)
+            bump("ops")
+            append(get(encode(key)))
+            if sanitizer is not None:
+                sanitizer.after_op()
+        return out
+
+    def delete(self, key: int) -> bool:
+        self._op()
+        present: bool = self.y.delete(self.encode_key(key))
+        self._sanitize()
+        return present
+
+    def delete_many(self, keys: Iterable[int]) -> list[bool]:
+        # Same per-key charge sequence as delete(), locals hoisted.
+        charge = self.clock.charge_cpu
+        overhead = self.costs.op_overhead
+        bump = self.stats.bump
+        encode = self.encode_key
+        delete = self.y.delete
+        sanitizer = self.sanitizer
+        out: list[bool] = []
+        append = out.append
+        for key in keys:
+            charge(overhead)
+            bump("ops")
+            append(delete(encode(key)))
+            if sanitizer is not None:
+                sanitizer.after_op()
+        return out
+
+    def scan(self, key: int, count: int) -> list[tuple[bytes, bytes]]:
+        self._op()
+        out: list[tuple[bytes, bytes]] = self.y.scan(self.encode_key(key), count)
+        self._sanitize()
+        return out
+
+    @property
+    def memory_bytes(self) -> int:
+        memory: int = self.y.memory_bytes
+        return memory

@@ -13,17 +13,15 @@ structural behaviours the paper criticizes are real here:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
-
 from repro.core.config import CachePolicyConfig
 from repro.diskbtree.tree import DiskBPlusTree
 from repro.sim.costs import CostModel
 from repro.sim.runtime import EngineRuntime
 from repro.sim.threads import ThreadModel
-from repro.systems.base import KVSystem
+from repro.systems.base import BaselineSystem
 
 
-class BPlusBPlusSystem(KVSystem):
+class BPlusBPlusSystem(BaselineSystem):
     name = "B+-B+"
 
     def __init__(
@@ -38,114 +36,22 @@ class BPlusBPlusSystem(KVSystem):
     ) -> None:
         super().__init__(costs, thread_model, runtime=runtime)
         policies = cache_policies or CachePolicyConfig()
-        self.tree = DiskBPlusTree(
+        self.y = DiskBPlusTree(
             pool_bytes=memory_limit_bytes,
             page_size=page_size,
             pool_policy=policies.pool,
             runtime=self.runtime,
         )
-        self.sanitizer: Optional[Any] = None
-        if debug_checks is None:
-            from repro.check.flags import sanitize_enabled
+        self._install_sanitizer(debug_checks)
 
-            debug_checks = sanitize_enabled()
-        if debug_checks:
-            from repro.check.sanitizer import (
-                StoreSanitizer,
-                Violation,
-                check_buffer_pool,
-                check_disk_btree,
-                check_no_leaked_pins,
-            )
-
-            def checker() -> list[Violation]:
-                return (
-                    check_disk_btree(self.tree)
-                    + check_no_leaked_pins(self.tree.pool)
-                    + check_buffer_pool(self.tree.pool)
-                )
-
-            self.sanitizer = StoreSanitizer(self.runtime, checker)
-
-    def _sanitize(self) -> None:
-        if self.sanitizer is not None:
-            self.sanitizer.after_op()
-
-    def insert(self, key: int, value: bytes) -> None:
-        self._op()
-        self.tree.put(self.encode_key(key), value)
-        self._sanitize()
-
-    def put_many(self, keys: Iterable[int], value: bytes) -> None:
-        # Same per-key charge sequence as insert(), locals hoisted.
-        charge = self.clock.charge_cpu
-        overhead = self.costs.op_overhead
-        bump = self.stats.bump
-        encode = self.encode_key
-        put = self.tree.put
-        sanitizer = self.sanitizer
-        for key in keys:
-            charge(overhead)
-            bump("ops")
-            put(encode(key), value)
-            if sanitizer is not None:
-                sanitizer.after_op()
-
-    def read(self, key: int) -> Optional[bytes]:
-        self._op()
-        value = self.tree.get(self.encode_key(key))
-        self._sanitize()
-        return value
-
-    def get_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
-        charge = self.clock.charge_cpu
-        overhead = self.costs.op_overhead
-        bump = self.stats.bump
-        encode = self.encode_key
-        get = self.tree.get
-        sanitizer = self.sanitizer
-        out: list[Optional[bytes]] = []
-        append = out.append
-        for key in keys:
-            charge(overhead)
-            bump("ops")
-            append(get(encode(key)))
-            if sanitizer is not None:
-                sanitizer.after_op()
-        return out
-
-    def delete(self, key: int) -> bool:
-        self._op()
-        present = self.tree.delete(self.encode_key(key))
-        self._sanitize()
-        return present
-
-    def delete_many(self, keys: Iterable[int]) -> list[bool]:
-        # Same per-key charge sequence as delete(), locals hoisted.
-        charge = self.clock.charge_cpu
-        overhead = self.costs.op_overhead
-        bump = self.stats.bump
-        encode = self.encode_key
-        delete = self.tree.delete
-        sanitizer = self.sanitizer
-        out: list[bool] = []
-        append = out.append
-        for key in keys:
-            charge(overhead)
-            bump("ops")
-            append(delete(encode(key)))
-            if sanitizer is not None:
-                sanitizer.after_op()
-        return out
-
-    def scan(self, key: int, count: int) -> list[tuple[bytes, bytes]]:
-        self._op()
-        out = self.tree.scan(self.encode_key(key), count)
-        self._sanitize()
-        return out
+    @property
+    def tree(self) -> DiskBPlusTree:
+        """Read-only name for ``y`` (tests and tools say ``system.tree``)."""
+        tree: DiskBPlusTree = self.y
+        return tree
 
     def flush(self) -> None:
-        self.tree.flush_all()
+        self.y.flush_all()
 
     def set_memory_limit(self, memory_limit_bytes: int) -> None:
         """Re-budget the live buffer pool (the pool *is* the memory limit).
@@ -153,9 +59,5 @@ class BPlusBPlusSystem(KVSystem):
         Shrinks evict through the pool's eviction policy — dirty victims
         are written back, resident pages survive in policy order.
         """
-        self.tree.pool.resize(memory_limit_bytes)
+        self.y.pool.resize(memory_limit_bytes)
         self._sanitize()
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.tree.memory_bytes

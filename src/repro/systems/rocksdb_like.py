@@ -8,14 +8,14 @@ go through the row/block caches rather than a memory-optimized index
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Iterable
 
 from repro.core.config import CachePolicyConfig
 from repro.lsm.store import LSMConfig, LSMStore
 from repro.sim.costs import CostModel
 from repro.sim.runtime import EngineRuntime
 from repro.sim.threads import ThreadModel
-from repro.systems.base import KVSystem
+from repro.systems.base import BaselineSystem
 
 
 def _lsm_budgets(memory_limit_bytes: int) -> tuple[int, int, int]:
@@ -34,7 +34,7 @@ def _lsm_budgets(memory_limit_bytes: int) -> tuple[int, int, int]:
     )
 
 
-class RocksDbLikeSystem(KVSystem):
+class RocksDbLikeSystem(BaselineSystem):
     name = "RocksDB"
 
     def __init__(
@@ -57,68 +57,20 @@ class RocksDbLikeSystem(KVSystem):
             block_cache_policy=policies.block,
             row_cache_policy=policies.row,
         )
-        self.store = LSMStore(config=config, runtime=self.runtime)
-        self.sanitizer: Optional[Any] = None
-        if debug_checks is None:
-            from repro.check.flags import sanitize_enabled
+        self.y = LSMStore(config=config, runtime=self.runtime)
+        self._install_sanitizer(debug_checks)
 
-            debug_checks = sanitize_enabled()
-        if debug_checks:
-            from repro.check.sanitizer import StoreSanitizer, check_lsm
+    @property
+    def store(self) -> LSMStore:
+        """Read-only name for ``y`` (tests and tools say ``system.store``)."""
+        store: LSMStore = self.y
+        return store
 
-            self.sanitizer = StoreSanitizer(self.runtime, lambda: check_lsm(self.store))
-
-    def _sanitize(self) -> None:
-        if self.sanitizer is not None:
-            self.sanitizer.after_op()
-
-    def insert(self, key: int, value: bytes) -> None:
-        self._op()
-        self.store.put(self.encode_key(key), value)
-        self._sanitize()
-
-    def put_many(self, keys: Iterable[int], value: bytes) -> None:
-        # Same per-key charge sequence as insert(), locals hoisted.
-        charge = self.clock.charge_cpu
-        overhead = self.costs.op_overhead
-        bump = self.stats.bump
-        encode = self.encode_key
-        put = self.store.put
-        sanitizer = self.sanitizer
-        for key in keys:
-            charge(overhead)
-            bump("ops")
-            put(encode(key), value)
-            if sanitizer is not None:
-                sanitizer.after_op()
-
-    def read(self, key: int) -> Optional[bytes]:
-        self._op()
-        value = self.store.get(self.encode_key(key))
-        self._sanitize()
-        return value
-
-    def get_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
-        charge = self.clock.charge_cpu
-        overhead = self.costs.op_overhead
-        bump = self.stats.bump
-        encode = self.encode_key
-        get = self.store.get
-        sanitizer = self.sanitizer
-        out: list[Optional[bytes]] = []
-        append = out.append
-        for key in keys:
-            charge(overhead)
-            bump("ops")
-            append(get(encode(key)))
-            if sanitizer is not None:
-                sanitizer.after_op()
-        return out
-
+    # ``LSMStore.delete`` writes a tombstone blind, so presence is read first.
     def delete(self, key: int) -> bool:
         self._op()
-        present = self.store.get(self.encode_key(key)) is not None
-        self.store.delete(self.encode_key(key))
+        present = self.y.get(self.encode_key(key)) is not None
+        self.y.delete(self.encode_key(key))
         self._sanitize()
         return present
 
@@ -128,8 +80,8 @@ class RocksDbLikeSystem(KVSystem):
         overhead = self.costs.op_overhead
         bump = self.stats.bump
         encode = self.encode_key
-        get = self.store.get
-        delete = self.store.delete
+        get = self.y.get
+        delete = self.y.delete
         sanitizer = self.sanitizer
         out: list[bool] = []
         append = out.append
@@ -143,14 +95,8 @@ class RocksDbLikeSystem(KVSystem):
                 sanitizer.after_op()
         return out
 
-    def scan(self, key: int, count: int) -> list[tuple[bytes, bytes]]:
-        self._op()
-        out = self.store.scan(self.encode_key(key), count)
-        self._sanitize()
-        return out
-
     def flush(self) -> None:
-        self.store.flush()
+        self.y.flush()
 
     def set_memory_limit(self, memory_limit_bytes: int) -> None:
         """Re-budget the live store to a new memory limit.
@@ -161,13 +107,9 @@ class RocksDbLikeSystem(KVSystem):
         cold).
         """
         memtable_bytes, block_cache_bytes, row_cache_bytes = _lsm_budgets(memory_limit_bytes)
-        self.store.resize_caches(
+        self.y.resize_caches(
             block_cache_bytes,
             row_cache_bytes=row_cache_bytes,
             memtable_bytes=memtable_bytes,
         )
         self._sanitize()
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.store.memory_bytes

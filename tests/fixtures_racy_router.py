@@ -5,7 +5,7 @@ exactly one way, and each violation is caught by BOTH enforcement
 layers on the very same source:
 
 * statically, the corresponding RL2xx rule flags this file when it is fed
-  to :func:`repro.check.racecheck.race_lint_sources` under a ``shard/``
+  to the RL2xx pass (:func:`repro.check.rules.run`) under a ``shard/``
   rel path (the tests do that — this file never ships in ``src``);
 * dynamically, running the router in debug mode trips the
   :class:`~repro.check.sanitizer.OwnershipSanitizer` ownership claims or

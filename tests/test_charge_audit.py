@@ -18,7 +18,8 @@ from repro.check.chargeaudit import (
     ChargeLog,
     charge_audit_preflight,
 )
-from repro.check.chargecheck import ChargeAnalysis, ChargeSummary, analyze_paths
+from repro.check.chargecheck import ChargeAnalysis, ChargeSummary, summarize
+from repro.check.engine import load
 from repro.sim.effects import MANY
 
 
@@ -127,7 +128,7 @@ def analysis():
     import repro
     from pathlib import Path
 
-    return analyze_paths([Path(repro.__file__).parent])
+    return summarize(load([Path(repro.__file__).parent]))
 
 
 def test_preflight_holds_on_all_core_systems(analysis):

@@ -2,11 +2,11 @@
 
 import textwrap
 
-from repro.check.callgraph import build_callgraph, parse_tree
+from repro.check.engine import parse
 
 
 def graph_of(**modules: str):
-    return build_callgraph(parse_tree({rel: textwrap.dedent(src) for rel, src in modules.items()}))
+    return parse([(rel, rel, textwrap.dedent(src)) for rel, src in modules.items()]).callgraph()
 
 
 def edge_keys(graph, caller: str) -> set[str]:
@@ -151,6 +151,34 @@ def test_bound_alias_resolves_to_method():
         }
     )
     assert "m.py::C._evict_frame" in edge_keys(graph, "m.py::C.sweep")
+
+
+def test_bound_alias_does_not_borrow_an_import_of_the_same_name():
+    # An import binds the name as spelled at the call site (``go``), not
+    # the attribute the local alias stands for (``work``): the aliased
+    # call stays a duck call over every ``work`` definition.
+    graph = graph_of(
+        **{
+            "a.py": """
+            def work():
+                pass
+            """,
+            "c.py": """
+            class K:
+                def work(self):
+                    pass
+            """,
+            "b.py": """
+            from repro.a import work
+
+            class B:
+                def run(self):
+                    go = self.k.work
+                    go()
+            """,
+        }
+    )
+    assert edge_keys(graph, "b.py::B.run") == {"a.py::work", "c.py::K.work"}
 
 
 def test_callable_passed_as_argument_is_not_an_edge():

@@ -1,7 +1,7 @@
 """Tests for the charge-effect pass (RL301–RL304) and its CLI surface.
 
 Each rule gets a violating fixture and a clean twin fed through
-``charge_lint_sources`` under a ``lsm/``-prefixed rel path (inside the
+the engine's ``run`` under a ``lsm/``-prefixed rel path (inside the
 analysis scope), mirroring ``test_check_racecheck.py``: the fixture
 *is* the contract.  The tail of the file pins the CLI behaviours the
 CI pipeline depends on — ``--rules`` parsing, ``--list-rules`` output,
@@ -16,25 +16,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.__main__ import (
-    ALL_RULES,
-    _parse_rule_spec,
-    _rule_catalogue_markdown,
-    main,
-)
-from repro.check.chargecheck import (
-    CHARGE_RULES,
-    analyze_sources,
-    charge_lint_sources,
-)
+from repro.check.__main__ import _parse_rule_spec, _rule_catalogue_markdown, main
+from repro.check.chargecheck import summarize
+from repro.check.engine import parse
+from repro.check.rules import RULES, run
 from repro.sim.effects import MANY
+
+CHARGE_RULES = [rule for rule in RULES if rule.family == "charge"]
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def lint(src: str, rel: str = "lsm/fixture.py", rules=None, apply_pragmas=True):
-    files = {rel: (f"src/repro/{rel}", textwrap.dedent(src))}
-    return charge_lint_sources(files, rules, apply_pragmas=apply_pragmas)
+    analysis = parse([(rel, f"src/repro/{rel}", textwrap.dedent(src))])
+    selected = {r.rule_id for r in CHARGE_RULES} if rules is None else rules
+    return run(analysis, selected, apply_pragmas=apply_pragmas)
 
 
 def rules_fired(findings) -> set[str]:
@@ -42,7 +38,7 @@ def rules_fired(findings) -> set[str]:
 
 
 def summaries(src: str, rel: str = "lsm/fixture.py"):
-    return analyze_sources({rel: (f"src/repro/{rel}", textwrap.dedent(src))})
+    return summarize(parse([(rel, f"src/repro/{rel}", textwrap.dedent(src))]))
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +508,7 @@ def test_parse_rule_spec_rejects_unknown_and_empty():
 def test_cli_list_rules_covers_all_layers(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ALL_RULES:
+    for rule in RULES:
         assert rule.rule_id in out
 
 

@@ -9,14 +9,17 @@ import json
 import textwrap
 
 from repro.check.__main__ import main
-from repro.check.deepcheck import DEEP_RULES, deep_lint_sources
+from repro.check.engine import parse
+from repro.check.rules import RULES, run
+
+DEEP_RULES = [rule for rule in RULES if rule.family == "deep"]
 
 
 def run_deep(rules=None, **modules):
-    files = {
-        rel: (f"fixture/{rel}", textwrap.dedent(src)) for rel, src in modules.items()
-    }
-    return deep_lint_sources(files, rules)
+    files = [
+        (rel, f"fixture/{rel}", textwrap.dedent(src)) for rel, src in modules.items()
+    ]
+    return run(parse(files), {r.rule_id for r in DEEP_RULES} if rules is None else rules)
 
 
 def rule_ids(findings):

@@ -19,9 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.check.__main__ import main
-from repro.check.racecheck import RACE_RULES, race_lint_paths, race_lint_sources
-from repro.check.reprolint import RULES
-from repro.check.deepcheck import DEEP_RULES
+from repro.check.engine import load, parse
+from repro.check.rules import RULES, run
 from repro.check.sanitizer import CheckError, OwnershipSanitizer
 from repro.shard import OwnershipViolation, ShardRouter, ShardWorkerPool
 from tests.fixtures_racy_router import (
@@ -34,6 +33,9 @@ from tests.fixtures_racy_router import (
     RebalancingRouter,
     SharedStatsRouter,
 )
+
+RACE_RULES = [rule for rule in RULES if rule.family == "concurrency"]
+RACE_IDS = frozenset(rule.rule_id for rule in RACE_RULES)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 FIXTURE = Path(__file__).with_name("fixtures_racy_router.py")
@@ -88,11 +90,17 @@ def class_of_line(line: int) -> str:
     return "<module>"
 
 
+def _lint(files, rules=None, *, apply_pragmas=True):
+    """The RL2xx rules (or the ``rules`` subset) over ``rel -> (path, source)``."""
+    analysis = parse([(rel, path, source) for rel, (path, source) in files.items()])
+    return run(analysis, RACE_IDS if rules is None else rules, apply_pragmas=apply_pragmas)
+
+
 def run_race(rules=None, **modules):
     files = {
         rel: (f"fixture/{rel}", textwrap.dedent(src)) for rel, src in modules.items()
     }
-    return race_lint_sources(files, rules)
+    return _lint(files, rules)
 
 
 # ----------------------------------------------------------------------
@@ -101,32 +109,32 @@ def run_race(rules=None, **modules):
 
 
 def test_each_racy_router_trips_exactly_its_rule():
-    findings = race_lint_sources(corpus())
+    findings = _lint(corpus())
     assert len(findings) == len(EXPECTED)
     by_class = {class_of_line(f.line): f.rule for f in findings}
     assert by_class == EXPECTED
 
 
 def test_clean_variants_produce_no_findings():
-    findings = race_lint_sources(corpus())
+    findings = _lint(corpus())
     assert all(class_of_line(f.line) not in CLEAN_CLASSES for f in findings)
 
 
 def test_findings_point_into_the_fixture_file():
-    findings = race_lint_sources(corpus())
+    findings = _lint(corpus())
     assert {f.path for f in findings} == {str(FIXTURE)}
 
 
 def test_rules_subset_restricts_the_run():
-    only_204 = race_lint_sources(corpus(), rules={"RL204"})
+    only_204 = _lint(corpus(), rules={"RL204"})
     assert [f.rule for f in only_204] == ["RL204"]
-    none = race_lint_sources(corpus(), rules=set())
+    none = _lint(corpus(), rules=set())
     assert none == []
 
 
 def test_real_shard_tree_is_clean():
     # The shipped router/partitioner/pool satisfy the contract they state.
-    assert race_lint_paths([SRC]) == []
+    assert run(load([SRC]), RACE_IDS) == []
 
 
 # ----------------------------------------------------------------------
@@ -202,9 +210,9 @@ def test_pragma_suppresses_race_finding():
         return pool._executor.submit(thunk).result()  # reprolint: allow[RL204]
     """
     files = {"shard/side.py": ("fixture/shard/side.py", textwrap.dedent(source))}
-    assert race_lint_sources(files) == []
+    assert _lint(files) == []
     # The stale-pragma audit sees the raw finding.
-    raw = race_lint_sources(files, apply_pragmas=False)
+    raw = _lint(files, apply_pragmas=False)
     assert [f.rule for f in raw] == ["RL204"]
 
 
@@ -214,7 +222,7 @@ def test_pragma_for_other_rule_does_not_suppress():
         return pool._executor.submit(thunk).result()  # reprolint: allow[RL201]
     """
     files = {"shard/side.py": ("fixture/shard/side.py", textwrap.dedent(source))}
-    assert [f.rule for f in race_lint_sources(files)] == ["RL204"]
+    assert [f.rule for f in _lint(files)] == ["RL204"]
 
 
 # ----------------------------------------------------------------------
@@ -326,7 +334,7 @@ def test_racy_router_matches_static_finding_on_same_source():
     ``CrossShardRouter`` is flagged statically (RL202 inside its body)
     and dynamically (ownership claim mismatch) — on the identical file.
     """
-    findings = race_lint_sources(corpus())
+    findings = _lint(corpus())
     classes = {class_of_line(f.line) for f in findings}
     assert "CrossShardRouter" in classes
     router = make(CrossShardRouter, workers=0)
@@ -412,7 +420,7 @@ def test_cli_sarif_declares_race_rules_with_family(tmp_path, capsys):
 def test_cli_list_rules_shows_all_three_layers(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in (*RULES, *DEEP_RULES, *RACE_RULES):
+    for rule in RULES:
         assert rule.rule_id in out
 
 

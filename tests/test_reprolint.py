@@ -10,13 +10,10 @@ from __future__ import annotations
 import textwrap
 
 from repro.check.__main__ import main as check_main
-from repro.check.reprolint import (
-    RULES,
-    Finding,
-    lint_paths,
-    lint_source,
-    module_rel_path,
-)
+from repro.check.engine import Finding, load, module_rel_path, parse
+from repro.check.rules import RULES, run
+
+SHALLOW = {rule.rule_id for rule in RULES if rule.family == "shallow"}
 
 # Fixture paths: one inside a fake package component, one inside repro/sim.
 COMPONENT = "src/repro/core/fixture.py"
@@ -28,7 +25,7 @@ def rules_of(findings: list[Finding]) -> list[str]:
 
 
 def lint(source: str, path: str = COMPONENT) -> list[Finding]:
-    return lint_source(textwrap.dedent(source), path)
+    return run(parse([(module_rel_path(path), path, textwrap.dedent(source))]), SHALLOW)
 
 
 # -- module_rel_path ----------------------------------------------------
@@ -428,7 +425,7 @@ def test_lint_paths_skips_tests_directories(tmp_path):
     tests_dir = tmp_path / "repro" / "tests"
     tests_dir.mkdir()
     (tests_dir / "also_bad.py").write_text("import time\n")
-    findings = lint_paths([tmp_path])
+    findings = run(load([tmp_path]), SHALLOW)
     assert [f.path for f in findings] == [str(pkg / "bad.py")]
 
 

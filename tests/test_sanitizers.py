@@ -13,11 +13,15 @@ from repro.art import AdaptiveRadixTree, encode_int
 from repro.art.nodes import Node4
 from repro.btree import BPlusTree
 from repro.btree.node import BInner, BLeaf
+from repro.cache.bytecache import PolicyCache
+from repro.check import sanitizer
 from repro.check.sanitizer import (
+    CacheSanitizer,
     CheckBackAuditor,
     CheckError,
     ClockMonotonicityGuard,
     IndexSanitizer,
+    ShardSanitizer,
     StoreSanitizer,
     Violation,
     check_art,
@@ -26,6 +30,7 @@ from repro.check.sanitizer import (
     check_buffer_pool,
     check_disk_btree,
     check_flush_coherence,
+    check_index_y,
     check_indexy,
     check_lsm,
     check_no_leaked_pins,
@@ -39,6 +44,7 @@ from repro.lsm import LSMConfig, LSMStore
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.store import TOMBSTONE
 from repro.sim.runtime import EngineRuntime
+from repro.systems import build_system
 
 
 def ikey(i: int) -> bytes:
@@ -620,3 +626,99 @@ def test_store_sanitizer_interval_and_clean_path():
     for __ in range(9):
         san.after_op()
     assert len(calls) == 3
+
+
+def test_store_sanitizer_sweep_is_an_observation():
+    """What the checker charges is rolled back: checking never moves results."""
+    runtime = EngineRuntime()
+
+    def checker():
+        runtime.clock.charge_cpu(1_000)
+        return []
+
+    san = StoreSanitizer(runtime, checker, interval=1)
+    san.after_op()
+    assert san.checks_run == 1 and runtime.clock.cpu_ns == 0
+
+
+@pytest.mark.parametrize("name", ["B+-B+", "RocksDB"])
+def test_baseline_sanitizer_raises_on_corruption(name):
+    """``debug_checks`` baselines run ``check_index_y`` over the bare tree/store."""
+    system = build_system(name, memory_limit_bytes=256 * 1024, debug_checks=True)
+    for k in range(600):
+        system.insert(k, b"v" * 16)
+    system.sanitizer.check_now()  # clean structure passes the real sweep
+    if name == "B+-B+":
+        system.tree.key_count += 5
+        expected = "diskbtree-key-count"
+    else:
+        system.flush()
+        tables = next(tables for tables in system.store.levels if tables)
+        tables[0].entry_count += 1
+        expected = "lsm-table-count"
+    assert expected in checks_of(check_index_y(system.y))
+    with pytest.raises(CheckError) as excinfo:
+        for k in range(system.sanitizer.interval):  # next boundary, via the verbs
+            system.read(k)
+    assert expected in {v.check for v in excinfo.value.violations}
+
+
+class _Probe:
+    """Stands in for the check function a sweep calls; records each call."""
+
+    def __init__(self):
+        self.calls = 0
+        self.result = []
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return list(self.result)
+
+
+def _cache_sanitizer(interval, probe, monkeypatch):
+    monkeypatch.setattr(sanitizer, "check_policy_cache", probe)
+    return CacheSanitizer({"block": PolicyCache(64, "lru")}, interval=interval)
+
+
+def _index_sanitizer(interval, probe, monkeypatch):
+    monkeypatch.setattr(sanitizer, "check_indexy", probe)
+    return IndexSanitizer(make_index(), interval=interval)
+
+
+def _store_sanitizer(interval, probe, monkeypatch):
+    return StoreSanitizer(EngineRuntime(), probe, interval=interval)
+
+
+def _shard_sanitizer(interval, probe, monkeypatch):
+    monkeypatch.setattr(sanitizer, "check_shard_router", probe)
+    router = build_system("Sharded", memory_limit_bytes=256 * 1024, shards=2)
+    return ShardSanitizer(router, interval=interval)
+
+
+@pytest.mark.parametrize(
+    "make", [_cache_sanitizer, _index_sanitizer, _store_sanitizer, _shard_sanitizer]
+)
+def test_orchestrator_cadence(make, monkeypatch):
+    """One cadence for all four, driven through each class's real ``sweep``.
+
+    Only the check function the sweep consults is a probe, so a sweep that
+    stopped calling it (or stopped raising what it returns) fails here.
+    """
+    probe = _Probe()
+    san = make(3, probe, monkeypatch)
+    for __ in range(7):
+        san.after_op()
+    assert probe.calls == 2 and san.checks_run == 2  # ops 3 and 6
+    san.after_batch(1)  # 8: no boundary
+    san.after_batch(4)  # 12: crosses 9 and lands on 12 -> one sweep
+    san.after_batch(0)  # empty batch: nothing to count
+    assert probe.calls == 3 and san.checks_run == 3
+    san.check_now()  # off-cadence sweep, still counted
+    assert probe.calls == 4 and san.checks_run == 4
+    probe.result = [Violation("fixture", "boom")]
+    san.after_batch(2)  # 14: no boundary, so the bad check is not consulted
+    assert probe.calls == 4
+    with pytest.raises(CheckError) as excinfo:
+        san.after_op()  # 15: boundary
+    assert [v.check for v in excinfo.value.violations] == ["fixture"]
+    assert make(0, probe, monkeypatch).interval == 1  # non-positive means every op
