@@ -17,7 +17,7 @@ import random
 
 from repro.btree import BPlusTree
 from repro.core import BTreeIndexX, IndeXY, IndeXYConfig, ReleasePolicy
-from repro.sim import SimClock, SimDisk
+from repro.sim import EngineRuntime, SimDisk
 
 
 class SortedRunStoreY:
@@ -67,15 +67,16 @@ class SortedRunStoreY:
 
 
 def main() -> None:
-    clock, disk = SimClock(), SimDisk()
+    runtime = EngineRuntime()  # the one clock/disk/scheduler of this engine
     index = IndeXY(
-        index_x=BTreeIndexX(BPlusTree(capacity=32, clock=clock)),
-        index_y=SortedRunStoreY(disk),
+        index_x=BTreeIndexX(BPlusTree(capacity=32, clock=runtime.clock)),
+        index_y=SortedRunStoreY(runtime.disk),
         config=IndeXYConfig(
             memory_limit_bytes=96 * 1024,
             preclean_interval_inserts=1024,  # clean more eagerly
             low_watermark=0.7,  # release deeper per cycle
         ),
+        runtime=runtime,
         release_policy=ReleasePolicy("coarse", partition_depth=2),
     )
 

@@ -14,17 +14,21 @@ import random
 from repro.art import AdaptiveRadixTree, encode_int
 from repro.core import ARTIndexX, IndeXY, IndeXYConfig
 from repro.lsm import LSMConfig, LSMStore
-from repro.sim import SimClock, SimDisk
+from repro.sim import EngineRuntime
 
 
 def main() -> None:
-    clock = SimClock()  # simulated time: deterministic, interpreter-independent
-    disk = SimDisk()  # simulated SSD with sequential/random latency model
+    # One engine, one substrate: the simulated clock (deterministic,
+    # interpreter-independent), the simulated SSD (sequential/random latency
+    # model), the cost model and the background scheduler that X, Y and the
+    # framework all share.
+    runtime = EngineRuntime()
 
     index = IndeXY(
-        index_x=ARTIndexX(AdaptiveRadixTree(clock=clock)),
-        index_y=LSMStore(disk, LSMConfig(memtable_bytes=32 * 1024), clock=clock),
+        index_x=ARTIndexX(AdaptiveRadixTree(clock=runtime.clock, costs=runtime.costs)),
+        index_y=LSMStore(runtime, LSMConfig(memtable_bytes=32 * 1024)),
         config=IndeXYConfig(memory_limit_bytes=128 * 1024),  # tiny on purpose
+        runtime=runtime,
     )
 
     print("Inserting 20,000 keys under a 128 KiB memory budget ...")
@@ -51,8 +55,8 @@ def main() -> None:
     for key, value in index.scan(start, 5):
         print(f"  {int.from_bytes(key, 'big'):>15,}  ->  {value.decode()}")
 
-    print(f"\nSimulated time spent: {clock.cpu_ns / 1e6:.1f} ms CPU, "
-          f"{disk.busy_ns / 1e6:.1f} ms disk")
+    print(f"\nSimulated time spent: {runtime.clock.cpu_ns / 1e6:.1f} ms CPU, "
+          f"{runtime.disk.busy_ns / 1e6:.1f} ms disk")
     assert missing == 0
 
 

@@ -79,7 +79,6 @@ _DISK_INTERNALS = frozenset({"_blobs", "_next_offset", "_last_read_end", "_last_
 #: maintenance entry points and the modules allowed to call them inline
 #: (their owners plus the scheduler-runner modules that register them).
 _MAINTENANCE_OWNERS: dict[str, tuple[str, ...]] = {
-    "note_inserts": ("core/precleaner.py",),
     "run_pass": ("core/precleaner.py", "core/indexy.py"),
     "release_cycle": ("core/indexy.py",),
     "_maybe_compact": ("lsm/store.py",),

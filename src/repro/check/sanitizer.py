@@ -781,9 +781,10 @@ def check_lsm(store: LSMStore, max_deep_tables: Optional[int] = None) -> list[Vi
 class ClockMonotonicityGuard:
     """The simulated clocks must never run backwards.
 
-    The scheduler's charge re-booking moves foreground nanoseconds onto
-    the background account, so the sound invariant is on the *sum* of the
-    two CPU accounts (plus, independently, the disk's busy time).
+    Moving nanoseconds from the foreground onto the background account is
+    a legal re-booking (RL103 checks it is paired), so the sound invariant
+    is on the *sum* of the two CPU accounts (plus, independently, the
+    disk's busy time).
     """
 
     def __init__(self, runtime: "EngineRuntime") -> None:

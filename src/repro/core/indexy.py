@@ -6,8 +6,8 @@ pre-cleaner, and the release policy into a single ordered key-value index
 
 * **insert** goes to Index X (dirty) and advances the engine runtime's
   background scheduler, which paces the pre-cleaning passes; when the high
-  watermark is crossed, a release cycle is submitted to the scheduler (and
-  run inline as a synchronous fallback if the scheduler is saturated) to
+  watermark is crossed, a release cycle is requested from the scheduler
+  (which runs it inline as a synchronous fallback under backpressure) to
   persist and detach the coldest subtrees;
 * **get** searches X first (X is the read cache); on a miss it consults Y
   and, on a hit there, inserts the key into X *clean* (its copy in Y
@@ -32,7 +32,6 @@ from repro.core.interfaces import IndexX, IndexY
 from repro.core.membudget import MemoryBudget
 from repro.core.precleaner import PreCleaner
 from repro.core.release import ReleasePolicy
-from repro.sim.clock import SimClock
 from repro.sim.effects import charges
 from repro.sim.runtime import EngineRuntime, MaintenanceTask
 
@@ -45,30 +44,26 @@ class IndeXY:
         index_x: IndexX,
         index_y: IndexY,
         config: IndeXYConfig,
+        runtime: EngineRuntime,
         release_policy: ReleasePolicy | None = None,
         precleaning_enabled: bool = True,
         check_back: bool = True,
         load_on_miss: bool = True,
-        clock: SimClock | None = None,
-        runtime: EngineRuntime | None = None,
         debug_checks: bool = False,
         debug_check_interval: int = 256,
     ) -> None:
         self.x = index_x
         self.y = index_y
         self.config = config
-        #: the shared engine substrate; a private one is created for
-        #: standalone use (direct construction in tests, examples).  The
-        #: legacy ``clock`` argument wraps the given clock in a runtime.
-        self.runtime = runtime if runtime is not None else EngineRuntime(clock=clock)
-        self.stats = self.runtime.stats
+        #: the engine substrate X, Y and this facade all charge.
+        self.runtime = runtime
+        self.stats = runtime.stats
         self.budget = MemoryBudget(config)
         self.precleaner = PreCleaner(
             index_x,
             index_y,
             config,
             stats=self.stats,
-            enabled=precleaning_enabled,
             check_back=check_back,
         )
         self.release_policy = release_policy or ReleasePolicy(
@@ -78,9 +73,9 @@ class IndeXY:
         #: from Y every time instead of being cached into X.
         self.load_on_miss = load_on_miss
         self._y_populated = False
-        self._clock = self.runtime.clock
+        self._clock = runtime.clock
 
-        scheduler = self.runtime.scheduler
+        scheduler = runtime.scheduler
         #: release is the urgent task: unpaced, tiny queue, and the
         #: foreground stalls it causes stay charged to the foreground
         #: clock (the paper's subtree-lock semantics).
@@ -239,8 +234,7 @@ class IndeXY:
         if enforce and self.budget.over_high_watermark(self.x.memory_bytes):
             # Synchronous by design (the caller is giving memory back to a
             # shared pool and must not return until it is released), but
-            # routed through the scheduler's inline seam like the
-            # backpressure fallback in _after_growth so the work is
+            # routed through the scheduler's inline seam so the work is
             # accounted as an inline maintenance run.
             self.runtime.scheduler.run_inline(self._release_task)
 
@@ -250,15 +244,7 @@ class IndeXY:
             self.x.enable_tracking(self.config.sample_every)
             self.stats.bump("tracking_started")
         if self.budget.over_high_watermark(memory):
-            scheduler = self.runtime.scheduler
-            if scheduler.saturated(self._release_task):
-                # Backpressure: the release queue is full, so the memory
-                # pressure is resolved synchronously on the foreground
-                # path (the paper's stall semantics under overload).
-                self.stats.bump("release_inline_fallbacks")
-                scheduler.run_inline(self._release_task)
-            else:
-                scheduler.submit(self._release_task)
+            self.runtime.scheduler.request(self._release_task)
 
     def _scheduled_release(self) -> int:
         return self.release_cycle()
@@ -327,11 +313,9 @@ class IndeXY:
         the duration of the write, so the write's disk time also shows up
         as foreground CPU-side stall on the runtime's clock.
         """
-        disk = getattr(self.y, "disk", None)
-        busy_before = disk.busy_ns if disk is not None else 0.0
+        disk = self.runtime.disk
+        busy_before = disk.busy_ns
         self.y.put_batch(batch)
-        if disk is None:
-            return 0.0
         stall_ns = disk.busy_ns - busy_before
         if stall_ns > 0:
             self._clock.charge_cpu(stall_ns)

@@ -18,10 +18,9 @@ most-friendly Index Y."*  This module implements that design:
 When a region is re-homed, its data migrates to the new backend in one
 sorted bulk pass (scan-drain from the old home, batch-write to the new),
 so scans immediately benefit from the friendlier structure; point reads
-keep a fallback path for any copy the migration missed.  Routers built on
-an :class:`~repro.sim.runtime.EngineRuntime` register the migration as a
-``rehome_migration`` maintenance task on the shared background scheduler;
-standalone routers migrate inline.
+keep a fallback path for any copy the migration missed.  The migration is
+a ``rehome_migration`` maintenance task on the engine runtime's background
+scheduler, shared with the backends' own tasks.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from collections import defaultdict
 from typing import Iterator, Optional
 
 from repro.core.interfaces import IndexY
-from repro.sim.runtime import EngineRuntime, MaintenanceTask
-from repro.sim.stats import StatCounters
+from repro.sim.runtime import EngineRuntime
 
 
 class KeyRegionRouter:
@@ -105,25 +103,23 @@ class RoutedIndexY:
         self,
         backends: dict[str, IndexY],
         router: KeyRegionRouter,
-        runtime: EngineRuntime | None = None,
+        runtime: EngineRuntime,
     ) -> None:
         missing = {router.default, router.scan_backend} - set(backends)
         if missing:
             raise ValueError(f"router references unknown backends: {sorted(missing)}")
         self.backends = backends
         self.router = router
-        self.stats = runtime.stats if runtime is not None else StatCounters()  # component-local counters  # reprolint: allow[RL001]
+        self.stats = runtime.stats
         #: which backends hold data for each region — lets scans skip
         #: backends with nothing in range (and migrations update it).
         self._holders: defaultdict[bytes, set[str]] = defaultdict(set)
-        self._scheduler = runtime.scheduler if runtime is not None else None
-        self._migration_task: Optional[MaintenanceTask] = None
-        if self._scheduler is not None:
-            self._migration_task = self._scheduler.register(
-                "rehome_migration",
-                priority=5,
-                backpressure_threshold=4,
-            )
+        self._scheduler = runtime.scheduler
+        self._migration_task = self._scheduler.register(
+            "rehome_migration",
+            priority=5,
+            backpressure_threshold=4,
+        )
 
     # ------------------------------------------------------------------
     # writes
@@ -202,22 +198,11 @@ class RoutedIndexY:
     def _request_migration(self, rehomed: tuple[bytes, str, str]) -> None:
         """Route a re-homing migration through the background scheduler.
 
-        The default pacing of 0 drains the submitted work immediately, so
+        The default pacing of 0 drains the requested work immediately, so
         the scan that triggered the re-homing still observes the migrated
-        data; a saturated queue falls back to migrating inline.
+        data.
         """
-        region, old_home, new_home = rehomed
-        if self._migration_task is None:
-            self._migrate(region, old_home, new_home)
-            return
-        def work() -> None:
-            self._migrate(region, old_home, new_home)
-
-        if self._scheduler.saturated(self._migration_task):
-            self.stats.bump("migration_inline_fallbacks")
-            self._scheduler.run_inline(self._migration_task, work)
-        else:
-            self._scheduler.submit(self._migration_task, work)
+        self._scheduler.request(self._migration_task, lambda: self._migrate(*rehomed))
 
     def _migrate(self, region: bytes, old_home: str, new_home: str) -> None:
         """Move a re-homed region's data to its new backend.

@@ -22,12 +22,10 @@ simplification of the paper's "reconstruct on node add/remove" rule that
 has identical observable behaviour, because the paper's scan likewise makes
 at most one pass per timer expiry.
 
-When wired into :class:`~repro.core.indexy.IndeXY`, the timer lives in the
-engine runtime's :class:`~repro.sim.runtime.BackgroundScheduler` (a
-periodic task paced at ``preclean_interval_inserts`` foreground inserts)
-and the scheduler invokes :meth:`PreCleaner.run_pass` directly.  The
-standalone :meth:`PreCleaner.note_inserts` timer remains for driving a
-cleaner outside a runtime.
+The timer lives in the engine runtime's
+:class:`~repro.sim.runtime.BackgroundScheduler`: :class:`~repro.core.indexy.
+IndeXY` registers a periodic task paced at ``preclean_interval_inserts``
+foreground inserts, and the scheduler invokes :meth:`PreCleaner.run_pass`.
 """
 
 from __future__ import annotations
@@ -47,19 +45,16 @@ class PreCleaner:
         index_x: IndexX,
         index_y: IndexY,
         config: IndeXYConfig,
-        stats: StatCounters | None = None,
-        enabled: bool = True,
+        stats: StatCounters,
         check_back: bool = True,
     ) -> None:
         self.index_x = index_x
         self.index_y = index_y
         self.config = config
-        self.stats = stats if stats is not None else StatCounters()  # component-local counters  # reprolint: allow[RL001]
-        self.enabled = enabled
+        self.stats = stats
         #: ablation switch: without check-back, the scan cleans the first
         #: dirty node it meets, insert-hot or not.
         self.check_back = check_back
-        self._insert_timer = 0
         self._cursor = 0
         self._depth = config.partition_depth
         #: optional :class:`~repro.check.sanitizer.CheckBackAuditor`-shaped
@@ -77,15 +72,6 @@ class PreCleaner:
         node.clean_candidate = False
         if self.auditor is not None:
             self.auditor.note_clear(node)
-
-    def note_inserts(self, count: int = 1) -> None:
-        """Advance the insert-count timer; run one pass when it expires."""
-        if not self.enabled:
-            return
-        self._insert_timer += count
-        if self._insert_timer >= self.config.preclean_interval_inserts:
-            self._insert_timer = 0
-            self.run_pass()
 
     def _region_list(self) -> list[SubtreeRef]:
         """The inner-node list, at an adaptively chosen level.

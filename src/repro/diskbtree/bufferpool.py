@@ -18,11 +18,10 @@ pages out:
   read-modify-writes when their key range is hit again) while large pages
   absorb more inserts per write-back.
 
-The proactive write-back is a maintenance task: pools constructed with an
-:class:`~repro.sim.runtime.EngineRuntime` submit the batch flush to the
-runtime's background scheduler (with an inline fallback under saturation);
-standalone pools flush inline.  Eviction-on-pressure stays on the
-foreground path — a faulting access cannot proceed without a free frame.
+The proactive write-back is a maintenance task: the pool requests the
+batch flush from the engine runtime's background scheduler (which runs it
+inline under backpressure).  Eviction-on-pressure stays on the foreground
+path — a faulting access cannot proceed without a free frame.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ from dataclasses import dataclass, replace
 
 from repro.cache.policy import make_policy
 from repro.diskbtree.page import Page, copy_page, decode_page, encode_page
-from repro.sim.clock import SimClock
-from repro.sim.costs import CostModel
-from repro.sim.disk import SimDisk
 from repro.sim.effects import charges
 from repro.sim.runtime import EngineRuntime
 from repro.sim.stats import StatCounters
@@ -69,26 +65,13 @@ class _Frame:
 class BufferPool:
     """Maps page ids (disk offsets) to resident decoded pages."""
 
-    def __init__(
-        self,
-        disk: SimDisk | None = None,
-        config: BufferPoolConfig | None = None,
-        clock: SimClock | None = None,
-        costs: CostModel | None = None,
-        runtime: EngineRuntime | None = None,
-    ) -> None:
-        if runtime is not None:
-            disk = disk if disk is not None else runtime.disk
-            clock = clock if clock is not None else runtime.clock
-            costs = costs if costs is not None else runtime.costs
-        if disk is None or config is None:
-            raise TypeError("BufferPool needs a disk (or runtime) and a config")
+    def __init__(self, runtime: EngineRuntime, config: BufferPoolConfig) -> None:
         if config.capacity_bytes < 2 * config.page_size:
             raise ValueError("buffer pool must hold at least two pages")
-        self.disk = disk
+        self.disk = runtime.disk
+        self.clock = runtime.clock
+        self.costs = runtime.costs
         self.config = config
-        self.clock = clock
-        self.costs = costs or CostModel()
         self.stats = StatCounters()  # component-local counters  # reprolint: allow[RL001]
         self._frames: dict[int, _Frame] = {}
         self._policy = make_policy(config.policy)
@@ -105,15 +88,13 @@ class BufferPool:
         #: memory (cleared wholesale, deterministically, when full).
         self._decoded: dict[bytes, Page] = {}
         self._decoded_cap = 4 * self._capacity_frames
-        self._scheduler = runtime.scheduler if runtime is not None else None
-        self._writeback_task = None
-        if self._scheduler is not None:
-            self._writeback_task = self._scheduler.register(
-                "pool_writeback",
-                self._proactive_writeback_pass,
-                priority=15,
-                backpressure_threshold=2,
-            )
+        self._scheduler = runtime.scheduler
+        self._writeback_task = self._scheduler.register(
+            "pool_writeback",
+            self._proactive_writeback_pass,
+            priority=15,
+            backpressure_threshold=2,
+        )
 
     # ------------------------------------------------------------------
     # page access
@@ -152,8 +133,7 @@ class BufferPool:
             return frame.page
         self.stats.bump("pool_misses")
         blob = self.disk.read(pid)
-        if self.clock is not None:
-            self.clock.charge_cpu(self.costs.copy_cost(len(blob)))
+        self.clock.charge_cpu(self.costs.copy_cost(len(blob)))
         template = self._decoded.get(blob)
         page = decode_page(blob) if template is None else copy_page(template)
         self._admit(pid, page, dirty=False)
@@ -256,8 +236,7 @@ class BufferPool:
         if len(self._decoded) >= self._decoded_cap:
             self._decoded.clear()
         self._decoded[blob] = copy_page(frame.page)
-        if self.clock is not None:
-            self.clock.charge_cpu(self.costs.copy_cost(len(blob)))
+        self.clock.charge_cpu(self.costs.copy_cost(len(blob)))
         frame.dirty = False
         frame.dirty_entries = 0
         self._dirty_count -= 1
@@ -277,18 +256,8 @@ class BufferPool:
 
     def _maybe_proactive_writeback(self) -> None:
         """Trigger check: route the batch flush through the scheduler."""
-        if not self._writeback_needed():
-            return
-        if self._writeback_task is None:
-            # Standalone pool (no runtime): there is no scheduler to route
-            # through, so the batch flush runs inline by design.
-            self._proactive_writeback_pass()  # reprolint: allow[RL101]
-            return
-        if self._scheduler.saturated(self._writeback_task):
-            self.stats.bump("writeback_inline_fallbacks")
-            self._scheduler.run_inline(self._writeback_task)
-        else:
-            self._scheduler.submit(self._writeback_task)
+        if self._writeback_needed():
+            self._scheduler.request(self._writeback_task)
 
     def _proactive_writeback_pass(self) -> None:
         """LeanStore policy: flush-and-evict the most-dirtied frames."""

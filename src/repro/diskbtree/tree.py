@@ -16,10 +16,8 @@ from typing import Iterator, Optional
 
 from repro.diskbtree.bufferpool import BufferPool, BufferPoolConfig
 from repro.diskbtree.page import InnerPage, LeafPage
-from repro.sim.clock import SimClock
-from repro.sim.costs import CostModel
-from repro.sim.disk import SimDisk
 from repro.sim.effects import charges
+from repro.sim.runtime import EngineRuntime
 from repro.sim.stats import StatCounters
 
 import bisect
@@ -30,31 +28,19 @@ class DiskBPlusTree:
 
     def __init__(
         self,
-        disk: SimDisk | None = None,
-        pool_bytes: int = 0,
+        runtime: EngineRuntime,
+        pool_bytes: int,
         page_size: int = 4096,
         pool_policy: str = "clock",
-        clock: SimClock | None = None,
-        costs: CostModel | None = None,
-        runtime: "EngineRuntime | None" = None,
     ) -> None:
-        if runtime is not None:
-            disk = disk if disk is not None else runtime.disk
-            clock = clock if clock is not None else runtime.clock
-            costs = costs if costs is not None else runtime.costs
-        if disk is None:
-            raise TypeError("DiskBPlusTree needs a disk or a runtime")
-        self.clock = clock
-        self.costs = costs or CostModel()
+        self.clock = runtime.clock
+        self.costs = runtime.costs
         self.page_size = page_size
         self.pool = BufferPool(
-            disk,
+            runtime,
             BufferPoolConfig(
                 capacity_bytes=pool_bytes, page_size=page_size, policy=pool_policy
             ),
-            clock=clock,
-            costs=self.costs,
-            runtime=runtime,
         )
         self.stats = StatCounters()  # component-local counters  # reprolint: allow[RL001]
         root = LeafPage()
@@ -64,10 +50,9 @@ class DiskBPlusTree:
     # ------------------------------------------------------------------
     # cost charging
     # ------------------------------------------------------------------
-    @charges("cpu_charge?")
+    @charges("cpu_charge")
     def _charge_levels(self, levels: int, extra_ns: float = 0.0) -> None:
-        if self.clock is not None:
-            self.clock.charge_cpu(levels * self.costs.page_access + extra_ns)
+        self.clock.charge_cpu(levels * self.costs.page_access + extra_ns)
 
     # ------------------------------------------------------------------
     # descent

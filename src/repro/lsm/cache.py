@@ -1,12 +1,11 @@
 """Byte-budgeted caches for the LSM read path.
 
-Historically this module owned a hand-rolled ``LRUCache``; the eviction
-logic now lives behind the pluggable :class:`~repro.cache.policy.CachePolicy`
-interface and the generic :class:`~repro.cache.bytecache.PolicyCache`
-(see DESIGN.md §9).  ``LRUCache`` remains as the LRU-pinned
-specialisation because LRU is the default block/row cache policy (and
-what the paper's Section II-D configuration implies); it is behaviour-
-and counter-identical to the original implementation.
+The eviction logic lives behind the pluggable
+:class:`~repro.cache.policy.CachePolicy` interface and the generic
+:class:`~repro.cache.bytecache.PolicyCache` (see DESIGN.md §9).
+``LRUCache`` is the LRU-pinned specialisation: LRU is the default
+block/row cache policy (and what the paper's Section II-D configuration
+implies).
 """
 
 from __future__ import annotations

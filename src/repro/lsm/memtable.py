@@ -35,22 +35,21 @@ class MemTable:
 
     def __init__(
         self,
-        clock: SimClock | None = None,
-        costs: CostModel | None = None,
+        clock: SimClock,
+        costs: CostModel,
         seed: int = 0x5EED,
     ) -> None:
         self._clock = clock
-        self._costs = costs or CostModel()
+        self._costs = costs
         self._rng = random.Random(seed)
         self._head = _SkipNode(b"", b"", _MAX_LEVEL)
         self._level = 1
         self.entry_count = 0
         self.size_bytes = 0
 
-    @charges("cpu_charge?")
+    @charges("cpu_charge")
     def _charge(self, hops: int) -> None:
-        if self._clock is not None:
-            self._clock.charge_cpu(hops * self._costs.skiplist_level)
+        self._clock.charge_cpu(hops * self._costs.skiplist_level)
 
     def _random_level(self) -> int:
         level = 1
@@ -59,7 +58,7 @@ class MemTable:
             level += 1
         return level
 
-    @charges("cpu_charge?")
+    @charges("cpu_charge")
     def put(self, key: bytes, value: bytes) -> None:
         update: list[_SkipNode] = [self._head] * _MAX_LEVEL
         node = self._head
@@ -88,7 +87,7 @@ class MemTable:
         self.size_bytes += _NODE_OVERHEAD + len(key) + len(value)
         self._charge(hops + level)
 
-    @charges("cpu_charge?")
+    @charges("cpu_charge")
     def get(self, key: bytes) -> Optional[bytes]:
         node = self._head
         hops = 0

@@ -66,6 +66,8 @@ class SSTable:
         self,
         table_id: int,
         disk: SimDisk,
+        clock: SimClock,
+        costs: CostModel,
         block_offsets: list[int],
         block_first_keys: list[bytes],
         bloom: BloomFilter,
@@ -76,6 +78,8 @@ class SSTable:
     ) -> None:
         self.table_id = table_id
         self._disk = disk
+        self._clock = clock
+        self._costs = costs
         self._block_offsets = block_offsets
         self._block_first_keys = block_first_keys
         self.bloom = bloom
@@ -96,11 +100,11 @@ class SSTable:
         cls,
         table_id: int,
         disk: SimDisk,
+        clock: SimClock,
+        costs: CostModel,
         pairs: list[tuple[bytes, bytes]],
         block_size: int = 4096,
         bits_per_key: int = 10,
-        clock: SimClock | None = None,
-        costs: CostModel | None = None,
         background: bool = False,
     ) -> "SSTable":
         """Write ``pairs`` (sorted, unique keys) as a new table.
@@ -110,7 +114,6 @@ class SSTable:
         """
         if not pairs:
             raise ValueError("cannot build an empty SSTable")
-        costs = costs or CostModel()
 
         blocks: list[list[tuple[bytes, bytes]]] = []
         current: list[tuple[bytes, bytes]] = []
@@ -138,16 +141,17 @@ class SSTable:
             first_keys.append(block[0][0])
             cursor += len(blob)
             cpu_ns += costs.copy_cost(len(blob))
-        if clock is not None:
-            if background:
-                clock.charge_background(cpu_ns)
-            else:
-                clock.charge_cpu(cpu_ns)
+        if background:
+            clock.charge_background(cpu_ns)
+        else:
+            clock.charge_cpu(cpu_ns)
 
         bloom = BloomFilter.build((k for k, __ in pairs), bits_per_key)
         return cls(
             table_id=table_id,
             disk=disk,
+            clock=clock,
+            costs=costs,
             block_offsets=offsets,
             block_first_keys=first_keys,
             bloom=bloom,
@@ -180,27 +184,18 @@ class SSTable:
             block_cache.put(cache_key, entries, len(blob))
         return entries
 
-    @charges("cpu_charge*", "disk_read?")
-    def get(
-        self,
-        key: bytes,
-        block_cache: PolicyCache | None = None,
-        clock: SimClock | None = None,
-        costs: CostModel | None = None,
-    ) -> Optional[bytes]:
+    @charges("cpu_charge+", "disk_read?")
+    def get(self, key: bytes, block_cache: PolicyCache | None = None) -> Optional[bytes]:
         """Point lookup; bloom-filter negative answers avoid any I/O."""
-        costs = costs or CostModel()
-        if clock is not None:
-            clock.charge_cpu(costs.bloom_probe)
+        self._clock.charge_cpu(self._costs.bloom_probe)
         if key < self.min_key or key > self.max_key:
             return None
         if not self.bloom.may_contain(key):
             return None
         index = self._block_index_for(key)
         entries = self._load_block(index, block_cache)
-        if clock is not None:
-            comparisons = max(1, int(math.log2(len(entries) + 1)))
-            clock.charge_cpu(costs.compare_cost(comparisons) + costs.hash_probe)
+        comparisons = max(1, int(math.log2(len(entries) + 1)))
+        self._clock.charge_cpu(self._costs.compare_cost(comparisons) + self._costs.hash_probe)
         i = bisect_left(entries, (key, b""))
         if i < len(entries) and entries[i][0] == key:
             return entries[i][1]

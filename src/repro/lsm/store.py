@@ -5,14 +5,12 @@ with the interface the IndeXY framework expects of an Index Y.  Level 0
 collects freshly flushed (mutually overlapping) tables; levels 1+ hold
 non-overlapping sorted runs with exponentially growing byte budgets.
 
-Compaction is a maintenance task: when constructed with an
-:class:`~repro.sim.runtime.EngineRuntime`, a flush that pushes a level
-over budget *submits* compaction work to the runtime's background
-scheduler (falling back to an inline run when the scheduler reports
-saturation); standalone stores compact inline.  Either way compaction
-charges background CPU and real simulated disk I/O — so it competes with
-foreground requests for the disk exactly as the paper observes (the
-ART-LSM throughput fluctuation in Figure 9).
+Compaction is a maintenance task on the engine runtime's background
+scheduler: every flush *requests* a compaction pass (run inline under
+backpressure, which keeps level budgets bounded under write bursts).
+Either way compaction charges background CPU and real simulated disk I/O —
+so it competes with foreground requests for the disk exactly as the paper
+observes (the ART-LSM throughput fluctuation in Figure 9).
 """
 
 from __future__ import annotations
@@ -26,9 +24,6 @@ from typing import Iterator, Optional
 from repro.lsm.cache import PolicyCache
 from repro.lsm.memtable import MemTable
 from repro.lsm.sstable import SSTable
-from repro.sim.clock import SimClock
-from repro.sim.costs import CostModel
-from repro.sim.disk import SimDisk
 from repro.sim.effects import charges
 from repro.sim.runtime import EngineRuntime
 from repro.sim.stats import StatCounters
@@ -65,34 +60,19 @@ class LSMConfig:
 class LSMStore:
     """A leveled LSM key-value store over a simulated disk."""
 
-    def __init__(
-        self,
-        disk: SimDisk | None = None,
-        config: LSMConfig | None = None,
-        clock: SimClock | None = None,
-        costs: CostModel | None = None,
-        runtime: EngineRuntime | None = None,
-    ) -> None:
-        if runtime is not None:
-            disk = disk if disk is not None else runtime.disk
-            clock = clock if clock is not None else runtime.clock
-            costs = costs if costs is not None else runtime.costs
-        if disk is None:
-            raise TypeError("LSMStore needs a disk or a runtime")
-        self.disk = disk
+    def __init__(self, runtime: EngineRuntime, config: LSMConfig | None = None) -> None:
+        self.disk = runtime.disk
+        self.clock = runtime.clock
+        self.costs = runtime.costs
         self.config = config or LSMConfig()
-        self.clock = clock
-        self.costs = costs or CostModel()
         self.stats = StatCounters()  # component-local counters  # reprolint: allow[RL001]
-        self._scheduler = runtime.scheduler if runtime is not None else None
-        self._compaction_task = None
-        if self._scheduler is not None:
-            self._compaction_task = self._scheduler.register(
-                "lsm_compaction",
-                self._maybe_compact,
-                priority=10,
-                backpressure_threshold=4,
-            )
+        self._scheduler = runtime.scheduler
+        self._compaction_task = self._scheduler.register(
+            "lsm_compaction",
+            self._maybe_compact,
+            priority=10,
+            backpressure_threshold=4,
+        )
         self._table_ids = itertools.count(1)
         self._memtable = self._new_memtable()
         #: levels[0] is newest-first and may overlap; levels[n>=1] are
@@ -141,11 +121,11 @@ class LSMStore:
         table = SSTable.build(
             next(self._table_ids),
             self.disk,
+            self.clock,
+            self.costs,
             pairs,
             block_size=self.config.block_size,
             bits_per_key=self.config.bits_per_key,
-            clock=self.clock,
-            costs=self.costs,
             background=True,
         )
         self.levels[0].insert(0, table)
@@ -153,7 +133,7 @@ class LSMStore:
         self._memtable = self._new_memtable()
         self.stats.bump("flushes")
         self.stats.bump("flush_bytes", table.data_bytes)
-        self._request_compaction()
+        self._scheduler.request(self._compaction_task)
 
     # ------------------------------------------------------------------
     # compaction
@@ -163,24 +143,6 @@ class LSMStore:
 
     def _level_bytes(self, level: int) -> int:
         return sum(t.data_bytes for t in self.levels[level])
-
-    def _request_compaction(self) -> None:
-        """Route compaction through the background scheduler when wired.
-
-        Standalone stores (no runtime) compact inline, as do stores whose
-        compaction queue is saturated — the backpressure fallback that
-        keeps level budgets bounded under write bursts.
-        """
-        if self._compaction_task is None:
-            # Standalone store (no runtime): there is no scheduler to route
-            # through, so compaction runs inline by design.
-            self._maybe_compact()  # reprolint: allow[RL101]
-            return
-        if self._scheduler.saturated(self._compaction_task):
-            self.stats.bump("compaction_inline_fallbacks")
-            self._scheduler.run_inline(self._compaction_task)
-        else:
-            self._scheduler.submit(self._compaction_task)
 
     def _maybe_compact(self) -> None:
         # L0 compacts by table count (tables overlap, reads touch them all).
@@ -219,11 +181,11 @@ class LSMStore:
                 table = SSTable.build(
                     next(self._table_ids),
                     self.disk,
+                    self.clock,
+                    self.costs,
                     chunk,
                     block_size=self.config.block_size,
                     bits_per_key=self.config.bits_per_key,
-                    clock=self.clock,
-                    costs=self.costs,
                     background=True,
                 )
                 self.levels[level + 1].append(table)
@@ -235,7 +197,7 @@ class LSMStore:
 
     # Merging is compaction work: its comparison/copy CPU lands on the
     # background account even when the compaction pass runs inline.
-    @charges("bg_charge?", "disk_read*")
+    @charges("bg_charge", "disk_read*")
     def _merge_tables(
         self, newer: list[SSTable], older: list[SSTable], drop_tombstones: bool
     ) -> list[tuple[bytes, bytes]]:
@@ -265,10 +227,9 @@ class LSMStore:
             else:
                 items.append((key, value))
                 last_key = key
-        if self.clock is not None:
-            self.clock.charge_background(
-                self.costs.compare_cost(len(items)) + self.costs.copy_cost(len(items) * 16)
-            )
+        self.clock.charge_background(
+            self.costs.compare_cost(len(items)) + self.costs.copy_cost(len(items) * 16)
+        )
         if drop_tombstones:
             items = [(k, v) for k, v in items if v != TOMBSTONE]
         return items
@@ -297,14 +258,13 @@ class LSMStore:
             self.stats.bump("memtable_hits")
             return None if value == TOMBSTONE else value
         if self.row_cache is not None:
-            if self.clock is not None:
-                self.clock.charge_cpu(self.costs.hash_probe)
+            self.clock.charge_cpu(self.costs.hash_probe)
             cached = self.row_cache.get(key)
             if cached is not None:
                 self.stats.bump("row_cache_hits")
                 return None if cached == TOMBSTONE else cached
         for table in self.levels[0]:
-            value = table.get(key, self.block_cache, self.clock, self.costs)
+            value = table.get(key, self.block_cache)
             if value is not None:
                 self._fill_row_cache(key, value)
                 return None if value == TOMBSTONE else value
@@ -312,7 +272,7 @@ class LSMStore:
             table = self._find_table(level, key)
             if table is None:
                 continue
-            value = table.get(key, self.block_cache, self.clock, self.costs)
+            value = table.get(key, self.block_cache)
             if value is not None:
                 self._fill_row_cache(key, value)
                 return None if value == TOMBSTONE else value
@@ -378,10 +338,7 @@ class LSMStore:
             out.append((key, value))
             if len(out) >= count:
                 break
-        if self.clock is not None:
-            self.clock.charge_cpu(
-                self.costs.compare_cost(len(out) * max(1, len(sources)))
-            )
+        self.clock.charge_cpu(self.costs.compare_cost(len(out) * max(1, len(sources))))
         return out
 
     # ------------------------------------------------------------------

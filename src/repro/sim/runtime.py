@@ -1,31 +1,29 @@
 """Engine runtime: the shared simulation substrate plus background scheduling.
 
-Historically every system wired its own ``SimClock``/``SimDisk``/
-``StatCounters`` triple and every maintenance mechanism (pre-cleaning,
-subtree release, LSM compaction, buffer-pool write-back) invented its own
-trigger plumbing inline on the foreground path.  :class:`EngineRuntime`
-replaces those per-layer triples with one shared substrate, and
-:class:`BackgroundScheduler` gives all background maintenance a single,
-uniform seam:
+:class:`EngineRuntime` is the one ``SimClock``/``SimDisk``/``CostModel``/
+``StatCounters`` set of a simulated engine: every component that charges
+simulated time, touches the disk or registers maintenance is constructed
+from it and has no other way to get a substrate.
+:class:`BackgroundScheduler` gives all background maintenance (pre-cleaning,
+subtree release, LSM compaction, buffer-pool write-back, re-homing
+migration) a single, uniform seam:
 
 * a :class:`MaintenanceTask` registers a *runner* plus a priority, a pacing
-  interval (in foreground operations — the simulation's only clock), a
-  backpressure threshold, and a charge mode;
-* producers **submit** work instead of running it inline; the scheduler
+  interval (in foreground operations — the simulation's only clock) and a
+  backpressure threshold;
+* producers **request** work instead of running it inline; the scheduler
   runs it when the task's pacing allows (immediately, for the default
   pacing of 0, which preserves the paper's semantics exactly);
-* when a task's queue exceeds its backpressure threshold the scheduler
-  reports **saturation** and the producer falls back to running the work
-  synchronously on the foreground path — the paper's stall semantics;
+* when a task's queue has reached its backpressure threshold the request
+  runs synchronously on the foreground path instead — the paper's stall
+  semantics;
 * every run is measured (foreground CPU, background CPU, and disk time
   deltas) and recorded on the runtime's stats bus as ``task_<name>_*``
   counters, so benchmarks can report background utilization per slice.
 
-Charge modes: ``"inherit"`` leaves simulated-time charges exactly where the
-component put them (the default — release stalls deliberately hit the
-foreground clock, compaction already charges background); ``"background"``
-re-books any foreground CPU the runner charged onto the background account,
-for work that a real deployment would move onto a dedicated thread.
+Simulated-time charges stay exactly where the component put them: release
+stalls deliberately hit the foreground clock, compaction charges
+background.
 """
 
 from __future__ import annotations
@@ -40,9 +38,6 @@ from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
 from repro.sim.stats import StatCounters
 from repro.sim.threads import ThreadModel
-
-#: valid values for :attr:`MaintenanceTask.charge`.
-CHARGE_MODES = ("inherit", "background")
 
 
 class MaintenanceTask:
@@ -65,11 +60,8 @@ class MaintenanceTask:
         priority: int = 10,
         pacing_interval_ops: int = 0,
         backpressure_threshold: int = 8,
-        charge: str = "inherit",
         periodic: bool = False,
     ) -> None:
-        if charge not in CHARGE_MODES:
-            raise ValueError(f"unknown charge mode {charge!r}; choose from {CHARGE_MODES}")
         if periodic and runner is None:
             raise ValueError("a periodic task needs a runner")
         if pacing_interval_ops < 0:
@@ -79,7 +71,6 @@ class MaintenanceTask:
         self.priority = priority
         self.pacing_interval_ops = pacing_interval_ops
         self.backpressure_threshold = backpressure_threshold
-        self.charge = charge
         self.periodic = periodic
         self.queue: deque[Callable[[], object]] = deque()
         #: scheduler-op count at the task's last run (pacing reference).
@@ -111,8 +102,9 @@ class BackgroundScheduler:
     work runs is decided, which is the seam later asynchronous or sharded
     executions plug into.  ``tick`` advances the pacing clock (one tick per
     foreground operation the caller deems maintenance-relevant) and drains
-    whatever became due; ``submit`` enqueues one work item and drains it
-    immediately when the task is unpaced.
+    whatever became due; ``request`` is the one call producers make —
+    it enqueues one work item (drained immediately when the task is
+    unpaced) or runs it inline under backpressure.
     """
 
     def __init__(self, runtime: "EngineRuntime") -> None:
@@ -131,7 +123,6 @@ class BackgroundScheduler:
         priority: int = 10,
         pacing_interval_ops: int = 0,
         backpressure_threshold: int = 8,
-        charge: str = "inherit",
         periodic: bool = False,
     ) -> MaintenanceTask:
         task = MaintenanceTask(
@@ -140,7 +131,6 @@ class BackgroundScheduler:
             priority=priority,
             pacing_interval_ops=pacing_interval_ops,
             backpressure_threshold=backpressure_threshold,
-            charge=charge,
             periodic=periodic,
         )
         task.last_run_ops = self._ops
@@ -158,14 +148,24 @@ class BackgroundScheduler:
     # ------------------------------------------------------------------
     # producing work
     # ------------------------------------------------------------------
-    def saturated(self, task: MaintenanceTask) -> bool:
-        """True when the task cannot absorb more deferred work.
+    def request(
+        self, task: MaintenanceTask, work: Optional[Callable[[], object]] = None
+    ) -> None:
+        """The producer call: schedule one work item, or stall on it.
 
-        Producers that see saturation run their work inline on the
-        foreground path instead (the synchronous fallback that preserves
-        stall semantics under overload).
+        Below the task's backpressure threshold the item is submitted (and
+        runs at once when the task is unpaced); a saturated task runs it
+        inline on the foreground path instead — the synchronous fallback
+        that preserves the paper's stall semantics under overload.
         """
-        return task.queue_depth >= task.backpressure_threshold
+        if self.saturated(task):
+            self.run_inline(task, work)
+        else:
+            self.submit(task, work)
+
+    def saturated(self, task: MaintenanceTask) -> bool:
+        """True when the task cannot absorb more deferred work."""
+        return len(task.queue) >= task.backpressure_threshold
 
     def submit(self, task: MaintenanceTask, work: Optional[Callable[[], object]] = None) -> None:
         """Enqueue one work item (``work`` or the task's own runner).
@@ -196,9 +196,9 @@ class BackgroundScheduler:
     ) -> None:
         """Run one work item synchronously on the foreground path.
 
-        Used by producers as the backpressure fallback: charges stay on the
-        foreground clock regardless of the task's charge mode, and the run
-        is counted as inline rather than scheduled.
+        The backpressure fallback of :meth:`request`, and the seam for
+        work that is synchronous by design; the run is counted as inline
+        rather than scheduled.
         """
         item = work if work is not None else task.runner
         if item is None:
@@ -256,13 +256,6 @@ class BackgroundScheduler:
         fg_ns = clock.cpu_ns - cpu_before
         bg_ns = clock.background_ns - bg_before
         disk_ns = disk.busy_ns - disk_before
-        if task.charge == "background" and not inline and fg_ns > 0:
-            # Re-book foreground CPU the runner charged onto the
-            # background account: this work belongs on a dedicated thread.
-            clock.cpu_ns -= fg_ns
-            clock.background_ns += fg_ns
-            bg_ns += fg_ns
-            fg_ns = 0.0
         stats = self.runtime.stats
         stats.bump(f"task_{task.name}_runs")
         stats.bump(f"task_{task.name}_inline" if inline else f"task_{task.name}_scheduled")
@@ -293,13 +286,12 @@ class EngineRuntime:
         disk: SimDisk | None = None,
         costs: CostModel | None = None,
         thread_model: ThreadModel | None = None,
-        stats: StatCounters | None = None,
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.disk = disk if disk is not None else SimDisk()
         self.costs = costs if costs is not None else CostModel()
         self.thread_model = thread_model if thread_model is not None else ThreadModel()
-        self.stats = stats if stats is not None else StatCounters()
+        self.stats = StatCounters()
         self.scheduler = BackgroundScheduler(self)
 
     def install_owner_guard(self, guard: Callable[[], None]) -> None:

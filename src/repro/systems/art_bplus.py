@@ -15,7 +15,6 @@ from repro.core.config import CachePolicyConfig, IndeXYConfig
 from repro.core.indexy import IndeXY
 from repro.diskbtree.tree import DiskBPlusTree
 from repro.sim.costs import CostModel
-from repro.sim.disk import SimDisk
 from repro.sim.runtime import EngineRuntime
 from repro.sim.threads import ThreadModel
 from repro.systems.base import IndeXYSystem
@@ -43,10 +42,6 @@ class _DiskBTreeAsY:
     @property
     def memory_bytes(self) -> int:
         return self.tree.memory_bytes
-
-    @property
-    def disk(self) -> SimDisk:
-        return self.tree.pool.disk
 
 
 def _pool_bytes(memory_limit_bytes: int, page_size: int) -> int:

@@ -30,6 +30,30 @@ from repro.tpcc.transactions import new_order, payment
 ORDERLINE_BACKENDS = ("ART-LSM", "ART-B+", "B+-B+", "RocksDB")
 
 
+def _lsm_split(budget: int, row_cache: bool) -> dict[str, int]:
+    """An LSM orderline store's byte split of ``budget``.
+
+    Keyed as both ``LSMConfig`` and ``LSMStore.resize_caches`` spell the
+    buffers, so construction and refit cannot drift.  The row cache is
+    RocksDB's alone: under the framework Index X plays that role.
+    """
+    split = {
+        "memtable_bytes": max(32 * 1024, budget // 20),
+        "block_cache_bytes": max(16 * 1024, budget // 20),
+    }
+    if row_cache:
+        split["row_cache_bytes"] = max(8 * 1024, budget // 50)
+    return split
+
+
+def _pool_split(budget: int, page_size: int, transfer: bool) -> int:
+    """A B+ orderline tree's pool bytes: a tenth of ``budget`` as ART-B+'s
+    transfer pool, all of it when the pool *is* the index (B+-B+)."""
+    if transfer:
+        return max(16 * page_size, budget // 10)
+    return max(2 * page_size, budget)
+
+
 @dataclass(frozen=True)
 class TpccConfig:
     """Scaled-down TPC-C parameters.
@@ -141,40 +165,19 @@ class TpccEngine:
         cfg = self.config
         budget = self._orderline_budget()
         kind = cfg.orderline_backend
-        if kind in ("ART-LSM", "ART-B+"):
-            x = ARTIndexX(AdaptiveRadixTree(clock=self.clock, costs=self.costs))
-            if kind == "ART-LSM":
-                y = LSMStore(
-                    config=LSMConfig(
-                        memtable_bytes=max(32 * 1024, budget // 20),
-                        block_cache_bytes=max(16 * 1024, budget // 20),
-                    ),
-                    runtime=self.runtime,
-                )
-            else:
-                tree = DiskBPlusTree(
-                    pool_bytes=max(16 * cfg.page_size, budget // 10),
-                    page_size=cfg.page_size,
-                    runtime=self.runtime,
-                )
-                y = _DiskBTreeAsY(tree)
-            return IndeXY(
-                x, y, IndeXYConfig(memory_limit_bytes=budget), runtime=self.runtime
+        indexed = kind in ("ART-LSM", "ART-B+")
+        if kind in ("ART-LSM", "RocksDB"):
+            y = LSMStore(self.runtime, LSMConfig(**_lsm_split(budget, row_cache=not indexed)))
+        else:
+            y = DiskBPlusTree(
+                self.runtime, _pool_split(budget, cfg.page_size, transfer=indexed), cfg.page_size
             )
-        if kind == "B+-B+":
-            return DiskBPlusTree(
-                pool_bytes=budget,
-                page_size=cfg.page_size,
-                runtime=self.runtime,
-            )
-        return LSMStore(
-            config=LSMConfig(
-                memtable_bytes=max(32 * 1024, budget // 20),
-                block_cache_bytes=max(16 * 1024, budget // 20),
-                row_cache_bytes=max(8 * 1024, budget // 50),
-            ),
-            runtime=self.runtime,
-        )
+        if not indexed:
+            return y
+        x = ARTIndexX(AdaptiveRadixTree(clock=self.clock, costs=self.costs))
+        if kind == "ART-B+":
+            y = _DiskBTreeAsY(y)
+        return IndeXY(x, y, IndeXYConfig(memory_limit_bytes=budget), self.runtime)
 
     # ------------------------------------------------------------------
     # live re-budgeting
@@ -204,29 +207,17 @@ class TpccEngine:
         """
         budget = self._orderline_budget()
         backend = self.orderline
-        cfg = self.config
-        if isinstance(backend, IndeXY):
+        indexed = isinstance(backend, IndeXY)
+        if indexed:
             backend.set_memory_limit(budget)
-            if resize_caches:
-                y = backend.y
-                if isinstance(y, LSMStore):
-                    y.resize_caches(
-                        max(16 * 1024, budget // 20),
-                        memtable_bytes=max(32 * 1024, budget // 20),
-                    )
-                else:
-                    assert isinstance(y, _DiskBTreeAsY)
-                    y.tree.pool.resize(max(16 * cfg.page_size, budget // 10))
-        elif isinstance(backend, DiskBPlusTree):
-            if resize_caches:
-                backend.pool.resize(max(2 * cfg.page_size, budget))
+        if not resize_caches:
+            return
+        y = backend.y if indexed else backend
+        if isinstance(y, LSMStore):
+            y.resize_caches(**_lsm_split(budget, row_cache=not indexed))
         else:
-            if resize_caches:
-                backend.resize_caches(
-                    max(16 * 1024, budget // 20),
-                    row_cache_bytes=max(8 * 1024, budget // 50),
-                    memtable_bytes=max(32 * 1024, budget // 20),
-                )
+            tree = y.tree if indexed else y
+            tree.pool.resize(_pool_split(budget, self.config.page_size, transfer=indexed))
 
     # ------------------------------------------------------------------
     # orderline access used by the transactions
@@ -240,10 +231,7 @@ class TpccEngine:
         self.stats.bump("orderline_inserts")
 
     def orderline_read(self, key: bytes):
-        backend = self.orderline
-        if isinstance(backend, IndeXY):
-            return backend.get(key)
-        return backend.get(key)
+        return self.orderline.get(key)
 
     # ------------------------------------------------------------------
     # execution
@@ -276,12 +264,7 @@ class TpccEngine:
     # ------------------------------------------------------------------
     @property
     def memory_bytes(self) -> int:
-        backend = self.orderline
-        if isinstance(backend, IndeXY):
-            ol = backend.memory_bytes
-        else:
-            ol = backend.memory_bytes
-        return self._resident_tables_bytes() + ol
+        return self._resident_tables_bytes() + self.orderline.memory_bytes
 
     def snapshot(self) -> Snapshot:
         return Snapshot(

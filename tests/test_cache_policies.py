@@ -27,7 +27,7 @@ from repro.core.config import CachePolicyConfig
 from repro.diskbtree import BufferPool, BufferPoolConfig, LeafPage
 from repro.lsm.cache import LRUCache
 from repro.shard import BudgetConfig, RebalanceConfig
-from repro.sim import SimClock, SimDisk
+from repro.sim import EngineRuntime
 from repro.systems.factory import build_system, parse_system_spec
 from repro.systems.rocksdb_like import _lsm_budgets
 
@@ -35,15 +35,14 @@ PAGE = 4096
 
 
 def make_pool(capacity_pages=4, page_size=PAGE, **kwargs):
-    disk = SimDisk()
+    runtime = EngineRuntime()
     pool = BufferPool(
-        disk,
+        runtime,
         BufferPoolConfig(
             capacity_bytes=capacity_pages * page_size, page_size=page_size, **kwargs
         ),
-        clock=SimClock(),
     )
-    return pool, disk
+    return pool, runtime.disk
 
 
 def leaf_with(n: int) -> LeafPage:
@@ -416,7 +415,6 @@ def test_bplus_set_memory_limit_resizes_pool():
 
 def test_lsm_resize_caches_row_cache_transitions():
     from repro.lsm.store import LSMConfig, LSMStore
-    from repro.sim.runtime import EngineRuntime
 
     store = LSMStore(
         config=LSMConfig(memtable_bytes=4 * 1024, block_cache_bytes=16 * 1024),

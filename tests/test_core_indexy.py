@@ -7,7 +7,7 @@ from repro.btree import BPlusTree
 from repro.core import ARTIndexX, BTreeIndexX, IndeXY, IndeXYConfig
 from repro.diskbtree import DiskBPlusTree
 from repro.lsm import LSMConfig, LSMStore
-from repro.sim import SimClock, SimDisk
+from repro.sim import EngineRuntime
 
 
 def ikey(i: int) -> bytes:
@@ -15,34 +15,34 @@ def ikey(i: int) -> bytes:
 
 
 def make_art_lsm(limit_bytes=256 * 1024, **kwargs):
-    clock = SimClock()
-    disk = SimDisk()
+    runtime = EngineRuntime()
+    clock, disk = runtime.clock, runtime.disk
     x = ARTIndexX(AdaptiveRadixTree(clock=clock))
-    y = LSMStore(disk, LSMConfig(memtable_bytes=16 * 1024, block_cache_bytes=16 * 1024), clock)
+    y = LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024, block_cache_bytes=16 * 1024))
     config = IndeXYConfig(
         memory_limit_bytes=limit_bytes,
         preclean_interval_inserts=512,
         partition_depth=2,
     )
-    return IndeXY(x, y, config, **kwargs), clock, disk
+    return IndeXY(x, y, config, runtime, **kwargs), clock, disk
 
 
 def make_art_bplus(limit_bytes=256 * 1024):
-    clock = SimClock()
-    disk = SimDisk()
+    runtime = EngineRuntime()
+    clock, disk = runtime.clock, runtime.disk
     x = ARTIndexX(AdaptiveRadixTree(clock=clock))
-    y = DiskBPlusTree(disk, pool_bytes=16 * 4096, page_size=4096, clock=clock)
+    y = DiskBPlusTree(runtime, pool_bytes=16 * 4096, page_size=4096)
     config = IndeXYConfig(memory_limit_bytes=limit_bytes, preclean_interval_inserts=512)
-    return IndeXY(x, y, config), clock, disk
+    return IndeXY(x, y, config, runtime), clock, disk
 
 
 def make_btree_lsm(limit_bytes=256 * 1024):
-    clock = SimClock()
-    disk = SimDisk()
+    runtime = EngineRuntime()
+    clock, disk = runtime.clock, runtime.disk
     x = BTreeIndexX(BPlusTree(capacity=32, clock=clock))
-    y = LSMStore(disk, LSMConfig(memtable_bytes=16 * 1024), clock)
+    y = LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024))
     config = IndeXYConfig(memory_limit_bytes=limit_bytes, preclean_interval_inserts=512)
-    return IndeXY(x, y, config), clock, disk
+    return IndeXY(x, y, config, runtime), clock, disk
 
 
 def fill(index, n, seed=3, value=b"v" * 8):

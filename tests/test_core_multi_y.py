@@ -7,7 +7,7 @@ import pytest
 from repro.art import encode_int
 from repro.core.multi_y import KeyRegionRouter, RoutedIndexY
 from repro.lsm import LSMConfig, LSMStore
-from repro.sim import SimDisk
+from repro.sim import EngineRuntime
 from repro.systems import build_system
 
 
@@ -22,11 +22,11 @@ def make_router(**overrides):
 
 
 def make_routed():
-    disk = SimDisk()
-    lsm_a = LSMStore(disk, LSMConfig(memtable_bytes=8 * 1024))
-    lsm_b = LSMStore(disk, LSMConfig(memtable_bytes=8 * 1024))
+    runtime = EngineRuntime()
+    lsm_a = LSMStore(runtime, LSMConfig(memtable_bytes=8 * 1024))
+    lsm_b = LSMStore(runtime, LSMConfig(memtable_bytes=8 * 1024))
     router = make_router()
-    return RoutedIndexY({"lsm": lsm_a, "btree": lsm_b}, router), router
+    return RoutedIndexY({"lsm": lsm_a, "btree": lsm_b}, router, runtime), router
 
 
 # ----------------------------------------------------------------------
@@ -85,10 +85,10 @@ def test_regions_are_prefix_based():
 # routed store
 # ----------------------------------------------------------------------
 def test_routed_validates_backend_names():
-    disk = SimDisk()
-    store = LSMStore(disk, LSMConfig())
+    runtime = EngineRuntime()
+    store = LSMStore(runtime, LSMConfig())
     with pytest.raises(ValueError):
-        RoutedIndexY({"only": store}, make_router())
+        RoutedIndexY({"only": store}, make_router(), runtime)
 
 
 def test_put_get_roundtrip():

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.art import AdaptiveRadixTree, encode_int
-from repro.core import ARTIndexX, IndeXYConfig, PreCleaner
+from repro.core import ARTIndexX, IndeXY, IndeXYConfig, PreCleaner
 from repro.lsm import LSMConfig, LSMStore
-from repro.sim import SimDisk
+from repro.sim import EngineRuntime, StatCounters
 
 
 def ikey(i: int) -> bytes:
@@ -14,12 +14,13 @@ def ikey(i: int) -> bytes:
 
 @pytest.fixture
 def setup():
+    runtime = EngineRuntime()
     x = ARTIndexX(AdaptiveRadixTree())
-    y = LSMStore(SimDisk(), LSMConfig(memtable_bytes=1 << 20))
+    y = LSMStore(runtime, LSMConfig(memtable_bytes=1 << 20))
     config = IndeXYConfig(
         memory_limit_bytes=1 << 20, preclean_interval_inserts=100, partition_depth=1
     )
-    cleaner = PreCleaner(x, y, config)
+    cleaner = PreCleaner(x, y, config, runtime.stats)
     return x, y, cleaner
 
 
@@ -73,28 +74,26 @@ def test_pass_suspends_at_key_quota(setup):
     assert written >= min(cleaner.config.preclean_interval_inserts, 100)
 
 
-def test_insert_timer_triggers_pass(setup):
-    x, y, cleaner = setup
-    spread_keys(x, 0, 3000, 7)
-    cleaner.note_inserts(99)
-    assert cleaner.stats["preclean_candidates"] == 0
-    cleaner.note_inserts(1)  # timer expires at 100
-    assert cleaner.stats["preclean_candidates"] > 0
-
-
-def test_disabled_cleaner_does_nothing(setup):
-    x, y, __ = setup
-    config = IndeXYConfig(memory_limit_bytes=1 << 20, preclean_interval_inserts=1)
-    off = PreCleaner(x, y, config, enabled=False)
-    spread_keys(x, 0, 1000, 3)
-    off.note_inserts(1000)
+def test_disabled_cleaner_does_nothing():
+    # Disabled means the engine registers no ``preclean`` task: the
+    # scheduler's periodic task is the only timer there is.
+    runtime = EngineRuntime()
+    x = ARTIndexX(AdaptiveRadixTree(clock=runtime.clock))
+    y = LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024))
+    config = IndeXYConfig(memory_limit_bytes=64 * 1024, preclean_interval_inserts=1)
+    index = IndeXY(x, y, config, runtime, precleaning_enabled=False)
+    for k in range(0, 12000, 3):
+        index.insert(ikey(k), b"v")
+    off = index.precleaner
+    assert runtime.stats["release_cycles"] > 0  # maintenance did tick
+    assert "preclean" not in runtime.scheduler.task_names()
     assert off.stats["preclean_cleanings"] == 0
 
 
 def test_no_checkback_cleans_immediately(setup):
     x, y, __ = setup
     config = IndeXYConfig(memory_limit_bytes=1 << 20, partition_depth=1)
-    eager = PreCleaner(x, y, config, check_back=False)
+    eager = PreCleaner(x, y, config, StatCounters(), check_back=False)
     spread_keys(x, 0, 2000, 5)
     assert eager.run_pass() is True  # first pass already cleans
     assert eager.stats["preclean_cleanings"] >= 1

@@ -5,6 +5,7 @@ import random
 from repro.art import encode_int
 from repro.systems.art_bplus import ArtBPlusSystem
 from repro.systems.art_lsm import ArtLsmSystem
+from repro.systems.art_multi import ArtMultiYSystem
 
 
 def ikey(i: int) -> bytes:
@@ -20,6 +21,19 @@ def spill(system, n=12_000, seed=53):
 
 def test_dirty_releases_charge_lock_stall():
     system = ArtBPlusSystem(128 * 1024, precleaning_enabled=False)
+    spill(system)
+    stats = system.index.stats
+    assert stats["release_writebacks"] > 0
+    assert stats["release_lock_stall_ns"] > 0
+
+
+def test_routed_y_releases_charge_lock_stall():
+    """The stall is measured on the engine's disk, whatever shape Y has.
+
+    ``RoutedIndexY`` has no ``disk`` attribute of its own; reading the
+    stall off Index Y exempted ART-Multi from the subtree-lock cost.
+    """
+    system = ArtMultiYSystem(128 * 1024, precleaning_enabled=False)
     spill(system)
     stats = system.index.stats
     assert stats["release_writebacks"] > 0

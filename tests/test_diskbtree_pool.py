@@ -3,17 +3,16 @@
 import pytest
 
 from repro.diskbtree import BufferPool, BufferPoolConfig, LeafPage
-from repro.sim import SimClock, SimDisk
+from repro.sim import EngineRuntime
 
 
 def make_pool(capacity_pages=4, page_size=4096, **kwargs):
-    disk = SimDisk()
+    runtime = EngineRuntime()
     pool = BufferPool(
-        disk,
+        runtime,
         BufferPoolConfig(capacity_bytes=capacity_pages * page_size, page_size=page_size, **kwargs),
-        clock=SimClock(),
     )
-    return pool, disk
+    return pool, runtime.disk
 
 
 def leaf_with(n: int) -> LeafPage:
@@ -31,9 +30,8 @@ def test_new_page_is_resident_and_dirty():
 
 
 def test_capacity_validation():
-    disk = SimDisk()
     with pytest.raises(ValueError):
-        BufferPool(disk, BufferPoolConfig(capacity_bytes=4096, page_size=4096))
+        BufferPool(EngineRuntime(), BufferPoolConfig(capacity_bytes=4096, page_size=4096))
 
 
 def test_get_page_hit_does_no_io():

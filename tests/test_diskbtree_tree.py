@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.art import encode_int
 from repro.diskbtree import DiskBPlusTree
-from repro.sim import SimClock, SimDisk
+from repro.sim import EngineRuntime
 
 
 def ikey(i: int) -> bytes:
@@ -15,11 +15,9 @@ def ikey(i: int) -> bytes:
 
 
 def make_tree(pool_pages=64, page_size=1024):
-    disk = SimDisk()
-    tree = DiskBPlusTree(
-        disk, pool_bytes=pool_pages * page_size, page_size=page_size, clock=SimClock()
-    )
-    return tree, disk
+    runtime = EngineRuntime()
+    tree = DiskBPlusTree(runtime, pool_bytes=pool_pages * page_size, page_size=page_size)
+    return tree, runtime.disk
 
 
 def test_put_get():
@@ -119,11 +117,10 @@ def test_memory_bounded_by_pool():
 
 
 def test_cpu_charged_per_level():
-    disk = SimDisk()
-    clock = SimClock()
-    tree = DiskBPlusTree(disk, pool_bytes=64 * 1024, page_size=1024, clock=clock)
+    runtime = EngineRuntime()
+    tree = DiskBPlusTree(runtime, pool_bytes=64 * 1024, page_size=1024)
     tree.put(ikey(1), b"v")
-    assert clock.cpu_ns > 0
+    assert runtime.clock.cpu_ns > 0
 
 
 def test_flush_all_persists_everything():

@@ -10,7 +10,7 @@ from repro.art import encode_int
 from repro.lsm import BloomFilter, LRUCache, MemTable, SSTable
 from repro.lsm.bloom import fnv1a
 from repro.lsm.sstable import decode_block, encode_block
-from repro.sim import SimClock, SimDisk
+from repro.sim import CostModel, SimClock, SimDisk
 
 
 def ikey(i: int) -> bytes:
@@ -100,8 +100,12 @@ def test_lru_rejects_negative_capacity():
 # ----------------------------------------------------------------------
 # memtable
 # ----------------------------------------------------------------------
+def make_memtable(clock=None):
+    return MemTable(clock or SimClock(), CostModel())
+
+
 def test_memtable_put_get():
-    table = MemTable()
+    table = make_memtable()
     table.put(ikey(5), b"five")
     assert table.get(ikey(5)) == b"five"
     assert table.get(ikey(6)) is None
@@ -109,7 +113,7 @@ def test_memtable_put_get():
 
 
 def test_memtable_overwrite_updates_size():
-    table = MemTable()
+    table = make_memtable()
     table.put(ikey(1), b"short")
     size = table.size_bytes
     table.put(ikey(1), b"a-longer-value")
@@ -118,7 +122,7 @@ def test_memtable_overwrite_updates_size():
 
 
 def test_memtable_items_sorted():
-    table = MemTable()
+    table = make_memtable()
     keys = random.Random(3).sample(range(10**6), 400)
     for k in keys:
         table.put(ikey(k), b"v")
@@ -127,7 +131,7 @@ def test_memtable_items_sorted():
 
 
 def test_memtable_items_from_start():
-    table = MemTable()
+    table = make_memtable()
     for k in range(0, 100, 10):
         table.put(ikey(k), b"v")
     out = [k for k, __ in table.items(start=ikey(35))]
@@ -136,13 +140,13 @@ def test_memtable_items_from_start():
 
 def test_memtable_charges_cpu():
     clock = SimClock()
-    table = MemTable(clock=clock)
+    table = make_memtable(clock)
     table.put(ikey(1), b"v")
     assert clock.cpu_ns > 0
 
 
 def test_memtable_deterministic_across_instances():
-    a, b = MemTable(), MemTable()
+    a, b = make_memtable(), make_memtable()
     for k in range(100):
         a.put(ikey(k), b"v")
         b.put(ikey(k), b"v")
@@ -173,7 +177,7 @@ def disk():
 
 def make_table(disk, n=1000, value=b"value", table_id=1, **kwargs):
     pairs = [(ikey(i * 3), value) for i in range(n)]
-    return SSTable.build(table_id, disk, pairs, **kwargs), pairs
+    return SSTable.build(table_id, disk, SimClock(), CostModel(), pairs, **kwargs), pairs
 
 
 def test_sstable_point_lookups(disk):
@@ -190,7 +194,7 @@ def test_sstable_missing_key_returns_none(disk):
 
 def test_sstable_build_rejects_empty(disk):
     with pytest.raises(ValueError):
-        SSTable.build(1, disk, [])
+        SSTable.build(1, disk, SimClock(), CostModel(), [])
 
 
 def test_sstable_writes_are_sequential(disk):
@@ -231,7 +235,7 @@ def test_sstable_bloom_prevents_io_on_miss(disk):
 def test_sstable_overlap_checks(disk):
     a, __ = make_table(disk, n=10, table_id=1)
     pairs_b = [(ikey(10**6 + i), b"v") for i in range(10)]
-    b = SSTable.build(2, disk, pairs_b)
+    b = SSTable.build(2, disk, SimClock(), CostModel(), pairs_b)
     assert not a.overlaps(b)
     assert a.overlaps(a)
     assert a.overlaps_range(ikey(0), ikey(5))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.art import encode_int
 from repro.lsm import LSMConfig, LSMStore
-from repro.sim import SimClock, SimDisk
+from repro.sim import EngineRuntime
 
 
 def ikey(i: int) -> bytes:
@@ -31,7 +31,7 @@ def small_config(**overrides) -> LSMConfig:
 
 @pytest.fixture
 def store():
-    return LSMStore(SimDisk(), small_config(), clock=SimClock())
+    return LSMStore(EngineRuntime(), small_config())
 
 
 def test_put_get_in_memtable(store):
@@ -198,7 +198,7 @@ def test_writes_are_mostly_sequential_under_random_puts(store):
 
 
 def test_row_cache_serves_repeat_reads():
-    store = LSMStore(SimDisk(), small_config(row_cache_bytes=64 * 1024), clock=SimClock())
+    store = LSMStore(EngineRuntime(), small_config(row_cache_bytes=64 * 1024))
     for k in range(1000):
         store.put(ikey(k), b"v" * 8)
     store.flush()
@@ -237,7 +237,7 @@ def test_disk_space_reclaimed_by_compaction(store):
     )
 )
 def test_store_matches_reference_model(ops):
-    store = LSMStore(SimDisk(), small_config(memtable_bytes=512))
+    store = LSMStore(EngineRuntime(), small_config(memtable_bytes=512))
     model: dict[bytes, bytes] = {}
     for op, k in ops:
         key = ikey(k)

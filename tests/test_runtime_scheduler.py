@@ -1,6 +1,6 @@
 """Tests for the engine runtime and its background scheduler.
 
-Covers the scheduler mechanics (pacing, backpressure, charge modes), the
+Covers the scheduler mechanics (pacing, backpressure, the producer call), the
 per-task instrumentation bus, and — critically — behaviour-preservation
 regressions: under the default configuration the scheduler routing must
 reproduce the seed's maintenance counters exactly.
@@ -12,7 +12,9 @@ from repro.art import AdaptiveRadixTree, encode_int
 from repro.core import ARTIndexX, IndeXY, IndeXYConfig
 from repro.core.precleaner import PreCleaner
 from repro.lsm import LSMConfig, LSMStore
-from repro.sim import EngineRuntime, SimClock, SimDisk
+import pytest
+
+from repro.sim import EngineRuntime
 
 
 def ikey(i: int) -> bytes:
@@ -93,26 +95,63 @@ class TestBackpressure:
         assert runtime.stats["task_fallback_scheduled"] == 0
 
 
-class TestChargeModes:
-    def test_background_charge_moves_cpu_to_background(self):
-        runtime = EngineRuntime()
-        task = runtime.scheduler.register(
-            "offload", lambda: runtime.clock.charge_cpu(500.0), charge="background"
-        )
-        runtime.scheduler.submit(task)
-        assert runtime.clock.cpu_ns == 0.0
-        assert runtime.clock.background_ns == 500.0
-        assert runtime.stats["task_offload_background_ns"] == 500.0
-        assert runtime.stats["task_offload_cpu_ns"] == 0
+class TestRequest:
+    """``request`` is the one call a maintenance producer makes."""
 
-    def test_inline_run_stays_on_foreground_clock(self):
+    def test_below_threshold_is_scheduled(self):
         runtime = EngineRuntime()
+        runs = []
+        task = runtime.scheduler.register("job", lambda: runs.append(1), backpressure_threshold=2)
+        runtime.scheduler.request(task)
+        assert runs == [1]  # unpaced: drained at once
+        assert runtime.stats["task_job_scheduled"] == 1
+        assert runtime.stats["task_job_inline"] == 0
+
+    def test_at_threshold_runs_inline(self):
+        runtime = EngineRuntime()
+        runs = []
         task = runtime.scheduler.register(
-            "offload", lambda: runtime.clock.charge_cpu(500.0), charge="background"
+            "job", lambda: runs.append("runner"), pacing_interval_ops=1000, backpressure_threshold=2
         )
-        runtime.scheduler.run_inline(task)
-        assert runtime.clock.cpu_ns == 500.0
-        assert runtime.clock.background_ns == 0.0
+        runtime.scheduler.request(task)
+        runtime.scheduler.request(task)
+        assert runs == []  # paced: both queued, the task is now saturated
+        runtime.scheduler.request(task, lambda: runs.append("work"))
+        assert runs == ["work"]  # the stall: this request ran synchronously
+        assert runtime.stats["task_job_inline"] == 1
+        assert runtime.stats["task_job_scheduled"] == 0
+        assert task.queue_depth == 2
+
+    def test_reentrant_request_is_deferred_then_drained(self):
+        runtime = EngineRuntime()
+        order = []
+
+        def runner():
+            order.append("start")
+            if len(order) == 1:
+                runtime.scheduler.request(task)
+                assert task.queue_depth == 1  # parked, not run recursively
+            order.append("end")
+
+        task = runtime.scheduler.register("job", runner)
+        runtime.scheduler.request(task)
+        assert order == ["start", "end", "start", "end"]
+        assert runtime.stats["task_job_deferred"] == 1
+        assert runtime.stats["task_job_scheduled"] == 2
+        assert task.queue_depth == 0
+
+    def test_no_runner_and_no_work_raises(self):
+        runtime = EngineRuntime()
+        task = runtime.scheduler.register("bare")
+        with pytest.raises(ValueError):
+            runtime.scheduler.request(task)
+        task.queue.extend([lambda: None] * task.backpressure_threshold)
+        with pytest.raises(ValueError):  # the inline arm refuses it too
+            runtime.scheduler.request(task)
+
+
+class TestChargeModes:
+    """There is one mode: charges stay on the account the runner chose."""
 
     def test_inherit_charge_leaves_accounts_untouched(self):
         runtime = EngineRuntime()
@@ -160,16 +199,15 @@ class TestInstrumentation:
 # behaviour preservation: the scheduler routing must not change results
 # ----------------------------------------------------------------------
 def build_indexy():
-    clock = SimClock()
-    disk = SimDisk()
-    x = ARTIndexX(AdaptiveRadixTree(clock=clock))
-    y = LSMStore(disk, LSMConfig(memtable_bytes=16 * 1024, block_cache_bytes=16 * 1024), clock)
+    runtime = EngineRuntime()
+    x = ARTIndexX(AdaptiveRadixTree(clock=runtime.clock))
+    y = LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024, block_cache_bytes=16 * 1024))
     config = IndeXYConfig(
         memory_limit_bytes=128 * 1024,
         preclean_interval_inserts=512,
         partition_depth=2,
     )
-    return IndeXY(x, y, config, clock=clock), x, y
+    return IndeXY(x, y, config, runtime), x, y
 
 
 class TestGoldenCounters:
@@ -216,16 +254,15 @@ class TestGoldenCounters:
         assert x.key_count == 4728
 
     def test_precleaner_counters_match_seed(self):
-        clock = SimClock()
-        disk = SimDisk()
-        x = ARTIndexX(AdaptiveRadixTree(clock=clock))
-        y = LSMStore(disk, LSMConfig(memtable_bytes=16 * 1024), clock)
+        runtime = EngineRuntime()
+        x = ARTIndexX(AdaptiveRadixTree(clock=runtime.clock))
+        y = LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024))
         config = IndeXYConfig(
             memory_limit_bytes=1 << 20,
             preclean_interval_inserts=100,
             partition_depth=1,
         )
-        cleaner = PreCleaner(x, y, config)
+        cleaner = PreCleaner(x, y, config, runtime.stats)
         for i in range(0, 3000, 7):
             x.insert(ikey(i), b"v" * 8, dirty=True)
         cleaner.run_pass()

@@ -517,8 +517,8 @@ def test_clock_guard_flags_backwards_time():
 
 
 def test_clock_guard_tolerates_charge_rebooking():
-    # The scheduler moves foreground ns onto the background account; only
-    # the sum must be monotone.
+    # Moving foreground ns onto the background account is legal; only the
+    # sum must be monotone.
     runtime = EngineRuntime()
     runtime.clock.charge_cpu(1000.0)
     guard = ClockMonotonicityGuard(runtime)
