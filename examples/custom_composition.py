@@ -16,7 +16,7 @@ import bisect
 import random
 
 from repro.btree import BPlusTree
-from repro.core import BTreeIndexX, IndeXY, IndeXYConfig, ReleasePolicy
+from repro.core import IndeXY, IndeXYConfig, ReleasePolicy
 from repro.sim import EngineRuntime, SimDisk
 
 
@@ -69,7 +69,7 @@ class SortedRunStoreY:
 def main() -> None:
     runtime = EngineRuntime()  # the one clock/disk/scheduler of this engine
     index = IndeXY(
-        index_x=BTreeIndexX(BPlusTree(capacity=32, clock=runtime.clock)),
+        index_x=BPlusTree(capacity=32, clock=runtime.clock),
         index_y=SortedRunStoreY(runtime.disk),
         config=IndeXYConfig(
             memory_limit_bytes=96 * 1024,

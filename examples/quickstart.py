@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 import random
 
 from repro.art import AdaptiveRadixTree, encode_int
-from repro.core import ARTIndexX, IndeXY, IndeXYConfig
+from repro.core import IndeXY, IndeXYConfig
 from repro.lsm import LSMConfig, LSMStore
 from repro.sim import EngineRuntime
 
@@ -25,7 +25,7 @@ def main() -> None:
     runtime = EngineRuntime()
 
     index = IndeXY(
-        index_x=ARTIndexX(AdaptiveRadixTree(clock=runtime.clock, costs=runtime.costs)),
+        index_x=AdaptiveRadixTree(clock=runtime.clock, costs=runtime.costs),
         index_y=LSMStore(runtime, LSMConfig(memtable_bytes=32 * 1024)),
         config=IndeXYConfig(memory_limit_bytes=128 * 1024),  # tiny on purpose
         runtime=runtime,

@@ -29,7 +29,6 @@ from repro.art.nodes import (
     Leaf,
     Node4,
     Node16,
-    Node48,
     Node256,
     new_node4,
 )
@@ -69,33 +68,14 @@ class AdaptiveRadixTree:
     the framework's watermark logic sees realistic sizes.
     """
 
-    __slots__ = (
-        "_root",
-        "_clock",
-        "_costs",
-        "_background",
-        "_visit_cost",
-        "_mutate_cost",
-        "_alloc_cost",
-        "_charge_fn",
-        "memory_bytes",
-        "key_count",
-        "tracking_enabled",
-        "sample_every",
-        "_op_counter",
-        "on_node_replaced",
-    )
-
     def __init__(
         self,
         clock: SimClock | None = None,
         costs: CostModel | None = None,
-        background: bool = False,
     ) -> None:
         self._root: InnerNode = Node4()
         self._clock = clock
         self._costs = costs or CostModel()
-        self._background = background
         # Hot-path accounting, decoupled from the per-visit work: the unit
         # cost and the charge target are resolved once, so each operation
         # pays a single bound-method call instead of per-node attribute
@@ -103,12 +83,9 @@ class AdaptiveRadixTree:
         self._visit_cost = self._costs.art_node_visit
         self._mutate_cost = self._costs.leaf_mutate
         self._alloc_cost = self._costs.node_alloc
-        if clock is None:
-            self._charge_fn: Optional[Callable[[float], None]] = None
-        elif background:
-            self._charge_fn = clock.charge_background
-        else:
-            self._charge_fn = clock.charge_cpu
+        self._charge_fn: Optional[Callable[[float], None]] = (
+            clock.charge_cpu if clock is not None else None
+        )
         self.memory_bytes = self._root.memory_bytes()
         self.key_count = 0
         self.tracking_enabled = False
@@ -122,11 +99,10 @@ class AdaptiveRadixTree:
     # ------------------------------------------------------------------
     # cost charging
     # ------------------------------------------------------------------
-    @charges("cpu_charge?", "bg_charge?")
+    @charges("cpu_charge?")
     def _charge(self, visits: int, extra_ns: float = 0.0) -> None:
-        # ``_charge_fn`` is bound once in __init__: foreground trees to
-        # charge_cpu, background (pre-clean scratch) trees to
-        # charge_background, clockless fixtures to None.
+        # ``_charge_fn`` is bound once in __init__: to the clock's
+        # charge_cpu, or to None for clockless fixtures.
         charge = self._charge_fn
         if charge is not None:
             charge(visits * self._visit_cost + extra_ns)
@@ -314,96 +290,6 @@ class AdaptiveRadixTree:
             parent, parent_byte = node, byte
             node = child
             depth += 1
-
-    def bulk_load_sorted(self, pairs: list[tuple[bytes, bytes]], dirty: bool = True) -> None:
-        """Build an empty tree from sorted, unique, prefix-free pairs.
-
-        Bottom-up sorted-run load: every inner node is allocated once at
-        its final layout instead of growing through the smaller ones, and
-        no per-key descent from the root happens at all.  The resulting
-        structure, leaf counts, dirty bits, and memory account are the
-        same as inserting the pairs one by one (ART structure is
-        insertion-order independent below the always-empty-prefix root).
-
-        Charging model: one node visit per path level per key, one
-        ``leaf_mutate`` per key, one ``node_alloc`` per inner node built —
-        the steady-state cost of the equivalent inserts without the
-        transient grow/split allocations the batch avoids.
-
-        Non-empty trees fall back to sequential inserts.
-        """
-        if not pairs:
-            return
-        if self.key_count:
-            insert = self.insert
-            for key, value in pairs:
-                insert(key, value, dirty)
-            return
-
-        counters = [0, 0]  # [total path visits, inner nodes allocated]
-
-        def attach(prefix: bytes, lo: int, hi: int, at: int) -> InnerNode:
-            """Group ``pairs[lo:hi]`` by the byte at ``at`` under a new node."""
-            groups: list[tuple[int, int, int]] = []
-            start = lo
-            byte = pairs[lo][0][at]
-            for i in range(lo + 1, hi):
-                b = pairs[i][0][at]
-                if b != byte:
-                    groups.append((byte, start, i))
-                    byte, start = b, i
-            groups.append((byte, start, hi))
-            count = len(groups)
-            if count <= 4:
-                node: InnerNode = Node4(prefix=prefix)
-            elif count <= 16:
-                node = Node16(prefix=prefix)
-            elif count <= 48:
-                node = Node48(prefix=prefix)
-            else:
-                node = Node256(prefix=prefix)
-            for b, g_lo, g_hi in groups:
-                node.set_child(b, build(g_lo, g_hi, at + 1))
-            node.leaf_count = hi - lo
-            if dirty:
-                node.dirty = True
-                node.activity = True
-            self.memory_bytes += node.memory_bytes()
-            return node
-
-        def build(lo: int, hi: int, depth: int) -> Child:
-            if hi - lo == 1:
-                key, value = pairs[lo]
-                leaf = Leaf(key, value, dirty)
-                self.memory_bytes += leaf.memory_bytes()
-                return leaf
-            first = pairs[lo][0]
-            last = pairs[hi - 1][0]
-            # Sorted input: the common prefix of first and last is the
-            # common prefix of the whole run.
-            limit = min(len(first), len(last))
-            match = depth
-            while match < limit and first[match] == last[match]:
-                match += 1
-            node = attach(first[depth:match], lo, hi, match)
-            counters[0] += hi - lo
-            counters[1] += 1
-            return node
-
-        n = len(pairs)
-        # The root keeps its always-empty prefix (children group on the
-        # first key byte), matching what incremental inserts produce.
-        root = attach(b"", 0, n, 0)
-        counters[0] += n
-        self.memory_bytes -= self._root.memory_bytes()
-        if type(root) is not type(self._root):
-            counters[1] += 1  # the fresh root had to outgrow the Node4
-        self._root = root
-        self.key_count = n
-        self._charge(
-            counters[0],
-            n * self._mutate_cost + counters[1] * self._alloc_cost,
-        )
 
     def _rollback_new_key(self, key: bytes, stop: InnerNode) -> None:
         """Undo the speculative leaf-count bumps above ``stop`` (overwrite).
@@ -649,6 +535,24 @@ class AdaptiveRadixTree:
     def root(self) -> InnerNode:
         return self._root
 
+    def enable_tracking(self, sample_every: int) -> None:
+        self.tracking_enabled = True
+        self.sample_every = sample_every
+
+    def root_ref(self) -> PartitionEntry:
+        return PartitionEntry(node=self._root, byte=None, ancestors=[])
+
+    def child_refs(self, ref: PartitionEntry) -> list[PartitionEntry]:
+        """Children usable as release candidates (inner nodes only: ART
+        leaves carry no counters and are individually negligible)."""
+        node = ref.node
+        ancestors = ref.ancestors + [node]
+        return [
+            PartitionEntry(node=child, byte=byte, ancestors=ancestors)
+            for byte, child in node.children_items()
+            if isinstance(child, InnerNode)
+        ]
+
     def partition(self, depth: int) -> list[PartitionEntry]:
         """Partition the key space into subtrees at inner-node ``depth``.
 
@@ -714,6 +618,11 @@ class AdaptiveRadixTree:
             children = [child for __, child in current.children_items()]
             stack.extend(reversed(children))
 
+    def iter_dirty_entries(self, node: Child) -> Iterator[tuple[bytes, bytes]]:
+        """Yield dirty ``(key, value)`` pairs under ``node`` in key order."""
+        for leaf in self.iter_dirty_leaves(node):
+            yield leaf.key, leaf.value
+
     def clear_dirty(self, node: Child) -> None:
         """Clear D bits and leaf dirty flags in the whole subtree."""
         stack: list[Child] = [node]
@@ -725,8 +634,8 @@ class AdaptiveRadixTree:
             if isinstance(current, InnerNode):
                 push(current.children_values())
 
-    def detach(self, entry: PartitionEntry) -> InnerNode:
-        """Remove ``entry.node``'s subtree from the tree and return it.
+    def detach(self, entry: PartitionEntry) -> int:
+        """Remove ``entry.node``'s subtree; returns the bytes it held.
 
         The caller is responsible for having persisted its dirty leaves.
         Leaf counts and the memory account are adjusted up the ancestor
@@ -748,11 +657,11 @@ class AdaptiveRadixTree:
                 ancestor.leaf_count -= removed_leaves
         self.key_count -= removed_leaves
         self._charge(1, self._costs.lock_acquire)
-        return node
+        return removed_bytes
 
-    def reset_access_counts(self, node: Child) -> None:
+    def reset_access_counts(self, node: Child | None = None) -> None:
         """Zero access counters in a subtree (after a release, Section II-C)."""
-        stack: list[Child] = [node]
+        stack: list[Child] = [self._root if node is None else node]
         pop = stack.pop
         push = stack.extend
         while stack:

@@ -46,14 +46,12 @@ class BPlusTree:
         capacity: int = DEFAULT_NODE_CAPACITY,
         clock: SimClock | None = None,
         costs: CostModel | None = None,
-        background: bool = False,
     ) -> None:
         if capacity < 4:
             raise ValueError(f"node capacity must be at least 4, got {capacity}")
         self.capacity = capacity
         self._clock = clock
         self._costs = costs or CostModel()
-        self._background = background
         self._root: BNode = BLeaf(capacity)
         self.memory_bytes = self._root.memory_bytes()
         self.key_count = 0
@@ -64,18 +62,11 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # cost charging
     # ------------------------------------------------------------------
-    @charges("cpu_charge?", "bg_charge?")
+    @charges("cpu_charge?")
     def _charge(self, visits: int, extra_ns: float = 0.0) -> None:
-        # Dual-mode by construction: an Index-X tree charges the foreground
-        # account, a background=True tree (pre-clean scratch) the background
-        # account; clockless trees (unit fixtures) charge nothing.
-        if self._clock is None:
-            return
-        ns = visits * self._costs.btree_node_visit + extra_ns
-        if self._background:
-            self._clock.charge_background(ns)
-        else:
-            self._clock.charge_cpu(ns)
+        # Clockless trees (unit fixtures) charge nothing.
+        if self._clock is not None:
+            self._clock.charge_cpu(visits * self._costs.btree_node_visit + extra_ns)
 
     def _should_sample(self) -> bool:
         if not self.tracking_enabled:
@@ -327,6 +318,24 @@ class BPlusTree:
     def root(self) -> BNode:
         return self._root
 
+    def enable_tracking(self, sample_every: int) -> None:
+        self.tracking_enabled = True
+        self.sample_every = sample_every
+
+    def root_ref(self) -> BTreePartitionEntry:
+        return BTreePartitionEntry(node=self._root, child_index=None, ancestors=[])
+
+    def child_refs(self, ref: BTreePartitionEntry) -> list[BTreePartitionEntry]:
+        """All children qualify: B+ leaves carry the framework counters."""
+        node = ref.node
+        if not isinstance(node, BInner):
+            return []
+        ancestors = ref.ancestors + [node]
+        return [
+            BTreePartitionEntry(node=child, child_index=i, ancestors=ancestors)
+            for i, child in enumerate(node.children)
+        ]
+
     def partition(self, depth: int) -> list[BTreePartitionEntry]:
         """Disjoint subtrees at inner-node ``depth`` covering all keys."""
         entries: list[BTreePartitionEntry] = []
@@ -365,8 +374,11 @@ class BPlusTree:
             else:
                 stack.extend(current.children)
 
-    def detach(self, entry: BTreePartitionEntry) -> BNode:
-        """Remove ``entry.node``'s subtree; caller has persisted its data."""
+    def detach(self, entry: BTreePartitionEntry) -> int:
+        """Remove ``entry.node``'s subtree; returns the bytes it held.
+
+        The caller has persisted its data.
+        """
         node = entry.node
         removed = node.leaf_count
         removed_bytes = self.subtree_memory(node)
@@ -376,7 +388,7 @@ class BPlusTree:
             self.memory_bytes -= removed_bytes
             self.memory_bytes += self._root.memory_bytes()
             self.key_count -= removed
-            return node
+            return removed_bytes
         slot = parent.children.index(node)
         parent.children.pop(slot)
         if slot == 0:
@@ -391,7 +403,7 @@ class BPlusTree:
         if not parent.children:
             self._collapse_empty_inner(parent, entry.ancestors)
         self._charge(1, self._costs.lock_acquire)
-        return node
+        return removed_bytes
 
     def _collapse_empty_inner(self, node: BInner, ancestors: list[BInner]) -> None:
         chain = list(ancestors)
@@ -416,8 +428,8 @@ class BPlusTree:
         self._root = BLeaf(self.capacity)
         self.memory_bytes += self._root.memory_bytes()
 
-    def reset_access_counts(self, node: BNode) -> None:
-        stack: list[BNode] = [node]
+    def reset_access_counts(self, node: BNode | None = None) -> None:
+        stack: list[BNode] = [self._root if node is None else node]
         while stack:
             current = stack.pop()
             current.access_count = 0

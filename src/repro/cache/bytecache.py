@@ -7,10 +7,9 @@ real memory budget, matching how the paper configures these caches to
 "a few megabytes" (Section II-D); *which* entry leaves under pressure is
 delegated to a :class:`~repro.cache.policy.CachePolicy`.
 
-With the default ``lru`` policy the behaviour (hit/miss/eviction
-sequence included) is identical to the historical ``LRUCache`` this
-class replaced, which keeps all committed simulation results
-byte-stable.
+``lru`` is the default policy: it is what the paper's Section II-D
+configuration implies for the block and row caches, and the hit/miss/
+eviction sequence every committed simulation result was recorded with.
 """
 
 from __future__ import annotations

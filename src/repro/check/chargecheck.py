@@ -173,7 +173,7 @@ _RECEIVER_TYPES: dict[str, tuple[str, ...]] = {
     "heat": ("ShardHeat",),
     "scheduler": ("BackgroundScheduler",),
     "_scheduler": ("BackgroundScheduler",),
-    "x": ("ARTIndexX", "BPlusIndexX"),
+    "x": ("AdaptiveRadixTree", "BPlusTree"),
     "y": ("LSMStore", "DiskBPlusTree"),
     "_tree": ("AdaptiveRadixTree", "BPlusTree"),
     "tree": ("AdaptiveRadixTree", "BPlusTree"),
@@ -432,8 +432,8 @@ def _primitive_vec(call: ast.Call, aliases: dict[str, tuple[str, ...]]) -> Optio
     Recognizes clock charges by their project-unique method names
     (including through local bound aliases, ``charge = clock.charge_cpu``),
     disk I/O by a ``disk``/``_disk`` receiver token, and the ART
-    ``_charge_fn`` stored callable as *ambiguous* cpu-or-background
-    (``[0,1]`` each) — the dual-mode seam resolved at construction time.
+    ``_charge_fn`` stored callable as an optional CPU charge (``[0,1]``:
+    it is ``clock.charge_cpu``, or None on a clockless tree).
     """
     chain = _call_target_chain(call, aliases)
     if chain is None:
@@ -444,7 +444,7 @@ def _primitive_vec(call: ast.Call, aliases: dict[str, tuple[str, ...]]) -> Optio
     if attr == "charge_background":
         return _vec_of((_BG, _ONE_IV))
     if attr == "_charge_fn":
-        return _vec_of((_CPU, _MAYBE_IV), (_BG, _MAYBE_IV))
+        return _vec_of((_CPU, _MAYBE_IV))
     if attr in ("read", "write") and len(chain) >= 2:
         recv = chain[-2]
         if recv in ("disk", "_disk"):

@@ -58,7 +58,6 @@ from repro.art.nodes import Leaf as ARTLeaf
 from repro.art.tree import AdaptiveRadixTree
 from repro.btree.node import BInner, BLeaf, BNode
 from repro.btree.tree import BPlusTree
-from repro.core.adapters import ARTIndexX, BTreeIndexX
 from repro.core.multi_y import RoutedIndexY
 from repro.diskbtree.bufferpool import BufferPool
 from repro.diskbtree.page import InnerPage, LeafPage
@@ -835,8 +834,7 @@ def check_release_watermark(index: "IndeXY", released: int) -> list[Violation]:
 def check_flush_coherence(index: "IndeXY") -> list[Violation]:
     """After ``flush()``: X holds no dirty entries and Y agrees with X."""
     out = _Collector()
-    root = index.x.root_ref()
-    dirty = sum(1 for __ in index.x.iter_dirty_entries(root))
+    dirty = sum(1 for __ in index.x.iter_dirty_entries(index.x.root_ref().node))
     if dirty:
         out.add(
             "flush-dirty",
@@ -856,17 +854,17 @@ def check_indexy(index: "IndeXY") -> list[Violation]:
     """Dispatch the structural checks for one IndeXY's X and Y."""
     violations: list[Violation] = []
     x = index.x
-    if isinstance(x, ARTIndexX):
-        violations += check_art(x.tree)
-        violations += check_art_memory(x.tree)
+    if isinstance(x, AdaptiveRadixTree):
+        violations += check_art(x)
+        violations += check_art_memory(x)
         auditor = getattr(index.precleaner, "auditor", None)
         if auditor is not None:
-            violations += auditor.audit(iter_art_inner_nodes(x.tree))
-    elif isinstance(x, BTreeIndexX):
-        violations += check_btree(x.tree)
+            violations += auditor.audit(iter_art_inner_nodes(x))
+    elif isinstance(x, BPlusTree):
+        violations += check_btree(x)
         auditor = getattr(index.precleaner, "auditor", None)
         if auditor is not None:
-            violations += auditor.audit(iter_btree_nodes(x.tree))
+            violations += auditor.audit(iter_btree_nodes(x))
     violations += check_index_y(index.y)
     return violations
 

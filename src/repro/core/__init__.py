@@ -15,13 +15,13 @@ on Index X:
   the requested key into X *clean* (X doubles as the read cache), while Y's
   own small block cache covers spatial locality.
 
-Index X candidates plug in through :mod:`repro.core.adapters`
-(:class:`ARTIndexX`, :class:`BTreeIndexX`); Index Y candidates satisfy the
+Index X candidates implement :class:`repro.core.interfaces.IndexX`
+themselves (:class:`repro.art.AdaptiveRadixTree` and
+:class:`repro.btree.BPlusTree` both do); Index Y candidates satisfy the
 small :class:`repro.core.interfaces.IndexY` protocol (the LSM store and the
 on-disk B+ tree both do).
 """
 
-from repro.core.adapters import ARTIndexX, BTreeIndexX
 from repro.core.config import CachePolicyConfig, IndeXYConfig
 from repro.core.indexy import IndeXY
 from repro.core.interfaces import IndexX, IndexY, SubtreeRef
@@ -31,8 +31,6 @@ from repro.core.precleaner import PreCleaner
 from repro.core.release import ReleasePolicy, select_for_release
 
 __all__ = [
-    "ARTIndexX",
-    "BTreeIndexX",
     "CachePolicyConfig",
     "IndeXY",
     "IndeXYConfig",

@@ -1,6 +1,6 @@
 """The IndeXY facade: one extensible index across memory and disk.
 
-Wires together an Index X adapter, an Index Y, the memory budget, the
+Wires together an Index X, an Index Y, the memory budget, the
 pre-cleaner, and the release policy into a single ordered key-value index
 (Section II-A's architecture).  Data flow:
 
@@ -33,7 +33,7 @@ from repro.core.membudget import MemoryBudget
 from repro.core.precleaner import PreCleaner
 from repro.core.release import ReleasePolicy
 from repro.sim.effects import charges
-from repro.sim.runtime import EngineRuntime, MaintenanceTask
+from repro.sim.runtime import EngineRuntime
 
 
 class IndeXY:
@@ -85,12 +85,11 @@ class IndeXY:
             priority=0,
             backpressure_threshold=1,
         )
-        #: pre-cleaning is the paced task: one pass per
-        #: ``preclean_interval_inserts`` scheduler ticks, exactly the
-        #: paper's insert-count timer.
-        self._preclean_task: Optional[MaintenanceTask] = None
+        # Pre-cleaning is the paced task: one pass per
+        # ``preclean_interval_inserts`` scheduler ticks, exactly the
+        # paper's insert-count timer.
         if precleaning_enabled:
-            self._preclean_task = scheduler.register(
+            scheduler.register(
                 "preclean",
                 self._scheduled_preclean,
                 priority=20,
@@ -109,11 +108,10 @@ class IndeXY:
 
             self.sanitizer = IndexSanitizer(self, interval=debug_check_interval)
             self.precleaner.auditor = CheckBackAuditor()
-            tree = getattr(index_x, "tree", None)
-            if tree is not None and hasattr(tree, "on_node_replaced"):
+            if hasattr(index_x, "on_node_replaced"):
                 # Adaptive resizing replaces ART node objects; the auditor
                 # tracks C bits by identity and must follow the swap.
-                tree.on_node_replaced = self.precleaner.auditor.note_replaced
+                index_x.on_node_replaced = self.precleaner.auditor.note_replaced
 
     # ------------------------------------------------------------------
     # key-value operations
@@ -224,13 +222,6 @@ class IndeXY:
         """
         self.config = replace(self.config, memory_limit_bytes=max(1, limit_bytes))
         self.budget.config = self.config
-        self.precleaner.config = self.config
-        # Keep the release policy's partition depth in lockstep with the
-        # refreshed config: a stale depth would make the coarse/random
-        # policies partition at the wrong tree level after a limit change.
-        self.release_policy.partition_depth = self.config.partition_depth
-        if self._preclean_task is not None:
-            self._preclean_task.pacing_interval_ops = self.config.preclean_interval_inserts
         if enforce and self.budget.over_high_watermark(self.x.memory_bytes):
             # Synchronous by design (the caller is giving memory back to a
             # shared pool and must not return until it is released), but
@@ -281,7 +272,7 @@ class IndeXY:
         )
         released = 0
         for ref in refs:
-            batch = list(self.x.iter_dirty_entries(ref))
+            batch = list(self.x.iter_dirty_entries(ref.node))
             if batch:
                 stall_ns = self._timed_writeback(batch)
                 self.stats.bump("release_writebacks")
@@ -289,9 +280,7 @@ class IndeXY:
                 self.stats.bump("release_lock_stall_ns", stall_ns)
             else:
                 self.stats.bump("release_clean_drops")
-            size = self.x.subtree_memory(ref)
-            self.x.detach(ref)
-            released += size
+            released += self.x.detach(ref)
         if released:
             self._y_populated = True
         # Fresh density epoch after a release (Section II-C).
@@ -332,7 +321,7 @@ class IndeXY:
     def flush(self) -> None:
         """Persist every dirty key to Y (checkpoint / shutdown)."""
         self.runtime.scheduler.drain()
-        root = self.x.root_ref()
+        root = self.x.root_ref().node
         batch = list(self.x.iter_dirty_entries(root))
         if batch:
             self.y.put_batch(batch)

@@ -5,8 +5,10 @@ order-preserving in-memory index and any on-disk index without either
 knowing about the other.  These protocols are that contract.
 
 ``SubtreeRef`` is the framework's handle on a subtree of Index X: an
-opaque node plus enough parent context to detach it.  Both tree
-implementations' partition-entry types satisfy it structurally.
+opaque node plus enough parent context to detach it.  Both trees
+(:class:`~repro.art.AdaptiveRadixTree`, :class:`~repro.btree.BPlusTree`)
+satisfy ``IndexX`` themselves, and their partition-entry types satisfy
+``SubtreeRef``, structurally.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ class SubtreeNode(Protocol):
 
     This is the "extra 2–4 bytes" the paper asks of Index X inner nodes
     (Section III-G): the D bit, the C bit, sampled counters, and a subtree
-    size estimate (exact here).
+    size estimate (exact here).  ``activity`` is the check-back protocol's
+    D bit (set on every dirty insert, cleared by the pre-cleaner's scan);
+    ``dirty`` tracks real unflushed data.
     """
 
     dirty: bool
+    activity: bool
     clean_candidate: bool
     access_count: int
-    insert_count: int
 
     @property
     def leaf_count(self) -> int: ...
@@ -43,8 +47,10 @@ class SubtreeRef(Protocol):
 class IndexX(Protocol):
     """The in-memory index as the framework sees it.
 
-    Implementations adapt a concrete ordered tree (ART, B+) to this
-    interface; see :mod:`repro.core.adapters`.
+    The ordered trees (ART, B+) implement this directly: the framework's
+    hooks live inside Index X (Section III-A).  Whole-subtree members that
+    need parent context (``child_refs``, ``detach``) take the ref; the
+    rest take the ref's node.
     """
 
     # -- key-value operations -----------------------------------------
@@ -55,6 +61,8 @@ class IndexX(Protocol):
     def delete(self, key: bytes) -> bool: ...
 
     def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]: ...
+
+    def items(self, start: bytes | None = None) -> Iterator[tuple[bytes, bytes]]: ...
 
     # -- accounting -----------------------------------------------------
     @property
@@ -73,13 +81,15 @@ class IndexX(Protocol):
 
     def child_refs(self, ref: SubtreeRef) -> list[SubtreeRef]: ...
 
-    def subtree_memory(self, ref: SubtreeRef) -> int: ...
+    def subtree_memory(self, node: SubtreeNode) -> int: ...
 
-    def iter_dirty_entries(self, ref: SubtreeRef) -> Iterator[tuple[bytes, bytes]]: ...
+    def iter_dirty_entries(self, node: SubtreeNode) -> Iterator[tuple[bytes, bytes]]: ...
 
-    def clear_dirty(self, ref: SubtreeRef) -> None: ...
+    def clear_dirty(self, node: SubtreeNode) -> None: ...
 
-    def detach(self, ref: SubtreeRef) -> None: ...
+    def detach(self, ref: SubtreeRef) -> int:
+        """Remove the subtree; returns the bytes it held."""
+        ...
 
     def reset_access_counts(self) -> None: ...
 

@@ -175,14 +175,14 @@ class PreCleaner:
 
         Returns the number of keys written.
         """
-        batch = list(self.index_x.iter_dirty_entries(ref))
+        batch = list(self.index_x.iter_dirty_entries(ref.node))
         if batch:
             # Entries come out of the ordered tree already key-sorted: the
             # spatially-local, Y-friendly write-back the paper aims for.
             self.index_y.put_batch(batch)
             self.stats.bump("preclean_writebacks")
             self.stats.bump("preclean_keys_written", len(batch))
-        self.index_x.clear_dirty(ref)
+        self.index_x.clear_dirty(ref.node)
         self._clear_candidate(ref.node)
         self.stats.bump("preclean_cleanings")
         return len(batch)

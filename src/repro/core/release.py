@@ -37,6 +37,9 @@ class _Candidate:
     ref: SubtreeRef
     size: int
     density: float
+    #: child candidates, built the first time a split round inspects this
+    #: one; selection mutates nothing, so they hold for every later round.
+    children: list[_Candidate] | None = None
 
 
 def _density(node: SubtreeNode) -> float:
@@ -45,7 +48,7 @@ def _density(node: SubtreeNode) -> float:
 
 
 def _make_candidate(index_x: IndexX, ref: SubtreeRef) -> _Candidate:
-    return _Candidate(ref=ref, size=index_x.subtree_memory(ref), density=_density(ref.node))
+    return _Candidate(ref=ref, size=index_x.subtree_memory(ref.node), density=_density(ref.node))
 
 
 def select_for_release(
@@ -101,13 +104,14 @@ def _split_and_replace(
     by_size = sorted(candidates, key=lambda c: c.size, reverse=True)
     chosen = None
     fallback = None
-    children_cache: dict[int, list[_Candidate]] = {}
     for cand in by_size:
-        child_refs = index_x.child_refs(cand.ref)
-        if not child_refs:
+        children = cand.children
+        if children is None:
+            children = cand.children = [
+                _make_candidate(index_x, ref) for ref in index_x.child_refs(cand.ref)
+            ]
+        if not children:
             continue
-        children = [_make_candidate(index_x, ref) for ref in child_refs]
-        children_cache[id(cand)] = children
         if fallback is None:
             fallback = cand
         densities = [c.density for c in children]
@@ -122,7 +126,7 @@ def _split_and_replace(
 
     candidates.remove(chosen)
     keys = [c.density for c in candidates]
-    for child in children_cache[id(chosen)]:
+    for child in chosen.children:
         pos = bisect.bisect(keys, child.density)
         candidates.insert(pos, child)
         keys.insert(pos, child.density)
@@ -168,5 +172,5 @@ class ReleasePolicy:
             if total >= target_bytes:
                 break
             chosen.append(ref)
-            total += index_x.subtree_memory(ref)
+            total += index_x.subtree_memory(ref.node)
         return chosen

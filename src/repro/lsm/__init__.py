@@ -18,8 +18,8 @@ Index Y), reads may touch several levels, and scans must merge across
 levels (Figure 8's Benchmark E weakness).
 """
 
+from repro.cache.bytecache import PolicyCache
 from repro.lsm.bloom import BloomFilter
-from repro.lsm.cache import LRUCache, PolicyCache
 from repro.lsm.memtable import MemTable
 from repro.lsm.sstable import SSTable
 from repro.lsm.store import LSMConfig, LSMStore, TOMBSTONE
@@ -27,7 +27,6 @@ from repro.lsm.store import LSMConfig, LSMStore, TOMBSTONE
 __all__ = [
     "TOMBSTONE",
     "BloomFilter",
-    "LRUCache",
     "PolicyCache",
     "LSMConfig",
     "LSMStore",

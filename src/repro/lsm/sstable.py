@@ -14,8 +14,8 @@ from bisect import bisect_left, bisect_right
 from struct import Struct
 from typing import Iterator, Optional
 
+from repro.cache.bytecache import PolicyCache
 from repro.lsm.bloom import BloomFilter
-from repro.lsm.cache import PolicyCache
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk

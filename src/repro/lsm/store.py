@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from repro.lsm.cache import PolicyCache
+from repro.cache.bytecache import PolicyCache
 from repro.lsm.memtable import MemTable
 from repro.lsm.sstable import SSTable
 from repro.sim.effects import charges

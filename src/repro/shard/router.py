@@ -189,7 +189,7 @@ class ShardRouter(KVSystem):
     # cpu_charge '+' covers the deliberate double read during a live
     # transfer: a dst-shard miss inside the in-flight range retries on
     # the src shard, charging a second full read (DESIGN.md §11).
-    @charges("cpu_charge+", "bg_charge*", "disk_read*", "disk_write*")
+    @charges("cpu_charge+", "disk_read*", "disk_write*")
     def read(self, key: int) -> Optional[bytes]:
         sid = self.partitioner.shard_of(key)
         value = self.shards[sid].read(key)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.art.tree import AdaptiveRadixTree
-from repro.core.adapters import ARTIndexX
 from repro.core.config import CachePolicyConfig, IndeXYConfig
 from repro.core.indexy import IndeXY
 from repro.diskbtree.tree import DiskBPlusTree
@@ -72,7 +71,7 @@ class ArtBPlusSystem(IndeXYSystem):
         policies = cache_policies or CachePolicyConfig()
         pool = transfer_pool_bytes or _pool_bytes(memory_limit_bytes, page_size)
         config = indexy_config or IndeXYConfig(memory_limit_bytes=memory_limit_bytes)
-        x = ARTIndexX(AdaptiveRadixTree(clock=self.clock, costs=self.costs))
+        x = AdaptiveRadixTree(clock=self.clock, costs=self.costs)
         tree = DiskBPlusTree(
             pool_bytes=pool,
             page_size=page_size,

@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.art.tree import AdaptiveRadixTree
-from repro.core.adapters import ARTIndexX
 from repro.core.config import CachePolicyConfig, IndeXYConfig
 from repro.core.indexy import IndeXY
 from repro.lsm.store import LSMConfig, LSMStore
@@ -56,7 +55,7 @@ class ArtLsmSystem(IndeXYSystem):
             row_cache_policy=policies.row,
         )
         config = indexy_config or IndeXYConfig(memory_limit_bytes=memory_limit_bytes)
-        x = ARTIndexX(AdaptiveRadixTree(clock=self.clock, costs=self.costs))
+        x = AdaptiveRadixTree(clock=self.clock, costs=self.costs)
         y = LSMStore(config=lsm_config, runtime=self.runtime)
         from repro.check.flags import sanitize_enabled
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.art.tree import AdaptiveRadixTree
-from repro.core.adapters import ARTIndexX
 from repro.core.config import CachePolicyConfig, IndeXYConfig
 from repro.core.indexy import IndeXY
 from repro.core.multi_y import KeyRegionRouter, RoutedIndexY
@@ -81,7 +80,7 @@ class ArtMultiYSystem(IndeXYSystem):
             router,
             runtime=self.runtime,
         )
-        x = ARTIndexX(AdaptiveRadixTree(clock=self.clock, costs=self.costs))
+        x = AdaptiveRadixTree(clock=self.clock, costs=self.costs)
         config = IndeXYConfig(memory_limit_bytes=memory_limit_bytes)
         from repro.check.flags import sanitize_enabled
 

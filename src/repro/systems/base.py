@@ -184,10 +184,6 @@ class KVSystem:
             disk_write_bytes=self.disk.stats["bytes_written"],
         )
 
-    @staticmethod
-    def encode_key(key: int) -> bytes:
-        return encode_int(key)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(ops={self.stats['ops']:.0f})"
 
@@ -204,10 +200,8 @@ class IndeXYSystem(KVSystem):
 
     def insert(self, key: int, value: bytes) -> None:
         self._op()
-        self.index.insert(self.encode_key(key), value)
+        self.index.insert(encode_int(key), value)
 
-    # The batch verbs bind ``encode_int`` itself, not the ``encode_key``
-    # wrapper: one Python frame per key is what a batch exists to save.
     def put_many(self, keys: Iterable[int], value: bytes) -> None:
         # Same per-key charge sequence as insert(), locals hoisted.
         charge = self.clock.charge_cpu
@@ -222,7 +216,7 @@ class IndeXYSystem(KVSystem):
 
     def read(self, key: int) -> Optional[bytes]:
         self._op()
-        return self.index.get(self.encode_key(key))
+        return self.index.get(encode_int(key))
 
     def get_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
         charge = self.clock.charge_cpu
@@ -240,7 +234,7 @@ class IndeXYSystem(KVSystem):
 
     def delete(self, key: int) -> bool:
         self._op()
-        return self.index.delete(self.encode_key(key))
+        return self.index.delete(encode_int(key))
 
     def delete_many(self, keys: Iterable[int]) -> list[bool]:
         # Same per-key charge sequence as delete(), locals hoisted.
@@ -259,7 +253,7 @@ class IndeXYSystem(KVSystem):
 
     def scan(self, key: int, count: int) -> list[tuple[bytes, bytes]]:
         self._op()
-        return self.index.scan(self.encode_key(key), count)
+        return self.index.scan(encode_int(key), count)
 
     def set_memory_limit(self, memory_limit_bytes: int) -> None:
         """Re-budget the live system: Index X watermarks plus Index Y caches.
@@ -314,7 +308,7 @@ class BaselineSystem(KVSystem):
 
     def insert(self, key: int, value: bytes) -> None:
         self._op()
-        self.y.put(self.encode_key(key), value)
+        self.y.put(encode_int(key), value)
         self._sanitize()
 
     def put_many(self, keys: Iterable[int], value: bytes) -> None:
@@ -322,7 +316,7 @@ class BaselineSystem(KVSystem):
         charge = self.clock.charge_cpu
         overhead = self.costs.op_overhead
         bump = self.stats.bump
-        encode = self.encode_key
+        encode = encode_int
         put = self.y.put
         sanitizer = self.sanitizer
         for key in keys:
@@ -334,7 +328,7 @@ class BaselineSystem(KVSystem):
 
     def read(self, key: int) -> Optional[bytes]:
         self._op()
-        value = self.y.get(self.encode_key(key))
+        value = self.y.get(encode_int(key))
         self._sanitize()
         return value
 
@@ -342,7 +336,7 @@ class BaselineSystem(KVSystem):
         charge = self.clock.charge_cpu
         overhead = self.costs.op_overhead
         bump = self.stats.bump
-        encode = self.encode_key
+        encode = encode_int
         get = self.y.get
         sanitizer = self.sanitizer
         out: list[Optional[bytes]] = []
@@ -357,7 +351,7 @@ class BaselineSystem(KVSystem):
 
     def delete(self, key: int) -> bool:
         self._op()
-        present: bool = self.y.delete(self.encode_key(key))
+        present: bool = self.y.delete(encode_int(key))
         self._sanitize()
         return present
 
@@ -366,7 +360,7 @@ class BaselineSystem(KVSystem):
         charge = self.clock.charge_cpu
         overhead = self.costs.op_overhead
         bump = self.stats.bump
-        encode = self.encode_key
+        encode = encode_int
         delete = self.y.delete
         sanitizer = self.sanitizer
         out: list[bool] = []
@@ -381,7 +375,7 @@ class BaselineSystem(KVSystem):
 
     def scan(self, key: int, count: int) -> list[tuple[bytes, bytes]]:
         self._op()
-        out: list[tuple[bytes, bytes]] = self.y.scan(self.encode_key(key), count)
+        out: list[tuple[bytes, bytes]] = self.y.scan(encode_int(key), count)
         self._sanitize()
         return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.art.keys import encode_int
 from repro.core.config import CachePolicyConfig
 from repro.lsm.store import LSMConfig, LSMStore
 from repro.sim.costs import CostModel
@@ -69,8 +70,8 @@ class RocksDbLikeSystem(BaselineSystem):
     # ``LSMStore.delete`` writes a tombstone blind, so presence is read first.
     def delete(self, key: int) -> bool:
         self._op()
-        present = self.y.get(self.encode_key(key)) is not None
-        self.y.delete(self.encode_key(key))
+        present = self.y.get(encode_int(key)) is not None
+        self.y.delete(encode_int(key))
         self._sanitize()
         return present
 
@@ -79,7 +80,7 @@ class RocksDbLikeSystem(BaselineSystem):
         charge = self.clock.charge_cpu
         overhead = self.costs.op_overhead
         bump = self.stats.bump
-        encode = self.encode_key
+        encode = encode_int
         get = self.y.get
         delete = self.y.delete
         sanitizer = self.sanitizer

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, replace
 
 from repro.art.tree import AdaptiveRadixTree
-from repro.core.adapters import ARTIndexX
 from repro.core.config import IndeXYConfig
 from repro.core.indexy import IndeXY
 from repro.diskbtree.tree import DiskBPlusTree
@@ -174,7 +173,7 @@ class TpccEngine:
             )
         if not indexed:
             return y
-        x = ARTIndexX(AdaptiveRadixTree(clock=self.clock, costs=self.costs))
+        x = AdaptiveRadixTree(clock=self.clock, costs=self.costs)
         if kind == "ART-B+":
             y = _DiskBTreeAsY(y)
         return IndeXY(x, y, IndeXYConfig(memory_limit_bytes=budget), self.runtime)

@@ -341,14 +341,6 @@ def test_operations_charge_simulated_cpu():
     assert clock.cpu_ns > after_insert
 
 
-def test_background_flag_charges_background_account():
-    clock = SimClock()
-    tree = AdaptiveRadixTree(clock=clock, background=True)
-    tree.insert(ikey(1), b"v")
-    assert clock.cpu_ns == 0
-    assert clock.background_ns > 0
-
-
 def test_deeper_trees_charge_more():
     clock_a = SimClock()
     shallow = AdaptiveRadixTree(clock=clock_a)

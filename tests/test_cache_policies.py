@@ -25,7 +25,6 @@ from repro.check.sanitizer import (
 )
 from repro.core.config import CachePolicyConfig
 from repro.diskbtree import BufferPool, BufferPoolConfig, LeafPage
-from repro.lsm.cache import LRUCache
 from repro.shard import BudgetConfig, RebalanceConfig
 from repro.sim import EngineRuntime
 from repro.systems.factory import build_system, parse_system_spec
@@ -182,7 +181,7 @@ def test_mglru_hit_refreshes_generation():
 # PolicyCache mechanics
 # ----------------------------------------------------------------------
 def test_policy_cache_matches_historical_lru_cache():
-    a, b = LRUCache(64), PolicyCache(64, "lru")
+    a, b = PolicyCache(64), PolicyCache(64, "lru")
     ops = [("put", k, 16) for k in "abcde"] + [("get", "b", 0), ("put", "f", 16)]
     for cache in (a, b):
         for op, key, nbytes in ops:

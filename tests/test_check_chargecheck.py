@@ -10,6 +10,7 @@ the generated DESIGN.md rule table, and RL3xx presence in SARIF.
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -17,8 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.check.__main__ import _parse_rule_spec, _rule_catalogue_markdown, main
-from repro.check.chargecheck import summarize
-from repro.check.engine import parse
+from repro.check.chargecheck import _RECEIVER_TYPES, _RECEIVER_TYPES_BY_PREFIX, summarize
+from repro.check.engine import load, parse
 from repro.check.rules import RULES, run
 from repro.sim.effects import MANY
 
@@ -555,3 +556,17 @@ def test_shipped_tree_is_charge_clean():
     # RL301–RL304 hold over the real source with zero findings and zero
     # pragma debt (the acceptance bar for this rule family).
     assert main(["--rules", "RL301,RL302,RL303,RL304", str(SRC)]) == 0
+
+
+def test_receiver_tables_name_only_classes_that_exist():
+    # A curated row naming a class that is not in the tree silently drops
+    # that receiver from the RL30x join.
+    defined = {
+        node.name
+        for module in load([SRC]).modules
+        for node in ast.walk(module.tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    tables = [_RECEIVER_TYPES, *_RECEIVER_TYPES_BY_PREFIX.values()]
+    named = {cls for table in tables for classes in table.values() for cls in classes}
+    assert named - defined == set()

@@ -4,7 +4,7 @@ import random
 
 from repro.art import AdaptiveRadixTree, encode_int
 from repro.btree import BPlusTree
-from repro.core import ARTIndexX, BTreeIndexX, IndeXY, IndeXYConfig
+from repro.core import IndeXY, IndeXYConfig
 from repro.diskbtree import DiskBPlusTree
 from repro.lsm import LSMConfig, LSMStore
 from repro.sim import EngineRuntime
@@ -17,7 +17,7 @@ def ikey(i: int) -> bytes:
 def make_art_lsm(limit_bytes=256 * 1024, **kwargs):
     runtime = EngineRuntime()
     clock, disk = runtime.clock, runtime.disk
-    x = ARTIndexX(AdaptiveRadixTree(clock=clock))
+    x = AdaptiveRadixTree(clock=clock)
     y = LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024, block_cache_bytes=16 * 1024))
     config = IndeXYConfig(
         memory_limit_bytes=limit_bytes,
@@ -30,7 +30,7 @@ def make_art_lsm(limit_bytes=256 * 1024, **kwargs):
 def make_art_bplus(limit_bytes=256 * 1024):
     runtime = EngineRuntime()
     clock, disk = runtime.clock, runtime.disk
-    x = ARTIndexX(AdaptiveRadixTree(clock=clock))
+    x = AdaptiveRadixTree(clock=clock)
     y = DiskBPlusTree(runtime, pool_bytes=16 * 4096, page_size=4096)
     config = IndeXYConfig(memory_limit_bytes=limit_bytes, preclean_interval_inserts=512)
     return IndeXY(x, y, config, runtime), clock, disk
@@ -39,7 +39,7 @@ def make_art_bplus(limit_bytes=256 * 1024):
 def make_btree_lsm(limit_bytes=256 * 1024):
     runtime = EngineRuntime()
     clock, disk = runtime.clock, runtime.disk
-    x = BTreeIndexX(BPlusTree(capacity=32, clock=clock))
+    x = BPlusTree(capacity=32, clock=clock)
     y = LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024))
     config = IndeXYConfig(memory_limit_bytes=limit_bytes, preclean_interval_inserts=512)
     return IndeXY(x, y, config, runtime), clock, disk
@@ -109,7 +109,7 @@ def test_fully_precleaned_release_is_free():
 
     refs = select_for_release(index.x, target)
     for ref in refs:
-        assert list(index.x.iter_dirty_entries(ref)) == []
+        assert list(index.x.iter_dirty_entries(ref.node)) == []
         index.x.detach(ref)
     assert disk.stats["bytes_written"] == writes_before  # zero release I/O
     assert released == 0
@@ -122,7 +122,7 @@ def test_loads_from_y_enter_x_clean():
     evicted = next(k for k in keys if index.x.search(ikey(k)) is None)
     assert index.get(ikey(evicted)) == b"v" * 8  # served via Y, cached in X
     assert index.x.search(ikey(evicted)) == b"v" * 8
-    dirty_keys = {k for k, __v in index.x.iter_dirty_entries(index.x.root_ref())}
+    dirty_keys = {k for k, __v in index.x.iter_dirty_entries(index.x.root)}
     assert ikey(evicted) not in dirty_keys  # cached clean: free to drop again
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.art import AdaptiveRadixTree, encode_int
-from repro.core import ARTIndexX, IndeXY, IndeXYConfig, PreCleaner
+from repro.core import IndeXY, IndeXYConfig, PreCleaner
 from repro.lsm import LSMConfig, LSMStore
 from repro.sim import EngineRuntime, StatCounters
 
@@ -15,7 +15,7 @@ def ikey(i: int) -> bytes:
 @pytest.fixture
 def setup():
     runtime = EngineRuntime()
-    x = ARTIndexX(AdaptiveRadixTree())
+    x = AdaptiveRadixTree()
     y = LSMStore(runtime, LSMConfig(memtable_bytes=1 << 20))
     config = IndeXYConfig(
         memory_limit_bytes=1 << 20, preclean_interval_inserts=100, partition_depth=1
@@ -78,7 +78,7 @@ def test_disabled_cleaner_does_nothing():
     # Disabled means the engine registers no ``preclean`` task: the
     # scheduler's periodic task is the only timer there is.
     runtime = EngineRuntime()
-    x = ARTIndexX(AdaptiveRadixTree(clock=runtime.clock))
+    x = AdaptiveRadixTree(clock=runtime.clock)
     y = LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024))
     config = IndeXYConfig(memory_limit_bytes=64 * 1024, preclean_interval_inserts=1)
     index = IndeXY(x, y, config, runtime, precleaning_enabled=False)
@@ -109,7 +109,7 @@ def test_cleaning_marks_subtree_clean(setup):
     assert cleaned
     # A cleaned region has no dirty leaves.
     quiet = cleaned[0]
-    assert list(x.iter_dirty_entries(quiet)) == []
+    assert list(x.iter_dirty_entries(quiet.node)) == []
 
 
 def test_writeback_is_key_ordered(setup):

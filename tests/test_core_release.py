@@ -1,12 +1,15 @@
 """Unit tests for Algorithm 1 (access-density subtree selection)."""
 
+import bisect
 import random
 
 import pytest
 
 from repro.art import AdaptiveRadixTree, encode_int
 from repro.btree import BPlusTree
-from repro.core import ARTIndexX, BTreeIndexX, ReleasePolicy, select_for_release
+from repro.core import IndeXY, IndeXYConfig, ReleasePolicy, release, select_for_release
+from repro.lsm import LSMConfig, LSMStore
+from repro.sim import EngineRuntime
 
 
 def ikey(i: int) -> bytes:
@@ -15,7 +18,7 @@ def ikey(i: int) -> bytes:
 
 def build_art_with_hot_cold(n=4000):
     """Keys 0..n-1; the lower half of the key space is read-hot."""
-    x = ARTIndexX(AdaptiveRadixTree())
+    x = AdaptiveRadixTree()
     rng = random.Random(42)
     for k in rng.sample(range(n), n):
         x.insert(ikey(k), b"v")
@@ -27,7 +30,7 @@ def build_art_with_hot_cold(n=4000):
 
 
 def subtree_keys(x, ref):
-    return [k for k, __ in x.iter_dirty_entries(ref)]
+    return [k for k, __ in x.iter_dirty_entries(ref.node)]
 
 
 def test_zero_target_selects_nothing():
@@ -39,7 +42,7 @@ def test_selection_reaches_target_size():
     x = build_art_with_hot_cold()
     target = x.memory_bytes // 4
     refs = select_for_release(x, target)
-    total = sum(x.subtree_memory(r) for r in refs)
+    total = sum(x.subtree_memory(r.node) for r in refs)
     assert total >= target
 
 
@@ -68,7 +71,7 @@ def test_selected_refs_are_disjoint():
 def test_whole_tree_when_target_exceeds_size():
     x = build_art_with_hot_cold(n=500)
     refs = select_for_release(x, x.memory_bytes * 10)
-    total = sum(x.subtree_memory(r) for r in refs)
+    total = sum(x.subtree_memory(r.node) for r in refs)
     # Everything splittable is taken (root or all its subtrees).
     assert total >= 0.5 * x.memory_bytes
 
@@ -84,7 +87,7 @@ def test_detaching_selection_frees_target():
 
 
 def test_btree_adapter_supported():
-    x = BTreeIndexX(BPlusTree(capacity=16))
+    x = BPlusTree(capacity=16)
     rng = random.Random(7)
     for k in rng.sample(range(10**7), 3000):
         x.insert(ikey(k), b"v")
@@ -119,3 +122,91 @@ def test_random_policy_ignores_density():
     hot = sum(1 for k in keys if int.from_bytes(k, "big") < 2000)
     # Random eviction hits the hot half roughly proportionally.
     assert hot > 0
+
+
+# ----------------------------------------------------------------------
+# SplitAndReplace keeps each candidate's children across rounds; the
+# selection it produces is pinned against the version that rebuilt them
+# on every round.
+# ----------------------------------------------------------------------
+def _reference_split_and_replace(index_x, candidates, variation_threshold):
+    """``release._split_and_replace`` before children were kept on the
+    candidate: every round re-derives every candidate's children."""
+    by_size = sorted(candidates, key=lambda c: c.size, reverse=True)
+    chosen = None
+    fallback = None
+    rebuilt = {}
+    for cand in by_size:
+        child_refs = index_x.child_refs(cand.ref)
+        if not child_refs:
+            continue
+        children = [release._make_candidate(index_x, ref) for ref in child_refs]
+        rebuilt[id(cand)] = children
+        if fallback is None:
+            fallback = cand
+        densities = [c.density for c in children]
+        spread = max(densities) - min(densities)
+        if spread > variation_threshold * max(cand.density, 1e-12):
+            chosen = cand
+            break
+    if chosen is None:
+        chosen = fallback
+    if chosen is None:
+        return False
+
+    candidates.remove(chosen)
+    keys = [c.density for c in candidates]
+    for child in rebuilt[id(chosen)]:
+        pos = bisect.bisect(keys, child.density)
+        candidates.insert(pos, child)
+        keys.insert(pos, child.density)
+    return True
+
+
+@pytest.mark.parametrize(
+    "make_x",
+    [AdaptiveRadixTree, lambda clock: BPlusTree(capacity=16, clock=clock)],
+    ids=["art", "btree"],
+)
+def test_selection_matches_the_rebuild_every_round_reference(make_x, monkeypatch):
+    runtime = EngineRuntime()
+    index = IndeXY(
+        make_x(clock=runtime.clock),
+        LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024)),
+        IndeXYConfig(memory_limit_bytes=64 * 1024, preclean_interval_inserts=512),
+        runtime,
+    )
+    x = index.x
+    rng = random.Random(9)
+    keys = rng.sample(range(10**8), 9000)
+    rounds = []
+    production = release._split_and_replace
+
+    def counted(*args):
+        rounds[-1] += 1
+        return production(*args)
+
+    stages = 0
+    for stage in range(0, len(keys), 1000):
+        for k in keys[stage : stage + 1000]:
+            index.insert(ikey(k), b"v" * 8)
+        for k in keys[stage : stage + 1000 : 3]:  # skewed reads: uneven densities
+            index.get(ikey(k))
+        if not index.stats["release_cycles"]:
+            continue
+        stages += 1
+        for divisor in (2, 5, 11):
+            target = x.memory_bytes // divisor
+            monkeypatch.setattr(release, "_split_and_replace", _reference_split_and_replace)
+            want = select_for_release(x, target)
+            rounds.append(0)
+            monkeypatch.setattr(release, "_split_and_replace", counted)
+            got = select_for_release(x, target)
+            assert want
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.node is b.node
+                assert a.parent is b.parent
+    assert stages >= 5
+    # The memo is exercised: selections took several split rounds.
+    assert max(rounds) >= 5

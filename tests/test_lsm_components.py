@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.art import encode_int
-from repro.lsm import BloomFilter, LRUCache, MemTable, SSTable
+from repro.lsm import BloomFilter, MemTable, PolicyCache, SSTable
 from repro.lsm.bloom import fnv1a
 from repro.lsm.sstable import decode_block, encode_block
 from repro.sim import CostModel, SimClock, SimDisk
@@ -50,7 +50,7 @@ def test_bloom_handles_empty_expectation():
 # LRU cache
 # ----------------------------------------------------------------------
 def test_lru_get_put():
-    cache = LRUCache(100)
+    cache = PolicyCache(100)
     cache.put("a", 1, 10)
     assert cache.get("a") == 1
     assert cache.get("b") is None
@@ -58,7 +58,7 @@ def test_lru_get_put():
 
 
 def test_lru_evicts_least_recent():
-    cache = LRUCache(30)
+    cache = PolicyCache(30)
     cache.put("a", 1, 10)
     cache.put("b", 2, 10)
     cache.put("c", 3, 10)
@@ -70,14 +70,14 @@ def test_lru_evicts_least_recent():
 
 
 def test_lru_oversized_entry_skipped():
-    cache = LRUCache(10)
+    cache = PolicyCache(10)
     cache.put("big", 1, 100)
     assert cache.get("big") is None
     assert cache.used_bytes == 0
 
 
 def test_lru_replace_updates_bytes():
-    cache = LRUCache(100)
+    cache = PolicyCache(100)
     cache.put("a", 1, 10)
     cache.put("a", 2, 30)
     assert cache.used_bytes == 30
@@ -85,7 +85,7 @@ def test_lru_replace_updates_bytes():
 
 
 def test_lru_invalidate():
-    cache = LRUCache(100)
+    cache = PolicyCache(100)
     cache.put("a", 1, 10)
     cache.invalidate("a")
     assert cache.get("a") is None
@@ -94,7 +94,7 @@ def test_lru_invalidate():
 
 def test_lru_rejects_negative_capacity():
     with pytest.raises(ValueError):
-        LRUCache(-1)
+        PolicyCache(-1)
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_sstable_iter_from_start(disk):
 
 def test_sstable_block_cache_avoids_repeat_io(disk):
     table, pairs = make_table(disk)
-    cache = LRUCache(1 << 20)
+    cache = PolicyCache(1 << 20)
     table.get(pairs[0][0], cache)
     reads_after_first = disk.stats["reads"]
     table.get(pairs[0][0], cache)

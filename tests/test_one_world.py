@@ -8,6 +8,7 @@ engines the optional ``disk=/clock=`` constructors used to allow).
 
 import pytest
 
+from repro.art import AdaptiveRadixTree
 from repro.core.indexy import IndeXY
 from repro.core.multi_y import RoutedIndexY
 from repro.lsm import LSMStore
@@ -36,7 +37,8 @@ def components(top):
     """
     out = []
     if isinstance(top, IndeXY):
-        out += [("index", top, True), ("precleaner", top.precleaner, True)]
+        assert isinstance(top.x, AdaptiveRadixTree)  # the tree itself, no wrapper
+        out += [("index", top, True), ("precleaner", top.precleaner, True), ("x", top.x, False)]
         top = top.y
     pending = [("y", top)]
     while pending:

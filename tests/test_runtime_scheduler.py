@@ -9,7 +9,7 @@ reproduce the seed's maintenance counters exactly.
 import random
 
 from repro.art import AdaptiveRadixTree, encode_int
-from repro.core import ARTIndexX, IndeXY, IndeXYConfig
+from repro.core import IndeXY, IndeXYConfig, ReleasePolicy
 from repro.core.precleaner import PreCleaner
 from repro.lsm import LSMConfig, LSMStore
 import pytest
@@ -200,7 +200,7 @@ class TestInstrumentation:
 # ----------------------------------------------------------------------
 def build_indexy():
     runtime = EngineRuntime()
-    x = ARTIndexX(AdaptiveRadixTree(clock=runtime.clock))
+    x = AdaptiveRadixTree(clock=runtime.clock)
     y = LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024, block_cache_bytes=16 * 1024))
     config = IndeXYConfig(
         memory_limit_bytes=128 * 1024,
@@ -255,7 +255,7 @@ class TestGoldenCounters:
 
     def test_precleaner_counters_match_seed(self):
         runtime = EngineRuntime()
-        x = ARTIndexX(AdaptiveRadixTree(clock=runtime.clock))
+        x = AdaptiveRadixTree(clock=runtime.clock)
         y = LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024))
         config = IndeXYConfig(
             memory_limit_bytes=1 << 20,
@@ -293,21 +293,19 @@ class TestIndexyFixes:
         assert idx.get(ikey(1)) is None
         assert ikey(1) not in dict(idx.scan(ikey(0), 10))
 
-    def test_set_memory_limit_refreshes_release_policy_depth(self):
-        idx, __, __y = build_indexy()
-        idx.release_policy.partition_depth = 99  # drift it artificially
-        idx.set_memory_limit(64 * 1024)
-        assert idx.release_policy.partition_depth == idx.config.partition_depth
-        assert idx.config.memory_limit_bytes == 64 * 1024
-
-    def test_set_memory_limit_repaces_preclean_task(self):
-        idx, __, __y = build_indexy()
-        assert idx._preclean_task.pacing_interval_ops == 512
-        idx.set_memory_limit(64 * 1024)
-        assert (
-            idx._preclean_task.pacing_interval_ops
-            == idx.config.preclean_interval_inserts
+    def test_set_memory_limit_keeps_a_custom_release_depth(self):
+        runtime = EngineRuntime()
+        idx = IndeXY(
+            AdaptiveRadixTree(clock=runtime.clock),
+            LSMStore(runtime, LSMConfig(memtable_bytes=16 * 1024)),
+            IndeXYConfig(memory_limit_bytes=1 << 20),
+            runtime,
+            release_policy=ReleasePolicy("coarse", partition_depth=3),
         )
+        idx.set_memory_limit(1 << 19)
+        assert idx.release_policy.partition_depth == 3
+        assert idx.config.memory_limit_bytes == 1 << 19
+        assert idx.budget.config is idx.config
 
 
 # ----------------------------------------------------------------------

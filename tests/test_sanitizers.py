@@ -38,7 +38,7 @@ from repro.check.sanitizer import (
     iter_art_inner_nodes,
     iter_btree_nodes,
 )
-from repro.core import ARTIndexX, IndeXY, IndeXYConfig
+from repro.core import IndeXY, IndeXYConfig
 from repro.diskbtree import DiskBPlusTree
 from repro.lsm import LSMConfig, LSMStore
 from repro.lsm.bloom import BloomFilter
@@ -487,7 +487,7 @@ def test_lsm_tombstone_check_skipped_under_budget():
 # ----------------------------------------------------------------------
 def make_index(**kwargs):
     runtime = EngineRuntime()
-    x = ARTIndexX(AdaptiveRadixTree(clock=runtime.clock))
+    x = AdaptiveRadixTree(clock=runtime.clock)
     y = LSMStore(
         config=LSMConfig(memtable_bytes=8 * 1024, block_cache_bytes=16 * 1024),
         runtime=runtime,
@@ -596,7 +596,7 @@ def test_index_sanitizer_clean_workload_runs():
 def test_index_sanitizer_raises_on_corruption():
     index = make_index(debug_checks=True)
     index.insert(ikey(1), b"one")
-    index.x.tree.key_count += 7
+    index.x.key_count += 7
     with pytest.raises(CheckError) as excinfo:
         index.sanitizer.check_now()
     assert "art-key-count" in {v.check for v in excinfo.value.violations}
