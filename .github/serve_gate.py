@@ -8,9 +8,10 @@ file, outside ``hostbench/``):
 * every value under ``equal`` — the simulated-clock results and the
   router's migration/re-split counts, all properties of the code and the
   seed alone — matches exactly;
-* every value under ``at_most`` — Python calls per op in the ``shard``,
-  ``systems``, ``core`` and ``art`` layers, the deterministic stand-in
-  for host time — is no higher.
+* every value under ``at_most`` — Python calls per op in every layer
+  ``serve_skew`` crosses (``shard``, ``systems``, ``core``, ``art``,
+  ``lsm``, ``cache`` and ``sim``; ``diskbtree`` is bypassed), the
+  deterministic stand-in for host time — is no higher.
 
 Wall-clock metrics are never compared.  ``correct`` also covers the
 benchmark's own "was the process descheduled" check, the one input a

@@ -46,6 +46,7 @@ time; see EXPERIMENTS.md for the measured overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 # Thread *identity* only (no locks, no thread creation): the ownership
 # oracle below must know which pool worker touched a shard substrate to
@@ -727,7 +728,7 @@ def check_lsm(store: LSMStore, max_deep_tables: Optional[int] = None) -> list[Vi
     for table in deep:
         # Bypass the store's block cache: probe reads must not warm it
         # (cache-state perturbation would change later real reads).
-        entries = list(table.iter_all(None))
+        entries = list(chain.from_iterable(table.blocks()))
         if len(entries) != table.entry_count:
             out.add(
                 "lsm-table-count",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, islice
+from operator import itemgetter
 from struct import Struct
 from typing import Iterator, Optional
 
@@ -21,12 +23,11 @@ from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
 from repro.sim.effects import charges
 
-_KLEN_BYTES = 2
-_VLEN_BYTES = 4
-
 #: key length(2) + value length(4), big-endian — same wire format as the
 #: original per-field ``int.to_bytes`` encoding.
 _ENTRY_HEADER = Struct(">HI")
+#: stands in for an entry's header when only the encoded size is wanted.
+_HEADER_PAD = bytes(_ENTRY_HEADER.size)
 
 
 def encode_block(entries: list[tuple[bytes, bytes]]) -> bytes:
@@ -39,6 +40,32 @@ def encode_block(entries: list[tuple[bytes, bytes]]) -> bytes:
         append(key)
         append(value)
     return b"".join(parts)
+
+
+def split_by_size(
+    pairs: list[tuple[bytes, bytes]], budget: int, close_after: bool
+) -> list[list[tuple[bytes, bytes]]]:
+    """Cut ``pairs`` into consecutive groups of about ``budget`` encoded bytes.
+
+    One cumulative-size pass over the whole list, then one bisect per group.
+    The two callers close a group differently: a data block closes *before*
+    the entry that would take it past ``budget`` (so a single oversize entry
+    gets a block to itself); an output table (``close_after``) closes
+    *after* the entry that reaches ``budget``.
+    """
+    # key + pad + value is as long as the encoded entry: measured in C.
+    ends = list(accumulate(map(len, map(_HEADER_PAD.join, pairs))))
+    count = len(ends)
+    groups: list[list[tuple[bytes, bytes]]] = []
+    start = base = 0
+    while start < count:
+        if close_after:
+            stop = min(count, bisect_left(ends, base + budget) + 1)
+        else:
+            stop = max(start + 1, bisect_right(ends, base + budget))
+        groups.append(pairs[start:stop])
+        start, base = stop, ends[stop - 1]
+    return groups
 
 
 def decode_block(blob: bytes) -> list[tuple[bytes, bytes]]:
@@ -115,21 +142,9 @@ class SSTable:
         if not pairs:
             raise ValueError("cannot build an empty SSTable")
 
-        blocks: list[list[tuple[bytes, bytes]]] = []
-        current: list[tuple[bytes, bytes]] = []
-        current_bytes = 0
-        for key, value in pairs:
-            entry_bytes = _KLEN_BYTES + _VLEN_BYTES + len(key) + len(value)
-            if current and current_bytes + entry_bytes > block_size:
-                blocks.append(current)
-                current = []
-                current_bytes = 0
-            current.append((key, value))
-            current_bytes += entry_bytes
-        blocks.append(current)
-
+        blocks = split_by_size(pairs, block_size, close_after=False)
         encoded = [encode_block(b) for b in blocks]
-        total = sum(len(e) for e in encoded)
+        total = sum(map(len, encoded))
         base = disk.allocate(total)
         offsets: list[int] = []
         first_keys: list[bytes] = []
@@ -146,7 +161,7 @@ class SSTable:
         else:
             clock.charge_cpu(cpu_ns)
 
-        bloom = BloomFilter.build((k for k, __ in pairs), bits_per_key)
+        bloom = BloomFilter.build(map(itemgetter(0), pairs), bits_per_key)
         return cls(
             table_id=table_id,
             disk=disk,
@@ -201,18 +216,25 @@ class SSTable:
             return entries[i][1]
         return None
 
-    def iter_from(
-        self, start: bytes | None = None, block_cache: PolicyCache | None = None
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """Yield pairs with key >= ``start`` in order, reading block by block."""
-        first = 0 if start is None else self._block_index_for(start)
+    def blocks(
+        self, first: int = 0, block_cache: PolicyCache | None = None
+    ) -> Iterator[list[tuple[bytes, bytes]]]:
+        """Yield the decoded blocks from index ``first`` on, loading lazily."""
         for index in range(first, len(self._block_offsets)):
-            for key, value in self._load_block(index, block_cache):
-                if start is None or key >= start:
-                    yield key, value
+            yield self._load_block(index, block_cache)
 
-    def iter_all(self, block_cache: PolicyCache | None = None) -> Iterator[tuple[bytes, bytes]]:
-        return self.iter_from(None, block_cache)
+    def iter_from(
+        self, start: bytes, block_cache: PolicyCache | None = None
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """Yield pairs with key >= ``start`` in order, reading block by block.
+
+        Lazy: a block is loaded (a disk charge and a block-cache touch) only
+        when the consumer reaches it.  Only the first block can hold keys
+        below ``start``; the rest are handed on whole.
+        """
+        blocks = self.blocks(self._block_index_for(start), block_cache)
+        head = (block[bisect_left(block, (start,)) :] for block in islice(blocks, 1))
+        return chain.from_iterable(chain(head, blocks))
 
     # ------------------------------------------------------------------
     # lifecycle / accounting

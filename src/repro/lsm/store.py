@@ -11,6 +11,13 @@ backpressure, which keeps level budgets bounded under write bursts).
 Either way compaction charges background CPU and real simulated disk I/O —
 so it competes with foreground requests for the disk exactly as the paper
 observes (the ART-LSM throughput fluctuation in Figure 9).
+
+On the host, flush and compaction call Python once per table or per block,
+never once per entry: one dict-and-sort merge per compaction
+(``_merge_tables``), one cumulative-size pass per table for the block and
+output-table cuts (``sstable.split_by_size``), one lane-parallel hash per
+filter (``BloomFilter.add_many``).  The disk image, every charge and every
+bloom bit are what the per-entry loops produced (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Iterator, Optional
 
 from repro.cache.bytecache import PolicyCache
 from repro.lsm.memtable import MemTable
-from repro.lsm.sstable import SSTable
+from repro.lsm.sstable import SSTable, split_by_size
 from repro.sim.effects import charges
 from repro.sim.runtime import EngineRuntime
 from repro.sim.stats import StatCounters
@@ -153,11 +160,14 @@ class LSMStore:
                 self._compact_level(level)
 
     def _compact_level(self, level: int) -> None:
-        """Merge ``level`` (or its oldest table) into ``level + 1``."""
+        """Merge ``level`` (or, below level 0, its lowest-key table) into ``level + 1``."""
         if level == 0:
             upper = list(self.levels[0])
         else:
-            # Pick the oldest (first) table beyond budget.
+            # ``levels[n>=1]`` is sorted by min_key, so ``[0]`` is the table
+            # with the lowest key range, not the oldest: an over-budget level
+            # always pushes its lowest range down first.  The committed
+            # results pin this pick (DESIGN.md §4b).
             upper = [self.levels[level][0]]
         low = min(t.min_key for t in upper)
         high = max(t.max_key for t in upper)
@@ -177,7 +187,7 @@ class LSMStore:
         if merged:
             out_budget = max(self.config.level1_bytes, self.config.memtable_bytes * 4)
             bump = self.stats.bump
-            for chunk in self._chunk_pairs(merged, out_budget):
+            for chunk in split_by_size(merged, out_budget, close_after=True):
                 table = SSTable.build(
                     next(self._table_ids),
                     self.disk,
@@ -201,53 +211,28 @@ class LSMStore:
     def _merge_tables(
         self, newer: list[SSTable], older: list[SSTable], drop_tombstones: bool
     ) -> list[tuple[bytes, bytes]]:
-        """Newest-wins ``heapq.merge`` of complete tables (no caches).
+        """Newest-wins merge of complete tables (no caches).
 
-        Each table is still read in full, oldest table first, before any
-        merging happens — the simulated disk classifies sequential vs.
-        random I/O by request order, so the read schedule (and with it the
-        simulated cost) must not depend on how the merge interleaves keys.
-        The k-way merge then runs purely in memory over the sorted runs.
+        Every table is read in full, oldest table first, block by block —
+        the simulated disk classifies sequential vs. random I/O by request
+        order, so the read schedule (and with it the simulated cost) must
+        not depend on how the keys interleave.  Each block lands in one dict
+        with ``dict.update``, so a newer run's value replaces an older one
+        (keys are unique within a run: newest-wins is the only tie), and the
+        dict's insertion order is a handful of sorted stretches, which
+        ``sorted`` (Timsort) merges in C.
         """
-        runs = [list(t.iter_all()) for t in list(reversed(older)) + list(reversed(newer))]
-
-        def tag(run: list[tuple[bytes, bytes]], seq: int) -> Iterator[tuple[bytes, int, bytes]]:
-            # A function (not a nested genexp) so ``seq`` is bound per run.
-            return ((k, seq, v) for k, v in run)
-
-        # Ties sort by run sequence (oldest run first), so the last entry
-        # seen for a key is the newest — it overwrites in place.
-        items: list[tuple[bytes, bytes]] = []
-        last_key: bytes | None = None
-        for key, __, value in heapq.merge(
-            *(tag(run, seq) for seq, run in enumerate(runs))
-        ):
-            if key == last_key:
-                items[-1] = (key, value)
-            else:
-                items.append((key, value))
-                last_key = key
+        merged: dict[bytes, bytes] = {}
+        for table in itertools.chain(reversed(older), reversed(newer)):
+            for block in table.blocks():
+                merged.update(block)
+        items = sorted(merged.items())
         self.clock.charge_background(
             self.costs.compare_cost(len(items)) + self.costs.copy_cost(len(items) * 16)
         )
         if drop_tombstones:
             items = [(k, v) for k, v in items if v != TOMBSTONE]
         return items
-
-    @staticmethod
-    def _chunk_pairs(
-        pairs: list[tuple[bytes, bytes]], budget_bytes: int
-    ) -> Iterator[list[tuple[bytes, bytes]]]:
-        chunk: list[tuple[bytes, bytes]] = []
-        size = 0
-        for key, value in pairs:
-            chunk.append((key, value))
-            size += len(key) + len(value) + 6
-            if size >= budget_bytes:
-                yield chunk
-                chunk, size = [], 0
-        if chunk:
-            yield chunk
 
     # ------------------------------------------------------------------
     # reads

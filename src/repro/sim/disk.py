@@ -116,9 +116,6 @@ class SimDisk:
             self.stats.bump("rand_reads")
         return blob
 
-    def contains(self, offset: int) -> bool:
-        return offset in self._blobs
-
     def _charge(self, nbytes: int, sequential: bool) -> float:
         latency = self.spec.ns_per_byte * nbytes
         if not sequential:

@@ -1,6 +1,7 @@
 """Unit tests for LSM building blocks: bloom filter, LRU cache, memtable, sstable."""
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -205,13 +206,34 @@ def test_sstable_writes_are_sequential(disk):
 
 def test_sstable_iteration_is_sorted(disk):
     table, pairs = make_table(disk, n=2000)
-    assert list(table.iter_all()) == pairs
+    assert list(chain.from_iterable(table.blocks())) == pairs
 
 
 def test_sstable_iter_from_start(disk):
     table, pairs = make_table(disk, n=100)
     start = pairs[40][0]
     assert list(table.iter_from(start)) == pairs[40:]
+
+
+def test_sstable_iter_from_any_start_matches_the_filter(disk):
+    table, pairs = make_table(disk, n=2000)
+    assert table.block_count > 3
+    for probe in (0, 1, 2, 3, 601, 2999, 3000, 5997, 5998, 10**6):
+        start = ikey(probe)  # on a key, between keys, before the first, past the last
+        assert list(table.iter_from(start)) == [p for p in pairs if p[0] >= start]
+
+
+def test_sstable_iter_from_loads_a_block_only_when_reached(disk):
+    table, pairs = make_table(disk, n=2000)
+    per_block = len(next(table.blocks()))
+    reads = disk.stats["reads"]
+    entries = table.iter_from(pairs[per_block + 5][0])  # starts inside the second block
+    assert disk.stats["reads"] == reads  # creating the iterator loads nothing
+    for __ in range(per_block - 5):  # the rest of that block
+        next(entries)
+    assert disk.stats["reads"] == reads + 1
+    assert next(entries) == pairs[2 * per_block]
+    assert disk.stats["reads"] == reads + 2
 
 
 def test_sstable_block_cache_avoids_repeat_io(disk):

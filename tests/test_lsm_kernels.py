@@ -1,0 +1,363 @@
+"""The LSM write path's whole-table kernels, pinned to the per-entry code they replaced.
+
+``BloomFilter.add_many``, ``split_by_size`` and ``LSMStore._merge_tables``
+do per table or per block what PR 18's tree did once per entry.  The
+replaced loops are kept here verbatim as references (``iter_all`` spelled
+as the block walk that replaced it), and every test demands equality — one
+bit of a filter, one block boundary or one float of a charge off fails it.
+``encode_block`` kept its loop (the ``map``-based form measured slower), so
+its reference is the wire format written out field by field.
+"""
+
+import heapq
+import random
+from itertools import chain
+from typing import Iterator
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.lsm import bloom as bloom_module
+from repro.lsm import sstable as sstable_module
+from repro.lsm import store as store_module
+from repro.lsm.bloom import BloomFilter
+from repro.lsm.sstable import SSTable, decode_block, encode_block, split_by_size
+from repro.lsm.store import TOMBSTONE, LSMConfig, LSMStore
+from repro.sim.runtime import EngineRuntime
+from repro.systems.art_lsm import ArtLsmSystem
+
+Pairs = list[tuple[bytes, bytes]]
+
+
+# ----------------------------------------------------------------------
+# references: the parent commit's per-entry code
+# ----------------------------------------------------------------------
+def _reference_add_many(bloom: BloomFilter, keys: list[bytes]) -> None:
+    add = bloom.add
+    for key in keys:
+        add(key)
+
+
+def _reference_encode_block(entries: Pairs) -> bytes:
+    """The wire format, field by field (``encode_block`` itself is the parent's)."""
+    return b"".join(
+        len(key).to_bytes(2, "big") + len(value).to_bytes(4, "big") + key + value
+        for key, value in entries
+    )
+
+
+def _reference_blocks(pairs: Pairs, block_size: int) -> list[Pairs]:
+    """``SSTable.build``'s block loop."""
+    blocks: list[Pairs] = []
+    current: Pairs = []
+    current_bytes = 0
+    for key, value in pairs:
+        entry_bytes = 2 + 4 + len(key) + len(value)
+        if current and current_bytes + entry_bytes > block_size:
+            blocks.append(current)
+            current = []
+            current_bytes = 0
+        current.append((key, value))
+        current_bytes += entry_bytes
+    blocks.append(current)
+    return blocks
+
+
+def _reference_chunk_pairs(pairs: Pairs, budget_bytes: int) -> Iterator[Pairs]:
+    """``LSMStore._chunk_pairs``."""
+    chunk: Pairs = []
+    size = 0
+    for key, value in pairs:
+        chunk.append((key, value))
+        size += len(key) + len(value) + 6
+        if size >= budget_bytes:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
+def _reference_split_by_size(pairs: Pairs, budget: int, close_after: bool) -> list[Pairs]:
+    if close_after:
+        return list(_reference_chunk_pairs(pairs, budget))
+    return _reference_blocks(pairs, budget)
+
+
+def _reference_merge_tables(
+    self: LSMStore, newer: list[SSTable], older: list[SSTable], drop_tombstones: bool
+) -> Pairs:
+    """``LSMStore._merge_tables``: ``heapq.merge`` over per-entry tuples."""
+    runs = [
+        list(chain.from_iterable(t.blocks()))
+        for t in list(reversed(older)) + list(reversed(newer))
+    ]
+
+    def tag(run: Pairs, seq: int) -> Iterator[tuple[bytes, int, bytes]]:
+        # A function (not a nested genexp) so ``seq`` is bound per run.
+        return ((k, seq, v) for k, v in run)
+
+    # Ties sort by run sequence (oldest run first), so the last entry
+    # seen for a key is the newest — it overwrites in place.
+    items: Pairs = []
+    last_key: bytes | None = None
+    for key, __, value in heapq.merge(*(tag(run, seq) for seq, run in enumerate(runs))):
+        if key == last_key:
+            items[-1] = (key, value)
+        else:
+            items.append((key, value))
+            last_key = key
+    self.clock.charge_background(
+        self.costs.compare_cost(len(items)) + self.costs.copy_cost(len(items) * 16)
+    )
+    if drop_tombstones:
+        items = [(k, v) for k, v in items if v != TOMBSTONE]
+    return items
+
+
+def _install_references(monkeypatch) -> None:
+    monkeypatch.setattr(BloomFilter, "add_many", _reference_add_many)
+    monkeypatch.setattr(sstable_module, "split_by_size", _reference_split_by_size)
+    monkeypatch.setattr(store_module, "split_by_size", _reference_split_by_size)
+    monkeypatch.setattr(LSMStore, "_merge_tables", _reference_merge_tables)
+
+
+# ----------------------------------------------------------------------
+# (a) the bloom kernel sets exactly the bits a loop of ``add`` sets
+# ----------------------------------------------------------------------
+def _both_filters(
+    keys: list[bytes], bits_per_key: int, already: list[bytes]
+) -> tuple[bytearray, bytearray]:
+    want = BloomFilter(len(keys), bits_per_key)
+    got = BloomFilter(len(keys), bits_per_key)
+    for key in already:
+        want.add(key)
+        got.add(key)
+    _reference_add_many(want, keys)
+    got.add_many(keys)
+    return got._bits, want._bits
+
+
+_keys = st.lists(st.binary(min_size=0, max_size=40), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    keys=_keys,
+    bits_per_key=st.integers(1, 16),
+    already=st.lists(st.binary(max_size=12), max_size=5),
+    lane_batch=st.sampled_from([1, 2, 3, 7, bloom_module._LANE_BATCH]),
+)
+def test_add_many_sets_the_bits_of_a_loop_of_add(keys, bits_per_key, already, lane_batch):
+    # A small lane batch puts the batch boundary inside hypothesis-sized
+    # inputs; empty keys, duplicates and mixed lengths come from ``_keys``.
+    saved = bloom_module._LANE_BATCH
+    bloom_module._LANE_BATCH = lane_batch
+    try:
+        got, want = _both_filters(keys, bits_per_key, already)
+    finally:
+        bloom_module._LANE_BATCH = saved
+    assert got == want
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("bits_per_key", [5, 10])  # 3 hashes (odd) and 6 (even)
+def test_add_many_at_the_lane_batch_boundary(extra, bits_per_key):
+    rng = random.Random(extra * 31 + bits_per_key)
+    count = bloom_module._LANE_BATCH + extra
+    keys = [rng.randbytes(8) for __ in range(count)] + [b"", b"odd-length-key"]
+    got, want = _both_filters(keys, bits_per_key, already=[b"earlier"])
+    assert got == want
+
+
+def test_add_many_with_an_odd_number_of_hashes():
+    # Rounds are decoded in pairs; an odd count must not mark a round too many.
+    for bits_per_key in (1, 5, 8, 11, 16):
+        keys = [b"k%04d" % i for i in range(300)]
+        assert BloomFilter(1, bits_per_key).num_hashes % 2 == 1
+        got, want = _both_filters(keys, bits_per_key, already=[])
+        assert got == want
+
+
+def test_built_filter_admits_every_key():
+    keys = [b"key-%05d" % i for i in range(5000)]
+    built = BloomFilter.build(iter(keys), bits_per_key=10)
+    assert all(built.may_contain(key) for key in keys)
+
+
+# ----------------------------------------------------------------------
+# (b) cuts, block codec and merge against the loops they replaced
+# ----------------------------------------------------------------------
+_values = st.one_of(
+    st.binary(max_size=30), st.just(TOMBSTONE), st.binary(min_size=90, max_size=120)
+)
+_pairs = st.dictionaries(st.binary(max_size=12), _values, max_size=80).map(
+    lambda d: sorted(d.items())
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=_pairs.filter(bool), budget=st.integers(1, 400))
+def test_cuts_match_both_reference_loops(pairs, budget):
+    # Budgets from 1 byte up: entries larger than the budget, budgets hit
+    # exactly, a single entry, tombstone-sized values.
+    assert split_by_size(pairs, budget, close_after=False) == _reference_blocks(pairs, budget)
+    assert split_by_size(pairs, budget, close_after=True) == list(
+        _reference_chunk_pairs(pairs, budget)
+    )
+
+
+@pytest.mark.parametrize("sizes", [[10, 10, 10], [10, 20, 10, 20], [40], [5, 35, 40, 1]])
+def test_cut_rules_when_the_budget_is_hit_exactly(sizes):
+    # Entry size is 6 + len(key) + len(value); keys are one byte.
+    pairs = [(bytes([i]), b"v" * (size - 7)) for i, size in enumerate(sizes)]
+    for budget in (sizes[0], sizes[0] + sizes[-1], sum(sizes), sum(sizes) + 1):
+        assert split_by_size(pairs, budget, close_after=False) == _reference_blocks(
+            pairs, budget
+        )
+        assert split_by_size(pairs, budget, close_after=True) == list(
+            _reference_chunk_pairs(pairs, budget)
+        )
+
+
+def test_the_two_closing_rules_differ():
+    pairs = [(bytes([i]), b"v" * 3) for i in range(4)]  # 10 bytes each
+    before = split_by_size(pairs, 25, close_after=False)
+    after = split_by_size(pairs, 25, close_after=True)
+    assert [len(g) for g in before] == [2, 2]  # closes before the overflowing entry
+    assert [len(g) for g in after] == [3, 1]  # closes after the entry reaching 25
+    assert split_by_size([], 25, close_after=True) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(st.tuples(st.binary(max_size=40), _values), max_size=40))
+def test_block_codec_matches_reference_and_round_trips(entries):
+    blob = encode_block(entries)
+    assert blob == _reference_encode_block(entries)
+    assert decode_block(blob) == entries
+
+
+def test_block_codec_round_trips_the_empty_block():
+    assert encode_block([]) == b""
+    assert decode_block(b"") == []
+
+
+def _store_with_tables(
+    runs: list[Pairs], split: int
+) -> tuple[LSMStore, list[SSTable], list[SSTable]]:
+    """A fresh world holding one table per run; the first ``split`` are 'newer'."""
+    runtime = EngineRuntime()
+    store = LSMStore(runtime, LSMConfig(block_size=256))
+    tables = [
+        SSTable.build(
+            i + 1, runtime.disk, runtime.clock, runtime.costs, run, block_size=256, background=True
+        )
+        for i, run in enumerate(runs)
+    ]
+    return store, tables[:split], tables[split:]
+
+
+def _world_state(store: LSMStore) -> tuple:
+    return (
+        store.clock.cpu_ns,
+        store.clock.background_ns,
+        store.disk.busy_ns,
+        store.disk.stats.snapshot(),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    runs=st.lists(_pairs.filter(bool), min_size=1, max_size=6),
+    split=st.integers(0, 6),
+    drop_tombstones=st.booleans(),
+)
+def test_merge_matches_the_heapq_reference(runs, split, drop_tombstones):
+    # ``_pairs`` draws keys from a small space, so keys repeat across runs
+    # and tombstones shadow (and are shadowed by) live values.
+    split = min(split, len(runs))
+    store, newer, older = _store_with_tables(runs, split)
+    got = store._merge_tables(newer, older, drop_tombstones)
+    ref_store, ref_newer, ref_older = _store_with_tables(runs, split)
+    want = _reference_merge_tables(ref_store, ref_newer, ref_older, drop_tombstones)
+    assert got == want
+    # Same requests in the same order, same charge: bit-equal accounts.
+    assert _world_state(store) == _world_state(ref_store)
+
+
+def test_merge_newest_run_wins_and_charges_before_dropping_tombstones():
+    old = [(b"a", b"old"), (b"b", b"old"), (b"c", TOMBSTONE)]
+    mid = [(b"b", TOMBSTONE), (b"c", b"mid")]
+    new = [(b"a", b"new"), (b"d", TOMBSTONE)]
+    store, newer, older = _store_with_tables([new, mid, old], split=2)
+    before = store.clock.background_ns
+    merged = store._merge_tables(newer, older, drop_tombstones=True)
+    assert merged == [(b"a", b"new"), (b"c", b"mid")]
+    # Four distinct keys were merged; two tombstones dropped afterwards.
+    want = store.costs.compare_cost(4) + store.costs.copy_cost(4 * 16)
+    assert store.clock.background_ns - before == want
+
+
+def test_build_sums_copy_cost_block_by_block():
+    # ``copy_cost(total)`` is a different float from the per-block sum; a
+    # whole-run clock is too coarse to show it, one table's charge is not.
+    runtime = EngineRuntime()
+    rng = random.Random(5)
+    pairs = [(b"%06d" % i, rng.randbytes(rng.randrange(1, 90))) for i in range(2000)]
+    table = SSTable.build(
+        1, runtime.disk, runtime.clock, runtime.costs, pairs, block_size=256, background=True
+    )
+    want = 0.0
+    for block in _reference_blocks(pairs, 256):
+        want += runtime.costs.copy_cost(len(_reference_encode_block(block)))
+    assert runtime.clock.background_ns == want
+    assert want != runtime.costs.copy_cost(table.data_bytes)  # the pin can tell them apart
+
+
+# ----------------------------------------------------------------------
+# (c) the disk image of a whole run
+# ----------------------------------------------------------------------
+def _spill_run() -> tuple:
+    system = ArtLsmSystem(
+        64 * 1024,
+        lsm_config=LSMConfig(
+            memtable_bytes=16 * 1024, block_cache_bytes=64 * 1024, level1_bytes=64 * 1024
+        ),
+    )
+    rng = random.Random(19)
+    keys = rng.sample(range(1 << 40), 6000)
+    for i, key in enumerate(keys):
+        system.insert(key, b"%05d" % i + b"v" * (20 + i % 90))
+        if i % 7 == 3:
+            system.insert(keys[rng.randrange(i + 1)], b"overwrite-%d" % i)
+        if i % 11 == 5:
+            system.delete(keys[rng.randrange(i + 1)])
+    system.flush()
+    store = system.index.y
+    assert store.stats["compactions"] >= 3
+    assert sum(1 for level in store.levels if level) >= 2
+    tables = [
+        (
+            t.table_id, level, t.min_key, t.max_key, t.entry_count, t.data_bytes,
+            t._block_offsets, t._block_first_keys, bytes(t.bloom._bits),
+        )
+        for level, level_tables in enumerate(store.levels)
+        for t in level_tables
+    ]  # fmt: skip
+    return (
+        tables,
+        system.disk.stats.snapshot(),
+        system.disk.busy_ns,
+        system.clock.cpu_ns,
+        system.clock.background_ns,
+        store.stats.snapshot(),
+        system.scan(0, 10_000),
+    )
+
+
+def test_disk_image_matches_the_per_entry_references(monkeypatch):
+    got = _spill_run()
+    _install_references(monkeypatch)
+    want = _spill_run()
+    for produced, expected in zip(got, want, strict=True):
+        assert produced == expected
