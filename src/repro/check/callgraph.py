@@ -158,18 +158,6 @@ class CallGraph:
         init = self.resolve_method(name, "__init__")
         return [init] if init is not None else []
 
-    def reachable_from(self, roots: list[str]) -> set[str]:
-        """Keys of every function reachable from ``roots`` via call edges."""
-        seen = set(roots)
-        stack = list(roots)
-        while stack:
-            here = stack.pop()
-            for site in self.edges.get(here, ()):
-                if site.callee not in seen:
-                    seen.add(site.callee)
-                    stack.append(site.callee)
-        return seen
-
 
 class _ModuleIndexer:
     """First pass: collect definitions, imports, and class shapes."""

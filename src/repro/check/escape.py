@@ -78,7 +78,7 @@ _SUBSTRATE_MUTATORS = frozenset(
         "merge",
         "reset",
         "restore",
-        "install_owner_guard",
+        "subscribe",
     }
 )
 #: container mutators (same set the shallow shard rules police).

@@ -16,8 +16,9 @@ RL001    raw-substrate: ``SimClock`` / ``SimDisk`` / ``StatCounters``
          may only be constructed inside ``repro/sim`` (components receive
          them from an ``EngineRuntime``).
 RL002    disk-bypass: no access to ``SimDisk`` internals (``_blobs``,
-         offset cursors, direct ``busy_ns`` writes) outside ``repro/sim``
-         — all I/O must pay the cost model through ``read``/``write``.
+         offset cursors) and no direct write to a simulated-time account
+         (``busy_ns``, ``cpu_ns``, ``background_ns``) outside
+         ``repro/sim`` — all time is charged through the cost model.
 RL003    inline-background: maintenance entry points may only be invoked
          from their owner modules; everyone else submits to the
          ``BackgroundScheduler``.  Real threads are banned entirely.
@@ -75,6 +76,8 @@ _SUBSTRATE_NAMES = frozenset({"SimClock", "SimDisk", "StatCounters"})
 
 #: ``SimDisk`` internals that bypass cost-model charging when touched.
 _DISK_INTERNALS = frozenset({"_blobs", "_next_offset", "_last_read_end", "_last_write_end"})
+#: the simulated-time accounts; outside sim/ they move only by charges.
+_TIME_ACCOUNTS = frozenset({"busy_ns", "cpu_ns", "background_ns"})
 
 #: maintenance entry points and the modules allowed to call them inline
 #: (their owners plus the scheduler-runner modules that register them).
@@ -291,12 +294,17 @@ class _Visitor(LoopDepthVisitor):
             )
         self.generic_visit(node)
 
-    def _check_busy_ns_write(self, target: ast.expr) -> None:
-        if isinstance(target, ast.Attribute) and target.attr == "busy_ns" and not _in_sim(self.rel):
+    def _check_time_account_write(self, target: ast.expr) -> None:
+        if (
+            isinstance(target, ast.Attribute)
+            and target.attr in _TIME_ACCOUNTS
+            and not _in_sim(self.rel)
+        ):
             self._add(
                 target,
                 "RL002",
-                "writing busy_ns directly forges disk time; only SimDisk may charge it",
+                f"writing {target.attr} directly forges simulated time; only "
+                "SimDisk/SimClock may charge it",
             )
 
     def _check_shard_state_write(self, target: ast.expr) -> None:
@@ -311,12 +319,12 @@ class _Visitor(LoopDepthVisitor):
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
-            self._check_busy_ns_write(target)
+            self._check_time_account_write(target)
             self._check_shard_state_write(target)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_busy_ns_write(node.target)
+        self._check_time_account_write(node.target)
         self._check_shard_state_write(node.target)
         self.generic_visit(node)
 

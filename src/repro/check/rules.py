@@ -35,7 +35,7 @@ RULES: tuple[Rule, ...] = (
     Rule(
         "RL002",
         "disk-bypass",
-        "no SimDisk internals access outside repro/sim",
+        "no SimDisk internals access or simulated-time account write outside repro/sim",
         "everywhere outside sim/",
         "shallow",
         reprolint.check,

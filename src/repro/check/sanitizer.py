@@ -78,7 +78,6 @@ __all__ = [
     "CheckError",
     "CacheSanitizer",
     "CheckBackAuditor",
-    "ClockMonotonicityGuard",
     "IndexSanitizer",
     "OwnershipSanitizer",
     "PeriodicSanitizer",
@@ -97,6 +96,7 @@ __all__ = [
     "check_policy_cache",
     "check_release_watermark",
     "check_shard_router",
+    "refuse_backwards_time",
 ]
 
 #: cap on violations one walk reports for a single check (a corrupted
@@ -127,6 +127,11 @@ class CheckError(AssertionError):
             len(violations), "\n  ".join(lines)
         ))
 
+    @classmethod
+    def of(cls, check: str, message: str) -> "CheckError":
+        """The error for one violation raised where it happens (a probe)."""
+        return cls([Violation(check, message)])
+
 
 class _Collector:
     """Accumulates violations for one check, capped per check name."""
@@ -147,9 +152,8 @@ class PeriodicSanitizer:
 
     ``after_op`` / ``after_batch(n)`` advance an operation counter and run
     the full :meth:`sweep` whenever an ``interval`` boundary was crossed,
-    so batched and single-op callers check at the same cadence;
-    :meth:`per_op` (cheap, empty by default) is checked on every call.
-    Any violation raises :class:`CheckError`; ``checks_run`` counts full
+    so batched and single-op callers check at the same cadence.  Any
+    violation raises :class:`CheckError`; ``checks_run`` counts full
     sweeps.
     """
 
@@ -160,9 +164,6 @@ class PeriodicSanitizer:
 
     def sweep(self) -> list[Violation]:
         raise NotImplementedError
-
-    def per_op(self) -> list[Violation]:
-        return []
 
     def after_op(self) -> None:
         self.after_batch(1)
@@ -179,7 +180,7 @@ class PeriodicSanitizer:
         self._check(True)
 
     def _check(self, full: bool, extra: Sequence[Violation] = ()) -> None:
-        violations = [*self.per_op(), *extra]
+        violations = list(extra)
         if full:
             self.checks_run += 1
             violations += self.sweep()
@@ -778,39 +779,19 @@ def check_lsm(store: LSMStore, max_deep_tables: Optional[int] = None) -> list[Vi
 # ----------------------------------------------------------------------
 # engine-level checks
 # ----------------------------------------------------------------------
-class ClockMonotonicityGuard:
-    """The simulated clocks must never run backwards.
+def refuse_backwards_time(effect: str, amount: float) -> None:
+    """Substrate probe: the simulated clocks must never run backwards.
 
-    Moving nanoseconds from the foreground onto the background account is
-    a legal re-booking (RL103 checks it is paired), so the sound invariant
-    is on the *sum* of the two CPU accounts (plus, independently, the
-    disk's busy time).
+    Every account only moves by charges, so time is monotone exactly
+    when no charge is negative (or NaN, which poisons the account for
+    good); the offending charge is refused before it lands.  A direct
+    write to an account is invisible to a probe; RL002 forbids it
+    statically outside ``sim/``.
     """
-
-    def __init__(self, runtime: "EngineRuntime") -> None:
-        self.runtime = runtime
-        self._last_cpu_total = runtime.clock.cpu_ns + runtime.clock.background_ns
-        self._last_disk = runtime.disk.busy_ns
-
-    def observe(self) -> list[Violation]:
-        out = _Collector()
-        cpu_total = self.runtime.clock.cpu_ns + self.runtime.clock.background_ns
-        if cpu_total < self._last_cpu_total:
-            out.add(
-                "clock-monotonic",
-                f"total CPU time went backwards: {self._last_cpu_total:.0f}ns "
-                f"-> {cpu_total:.0f}ns",
-            )
-        disk = self.runtime.disk.busy_ns
-        if disk < self._last_disk:
-            out.add(
-                "clock-monotonic",
-                f"disk busy time went backwards: {self._last_disk:.0f}ns "
-                f"-> {disk:.0f}ns",
-            )
-        self._last_cpu_total = cpu_total
-        self._last_disk = disk
-        return out.violations
+    if effect != "stat" and not amount >= 0:
+        raise CheckError.of(
+            "clock-monotonic", f"a {effect} of {amount}ns would run simulated time backwards"
+        )
 
 
 def check_release_watermark(index: "IndeXY", released: int) -> list[Violation]:
@@ -898,9 +879,10 @@ def check_index_y(y: Any) -> list[Violation]:
 class IndexSanitizer(PeriodicSanitizer):
     """Hook-point orchestration for one :class:`~repro.core.indexy.IndeXY`.
 
-    Cheap monotonicity checks run on every operation; the full structural
-    sweep runs every ``interval`` operations and at the release/flush hook
-    points.  Any violation raises :class:`CheckError`.
+    The full structural sweep runs every ``interval`` operations and at
+    the release/flush hook points, and every charge on the index's
+    runtime passes :func:`refuse_backwards_time`.  Any violation raises
+    :class:`CheckError`.
     """
 
     def __init__(
@@ -912,7 +894,7 @@ class IndexSanitizer(PeriodicSanitizer):
         super().__init__(interval)
         self.index = index
         self.max_deleted_tracked = max_deleted_tracked
-        self.guard = ClockMonotonicityGuard(index.runtime)
+        index.runtime.subscribe(refuse_backwards_time)
         #: recently deleted keys (insertion-ordered, bounded) — the
         #: no-resurrection sample of the structural sweep.
         self._deleted: dict[bytes, None] = {}
@@ -927,9 +909,6 @@ class IndexSanitizer(PeriodicSanitizer):
             self._deleted.pop(next(iter(self._deleted)))
 
     # -- hook points ----------------------------------------------------
-    def per_op(self) -> list[Violation]:
-        return self.guard.observe()
-
     def after_release(self, released: int) -> None:
         self._check(True, check_release_watermark(self.index, released))
 
@@ -962,9 +941,9 @@ class IndexSanitizer(PeriodicSanitizer):
 class StoreSanitizer(PeriodicSanitizer):
     """Periodic structural checks for the framework-less baselines.
 
-    ``checker`` returns the structure-specific violations; the guard adds
-    clock monotonicity.  Used by B+-B+ (disk tree + pool checks) and the
-    RocksDB stand-in (LSM checks).
+    ``checker`` returns the structure-specific violations; every charge
+    on ``runtime`` passes :func:`refuse_backwards_time`.  Used by B+-B+
+    (disk tree + pool checks) and the RocksDB stand-in (LSM checks).
     """
 
     def __init__(
@@ -976,10 +955,7 @@ class StoreSanitizer(PeriodicSanitizer):
         super().__init__(interval)
         self.runtime = runtime
         self.checker = checker
-        self.guard = ClockMonotonicityGuard(runtime)
-
-    def per_op(self) -> list[Violation]:
-        return self.guard.observe()
+        runtime.subscribe(refuse_backwards_time)
 
     def sweep(self) -> list[Violation]:
         with self.runtime.observation():
@@ -1206,14 +1182,15 @@ _FOREGROUND = object()
 class OwnershipSanitizer:
     """Runtime oracle for the static RL2xx concurrency rules.
 
-    Debug-mode owner tokens stamped on engine state, checked on every
-    mutate: each shard's :class:`~repro.sim.runtime.EngineRuntime`
-    (clock + stats bus) receives a guard bound to that shard's id, and
-    the router's own dormant runtime receives a foreground token.  During
+    Debug-mode owner tokens checked on every substrate mutation: each
+    shard's :class:`~repro.sim.runtime.EngineRuntime` gets a subscriber
+    (clock, disk and both stats buses) bound to that shard's id, and the
+    router's own dormant runtime one bound to a foreground token.  During
     a dispatch the router routes its thunks through :meth:`dispatch`,
     which wraps each thunk to claim its shard id for the executing
-    thread; every subsequent ``charge_cpu``/``bump`` then verifies the
-    claim.  The failure modes map one-to-one onto the static rules:
+    thread; every subsequent charge, disk request or ``bump`` then
+    verifies the claim.  The failure modes map one-to-one onto the
+    static rules:
 
     * a thunk touching another shard's substrate (RL202 aliasing, or a
       cross-shard escape per RL201) → claim/token mismatch;
@@ -1235,31 +1212,29 @@ class OwnershipSanitizer:
         self._claims: dict[int, object] = {}
         self._home = get_ident()
         self.dispatches = 0
-        router.runtime.install_owner_guard(self._guard_for(_FOREGROUND))
-        for sid, shard in enumerate(router.shards):
-            shard.runtime.install_owner_guard(self._guard_for(sid))
-
-    def uninstall(self) -> None:
-        """Remove every guard (back to unchecked mutation)."""
-        self.router.runtime.clear_owner_guard()
-        for shard in self.router.shards:
-            shard.runtime.clear_owner_guard()
+        router.runtime.subscribe(self._guard_for(_FOREGROUND))
+        self._shard_guards: list[Callable[[], None]] = []
+        self.restamp()
 
     def restamp(self) -> None:
-        """Re-bind guards to shard ids after a fleet split or merge.
+        """(Re-)bind one guard per shard runtime to its shard id.
 
-        Shard ids shift when the fleet grows or shrinks, so every
-        surviving engine's guard must be stamped with its new id and a
-        freshly built engine gains its guard here.  A retired engine
-        keeps its stale guard, which is harmless: it leaves the fleet
-        and is only ever touched again from the foreground thread.
+        Shard ids shift when the fleet grows or shrinks, so after a split
+        or merge every guard is dropped and each engine of the new fleet
+        subscribes one stamped with its current id; a retired engine
+        ends up unguarded, as it is only ever touched again from the
+        foreground thread.
         """
-        for sid, shard in enumerate(self.router.shards):
-            shard.runtime.install_owner_guard(self._guard_for(sid))
+        for unsubscribe in self._shard_guards:
+            unsubscribe()
+        self._shard_guards = [
+            shard.runtime.subscribe(self._guard_for(sid))
+            for sid, shard in enumerate(self.router.shards)
+        ]
 
     # -- guard construction ---------------------------------------------
-    def _guard_for(self, token: object) -> Callable[[], None]:
-        def guard() -> None:
+    def _guard_for(self, token: object) -> Callable[[str, float], None]:
+        def guard(effect: str, amount: float) -> None:
             claimed = self._claims.get(get_ident(), _NO_CLAIM)
             if claimed is token:
                 return
@@ -1269,26 +1244,17 @@ class OwnershipSanitizer:
                     # single-op routing (pool.run blocks, so this cannot
                     # overlap an armed threaded dispatch).
                     return
-                raise CheckError(
-                    [
-                        Violation(
-                            "shard-ownership",
-                            "a pool thread mutated engine state without an "
-                            "ownership claim; work reached the executor "
-                            "around ShardWorkerPool.run (barrier bypass)",
-                        )
-                    ]
+                raise CheckError.of(
+                    "shard-ownership",
+                    "a pool thread mutated engine state without an "
+                    "ownership claim; work reached the executor "
+                    "around ShardWorkerPool.run (barrier bypass)",
                 )
             owner = "the router's foreground substrate" if token is _FOREGROUND else f"shard {token}"
-            raise CheckError(
-                [
-                    Violation(
-                        "shard-ownership",
-                        f"thunk claiming shard {claimed} mutated {owner}; "
-                        "each dispatched thunk owns exactly one shard's "
-                        "engine substrate",
-                    )
-                ]
+            raise CheckError.of(
+                "shard-ownership",
+                f"thunk claiming shard {claimed} mutated {owner}; each "
+                "dispatched thunk owns exactly one shard's engine substrate",
             )
 
         return guard
@@ -1308,26 +1274,16 @@ class OwnershipSanitizer:
         runs.
         """
         if len(sids) != len(thunks):
-            raise CheckError(
-                [
-                    Violation(
-                        "shard-ownership",
-                        f"dispatch of {len(thunks)} thunks declared "
-                        f"{len(sids)} shard ids; every thunk needs exactly "
-                        "one owned shard",
-                    )
-                ]
+            raise CheckError.of(
+                "shard-ownership",
+                f"dispatch of {len(thunks)} thunks declared {len(sids)} shard "
+                "ids; every thunk needs exactly one owned shard",
             )
         if len(set(sids)) != len(sids):
-            raise CheckError(
-                [
-                    Violation(
-                        "shard-ownership",
-                        f"duplicate shard ids in one dispatch ({list(sids)}); "
-                        "no two thunks may own the same shard between "
-                        "partition and scatter",
-                    )
-                ]
+            raise CheckError.of(
+                "shard-ownership",
+                f"duplicate shard ids in one dispatch ({list(sids)}); no two "
+                "thunks may own the same shard between partition and scatter",
             )
         self.dispatches += 1
         work = [self._claimed(sid, thunk) for sid, thunk in zip(sids, thunks, strict=True)]

@@ -49,7 +49,7 @@ class IndeXY:
         precleaning_enabled: bool = True,
         check_back: bool = True,
         load_on_miss: bool = True,
-        debug_checks: bool = False,
+        debug_checks: bool | None = None,
         debug_check_interval: int = 256,
     ) -> None:
         self.x = index_x
@@ -103,6 +103,10 @@ class IndeXY:
         #: :class:`~repro.check.sanitizer.CheckError`.  Imported lazily so
         #: production runs never load the check package.
         self.sanitizer: Optional[Any] = None
+        if debug_checks is None:
+            from repro.check.flags import sanitize_enabled
+
+            debug_checks = sanitize_enabled()
         if debug_checks:
             from repro.check.sanitizer import CheckBackAuditor, IndexSanitizer
 

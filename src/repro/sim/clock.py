@@ -8,7 +8,9 @@ Python interpreter's speed.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
+
+from repro.sim.effects import Probe
 
 
 class SimClock:
@@ -21,26 +23,26 @@ class SimClock:
     with foreground work the way real background threads would.
     """
 
-    __slots__ = ("cpu_ns", "background_ns", "_owner_guard")
+    __slots__ = ("cpu_ns", "background_ns", "_probe")
 
     def __init__(self) -> None:
         self.cpu_ns = 0.0
         self.background_ns = 0.0
-        #: debug seam: when set (OwnershipSanitizer), runs before every
-        #: charge so cross-shard mutations fail loudly; None in normal
-        #: runs, costing one predictable branch per charge.
-        self._owner_guard: Optional[Callable[[], None]] = None
+        #: the substrate probe (``EngineRuntime.subscribe``): called with
+        #: ``(effect, ns)`` before every charge; None with no subscriber,
+        #: costing one predictable branch per charge.
+        self._probe: Optional[Probe] = None
 
     def charge_cpu(self, ns: float) -> None:
         """Charge ``ns`` nanoseconds of foreground CPU work."""
-        if self._owner_guard is not None:
-            self._owner_guard()
+        if self._probe is not None:
+            self._probe("cpu_charge", ns)
         self.cpu_ns += ns
 
     def charge_background(self, ns: float) -> None:
         """Charge ``ns`` nanoseconds of background-thread CPU work."""
-        if self._owner_guard is not None:
-            self._owner_guard()
+        if self._probe is not None:
+            self._probe("bg_charge", ns)
         self.background_ns += ns
 
     def snapshot(self) -> tuple[float, float]:

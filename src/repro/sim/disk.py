@@ -18,8 +18,9 @@ random 4 KB IOPS.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.sim.effects import charges
+from repro.sim.effects import Probe, charges
 from repro.sim.stats import StatCounters
 
 
@@ -54,6 +55,9 @@ class SimDisk:
         self.spec = spec or DiskSpec()
         self.stats = StatCounters()
         self.busy_ns = 0.0
+        #: the substrate probe (``EngineRuntime.subscribe``): called with
+        #: ``(effect, latency)`` before every request is charged.
+        self._probe: Optional[Probe] = None
         self._blobs: dict[int, bytes] = {}
         self._next_offset = 0
         self._last_read_end = -1
@@ -69,17 +73,18 @@ class SimDisk:
             raise ValueError(f"allocation size must be positive, got {nbytes}")
         block = self.spec.block_size
         span = ((nbytes + block - 1) // block) * block
+        self.stats.bump("bytes_allocated", span)
         offset = self._next_offset
         self._next_offset += span
-        self.stats.bump("bytes_allocated", span)
         return offset
 
     @charges()
     def free(self, offset: int) -> None:
         """Release the blob at ``offset`` (space accounting only)."""
-        blob = self._blobs.pop(offset, None)
+        blob = self._blobs.get(offset)
         if blob is not None:
             self.stats.bump("bytes_freed", len(blob))
+            del self._blobs[offset]
 
     @property
     def used_bytes(self) -> int:
@@ -91,7 +96,7 @@ class SimDisk:
     def write(self, offset: int, data: bytes) -> float:
         """Store ``data`` at ``offset`` and return the simulated latency."""
         sequential = offset == self._last_write_end
-        latency = self._charge(len(data), sequential)
+        latency = self._charge("disk_write", len(data), sequential)
         self._last_write_end = offset + len(data)
         self._blobs[offset] = bytes(data)
         self.stats.bump("writes")
@@ -106,7 +111,7 @@ class SimDisk:
         """Return the blob at ``offset``, charging simulated latency."""
         blob = self._blobs[offset]
         sequential = offset == self._last_read_end
-        self._charge(len(blob), sequential)
+        self._charge("disk_read", len(blob), sequential)
         self._last_read_end = offset + len(blob)
         self.stats.bump("reads")
         self.stats.bump("bytes_read", len(blob))
@@ -116,11 +121,13 @@ class SimDisk:
             self.stats.bump("rand_reads")
         return blob
 
-    def _charge(self, nbytes: int, sequential: bool) -> float:
+    def _charge(self, effect: str, nbytes: int, sequential: bool) -> float:
         latency = self.spec.ns_per_byte * nbytes
         if not sequential:
             latency += self.spec.seek_ns
         latency = max(latency, self.spec.min_io_ns)
+        if self._probe is not None:
+            self._probe(effect, latency)
         self.busy_ns += latency
         return latency
 

@@ -39,12 +39,16 @@ from __future__ import annotations
 
 from typing import Callable, TypeVar
 
-__all__ = ["EFFECT_NAMES", "MANY", "charges", "parse_effect"]
+__all__ = ["EFFECT_NAMES", "MANY", "Probe", "charges", "parse_effect"]
 
 F = TypeVar("F", bound=Callable[..., object])
 
 #: the four charge effects, in canonical order.
 EFFECT_NAMES = ("disk_read", "disk_write", "cpu_charge", "bg_charge")
+
+#: a substrate observer, ``probe(effect, amount)``; see
+#: :meth:`repro.sim.runtime.EngineRuntime.subscribe`.
+Probe = Callable[[str, float], None]
 
 #: saturation point of the count lattice: ``MANY`` means "2 or more"
 #: (an unbounded upper multiplicity).

@@ -36,6 +36,7 @@ from typing import Callable, Optional
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
+from repro.sim.effects import Probe
 from repro.sim.stats import StatCounters
 from repro.sim.threads import ThreadModel
 
@@ -293,23 +294,38 @@ class EngineRuntime:
         self.thread_model = thread_model if thread_model is not None else ThreadModel()
         self.stats = StatCounters()
         self.scheduler = BackgroundScheduler(self)
+        self._probes: list[Probe] = []
 
-    def install_owner_guard(self, guard: Callable[[], None]) -> None:
-        """Debug seam: run ``guard`` before every clock/stats mutation.
+    def subscribe(self, probe: Probe) -> Callable[[], None]:
+        """Call ``probe(effect, amount)`` before every substrate mutation.
 
-        The :class:`~repro.check.sanitizer.OwnershipSanitizer` stamps each
-        shard's runtime with a guard that checks the mutating thread holds
-        that shard's ownership claim, turning cross-shard (or
-        foreground-state) touches during a threaded dispatch into
-        immediate failures instead of silent nondeterminism.
+        The one observer seam of the simulated substrate.  ``effect`` is
+        one of ``sim.effects.EFFECT_NAMES`` with ``amount`` the
+        nanoseconds about to be added to that account, or ``"stat"`` for
+        a ``bump``/``record_max`` on ``stats`` or ``disk.stats``.  A
+        probe that raises vetoes the mutation.  Subscribers fire in
+        subscription order; the returned callable unsubscribes.  The
+        clock, the disk and the two stats buses read their slot at call
+        time, so a probe attached after the components were built sees
+        every later charge, and with no subscriber each slot is None.
         """
-        self.clock._owner_guard = guard
-        self.stats._owner_guard = guard
 
-    def clear_owner_guard(self) -> None:
-        """Remove an installed owner guard (back to zero-cost mutation)."""
-        self.clock._owner_guard = None
-        self.stats._owner_guard = None
+        def publish() -> None:
+            slot = self._fan_out if self._probes else None
+            self.clock._probe = self.disk._probe = slot
+            self.stats._probe = self.disk.stats._probe = slot
+
+        def unsubscribe() -> None:
+            self._probes.remove(probe)
+            publish()
+
+        self._probes.append(probe)
+        publish()
+        return unsubscribe
+
+    def _fan_out(self, effect: str, amount: float) -> None:
+        for probe in self._probes:
+            probe(effect, amount)
 
     @contextmanager
     def observation(self) -> Iterator[None]:
@@ -366,15 +382,6 @@ class EngineRuntime:
             metrics["queue_depth"] = task.queue_depth
             out[task.name] = metrics
         return out
-
-    def background_utilization(self, threads: int = 1) -> float:
-        """Fraction of elapsed simulated time spent on background CPU."""
-        elapsed = self.thread_model.elapsed_ns(
-            self.clock.cpu_ns, self.clock.background_ns, self.disk.busy_ns, threads
-        )
-        if elapsed <= 0:
-            return 0.0
-        return self.clock.background_ns / elapsed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,7 +7,9 @@ misses), and anything a benchmark wants to report per time slice.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from typing import Callable, Optional
+from typing import Optional
+
+from repro.sim.effects import Probe
 
 
 class _CountMap(dict[str, float]):
@@ -34,24 +36,24 @@ class StatCounters:
     is a single ``+=`` rather than a get/put pair.
     """
 
-    __slots__ = ("_counts", "_owner_guard")
+    __slots__ = ("_counts", "_probe")
 
     def __init__(self) -> None:
         self._counts: _CountMap = _CountMap()
-        #: debug seam: when set (OwnershipSanitizer), runs before every
-        #: bump so cross-shard mutations fail loudly; None in normal
-        #: runs, costing one predictable branch per bump.
-        self._owner_guard: Optional[Callable[[], None]] = None
+        #: the substrate probe (``EngineRuntime.subscribe``): called with
+        #: ``("stat", amount)`` before every bump; None with no
+        #: subscriber, costing one predictable branch per bump.
+        self._probe: Optional[Probe] = None
 
     def bump(self, name: str, amount: float = 1) -> None:
-        if self._owner_guard is not None:
-            self._owner_guard()
+        if self._probe is not None:
+            self._probe("stat", amount)
         self._counts[name] += amount
 
     def record_max(self, name: str, value: float) -> None:
         """Keep the running maximum of a gauge (queue depths, peaks)."""
-        if self._owner_guard is not None:
-            self._owner_guard()
+        if self._probe is not None:
+            self._probe("stat", value)
         if value > self._counts[name]:
             self._counts[name] = value
 

@@ -79,9 +79,6 @@ class ArtBPlusSystem(IndeXYSystem):
             runtime=self.runtime,
         )
         self.y_tree = tree
-        from repro.check.flags import sanitize_enabled
-
-        indexy_kwargs.setdefault("debug_checks", sanitize_enabled())
         self.index = IndeXY(x, _DiskBTreeAsY(tree), config, runtime=self.runtime, **indexy_kwargs)
 
     def flush(self) -> None:

@@ -57,9 +57,6 @@ class ArtLsmSystem(IndeXYSystem):
         config = indexy_config or IndeXYConfig(memory_limit_bytes=memory_limit_bytes)
         x = AdaptiveRadixTree(clock=self.clock, costs=self.costs)
         y = LSMStore(config=lsm_config, runtime=self.runtime)
-        from repro.check.flags import sanitize_enabled
-
-        indexy_kwargs.setdefault("debug_checks", sanitize_enabled())
         self.index = IndeXY(x, y, config, runtime=self.runtime, **indexy_kwargs)
 
     def flush(self) -> None:

@@ -82,9 +82,6 @@ class ArtMultiYSystem(IndeXYSystem):
         )
         x = AdaptiveRadixTree(clock=self.clock, costs=self.costs)
         config = IndeXYConfig(memory_limit_bytes=memory_limit_bytes)
-        from repro.check.flags import sanitize_enabled
-
-        indexy_kwargs.setdefault("debug_checks", sanitize_enabled())
         self.index = IndeXY(x, self.routed, config, runtime=self.runtime, **indexy_kwargs)
 
     def flush(self) -> None:

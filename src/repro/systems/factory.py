@@ -145,6 +145,10 @@ def build_system(
     to passing the keyword directly, which must not be given alongside
     the spec form.
     """
+    if memory_limit_bytes < 1:
+        raise ValueError(
+            f"memory_limit_bytes must be at least 1, got {memory_limit_bytes}"
+        )
     name, spec_kwargs = parse_system_spec(name)
     for key, value in spec_kwargs.items():
         if kwargs.get(key) is not None:

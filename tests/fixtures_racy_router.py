@@ -39,6 +39,47 @@ class CrossShardRouter(ShardRouter):
         self._dispatch(dispatched, work)
 
 
+class CrossShardDiskRouter(ShardRouter):
+    """RL202 on the disk alone: every thunk writes to its own shard but
+    also takes ``shards[0]`` as scratch space and touches only that
+    engine's ``SimDisk`` — never its clock or its stats bus."""
+
+    #: which ``SimDisk`` call the thunk makes on the scratch engine.
+    touch = "allocate"
+
+    def put_many(self, keys: Iterable[int], value: bytes) -> None:
+        batches = self.partitioner.split(keys)
+        shards = self.shards
+        dispatched = [sid for sid, batch in enumerate(batches) if batch]
+        # One scratch blob per thunk, written on the foreground outside
+        # any dispatch: legal.
+        scratch_disk = shards[0].disk
+        offsets = [scratch_disk.allocate(len(value)) for __ in shards]
+        for offset in offsets:
+            scratch_disk.write(offset, value)
+        work = [
+            partial(
+                self._put_spilling, shards[sid], shards[0], offsets[sid], batches[sid], value
+            )
+            for sid in dispatched
+        ]
+        self._dispatch(dispatched, work)
+
+    def _put_spilling(
+        self, shard: KVSystem, scratch: KVSystem, offset: int, batch: list[int], value: bytes
+    ) -> None:
+        shard.put_many(batch, value)
+        disk = scratch.disk
+        if self.touch == "allocate":
+            disk.allocate(len(value))
+        elif self.touch == "write":
+            disk.write(offset, value)
+        elif self.touch == "read":
+            disk.read(offset)
+        else:
+            disk.free(offset)
+
+
 class SharedStatsRouter(ShardRouter):
     """RL201: the dispatched thunk is a bound router method that bumps the
     router's own stats bus — foreground substrate mutated off-thread."""

@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check.chargeaudit import (
-    AuditedClock,
-    AuditedDisk,
-    ChargeAuditor,
-    ChargeLog,
-    charge_audit_preflight,
-)
+from repro.check.chargeaudit import ChargeAuditor, charge_audit_preflight
 from repro.check.chargecheck import ChargeAnalysis, ChargeSummary, summarize
 from repro.check.engine import load
 from repro.sim.effects import MANY
+from repro.sim.runtime import EngineRuntime
 
 
 def make_summary(effects, complete=True):
@@ -33,33 +28,37 @@ def make_auditor():
 
 
 def test_audited_clock_and_disk_count_into_shared_log():
-    log = ChargeLog()
-    clock = AuditedClock(log)
-    disk = AuditedDisk(log)
+    # Attached after construction, to a runtime built the normal way.
+    runtime = EngineRuntime()
+    clock, disk = runtime.clock, runtime.disk
+    auditor = make_auditor()
+    auditor.attach(runtime)
     clock.charge_cpu(10.0)
     clock.charge_cpu(10.0)
     clock.charge_background(10.0)
-    off = disk.allocate(16)
+    off = disk.allocate(16)  # a "stat" event: not a charge, not counted
     disk.write(off, b"x" * 16)
     disk.read(off)
-    assert log.snapshot() == {
+    assert auditor.counts == {
         "disk_read": 1,
         "disk_write": 1,
         "cpu_charge": 2,
         "bg_charge": 1,
     }
-    # The wrappers still do the real work underneath.
+    # The substrate still does the real work underneath.
     assert clock.cpu_ns > 0 and clock.background_ns > 0
     assert disk.read(off) == b"x" * 16
 
 
 def test_disabled_log_suspends_counting():
-    log = ChargeLog()
-    clock = AuditedClock(log)
-    log.enabled = False
-    clock.charge_cpu(10.0)
-    assert log.snapshot()["cpu_charge"] == 0
-    assert clock.cpu_ns > 0  # simulated time still accrues
+    runtime = EngineRuntime()
+    auditor = make_auditor()
+    detach = auditor.attach(runtime)
+    runtime.clock.charge_cpu(10.0)
+    detach()
+    runtime.clock.charge_cpu(10.0)
+    assert auditor.counts["cpu_charge"] == 1
+    assert runtime.clock.cpu_ns == 20.0  # simulated time still accrues
 
 
 def test_check_observed_flags_lower_bound_miss():
@@ -110,7 +109,8 @@ def test_check_observed_missing_summary_is_a_violation():
 
 def test_scheduler_seam_suspends_the_recorder():
     auditor = make_auditor()
-    runtime = auditor.build_runtime()
+    runtime = EngineRuntime()
+    auditor.attach(runtime)
     ticks = []
     task = runtime.scheduler.register(
         "probe", lambda: ticks.append(runtime.clock.charge_background(100.0))
@@ -118,9 +118,12 @@ def test_scheduler_seam_suspends_the_recorder():
     with auditor.record() as observed:
         runtime.scheduler.submit(task)
         runtime.scheduler.drain()
-    assert ticks, "the registered runner must actually have run"
+        runtime.scheduler.run_inline(task)  # the backpressure fallback too
+    assert len(ticks) == 2, "the registered runner must actually have run"
     assert observed["bg_charge"] == 0  # seam work is not the verb's charge
-    assert auditor.log.enabled  # restored after the drain
+    with auditor.record() as observed:
+        runtime.clock.charge_background(100.0)
+    assert observed["bg_charge"] == 1  # counting resumes after the run
 
 
 @pytest.fixture(scope="module")

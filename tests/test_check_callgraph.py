@@ -260,26 +260,3 @@ def test_partial_over_subscript_receiver_stays_unresolved():
         }
     )
     assert edge_keys(graph, "m.py::Router.put_many") == set()
-
-
-def test_reachable_from_is_transitive():
-    graph = graph_of(
-        **{
-            "m.py": """
-            def a():
-                b()
-
-            def b():
-                c()
-
-            def c():
-                pass
-
-            def unrelated():
-                pass
-            """
-        }
-    )
-    reached = graph.reachable_from(["m.py::a"])
-    assert "m.py::c" in reached
-    assert "m.py::unrelated" not in reached

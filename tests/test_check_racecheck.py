@@ -28,6 +28,7 @@ from tests.fixtures_racy_router import (
     CleanCountingRouter,
     CleanMigrationRouter,
     CleanRetuneRouter,
+    CrossShardDiskRouter,
     CrossShardRouter,
     MidDispatchResharder,
     RebalancingRouter,
@@ -56,6 +57,7 @@ REAL_RELS = (
 #: racy class -> the one rule that must fire inside it.
 EXPECTED = {
     "CrossShardRouter": "RL202",
+    "CrossShardDiskRouter": "RL202",
     "SharedStatsRouter": "RL201",
     "RebalancingRouter": "RL203",
     "MidDispatchResharder": "RL203",
@@ -257,6 +259,17 @@ def test_cross_shard_router_trips_ownership_claims(workers):
 
 
 @pytest.mark.parametrize("workers", [0, 2])
+@pytest.mark.parametrize("touch", ["allocate", "write", "read", "free"])
+def test_cross_shard_disk_touch_trips_ownership_claims(touch, workers):
+    # The thunks leave the other shard's clock and stats bus alone: only
+    # the probes on its SimDisk and disk.stats can see this.
+    router = make(CrossShardDiskRouter, workers)
+    router.touch = touch
+    with pytest.raises(CheckError, match="claiming shard . mutated shard 0"):
+        router.put_many(spread_keys(router), VALUE)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
 def test_shared_stats_router_trips_foreground_token(workers):
     router = make(SharedStatsRouter, workers)
     with pytest.raises(CheckError, match="foreground substrate"):
@@ -359,13 +372,6 @@ def test_dispatch_rejects_sid_thunk_length_mismatch():
     pool = ShardWorkerPool(0)
     with pytest.raises(CheckError, match="exactly\\s+one owned shard"):
         router.ownership.dispatch(pool, [0], [lambda: None, lambda: None])
-
-
-def test_uninstall_disarms_the_guards():
-    router = make(SharedStatsRouter, workers=0)
-    router.ownership.uninstall()
-    # The racy bump now passes: guards are gone, mutation is unchecked.
-    assert router.get_many([1, 2, 3, 4, 5, 6, 7, 8]) == [None] * 8
 
 
 # ----------------------------------------------------------------------

@@ -84,12 +84,22 @@ def test_rl002_fires_on_busy_ns_write():
     assert rules_of(lint("disk.busy_ns = 0\n")) == ["RL002"]
 
 
+def test_rl002_fires_on_clock_account_write():
+    # The static half of the clock-monotonicity check: a probe on the
+    # charge seam cannot see a poke that never goes through a charge.
+    assert rules_of(lint("clock.cpu_ns -= 500.0\n")) == ["RL002"]
+    assert rules_of(lint("self.runtime.clock.background_ns = 0.0\n")) == ["RL002"]
+
+
 def test_rl002_allows_busy_ns_read():
     assert lint("elapsed = disk.busy_ns\n") == []
+    assert lint("total = clock.cpu_ns + clock.background_ns\n") == []
+    assert lint("clock.charge_cpu(100.0)\n") == []
 
 
 def test_rl002_allowed_inside_sim_package():
     assert lint("self._blobs = {}\nself.busy_ns = 0\n", path=SIM) == []
+    assert lint("self.clock.cpu_ns = cpu_ns\nself.background_ns += ns\n", path=SIM) == []
 
 
 # -- RL003: inline background work --------------------------------------

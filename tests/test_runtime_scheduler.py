@@ -188,12 +188,6 @@ class TestInstrumentation:
         metrics = runtime.task_metrics(earlier)
         assert metrics["probe"]["runs"] == 2
 
-    def test_background_utilization(self):
-        runtime = EngineRuntime()
-        runtime.clock.charge_cpu(1000.0)
-        runtime.clock.charge_background(1000.0)
-        assert 0.0 < runtime.background_utilization(threads=1) <= 1.0
-
 
 # ----------------------------------------------------------------------
 # behaviour preservation: the scheduler routing must not change results

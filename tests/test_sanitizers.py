@@ -19,7 +19,6 @@ from repro.check.sanitizer import (
     CacheSanitizer,
     CheckBackAuditor,
     CheckError,
-    ClockMonotonicityGuard,
     IndexSanitizer,
     ShardSanitizer,
     StoreSanitizer,
@@ -37,6 +36,7 @@ from repro.check.sanitizer import (
     check_release_watermark,
     iter_art_inner_nodes,
     iter_btree_nodes,
+    refuse_backwards_time,
 )
 from repro.core import IndeXY, IndeXYConfig
 from repro.diskbtree import DiskBPlusTree
@@ -502,29 +502,35 @@ def make_index(**kwargs):
 
 def test_clock_guard_accepts_forward_time():
     runtime = EngineRuntime()
-    guard = ClockMonotonicityGuard(runtime)
+    runtime.subscribe(refuse_backwards_time)
     runtime.clock.charge_cpu(100.0)
     runtime.clock.charge_background(50.0)
-    assert guard.observe() == []
+    offset = runtime.disk.allocate(8)
+    runtime.disk.write(offset, b"x" * 8)
+    runtime.stats.bump("gauge", -1)  # counters may go down; time may not
+    assert runtime.clock.snapshot() == (100.0, 50.0)
 
 
 def test_clock_guard_flags_backwards_time():
+    # Refused at the charge that carries it, before the account moves.
     runtime = EngineRuntime()
+    runtime.subscribe(refuse_backwards_time)
     runtime.clock.charge_cpu(1000.0)
-    guard = ClockMonotonicityGuard(runtime)
-    runtime.clock.cpu_ns -= 500.0
-    assert "clock-monotonic" in checks_of(guard.observe())
+    for charge in (runtime.clock.charge_cpu, runtime.clock.charge_background):
+        for ns in (-500.0, float("nan")):
+            with pytest.raises(CheckError) as err:
+                charge(ns)
+            assert "clock-monotonic" in checks_of(err.value.violations)
+    assert runtime.clock.snapshot() == (1000.0, 0.0)
 
 
-def test_clock_guard_tolerates_charge_rebooking():
-    # Moving foreground ns onto the background account is legal; only the
-    # sum must be monotone.
-    runtime = EngineRuntime()
-    runtime.clock.charge_cpu(1000.0)
-    guard = ClockMonotonicityGuard(runtime)
-    runtime.clock.cpu_ns -= 400.0
-    runtime.clock.background_ns += 400.0
-    assert guard.observe() == []
+@pytest.mark.parametrize("name", ["ART-LSM", "B+-B+"])  # Index-, StoreSanitizer
+def test_clock_guard_rides_with_debug_checks(name):
+    checked = build_system(name, 256 * 1024, debug_checks=True)
+    with pytest.raises(CheckError, match="clock-monotonic"):
+        checked.clock.charge_cpu(-1.0)
+    unchecked = build_system(name, 256 * 1024, debug_checks=False)
+    unchecked.clock.charge_cpu(-1.0)  # off means unchecked
 
 
 def test_release_watermark_violation_detected():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.systems import SYSTEM_NAMES, Snapshot, build_system
+from repro.systems.factory import registered_systems
 
 LIMIT = 192 * 1024
 
@@ -17,6 +18,13 @@ def system(request):
 def test_factory_rejects_unknown_name():
     with pytest.raises(ValueError):
         build_system("FancyDB", memory_limit_bytes=LIMIT)
+
+
+@pytest.mark.parametrize("limit", [0, -4096])
+@pytest.mark.parametrize("name", registered_systems())
+def test_factory_rejects_a_memory_limit_below_one_byte(name, limit):
+    with pytest.raises(ValueError, match=f"memory_limit_bytes .* got {limit}"):
+        build_system(name, memory_limit_bytes=limit)
 
 
 def test_insert_read_roundtrip(system):
