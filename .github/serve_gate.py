@@ -1,17 +1,20 @@
-"""Deterministic CI gate on the serving path (ROADMAP open item 1c).
+"""Deterministic CI gate on the serving and point-read paths (ROADMAP open item 1c).
 
-Runs the traced ``serve_skew`` host benchmark at a fixed seed and checks
-its last-line JSON against ``serve_gate_oracle.json`` (next to this
+Runs traced host benchmarks at a fixed seed — one row of ``ROWS`` each:
+``serve_skew`` (the only workload through ``ShardRouter``) and
+``spill_read`` (the LSM point read) — and checks each run's last-line
+JSON against its section of ``serve_gate_oracle.json`` (next to this
 file, outside ``hostbench/``):
 
 * ``correct`` is true and ``failed == 0``;
 * every value under ``equal`` — the simulated-clock results and the
-  router's migration/re-split counts, all properties of the code and the
-  seed alone — matches exactly;
-* every value under ``at_most`` — Python calls per op in every layer
-  ``serve_skew`` crosses (``shard``, ``systems``, ``core``, ``art``,
-  ``lsm``, ``cache`` and ``sim``; ``diskbtree`` is bypassed), the
-  deterministic stand-in for host time — is no higher.
+  counts (migrations and re-splits, cache hit and eviction rates, tables
+  per get, loads, flushes, compactions), all properties of the code and
+  the seed alone — matches exactly;
+* every value under ``at_most`` — Python calls per op in every layer the
+  workload crosses (``diskbtree`` is bypassed by both, ``shard`` by
+  ``spill_read``), the deterministic stand-in for host time — is no
+  higher.
 
 Wall-clock metrics are never compared.  ``correct`` also covers the
 benchmark's own "was the process descheduled" check, the one input a
@@ -32,14 +35,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = Path(__file__).with_name("serve_gate_oracle.json")
-COMMAND = [
-    sys.executable, "hostbench/run.py",
-    "--workload", "serve_skew", "--trace", "1", "--seconds", "2", "--seed", "1",
-]  # fmt: skip
+#: (hostbench arguments, oracle section) per gated run.
+ROWS = [
+    (["--workload", "serve_skew", "--trace", "1", "--seconds", "2", "--seed", "1"], "serve_skew"),
+    (["--workload", "spill_read", "--trace", "1", "--seconds", "2", "--seed", "1"], "spill_read"),
+]
 
 
-def run_benchmark() -> dict:
-    done = subprocess.run(COMMAND, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+def run_benchmark(arguments: list[str]) -> dict:
+    command = [sys.executable, "hostbench/run.py", *arguments]
+    done = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines:
         sys.exit(f"serve_gate: benchmark printed nothing (exit {done.returncode})")
@@ -63,21 +68,33 @@ def violations(report: dict, oracle: dict) -> list[str]:
     return found
 
 
-def main() -> int:
-    oracle = json.loads(ORACLE.read_text())
-    report = run_benchmark()
+def check_row(arguments: list[str], oracle: dict) -> list[str]:
+    report = run_benchmark(arguments)
     found = violations(report, oracle)
     if not found and not report["correct"]:
         print("serve_gate: counts match but the run was disturbed; repeating once")
-        report = run_benchmark()
+        report = run_benchmark(arguments)
         found = violations(report, oracle)
     if not report["correct"]:
         found.append("benchmark reports correct = false (see its stderr above)")
-    for line in found:
-        print(f"serve_gate: FAIL {line}", file=sys.stderr)
-    if not found:
-        print(f"serve_gate: ok ({len(oracle['equal'])} exact, {len(oracle['at_most'])} bounded)")
-    return 1 if found else 0
+    return found
+
+
+def main() -> int:
+    oracles = json.loads(ORACLE.read_text())
+    failed = False
+    for arguments, section in ROWS:
+        oracle = oracles[section]
+        found = check_row(arguments, oracle)
+        for line in found:
+            print(f"serve_gate: FAIL {section}: {line}", file=sys.stderr)
+        if not found:
+            print(
+                f"serve_gate: {section} ok "
+                f"({len(oracle['equal'])} exact, {len(oracle['at_most'])} bounded)"
+            )
+        failed = failed or bool(found)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -729,7 +729,15 @@ def check_lsm(store: LSMStore, max_deep_tables: Optional[int] = None) -> list[Vi
     for table in deep:
         # Bypass the store's block cache: probe reads must not warm it
         # (cache-state perturbation would change later real reads).
-        entries = list(chain.from_iterable(table.blocks()))
+        blocks = list(table.blocks())
+        decoded_counts = [len(block) for block in blocks]
+        if decoded_counts != table._block_counts:
+            out.add(
+                "lsm-block-count",
+                f"table {table.table_id} keeps per-block entry counts "
+                f"{table._block_counts}, its blocks decode to {decoded_counts}",
+            )
+        entries = list(chain.from_iterable(blocks))
         if len(entries) != table.entry_count:
             out.add(
                 "lsm-table-count",

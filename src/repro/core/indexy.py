@@ -180,6 +180,8 @@ class IndeXY:
 
     def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
         """Merged range scan; X shadows Y on duplicate keys."""
+        if count <= 0:
+            return []
         from_x = self.x.scan(start, count)
         if not self._y_populated:
             return from_x[:count]

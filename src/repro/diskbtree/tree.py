@@ -104,6 +104,8 @@ class DiskBPlusTree:
 
     def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
         """Range scan along the leaf chain."""
+        if count <= 0:
+            return []
         path, leaf_pid, leaf = self._descend(start)
         self._unpin_path(path, leaf_pid)
         out: list[tuple[bytes, bytes]] = []

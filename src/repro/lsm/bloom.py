@@ -3,8 +3,10 @@
 Python's built-in ``hash`` is randomized per process, so the filter hashes
 with FNV-1a and a second mixing constant instead — runs reproduce exactly.
 
-The filter is defined by the scalar :meth:`BloomFilter.add` /
-:meth:`BloomFilter.may_contain`; :meth:`BloomFilter.add_many` is the
+The filter is defined by the scalar :func:`hash_pair`,
+:meth:`BloomFilter.add` and :meth:`BloomFilter.may_contain_hashed`: the
+hash belongs to the key alone, so ``LSMStore.get`` takes it once and every
+table it probes only walks its own bits.  :meth:`BloomFilter.add_many` is the
 whole-table kernel that SSTable builds run, and it sets exactly the bits a
 loop of ``add`` would.  It hashes all keys of one length together, each key
 in its own 128-bit lane of one Python big integer, so the FNV-1a rounds and
@@ -33,12 +35,22 @@ _LANE = 16
 _LANE_BATCH = 512
 
 
+def hash_pair(key: bytes) -> tuple[int, int]:
+    """``(h, delta)``: 64-bit FNV-1a of ``key`` and the double-hashing stride ``rotl(h, 31) | 1``.
+
+    The one scalar definition of the filter's hash.  It does not depend on
+    the filter, so a point read computes it once and probes every table's
+    filter with it (:meth:`BloomFilter.may_contain_hashed`).
+    """
+    h = _FNV_OFFSET
+    for byte in key:
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    return h, ((h >> 33) | (h << 31)) & _MASK64 | 1
+
+
 def fnv1a(data: bytes) -> int:
     """64-bit FNV-1a hash."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
+    return hash_pair(data)[0]
 
 
 def _lanes(value: int, count: int) -> int:
@@ -97,17 +109,14 @@ class BloomFilter:
         bloom.add_many(keys)
         return bloom
 
-    # ``add``/``may_contain`` are the scalar definition of the filter — the
-    # FNV-1a hash, ``delta = rotl(h, 31) | 1``, position
+    # ``add``/``may_contain_hashed`` are the scalar definition of the filter
+    # — ``(h, delta) = hash_pair(key)``, position
     # ``((h + i * delta) mod 2**64) mod num_bits``, bit ``p`` is bit
     # ``p & 7`` of byte ``p >> 3`` — which ``add_many`` must match bit for
     # bit: the positions decide the false positives, hence which tables a
     # read probes, hence the simulated results.
     def add(self, key: bytes) -> None:
-        h = _FNV_OFFSET
-        for byte in key:
-            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-        delta = ((h >> 33) | (h << 31)) & _MASK64 | 1
+        h, delta = hash_pair(key)
         bits = self._bits
         num_bits = self.num_bits
         for __ in range(self.num_hashes):
@@ -116,10 +125,11 @@ class BloomFilter:
             h = (h + delta) & _MASK64
 
     def may_contain(self, key: bytes) -> bool:
-        h = _FNV_OFFSET
-        for byte in key:
-            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-        delta = ((h >> 33) | (h << 31)) & _MASK64 | 1
+        return self.may_contain_hashed(hash_pair(key))
+
+    def may_contain_hashed(self, pair: tuple[int, int]) -> bool:
+        """``may_contain`` of the key whose :func:`hash_pair` is ``pair``."""
+        h, delta = pair
         bits = self._bits
         num_bits = self.num_bits
         for __ in range(self.num_hashes):

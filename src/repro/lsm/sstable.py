@@ -5,6 +5,13 @@ An SSTable is an immutable run of sorted key/value pairs laid out as fixed
 structures: a block index (first key + offset per block) and a bloom
 filter.  Tables are written strictly sequentially — the whole point of the
 LSM design the paper selects as its disk-friendly Index Y.
+
+A point read looks for its key inside the *encoded* block
+(:func:`search_block`) and the block cache holds that encoded block — the
+``bytes`` object the simulated disk holds — in a :class:`CachedBlock`, which
+is decoded once, the first time it is reused (a cache hit or a scan).  The
+paper keeps these caches minimal (Section II-D), so most blocks are read for
+one key and never decoded.
 """
 
 from __future__ import annotations
@@ -86,6 +93,44 @@ def decode_block(blob: bytes) -> list[tuple[bytes, bytes]]:
     return entries
 
 
+def search_block(blob: bytes, key: bytes) -> Optional[bytes]:
+    """The value stored under ``key`` in an encoded block, or ``None``.
+
+    Walks the entry headers and stops at the first key not below ``key``
+    (a block's keys are sorted): what ``decode_block`` plus a bisect finds,
+    without building the entries passed over.
+    """
+    unpack = _ENTRY_HEADER.unpack_from
+    pos = 0
+    end = len(blob)
+    while pos < end:
+        klen, vlen = unpack(blob, pos)
+        pos += 6
+        value_at = pos + klen
+        found = blob[pos:value_at]
+        if found >= key:
+            return blob[value_at : value_at + vlen] if found == key else None
+        pos = value_at + vlen
+    return None
+
+
+class CachedBlock:
+    """What the block cache holds for a block: its encoding, decoded on reuse."""
+
+    # No ``__init__``: ``SSTable._load_block``, the one place a block is read
+    # through the cache, sets both slots itself, once per cache miss.
+    __slots__ = ("blob", "decoded")
+    blob: bytes
+    decoded: Optional[list[tuple[bytes, bytes]]]
+
+    def entries(self) -> list[tuple[bytes, bytes]]:
+        """The decoded block; decoded once and kept, never re-``put``."""
+        decoded = self.decoded
+        if decoded is None:
+            decoded = self.decoded = decode_block(self.blob)
+        return decoded
+
+
 class SSTable:
     """One immutable sorted run on disk."""
 
@@ -97,6 +142,7 @@ class SSTable:
         costs: CostModel,
         block_offsets: list[int],
         block_first_keys: list[bytes],
+        block_counts: list[int],
         bloom: BloomFilter,
         min_key: bytes,
         max_key: bytes,
@@ -109,6 +155,9 @@ class SSTable:
         self._costs = costs
         self._block_offsets = block_offsets
         self._block_first_keys = block_first_keys
+        #: entries per block: a point read charges its in-block comparisons
+        #: from here, having decoded nothing to count.
+        self._block_counts = block_counts
         self.bloom = bloom
         self.min_key = min_key
         self.max_key = max_key
@@ -169,6 +218,7 @@ class SSTable:
             costs=costs,
             block_offsets=offsets,
             block_first_keys=first_keys,
+            block_counts=list(map(len, blocks)),
             bloom=bloom,
             min_key=pairs[0][0],
             max_key=pairs[-1][0],
@@ -179,38 +229,44 @@ class SSTable:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def _block_index_for(self, key: bytes) -> int:
-        """Index of the block that could contain ``key``."""
-        i = bisect_right(self._block_first_keys, key) - 1
-        return max(i, 0)
-
     @charges("disk_read?")
-    def _load_block(
-        self, index: int, block_cache: PolicyCache | None
-    ) -> list[tuple[bytes, bytes]]:
+    def _load_block(self, index: int, block_cache: PolicyCache | None) -> CachedBlock:
+        """Block ``index`` through the cache: decoded if reused, encoded if just read."""
         cache_key = (self.table_id, index)
         if block_cache is not None:
-            cached = block_cache.get(cache_key)
-            if cached is not None:
-                return cached
+            block = block_cache.get(cache_key)
+            if block is not None:
+                block.entries()  # reused: decode it now, once, and bisect from here on
+                return block
         blob = self._disk.read(self._block_offsets[index])
-        entries = decode_block(blob)
+        block = CachedBlock()
+        block.blob = blob
+        block.decoded = None
         if block_cache is not None:
-            block_cache.put(cache_key, entries, len(blob))
-        return entries
+            block_cache.put(cache_key, block, len(blob))
+        return block
 
     @charges("cpu_charge+", "disk_read?")
-    def get(self, key: bytes, block_cache: PolicyCache | None = None) -> Optional[bytes]:
-        """Point lookup; bloom-filter negative answers avoid any I/O."""
+    def get(
+        self, key: bytes, pair: tuple[int, int], block_cache: PolicyCache | None = None
+    ) -> Optional[bytes]:
+        """Point lookup; bloom-filter negative answers avoid any I/O.
+
+        ``pair`` is ``hash_pair(key)``, taken once per ``LSMStore.get``.
+        """
         self._clock.charge_cpu(self._costs.bloom_probe)
         if key < self.min_key or key > self.max_key:
             return None
-        if not self.bloom.may_contain(key):
+        if not self.bloom.may_contain_hashed(pair):
             return None
-        index = self._block_index_for(key)
-        entries = self._load_block(index, block_cache)
-        comparisons = max(1, int(math.log2(len(entries) + 1)))
+        # The block that could hold the key: the last one starting at or below it.
+        index = max(bisect_right(self._block_first_keys, key) - 1, 0)
+        block = self._load_block(index, block_cache)
+        comparisons = max(1, int(math.log2(self._block_counts[index] + 1)))
         self._clock.charge_cpu(self._costs.compare_cost(comparisons) + self._costs.hash_probe)
+        entries = block.decoded
+        if entries is None:
+            return search_block(block.blob, key)
         i = bisect_left(entries, (key, b""))
         if i < len(entries) and entries[i][0] == key:
             return entries[i][1]
@@ -220,8 +276,13 @@ class SSTable:
         self, first: int = 0, block_cache: PolicyCache | None = None
     ) -> Iterator[list[tuple[bytes, bytes]]]:
         """Yield the decoded blocks from index ``first`` on, loading lazily."""
+        if block_cache is None:
+            # Compaction and the sanitizer read past the cache: nothing to hold.
+            yield from map(decode_block, map(self._disk.read, self._block_offsets[first:]))
+            return
+        load_block = self._load_block
         for index in range(first, len(self._block_offsets)):
-            yield self._load_block(index, block_cache)
+            yield load_block(index, block_cache).entries()
 
     def iter_from(
         self, start: bytes, block_cache: PolicyCache | None = None
@@ -232,7 +293,8 @@ class SSTable:
         when the consumer reaches it.  Only the first block can hold keys
         below ``start``; the rest are handed on whole.
         """
-        blocks = self.blocks(self._block_index_for(start), block_cache)
+        first = max(bisect_right(self._block_first_keys, start) - 1, 0)
+        blocks = self.blocks(first, block_cache)
         head = (block[bisect_left(block, (start,)) :] for block in islice(blocks, 1))
         return chain.from_iterable(chain(head, blocks))
 

@@ -16,7 +16,10 @@ On the host, flush and compaction call Python once per table or per block,
 never once per entry: one dict-and-sort merge per compaction
 (``_merge_tables``), one cumulative-size pass per table for the block and
 output-table cuts (``sstable.split_by_size``), one lane-parallel hash per
-filter (``BloomFilter.add_many``).  The disk image, every charge and every
+filter (``BloomFilter.add_many``).  A point read does each piece of work
+once: ``get`` hashes the key once for all the filters it probes
+(``bloom.hash_pair``) and a block read for one key is searched encoded, not
+decoded (``sstable.search_block``).  The disk image, every charge and every
 bloom bit are what the per-entry loops produced (DESIGN.md §7).
 """
 
@@ -29,6 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from repro.cache.bytecache import PolicyCache
+from repro.lsm.bloom import hash_pair
 from repro.lsm.memtable import MemTable
 from repro.lsm.sstable import SSTable, split_by_size
 from repro.sim.effects import charges
@@ -248,24 +252,24 @@ class LSMStore:
             if cached is not None:
                 self.stats.bump("row_cache_hits")
                 return None if cached == TOMBSTONE else cached
+        pair = hash_pair(key)
+        block_cache = self.block_cache
         for table in self.levels[0]:
-            value = table.get(key, self.block_cache)
+            value = table.get(key, pair, block_cache)
             if value is not None:
-                self._fill_row_cache(key, value)
-                return None if value == TOMBSTONE else value
-        for level in range(1, self.config.max_levels):
-            table = self._find_table(level, key)
-            if table is None:
-                continue
-            value = table.get(key, self.block_cache)
-            if value is not None:
-                self._fill_row_cache(key, value)
-                return None if value == TOMBSTONE else value
-        return None
-
-    def _fill_row_cache(self, key: bytes, value: bytes) -> None:
+                break
+        if value is None:
+            for level in range(1, self.config.max_levels):
+                table = self._find_table(level, key)
+                if table is not None:
+                    value = table.get(key, pair, block_cache)
+                    if value is not None:
+                        break
+            if value is None:
+                return None
         if self.row_cache is not None:
             self.row_cache.put(key, value, len(key) + len(value) + 16)
+        return None if value == TOMBSTONE else value
 
     def _find_table(self, level: int, key: bytes) -> Optional[SSTable]:
         tables = self.levels[level]
@@ -290,6 +294,8 @@ class LSMStore:
         B+-tree scans (Benchmark E in Figure 8): every source contributes
         I/O and the merge must dedup across levels.
         """
+        if count <= 0:
+            return []
         sources: list[Iterator[tuple[bytes, bytes]]] = []
         # Priority: lower sequence = newer. MemTable is newest.
         sources.append(iter(self._memtable.items(start)))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.art import encode_int
 from repro.lsm import BloomFilter, MemTable, PolicyCache, SSTable
-from repro.lsm.bloom import fnv1a
+from repro.lsm.bloom import fnv1a, hash_pair
 from repro.lsm.sstable import decode_block, encode_block
 from repro.sim import CostModel, SimClock, SimDisk
 
@@ -184,13 +184,13 @@ def make_table(disk, n=1000, value=b"value", table_id=1, **kwargs):
 def test_sstable_point_lookups(disk):
     table, pairs = make_table(disk)
     for key, value in pairs[::37]:
-        assert table.get(key) == value
+        assert table.get(key, hash_pair(key)) == value
 
 
 def test_sstable_missing_key_returns_none(disk):
     table, __ = make_table(disk)
-    assert table.get(ikey(1)) is None  # between stored keys
-    assert table.get(ikey(10**9)) is None  # beyond max
+    for key in (ikey(1), ikey(10**9)):  # between stored keys; beyond max
+        assert table.get(key, hash_pair(key)) is None
 
 
 def test_sstable_build_rejects_empty(disk):
@@ -239,9 +239,9 @@ def test_sstable_iter_from_loads_a_block_only_when_reached(disk):
 def test_sstable_block_cache_avoids_repeat_io(disk):
     table, pairs = make_table(disk)
     cache = PolicyCache(1 << 20)
-    table.get(pairs[0][0], cache)
+    table.get(pairs[0][0], hash_pair(pairs[0][0]), cache)
     reads_after_first = disk.stats["reads"]
-    table.get(pairs[0][0], cache)
+    table.get(pairs[0][0], hash_pair(pairs[0][0]), cache)
     assert disk.stats["reads"] == reads_after_first
 
 
@@ -249,7 +249,8 @@ def test_sstable_bloom_prevents_io_on_miss(disk):
     table, __ = make_table(disk)
     reads_before = disk.stats["reads"]
     for probe in range(1, 2000, 3):  # keys not present (non-multiples of 3)
-        table.get(ikey(probe if probe % 3 else probe + 1))
+        key = ikey(probe if probe % 3 else probe + 1)
+        table.get(key, hash_pair(key))
     # With 10 bits/key the vast majority of misses never touch the disk.
     assert disk.stats["reads"] - reads_before < 100
 

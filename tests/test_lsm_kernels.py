@@ -1,18 +1,27 @@
-"""The LSM write path's whole-table kernels, pinned to the per-entry code they replaced.
+"""The LSM store's host-side kernels, pinned to the code they replaced.
 
-``BloomFilter.add_many``, ``split_by_size`` and ``LSMStore._merge_tables``
-do per table or per block what PR 18's tree did once per entry.  The
-replaced loops are kept here verbatim as references (``iter_all`` spelled
-as the block walk that replaced it), and every test demands equality — one
-bit of a filter, one block boundary or one float of a charge off fails it.
-``encode_block`` kept its loop (the ``map``-based form measured slower), so
-its reference is the wire format written out field by field.
+Write path: ``BloomFilter.add_many``, ``split_by_size`` and
+``LSMStore._merge_tables`` do per table or per block what PR 18's tree did
+once per entry.  The replaced loops are kept here verbatim as references
+(``iter_all`` spelled as the block walk that replaced it), and every test
+demands equality — one bit of a filter, one block boundary or one float of a
+charge off fails it.  ``encode_block`` kept its loop (the ``map``-based form
+measured slower), so its reference is the wire format written out field by
+field.
+
+Read path: ``search_block`` finds a key in the encoded block, one
+``hash_pair`` per ``LSMStore.get`` probes every table's filter, and the block
+cache holds a ``CachedBlock`` that is decoded on its first reuse.  Their
+references are PR 21's ``may_contain``, ``SSTable._load_block``, ``get`` and
+``blocks`` (sections d and e).
 """
 
 import heapq
+import math
 import random
+from bisect import bisect_left, bisect_right, insort
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +30,16 @@ from hypothesis import strategies as st
 from repro.lsm import bloom as bloom_module
 from repro.lsm import sstable as sstable_module
 from repro.lsm import store as store_module
-from repro.lsm.bloom import BloomFilter
-from repro.lsm.sstable import SSTable, decode_block, encode_block, split_by_size
+from repro.cache.bytecache import PolicyCache
+from repro.lsm.bloom import BloomFilter, hash_pair
+from repro.lsm.sstable import (
+    _ENTRY_HEADER,
+    SSTable,
+    decode_block,
+    encode_block,
+    search_block,
+    split_by_size,
+)
 from repro.lsm.store import TOMBSTONE, LSMConfig, LSMStore
 from repro.sim.runtime import EngineRuntime
 from repro.systems.art_lsm import ArtLsmSystem
@@ -359,5 +376,246 @@ def test_disk_image_matches_the_per_entry_references(monkeypatch):
     got = _spill_run()
     _install_references(monkeypatch)
     want = _spill_run()
+    for produced, expected in zip(got, want, strict=True):
+        assert produced == expected
+
+
+# ----------------------------------------------------------------------
+# (d) the point read's kernels against decode-then-bisect and the per-table hash
+# ----------------------------------------------------------------------
+def _reference_find(blob: bytes, key: bytes) -> Optional[bytes]:
+    """``SSTable.get``'s in-block search: decode every entry, bisect."""
+    entries = decode_block(blob)
+    i = bisect_left(entries, (key, b""))
+    if i < len(entries) and entries[i][0] == key:
+        return entries[i][1]
+    return None
+
+
+def _reference_may_contain(bloom: BloomFilter, key: bytes) -> bool:
+    """``BloomFilter.may_contain`` with its own FNV-1a loop."""
+    h = 0xCBF29CE484222325
+    for byte in key:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    delta = ((h >> 33) | (h << 31)) & 0xFFFFFFFFFFFFFFFF | 1
+    for __ in range(bloom.num_hashes):
+        pos = h % bloom.num_bits
+        if not bloom._bits[pos >> 3] & (1 << (pos & 7)):
+            return False
+        h = (h + delta) & 0xFFFFFFFFFFFFFFFF
+    return True
+
+
+#: keys that also turn up *inside* values, as whole encoded entries: a
+#: header-walk that lost its place, or a byte search, would find them there.
+_DECOYS = [b"", b"k", b"kk", b"decoy-key"]
+_block_keys = st.one_of(st.binary(max_size=12), st.sampled_from(_DECOYS))
+_entry_shaped = st.tuples(st.sampled_from(_DECOYS), st.binary(max_size=8)).map(
+    lambda entry: encode_block([entry])
+)
+_block_entries = st.dictionaries(
+    _block_keys, st.one_of(_values, st.just(b""), _entry_shaped), max_size=40
+).map(lambda d: sorted(d.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_block_entries, probes=st.lists(_block_keys, max_size=8))
+def test_search_block_matches_decode_then_bisect(entries, probes):
+    blob = encode_block(entries)
+    keys = [key for key, __ in entries]
+    # Every stored key, its neighbours in byte order (a prefix of it, an
+    # extension of it), the decoys and arbitrary probes: below the first,
+    # between two and above the last entry all occur.
+    around = [key[:-1] for key in keys] + [key + b"\x00" for key in keys]
+    for key in keys + around + _DECOYS + probes:
+        assert search_block(blob, key) == _reference_find(blob, key)
+    assert [search_block(blob, key) for key in keys] == [value for __, value in entries]
+
+
+def test_search_block_is_not_fooled_by_the_key_inside_an_earlier_value():
+    target = b"m-target"
+    decoy = _ENTRY_HEADER.pack(len(target), 4) + target + b"fake"
+    present = encode_block([(b"a", decoy), (b"b", b""), (target, b"real"), (b"z", decoy)])
+    absent = encode_block([(b"a", decoy), (b"b", b""), (b"z", decoy)])
+    assert search_block(present, target) == b"real"
+    assert search_block(absent, target) is None
+    assert search_block(present, b"b") == b""  # the empty value is a value, not a miss
+
+
+def test_search_block_edges():
+    assert search_block(b"", b"k") is None
+    prefix = encode_block([(b"ab", b"1"), (b"abc", b"2"), (b"abd", TOMBSTONE)])
+    assert [search_block(prefix, k) for k in (b"a", b"ab", b"abc", b"abcd", b"abd", b"abe")] == [
+        None, b"1", b"2", None, TOMBSTONE, None,
+    ]  # fmt: skip
+    oversize = encode_block([(b"big", b"v" * 10_000)])  # a block of its own, whatever the budget
+    assert search_block(oversize, b"big") == b"v" * 10_000
+    assert search_block(oversize, b"bif") is None and search_block(oversize, b"bih") is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    keys=st.lists(st.binary(max_size=12), min_size=1, max_size=60, unique=True),
+    probes=st.lists(st.binary(max_size=12), max_size=60),
+    shapes=st.lists(
+        st.tuples(st.integers(1, 200), st.integers(1, 16)), min_size=1, max_size=4
+    ),
+)
+def test_one_hash_pair_probes_every_filter_like_the_scalar_may_contain(keys, probes, shapes):
+    # Filters of different ``num_bits`` / ``num_hashes``, undersized ones
+    # among them, so absent keys come back both ways (false positives too).
+    filters = []
+    for expected_keys, bits_per_key in shapes:
+        bloom = BloomFilter(expected_keys, bits_per_key)
+        bloom.add_many(keys[::2])
+        filters.append(bloom)
+    for key in keys + probes:
+        pair = hash_pair(key)
+        for bloom in filters:
+            want = _reference_may_contain(bloom, key)
+            assert bloom.may_contain_hashed(pair) == want
+            assert bloom.may_contain(key) == want
+    assert all(bloom.may_contain_hashed(hash_pair(key)) for bloom in filters for key in keys[::2])
+
+
+def test_false_positives_are_the_reference_ones():
+    bloom = BloomFilter.build((b"key-%05d" % i for i in range(2000)), bits_per_key=4)
+    absent = [b"nope-%05d" % i for i in range(4000)]
+    want = [_reference_may_contain(bloom, key) for key in absent]
+    assert 0 < sum(want) < len(want)  # some false positives, some negatives
+    assert [bloom.may_contain_hashed(hash_pair(key)) for key in absent] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=_pairs.filter(bool), block_size=st.integers(1, 400))
+def test_block_counts_are_the_decoded_lengths(pairs, block_size):
+    # ``_pairs`` mixes 0..120-byte values, so small budgets give blocks of
+    # one oversize entry next to blocks of many.
+    runtime = EngineRuntime()
+    table = SSTable.build(
+        1, runtime.disk, runtime.clock, runtime.costs, pairs, block_size=block_size
+    )
+    decoded = [len(decode_block(runtime.disk.read(at))) for at in table._block_offsets]
+    assert table._block_counts == decoded
+    assert sum(table._block_counts) == table.entry_count == len(pairs)
+
+
+# ----------------------------------------------------------------------
+# (e) a whole store against the decode-per-miss read path
+# ----------------------------------------------------------------------
+def _reference_load_block(self: SSTable, index: int, block_cache: PolicyCache | None) -> Pairs:
+    """``SSTable._load_block``: the cache holds the decoded list, decoded per miss."""
+    cache_key = (self.table_id, index)
+    if block_cache is not None:
+        cached = block_cache.get(cache_key)
+        if cached is not None:
+            return cached
+    blob = self._disk.read(self._block_offsets[index])
+    entries = decode_block(blob)
+    if block_cache is not None:
+        block_cache.put(cache_key, entries, len(blob))
+    return entries
+
+
+def _reference_get(
+    self: SSTable, key: bytes, pair: tuple[int, int], block_cache: PolicyCache | None = None
+) -> Optional[bytes]:
+    """``SSTable.get``: hashes the key itself (``pair`` is the new caller's)."""
+    self._clock.charge_cpu(self._costs.bloom_probe)
+    if key < self.min_key or key > self.max_key:
+        return None
+    if not _reference_may_contain(self.bloom, key):
+        return None
+    index = max(bisect_right(self._block_first_keys, key) - 1, 0)
+    entries = _reference_load_block(self, index, block_cache)
+    comparisons = max(1, int(math.log2(len(entries) + 1)))
+    self._clock.charge_cpu(self._costs.compare_cost(comparisons) + self._costs.hash_probe)
+    i = bisect_left(entries, (key, b""))
+    if i < len(entries) and entries[i][0] == key:
+        return entries[i][1]
+    return None
+
+
+def _reference_table_blocks(
+    self: SSTable, first: int = 0, block_cache: PolicyCache | None = None
+) -> Iterator[Pairs]:
+    """``SSTable.blocks``."""
+    for index in range(first, len(self._block_offsets)):
+        yield _reference_load_block(self, index, block_cache)
+
+
+def _read_run(block_policy: str, row_cache_bytes: int) -> tuple:
+    """Puts, deletes, flushes, gets and scans on one store; everything observable."""
+    store = LSMStore(
+        EngineRuntime(),
+        LSMConfig(
+            memtable_bytes=4 * 1024, block_size=512, block_cache_bytes=6 * 1024,
+            block_cache_policy=block_policy, row_cache_bytes=row_cache_bytes,
+            level0_table_limit=2, level1_bytes=16 * 1024,
+        ),
+    )  # fmt: skip
+    evicted: list = []
+    pick = store.block_cache.policy.evict_candidate
+
+    def logged_pick():
+        victim = pick()
+        evicted.append(victim)
+        return victim
+
+    store.block_cache.policy.evict_candidate = logged_pick
+    rng = random.Random(22)
+
+    def key_of(n: int) -> bytes:
+        return b"%07d" % n
+
+    live: list[int] = []  # sorted, so a key's neighbour is its likely block-mate
+    dead: list[int] = []
+    returned: list = []
+    for step in range(4000):
+        n = rng.randrange(1 << 20)
+        store.put(key_of(n), rng.randbytes(rng.randrange(0, 60)))
+        insort(live, n)
+        if step % 9 == 4:
+            victim = live.pop(rng.randrange(len(live)))
+            store.delete(key_of(victim))
+            dead.append(victim)
+        if step % 5 == 1:
+            # present, absent and deleted keys; ``near`` shares a block with
+            # ``hot`` more often than not, so cached blocks see get -> get,
+            # get -> scan and scan -> get.
+            at = rng.randrange(1, len(live))
+            hot, near = live[at], live[at - 1]
+            for probe in (hot, hot, near, rng.randrange(1 << 20), rng.choice(dead or [0])):
+                returned.append(store.get(key_of(probe)))
+            returned.append(store.scan(key_of(hot), 3))
+            returned.append(store.get(key_of(near)))
+            returned.append(store.scan(key_of(rng.randrange(1 << 20)), 12))
+            returned.append(store.get(key_of(hot)))
+    assert store.stats["compactions"] >= 3
+    cache = store.block_cache
+    assert cache.hits > 100 and cache.evictions > 100
+    return (
+        returned,
+        store.clock.cpu_ns,
+        store.clock.background_ns,
+        store.disk.stats.snapshot(),
+        store.disk.busy_ns,
+        (cache.hits, cache.misses, cache.evictions, cache.used_bytes),
+        evicted,
+        store.row_cache and (store.row_cache.hits, store.row_cache.misses),
+    )
+
+
+@pytest.mark.parametrize(
+    "block_policy, row_cache_bytes", [("lru", 0), ("fifo", 0), ("lru", 4 * 1024)]
+)
+def test_store_reads_match_the_decode_per_miss_reference(
+    monkeypatch, block_policy, row_cache_bytes
+):
+    got = _read_run(block_policy, row_cache_bytes)
+    monkeypatch.setattr(SSTable, "get", _reference_get)
+    monkeypatch.setattr(SSTable, "_load_block", _reference_load_block)
+    monkeypatch.setattr(SSTable, "blocks", _reference_table_blocks)
+    want = _read_run(block_policy, row_cache_bytes)
     for produced, expected in zip(got, want, strict=True):
         assert produced == expected

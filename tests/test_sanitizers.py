@@ -448,6 +448,13 @@ def test_lsm_table_metadata_corruption_detected():
     assert "lsm-table-count" in checks_of(check_lsm(store))
 
 
+def test_lsm_block_count_corruption_detected():
+    store = build_lsm()
+    __, tables = deep_level_tables(store)
+    tables[0]._block_counts[0] += 1  # a point read would charge one comparison too many
+    assert checks_of(check_lsm(store)) == {"lsm-block-count"}
+
+
 def test_lsm_table_range_corruption_detected():
     store = build_lsm()
     __, tables = deep_level_tables(store)

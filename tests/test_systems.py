@@ -171,3 +171,16 @@ def test_lsm_y_beats_btree_y_after_limit_random_inserts():
     lsm_tp = art_lsm.snapshot().throughput_ops(1, model)
     bb_tp = bb.snapshot().throughput_ops(1, model)
     assert lsm_tp > 3 * bb_tp
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("name", registered_systems())
+def test_scan_for_no_entries_returns_none_and_reads_nothing(name, count):
+    system = build_system(name, memory_limit_bytes=LIMIT)
+    system.put_many(range(0, 40_000, 5), b"payload-16-byte!")  # spills: Y has data to open
+    system.flush()
+    engines = getattr(system, "shards", [system])
+    assert all(engine.disk.stats["writes"] for engine in engines)
+    reads = [engine.disk.stats["reads"] for engine in engines]
+    assert system.scan(100, count) == []
+    assert [engine.disk.stats["reads"] for engine in engines] == reads
