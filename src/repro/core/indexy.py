@@ -224,9 +224,10 @@ class IndeXY:
         shard losing budget must actually give the memory back, not wait
         for its next insert).  The default keeps the historical
         lazy behaviour: the new watermarks take effect on the next
-        growth, which existing callers (TPC-C refit) rely on.
+        growth, which existing callers (TPC-C refit) rely on.  A limit
+        below one byte is rejected by :class:`IndeXYConfig`, unclamped.
         """
-        self.config = replace(self.config, memory_limit_bytes=max(1, limit_bytes))
+        self.config = replace(self.config, memory_limit_bytes=limit_bytes)
         self.budget.config = self.config
         if enforce and self.budget.over_high_watermark(self.x.memory_bytes):
             # Synchronous by design (the caller is giving memory back to a

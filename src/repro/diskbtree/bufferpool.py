@@ -185,10 +185,15 @@ class BufferPool:
             raise ValueError("buffer pool must hold at least two pages")
         self.config = replace(self.config, capacity_bytes=capacity_bytes)
         self._capacity_frames = capacity_bytes // self.config.page_size
+        self._decoded_cap = 4 * self._capacity_frames
         self._policy.set_capacity(capacity_bytes)
         while len(self._frames) > self._capacity_frames:
             if not self._evict_one():
                 break  # everything pinned: temporarily overcommit
+
+    def hit_counts(self) -> tuple[float, float]:
+        """(hits, misses) of page accesses, from the pool's own counters."""
+        return self.stats["pool_hits"], self.stats["pool_misses"]
 
     # ------------------------------------------------------------------
     # eviction / write-back

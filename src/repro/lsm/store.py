@@ -335,35 +335,36 @@ class LSMStore:
     # ------------------------------------------------------------------
     # live re-budgeting
     # ------------------------------------------------------------------
-    def resize_caches(
-        self,
-        block_cache_bytes: int,
-        row_cache_bytes: int | None = None,
-        memtable_bytes: int | None = None,
+    def resize(
+        self, memtable_bytes: int, block_cache_bytes: int, row_cache_bytes: int = 0
     ) -> None:
-        """Re-budget the live read caches (and the MemTable threshold).
+        """Re-budget the live buffers; the keywords are ``LSMConfig``'s own.
 
-        The one resize seam for every memory-limit change: caches shrink
-        through their eviction policy (same victims a full workload at
-        the smaller budget would have picked next), they are never
-        dropped and rebuilt, and ``config`` is kept in sync so
-        ``memory_bytes`` accounting stays truthful.
+        Caches shrink through their eviction policy (same victims a full
+        workload at the smaller budget would have picked next), they are
+        never dropped and rebuilt, and ``config`` is kept in sync so
+        ``memory_bytes`` accounting stays truthful.  A row cache exists
+        for the store's whole life or not at all.  A MemTable already
+        past the new threshold flushes now.
         """
-        changes: dict[str, int] = {"block_cache_bytes": block_cache_bytes}
+        if (row_cache_bytes > 0) != (self.row_cache is not None):
+            raise ValueError("a row cache is sized, never added or dropped, by resize")
         self.block_cache.resize(block_cache_bytes)
-        if row_cache_bytes is not None:
-            changes["row_cache_bytes"] = row_cache_bytes
-            if self.row_cache is not None:
-                self.row_cache.resize(row_cache_bytes)
-                if row_cache_bytes == 0:
-                    self.row_cache = None
-            elif row_cache_bytes > 0:
-                self.row_cache = PolicyCache(row_cache_bytes, self.config.row_cache_policy)
-        if memtable_bytes is not None:
-            changes["memtable_bytes"] = memtable_bytes
-        self.config = replace(self.config, **changes)
-        if memtable_bytes is not None and self._memtable.size_bytes >= memtable_bytes:
+        if self.row_cache is not None:
+            self.row_cache.resize(row_cache_bytes)
+        self.config = replace(
+            self.config,
+            memtable_bytes=memtable_bytes,
+            block_cache_bytes=block_cache_bytes,
+            row_cache_bytes=row_cache_bytes,
+        )
+        if self._memtable.size_bytes >= memtable_bytes:
             self.flush()
+
+    def hit_counts(self) -> tuple[int, int]:
+        """(hits, misses) of the block and row caches together."""
+        caches = [c for c in (self.block_cache, self.row_cache) if c is not None]
+        return sum(c.hits for c in caches), sum(c.misses for c in caches)
 
     # ------------------------------------------------------------------
     # accounting

@@ -57,7 +57,7 @@ from repro.shard.pool import ShardWorkerPool
 from repro.sim.costs import CostModel
 from repro.sim.effects import charges
 from repro.sim.threads import ThreadModel
-from repro.systems.base import KVSystem, Snapshot
+from repro.systems.base import KVSystem, Snapshot, limit_error
 
 __all__ = ["ShardRouter"]
 
@@ -394,6 +394,8 @@ class ShardRouter(KVSystem):
 
     def set_memory_limit(self, memory_limit_bytes: int) -> None:
         """Grow or shrink the *total* budget pool, preserving ratios."""
+        if memory_limit_bytes < 1:
+            raise limit_error(memory_limit_bytes)
         self.fleet.resize_pool(memory_limit_bytes)
 
     # ------------------------------------------------------------------

@@ -43,15 +43,6 @@ class _DiskBTreeAsY:
         return self.tree.memory_bytes
 
 
-def _pool_bytes(memory_limit_bytes: int, page_size: int) -> int:
-    """Transfer-pool byte budget for a memory limit.
-
-    Floor of 24 pages: the paper's 512 MB-of-5 GB transfer pool cannot
-    scale below a handful of frames without thrashing.
-    """
-    return max(24 * page_size, memory_limit_bytes // 8)
-
-
 class ArtBPlusSystem(IndeXYSystem):
     name = "ART-B+"
 
@@ -59,7 +50,6 @@ class ArtBPlusSystem(IndeXYSystem):
         self,
         memory_limit_bytes: int,
         page_size: int = 4096,
-        transfer_pool_bytes: int | None = None,
         indexy_config: IndeXYConfig | None = None,
         cache_policies: CachePolicyConfig | None = None,
         costs: CostModel | None = None,
@@ -69,27 +59,27 @@ class ArtBPlusSystem(IndeXYSystem):
     ) -> None:
         super().__init__(costs, thread_model, runtime=runtime)
         policies = cache_policies or CachePolicyConfig()
-        pool = transfer_pool_bytes or _pool_bytes(memory_limit_bytes, page_size)
+        self.page_size = page_size
         config = indexy_config or IndeXYConfig(memory_limit_bytes=memory_limit_bytes)
         x = AdaptiveRadixTree(clock=self.clock, costs=self.costs)
         tree = DiskBPlusTree(
-            pool_bytes=pool,
+            pool_bytes=self.split(memory_limit_bytes)["pool"]["capacity_bytes"],
             page_size=page_size,
             pool_policy=policies.pool,
             runtime=self.runtime,
         )
         self.y_tree = tree
+        self.parts = {"pool": tree.pool}
         self.index = IndeXY(x, _DiskBTreeAsY(tree), config, runtime=self.runtime, **indexy_kwargs)
+
+    def split(self, memory_limit_bytes: int) -> dict[str, dict[str, int]]:
+        """The transfer pool: an eighth of the limit, floored at 24 pages.
+
+        The paper's 512 MB-of-5 GB transfer pool cannot scale below a
+        handful of frames without thrashing.
+        """
+        return {"pool": {"capacity_bytes": max(24 * self.page_size, memory_limit_bytes // 8)}}
 
     def flush(self) -> None:
         self.index.flush()
         self.y_tree.flush_all()
-
-    def _resize_y(self, memory_limit_bytes: int) -> None:
-        pool = self.y_tree.pool
-        pool.resize(_pool_bytes(memory_limit_bytes, pool.config.page_size))
-
-    def cache_hit_stats(self) -> tuple[float, float]:
-        """Index X residency plus the transfer pool's page-hit ledger."""
-        hits = float(self.stats["x_hits"] + self.stats["pool_hits"])
-        return hits, float(self.stats["pool_misses"])

@@ -20,20 +20,7 @@ from repro.sim.costs import CostModel
 from repro.sim.runtime import EngineRuntime
 from repro.sim.threads import ThreadModel
 from repro.systems.art_bplus import _DiskBTreeAsY
-from repro.systems.base import IndeXYSystem
-
-
-def _budgets(memory_limit_bytes: int, page_size: int) -> tuple[int, int, int]:
-    """(memtable, LSM block cache, B+ pool) byte budgets for a memory limit.
-
-    The scan-friendly backend is provisioned for scans: its pool must
-    cover a hot scan range, or every range read thrashes page frames.
-    """
-    return (
-        max(32 * 1024, memory_limit_bytes // 20),
-        max(64 * 1024, memory_limit_bytes // 16),
-        max(48 * page_size, memory_limit_bytes // 8),
-    )
+from repro.systems.base import IndeXYSystem, memtable_share
 
 
 class ArtMultiYSystem(IndeXYSystem):
@@ -53,22 +40,23 @@ class ArtMultiYSystem(IndeXYSystem):
     ) -> None:
         super().__init__(costs, thread_model, runtime=runtime)
         policies = cache_policies or CachePolicyConfig()
-        memtable_bytes, block_cache_bytes, pool_bytes = _budgets(memory_limit_bytes, page_size)
+        self.page_size = page_size
+        sizes = self.split(memory_limit_bytes)
         self.store = LSMStore(
             config=LSMConfig(
-                memtable_bytes=memtable_bytes,
-                block_cache_bytes=block_cache_bytes,
+                **sizes["store"],
                 block_cache_policy=policies.block,
                 row_cache_policy=policies.row,
             ),
             runtime=self.runtime,
         )
         self.y_tree = DiskBPlusTree(
-            pool_bytes=pool_bytes,
+            pool_bytes=sizes["pool"]["capacity_bytes"],
             page_size=page_size,
             pool_policy=policies.pool,
             runtime=self.runtime,
         )
+        self.parts = {"store": self.store, "pool": self.y_tree.pool}
         router = KeyRegionRouter(
             default="lsm",
             scan_backend="btree",
@@ -84,15 +72,21 @@ class ArtMultiYSystem(IndeXYSystem):
         config = IndeXYConfig(memory_limit_bytes=memory_limit_bytes)
         self.index = IndeXY(x, self.routed, config, runtime=self.runtime, **indexy_kwargs)
 
+    def split(self, memory_limit_bytes: int) -> dict[str, dict[str, int]]:
+        """The LSM store's memtable and block cache, then the B+ tree's pool.
+
+        The scan-friendly backend is provisioned for scans: its pool must
+        cover a hot scan range, or every range read thrashes page frames.
+        """
+        return {
+            "store": {
+                "memtable_bytes": memtable_share(memory_limit_bytes),
+                "block_cache_bytes": max(64 * 1024, memory_limit_bytes // 16),
+            },
+            "pool": {"capacity_bytes": max(48 * self.page_size, memory_limit_bytes // 8)},
+        }
+
     def flush(self) -> None:
         self.index.flush()
         self.store.flush()
         self.y_tree.flush_all()
-
-    def _resize_y(self, memory_limit_bytes: int) -> None:
-        pool = self.y_tree.pool
-        memtable_bytes, block_cache_bytes, pool_bytes = _budgets(
-            memory_limit_bytes, pool.config.page_size
-        )
-        self.store.resize_caches(block_cache_bytes, memtable_bytes=memtable_bytes)
-        pool.resize(pool_bytes)

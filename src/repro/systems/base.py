@@ -6,12 +6,18 @@ of its components register maintenance tasks on.  Workloads drive it
 through integer-keyed operations; benchmarks sample
 :meth:`KVSystem.snapshot` deltas and convert them to throughput in
 operations per simulated second via :meth:`Snapshot.throughput_ops`.
+
+A system's memory limit becomes buffer sizes in one place, its
+:meth:`KVSystem.split`: the constructor builds every budgeted part from
+it, :meth:`KVSystem.set_memory_limit` resizes every part from it, and
+:meth:`KVSystem.cache_hit_stats` reads the same parts' hit ledgers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
 from repro.art.keys import encode_int
 from repro.sim.costs import CostModel
@@ -21,6 +27,23 @@ from repro.sim.threads import ThreadModel
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.core.indexy import IndeXY
+    from repro.diskbtree.bufferpool import BufferPool
+    from repro.lsm.store import LSMStore
+
+
+def memtable_share(memory_limit_bytes: int) -> int:
+    """The LSM write buffer's bytes of a memory limit, in every LSM split.
+
+    A twentieth of the limit, floored at 32 KiB: a "few MB out of 5 GB"
+    transfer buffer cannot shrink below a handful of blocks without
+    becoming pure thrash at simulation scale (DESIGN.md deviations).
+    """
+    return max(32 * 1024, memory_limit_bytes // 20)
+
+
+def limit_error(memory_limit_bytes: int) -> ValueError:
+    """The one rejection of a memory limit below one byte."""
+    return ValueError(f"memory_limit_bytes must be at least 1, got {memory_limit_bytes}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +99,14 @@ class KVSystem:
     """Base class: one engine runtime and the operation contract."""
 
     name = "abstract"
+    #: the engine's IndeXY, for the systems built on the framework.
+    index: Optional["IndeXY"] = None
+    #: the buffers the memory limit is split over, keyed as :meth:`split`
+    #: keys them; each resizes by the keywords of its own config and
+    #: reports ``hit_counts()``.  A system without any keeps this empty.
+    parts: Mapping[str, "LSMStore | BufferPool"] = MappingProxyType({})
+    #: runtime sanitizer over the store, when debug checks installed one.
+    sanitizer: Optional[Any] = None
 
     def __init__(
         self,
@@ -141,27 +172,50 @@ class KVSystem:
         """Persist everything (end-of-run checkpoint)."""
 
     # -- memory budget -----------------------------------------------------
+    def split(self, memory_limit_bytes: int) -> dict[str, dict[str, int]]:
+        """The byte split of a memory limit over the budgeted parts.
+
+        Per part name, the keyword arguments its ``resize`` takes — the
+        buffer fields of the part's own config, so the constructor builds
+        from the same mapping.  Each system writes its split once.
+        """
+        raise NotImplementedError(f"{type(self).__name__} cannot be re-budgeted live")
+
     def set_memory_limit(self, memory_limit_bytes: int) -> None:
         """Re-budget the live system to a new memory limit.
 
         The seam the sharded budget rebalancer resizes fleets through
-        (DESIGN.md §11.4): contents must survive, shrinks must evict
-        through the system's own cache/buffer policies, and the call
-        itself charges nothing — evicting cached copies is bookkeeping,
-        the simulated cost lands on the later re-reads it causes.
+        (DESIGN.md §9): Index X's watermarks move and are enforced at
+        once (a shrink runs a release cycle now, not on the next insert),
+        then every part is resized from :meth:`split`, so a system
+        resized to ``L`` is budgeted exactly like one built at ``L``.
+        Contents survive; shrinks evict through the parts' own policies.
+        The call is not free: the enforced release cycle, a memtable
+        flush under a smaller write buffer and the write-back of dirty
+        pool victims charge the clock like any other maintenance (the
+        serving harness bills them to the shard, ``bench.serve._settle``).
         """
-        raise NotImplementedError(f"{type(self).__name__} cannot be re-budgeted live")
+        if memory_limit_bytes < 1:
+            raise limit_error(memory_limit_bytes)
+        if self.index is not None:
+            self.index.set_memory_limit(memory_limit_bytes, enforce=True)
+        parts = self.parts
+        for name, sizes in self.split(memory_limit_bytes).items():
+            parts[name].resize(**sizes)
+        if self.sanitizer is not None:
+            self.sanitizer.after_op()
 
     def cache_hit_stats(self) -> tuple[float, float]:
-        """(hits, misses) accumulated across the system's read caches.
+        """(hits, misses) accumulated across Index X and the budgeted parts.
 
         Serving harnesses report per-window hit rates from deltas of
         these — the observable a memory-budget change actually moves.
-        The base implementation reads the buffer-pool bus counters
-        (the cache layer of the B+-backed systems); LSM-backed systems
-        override with their block/row cache ledgers.
+        Index X counts its resident reads as hits (baselines have none);
+        each part adds its own block/row-cache or buffer-pool ledger.
         """
-        return float(self.stats["pool_hits"]), float(self.stats["pool_misses"])
+        ledgers = [part.hit_counts() for part in self.parts.values()]
+        hits = self.stats["x_hits"] + sum(h for h, __ in ledgers)
+        return float(hits), float(sum(m for __, m in ledgers))
 
     # -- accounting --------------------------------------------------------
     @property
@@ -192,8 +246,9 @@ class IndeXYSystem(KVSystem):
     """The verbs of every system whose engine is one :class:`IndeXY`.
 
     Subclasses assemble ``self.index`` (an Index X over their Index Y)
-    and implement :meth:`_resize_y`; the operation contract is identical
-    whatever sits under the framework, so it is written once here.
+    from their :meth:`~KVSystem.split`; the operation contract is
+    identical whatever sits under the framework, so it is written once
+    here.
     """
 
     index: "IndeXY"
@@ -255,23 +310,6 @@ class IndeXYSystem(KVSystem):
         self._op()
         return self.index.scan(encode_int(key), count)
 
-    def set_memory_limit(self, memory_limit_bytes: int) -> None:
-        """Re-budget the live system: Index X watermarks plus Index Y caches.
-
-        Both consumers are refit with the constructor's own byte split,
-        so a system resized to limit ``L`` budgets exactly like one
-        built at ``L``.  The X side enforces immediately (a shrink
-        triggers a release cycle right away, not on the next insert);
-        the Y side resizes in place, evicting through its cache policies
-        so surviving contents stay warm.
-        """
-        self.index.set_memory_limit(memory_limit_bytes, enforce=True)
-        self._resize_y(memory_limit_bytes)
-
-    def _resize_y(self, memory_limit_bytes: int) -> None:
-        """Refit Index Y's caches to the system's byte split of the limit."""
-        raise NotImplementedError
-
     @property
     def memory_bytes(self) -> int:
         return self.index.memory_bytes
@@ -289,7 +327,6 @@ class BaselineSystem(KVSystem):
     """
 
     y: Any
-    sanitizer: Optional[Any] = None
 
     def _install_sanitizer(self, debug_checks: bool | None) -> None:
         """Attach a ``StoreSanitizer`` over ``self.y`` when debug checks are on."""

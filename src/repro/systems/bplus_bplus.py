@@ -37,12 +37,17 @@ class BPlusBPlusSystem(BaselineSystem):
         super().__init__(costs, thread_model, runtime=runtime)
         policies = cache_policies or CachePolicyConfig()
         self.y = DiskBPlusTree(
-            pool_bytes=memory_limit_bytes,
+            pool_bytes=self.split(memory_limit_bytes)["pool"]["capacity_bytes"],
             page_size=page_size,
             pool_policy=policies.pool,
             runtime=self.runtime,
         )
+        self.parts = {"pool": self.y.pool}
         self._install_sanitizer(debug_checks)
+
+    def split(self, memory_limit_bytes: int) -> dict[str, dict[str, int]]:
+        """The buffer pool is the whole limit: it *is* the index's memory."""
+        return {"pool": {"capacity_bytes": memory_limit_bytes}}
 
     @property
     def tree(self) -> DiskBPlusTree:
@@ -52,12 +57,3 @@ class BPlusBPlusSystem(BaselineSystem):
 
     def flush(self) -> None:
         self.y.flush_all()
-
-    def set_memory_limit(self, memory_limit_bytes: int) -> None:
-        """Re-budget the live buffer pool (the pool *is* the memory limit).
-
-        Shrinks evict through the pool's eviction policy — dirty victims
-        are written back, resident pages survive in policy order.
-        """
-        self.y.pool.resize(memory_limit_bytes)
-        self._sanitize()

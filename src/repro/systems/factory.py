@@ -20,7 +20,7 @@ from repro.sim.threads import ThreadModel
 from repro.systems.art_bplus import ArtBPlusSystem
 from repro.systems.art_lsm import ArtLsmSystem
 from repro.systems.art_multi import ArtMultiYSystem
-from repro.systems.base import KVSystem
+from repro.systems.base import KVSystem, limit_error
 from repro.systems.bplus_bplus import BPlusBPlusSystem
 from repro.systems.rocksdb_like import RocksDbLikeSystem
 
@@ -146,9 +146,7 @@ def build_system(
     the spec form.
     """
     if memory_limit_bytes < 1:
-        raise ValueError(
-            f"memory_limit_bytes must be at least 1, got {memory_limit_bytes}"
-        )
+        raise limit_error(memory_limit_bytes)
     name, spec_kwargs = parse_system_spec(name)
     for key, value in spec_kwargs.items():
         if kwargs.get(key) is not None:

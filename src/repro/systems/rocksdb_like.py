@@ -16,23 +16,7 @@ from repro.lsm.store import LSMConfig, LSMStore
 from repro.sim.costs import CostModel
 from repro.sim.runtime import EngineRuntime
 from repro.sim.threads import ThreadModel
-from repro.systems.base import BaselineSystem
-
-
-def _lsm_budgets(memory_limit_bytes: int) -> tuple[int, int, int]:
-    """(memtable, block cache, row cache) byte budgets for a memory limit.
-
-    Shared by construction and :meth:`RocksDbLikeSystem.set_memory_limit`
-    so a resized system is budgeted exactly like one built at the new
-    limit.  The paper enables RocksDB's row cache for the read study
-    (finer-than-block caching granularity); the floors keep each
-    component useful at simulation scale.
-    """
-    return (
-        max(32 * 1024, memory_limit_bytes // 20),
-        max(64 * 1024, memory_limit_bytes // 8),
-        max(8 * 1024, memory_limit_bytes // 50),
-    )
+from repro.systems.base import BaselineSystem, memtable_share
 
 
 class RocksDbLikeSystem(BaselineSystem):
@@ -41,7 +25,6 @@ class RocksDbLikeSystem(BaselineSystem):
     def __init__(
         self,
         memory_limit_bytes: int,
-        lsm_config: LSMConfig | None = None,
         cache_policies: CachePolicyConfig | None = None,
         costs: CostModel | None = None,
         thread_model: ThreadModel | None = None,
@@ -50,16 +33,31 @@ class RocksDbLikeSystem(BaselineSystem):
     ) -> None:
         super().__init__(costs, thread_model, runtime=runtime)
         policies = cache_policies or CachePolicyConfig()
-        memtable_bytes, block_cache_bytes, row_cache_bytes = _lsm_budgets(memory_limit_bytes)
-        config = lsm_config or LSMConfig(
-            memtable_bytes=memtable_bytes,
-            block_cache_bytes=block_cache_bytes,
-            row_cache_bytes=row_cache_bytes,
-            block_cache_policy=policies.block,
-            row_cache_policy=policies.row,
+        self.y = LSMStore(
+            config=LSMConfig(
+                **self.split(memory_limit_bytes)["store"],
+                block_cache_policy=policies.block,
+                row_cache_policy=policies.row,
+            ),
+            runtime=self.runtime,
         )
-        self.y = LSMStore(config=config, runtime=self.runtime)
+        self.parts = {"store": self.y}
         self._install_sanitizer(debug_checks)
+
+    def split(self, memory_limit_bytes: int) -> dict[str, dict[str, int]]:
+        """The LSM store's memtable, block cache and row cache.
+
+        The paper enables RocksDB's row cache for the read study
+        (finer-than-block caching granularity); the floors keep each
+        buffer useful at simulation scale.
+        """
+        return {
+            "store": {
+                "memtable_bytes": memtable_share(memory_limit_bytes),
+                "block_cache_bytes": max(64 * 1024, memory_limit_bytes // 8),
+                "row_cache_bytes": max(8 * 1024, memory_limit_bytes // 50),
+            }
+        }
 
     @property
     def store(self) -> LSMStore:
@@ -98,19 +96,3 @@ class RocksDbLikeSystem(BaselineSystem):
 
     def flush(self) -> None:
         self.y.flush()
-
-    def set_memory_limit(self, memory_limit_bytes: int) -> None:
-        """Re-budget the live store to a new memory limit.
-
-        Routes through :meth:`LSMStore.resize_caches` — the same single
-        resize seam the buffer-pool systems use — so cache contents
-        survive (shrinks evict through the policy, they never rebuild
-        cold).
-        """
-        memtable_bytes, block_cache_bytes, row_cache_bytes = _lsm_budgets(memory_limit_bytes)
-        self.y.resize_caches(
-            block_cache_bytes,
-            row_cache_bytes=row_cache_bytes,
-            memtable_bytes=memtable_bytes,
-        )
-        self._sanitize()

@@ -22,35 +22,34 @@ from repro.sim.costs import CostModel
 from repro.sim.runtime import EngineRuntime
 from repro.sim.threads import ThreadModel
 from repro.systems.art_bplus import _DiskBTreeAsY
-from repro.systems.base import Snapshot
+from repro.systems.base import Snapshot, limit_error, memtable_share
 from repro.tpcc import keys
 from repro.tpcc.transactions import new_order, payment
 
 ORDERLINE_BACKENDS = ("ART-LSM", "ART-B+", "B+-B+", "RocksDB")
 
 
-def _lsm_split(budget: int, row_cache: bool) -> dict[str, int]:
-    """An LSM orderline store's byte split of ``budget``.
+def _orderline_split(kind: str, budget: int, page_size: int) -> dict[str, int]:
+    """The orderline backend's buffer sizes for ``budget``, one split per kind.
 
-    Keyed as both ``LSMConfig`` and ``LSMStore.resize_caches`` spell the
-    buffers, so construction and refit cannot drift.  The row cache is
-    RocksDB's alone: under the framework Index X plays that role.
+    Keyed as the buffer's ``resize`` (and its config) spell them, so
+    construction and refit cannot drift.  An LSM store gets the memtable
+    share and a twentieth as block cache, plus a row cache under RocksDB
+    alone (under the framework Index X plays that role).  A B+ tree's
+    pool is a tenth of ``budget`` as ART-B+'s transfer pool and all of
+    it when the pool *is* the index (B+-B+).
     """
+    if kind == "ART-B+":
+        return {"capacity_bytes": max(16 * page_size, budget // 10)}
+    if kind == "B+-B+":
+        return {"capacity_bytes": max(2 * page_size, budget)}
     split = {
-        "memtable_bytes": max(32 * 1024, budget // 20),
+        "memtable_bytes": memtable_share(budget),
         "block_cache_bytes": max(16 * 1024, budget // 20),
     }
-    if row_cache:
+    if kind == "RocksDB":
         split["row_cache_bytes"] = max(8 * 1024, budget // 50)
     return split
-
-
-def _pool_split(budget: int, page_size: int, transfer: bool) -> int:
-    """A B+ orderline tree's pool bytes: a tenth of ``budget`` as ART-B+'s
-    transfer pool, all of it when the pool *is* the index (B+-B+)."""
-    if transfer:
-        return max(16 * page_size, budget // 10)
-    return max(2 * page_size, budget)
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,10 @@ class TpccConfig:
     orderline_value_bytes: int = 64
     new_order_fraction: float = 0.5
     seed: int = 2024
-    #: opt-in: the periodic budget refit also resizes the backend's
-    #: caches/buffer pool (not just the IndeXY X watermarks), so every
-    #: backend — including B+-B+ and RocksDB, which have no X index —
-    #: tracks the shrinking orderline budget live.  Off by default: the
-    #: committed fig9/fig10 results predate the live-resize seam.
-    refit_caches: bool = False
 
     def __post_init__(self) -> None:
+        if self.memory_limit_bytes < 1:
+            raise limit_error(self.memory_limit_bytes)
         if self.orderline_backend not in ORDERLINE_BACKENDS:
             raise ValueError(
                 f"unknown orderline backend {self.orderline_backend!r}; "
@@ -121,7 +116,7 @@ class TpccEngine:
         self._history_seq = 0
 
         self._load()
-        self.orderline = self._build_orderline_backend()
+        self.orderline, self._orderline_part = self._build_orderline_backend()
 
     # ------------------------------------------------------------------
     # construction
@@ -161,22 +156,22 @@ class TpccEngine:
         return max(64 * 1024, remaining)
 
     def _build_orderline_backend(self):
+        """The orderline backend, and the buffer its budget resizes."""
         cfg = self.config
         budget = self._orderline_budget()
         kind = cfg.orderline_backend
-        indexed = kind in ("ART-LSM", "ART-B+")
+        sizes = _orderline_split(kind, budget, cfg.page_size)
         if kind in ("ART-LSM", "RocksDB"):
-            y = LSMStore(self.runtime, LSMConfig(**_lsm_split(budget, row_cache=not indexed)))
+            y = part = LSMStore(self.runtime, LSMConfig(**sizes))
         else:
-            y = DiskBPlusTree(
-                self.runtime, _pool_split(budget, cfg.page_size, transfer=indexed), cfg.page_size
-            )
-        if not indexed:
-            return y
+            y = DiskBPlusTree(self.runtime, sizes["capacity_bytes"], cfg.page_size)
+            part = y.pool
+        if kind not in ("ART-LSM", "ART-B+"):
+            return y, part
         x = AdaptiveRadixTree(clock=self.clock, costs=self.costs)
         if kind == "ART-B+":
             y = _DiskBTreeAsY(y)
-        return IndeXY(x, y, IndeXYConfig(memory_limit_bytes=budget), self.runtime)
+        return IndeXY(x, y, IndeXYConfig(memory_limit_bytes=budget), self.runtime), part
 
     # ------------------------------------------------------------------
     # live re-budgeting
@@ -186,37 +181,26 @@ class TpccEngine:
 
         The sharded/serving seam: the orderline backend — the one
         component the limit squeezes — is refit to what remains after
-        the resident tables, caches included, regardless of the
-        ``refit_caches`` knob (an explicit limit change is always a real
-        resize; the knob only gates the *periodic* refit).
+        the resident tables: its X watermarks, then its buffer, from the
+        split the constructor used.
         """
-        self.config = replace(self.config, memory_limit_bytes=memory_limit_bytes)
-        self._refit_orderline(resize_caches=True)
+        self.config = cfg = replace(self.config, memory_limit_bytes=memory_limit_bytes)
+        budget = self._refit_orderline()
+        sizes = _orderline_split(cfg.orderline_backend, budget, cfg.page_size)
+        self._orderline_part.resize(**sizes)
 
-    def _refit_orderline(self, resize_caches: bool) -> None:
-        """Push the current orderline budget into the live backend.
+    def _refit_orderline(self) -> int:
+        """Move the X watermarks to the current orderline budget; return it.
 
-        The single refit seam behind both the periodic re-fit (every 256
-        transactions, as the resident tables grow) and explicit
-        :meth:`set_memory_limit` calls.  With ``resize_caches`` False
-        only the IndeXY X watermarks move — the historical behaviour the
-        committed TPC-C results were recorded under; with it True the
-        backend's caches and buffer pools are refit with the
-        constructor's own formulas too.
+        The periodic re-fit (every 256 transactions, as the resident
+        tables grow) is this alone — the behaviour the committed TPC-C
+        results were recorded under; :meth:`set_memory_limit` also
+        resizes the buffers.
         """
         budget = self._orderline_budget()
-        backend = self.orderline
-        indexed = isinstance(backend, IndeXY)
-        if indexed:
-            backend.set_memory_limit(budget)
-        if not resize_caches:
-            return
-        y = backend.y if indexed else backend
-        if isinstance(y, LSMStore):
-            y.resize_caches(**_lsm_split(budget, row_cache=not indexed))
-        else:
-            tree = y.tree if indexed else y
-            tree.pool.resize(_pool_split(budget, self.config.page_size, transfer=indexed))
+        if isinstance(self.orderline, IndeXY):
+            self.orderline.set_memory_limit(budget)
+        return budget
 
     # ------------------------------------------------------------------
     # orderline access used by the transactions
@@ -248,10 +232,8 @@ class TpccEngine:
         self.stats.bump("txns")
         if self.stats["txns"] % 256 == 0:
             # Re-fit the orderline budget as the resident tables grow
-            # (the workload-wide 30 GB limit of Section III-F).  Every
-            # backend passes through the seam; cache resizing is the
-            # opt-in part (see TpccConfig.refit_caches).
-            self._refit_orderline(resize_caches=self.config.refit_caches)
+            # (the workload-wide 30 GB limit of Section III-F).
+            self._refit_orderline()
         return kind
 
     def run(self, transactions: int) -> None:

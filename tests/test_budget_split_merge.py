@@ -506,28 +506,17 @@ def test_tpcc_set_memory_limit_refits_backend(backend):
     engine.run(100)
 
 
-def test_tpcc_periodic_refit_is_noop_with_knob_off():
+def test_tpcc_periodic_refit_leaves_buffers_as_built():
     from repro.tpcc.engine import TpccConfig, TpccEngine
 
-    # B+-B+ has no IndeXY wrapper: with refit_caches off the periodic
-    # path must leave the pool exactly as built (the committed results'
-    # behaviour); with it on, the pool tracks the shrinking budget.
+    # B+-B+ has no IndeXY wrapper: the periodic refit moves X watermarks
+    # only, so it must leave the pool exactly as built (the committed
+    # results' behaviour).
     config = TpccConfig(warehouses=1, items=100, orderline_backend="B+-B+")
     frozen = TpccEngine(config)
     built_capacity = frozen.orderline.pool.config.capacity_bytes
     frozen.run(600)  # crosses the 256-txn refit boundary twice
     assert frozen.orderline.pool.config.capacity_bytes == built_capacity
-
-    from dataclasses import replace
-
-    live = TpccEngine(replace(config, refit_caches=True))
-    # Stop exactly on a refit boundary: the budget recomputed now is the
-    # one the txn-512 refit pushed into the pool.
-    live.run(512)
-    budget = live._orderline_budget()
-    assert live.orderline.pool.config.capacity_bytes == max(
-        2 * live.config.page_size, budget
-    )
 
 
 # ----------------------------------------------------------------------

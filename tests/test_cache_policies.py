@@ -27,8 +27,7 @@ from repro.core.config import CachePolicyConfig
 from repro.diskbtree import BufferPool, BufferPoolConfig, LeafPage
 from repro.shard import BudgetConfig, RebalanceConfig
 from repro.sim import EngineRuntime
-from repro.systems.factory import build_system, parse_system_spec
-from repro.systems.rocksdb_like import _lsm_budgets
+from repro.systems.factory import build_system, parse_system_spec, registered_systems
 
 PAGE = 4096
 
@@ -365,20 +364,114 @@ def test_sharded_system_forwards_policy_spec_to_shards():
 # ----------------------------------------------------------------------
 # set_memory_limit: the one resize seam
 # ----------------------------------------------------------------------
-def test_rocksdb_set_memory_limit_matches_fresh_construction():
-    system = build_system("RocksDB", memory_limit_bytes=64 * 1024)
-    for k in range(300):
-        system.insert(k, b"x" * 32)
-    system.set_memory_limit(256 * 1024)
-    memtable, block, row = _lsm_budgets(256 * 1024)
-    config = system.store.config
-    assert (config.memtable_bytes, config.block_cache_bytes, config.row_cache_bytes) == (
-        memtable,
-        block,
-        row,
-    )
-    assert system.store.block_cache.capacity_bytes == block
-    assert system.store.row_cache.capacity_bytes == row
+SINGLE_ENGINE = ("ART-LSM", "ART-B+", "B+-B+", "RocksDB", "ART-Multi")
+
+#: every buffer a memory limit sizes, reached through each system's own
+#: attributes rather than through the ``parts`` mapping under test.
+BUFFERS = {
+    "ART-LSM": lambda s: [s.index.y],
+    "ART-B+": lambda s: [s.y_tree.pool],
+    "B+-B+": lambda s: [s.tree.pool],
+    "RocksDB": lambda s: [s.store],
+    "ART-Multi": lambda s: [s.store, s.y_tree.pool],
+}
+
+
+def _budget_state(index, buffers):
+    """Everything a memory limit decides: X watermarks and buffer sizes."""
+    from repro.lsm.store import LSMStore
+
+    state = [None if index is None else (index.config, index.budget.config)]
+    for buf in buffers:
+        if isinstance(buf, LSMStore):
+            c = buf.config
+            row = buf.row_cache
+            state.append(
+                (
+                    c.memtable_bytes, c.block_cache_bytes, c.row_cache_bytes,
+                    buf.block_cache.capacity_bytes, row is not None and row.capacity_bytes,
+                )
+            )  # fmt: skip
+        else:
+            state.append((buf.config, buf.capacity_frames, buf._decoded_cap))
+    return state
+
+
+#: limits below every floor of every split, and above every floor
+#: (TPC-C's orderline budget is the limit minus its resident tables).
+LIMIT_PAIRS = [(96 * 1024, 8 << 20), (8 << 20, 96 * 1024)]
+
+
+@pytest.mark.parametrize("built,resized", LIMIT_PAIRS)
+@pytest.mark.parametrize("system", SINGLE_ENGINE)
+def test_set_memory_limit_matches_fresh_construction(system, built, resized):
+    def state(engine):
+        return _budget_state(engine.index, BUFFERS[system](engine))
+
+    engine = build_system(system, memory_limit_bytes=built)
+    engine.put_many(range(0, 40_000, 7), b"x" * 32)
+    engine.get_many(range(0, 40_000, 70))
+    engine.set_memory_limit(resized)
+    assert state(engine) == state(build_system(system, memory_limit_bytes=resized))
+
+
+@pytest.mark.parametrize("built,resized", LIMIT_PAIRS)
+@pytest.mark.parametrize("backend", ("ART-LSM", "ART-B+", "B+-B+", "RocksDB"))
+def test_tpcc_set_memory_limit_matches_fresh_construction(backend, built, resized):
+    from repro.core.indexy import IndeXY
+    from repro.tpcc.engine import TpccConfig, TpccEngine
+
+    def engine_at(limit):
+        config = TpccConfig(
+            warehouses=1, items=100, memory_limit_bytes=limit, orderline_backend=backend
+        )
+        return TpccEngine(config)
+
+    def state(engine):
+        index = engine.orderline if isinstance(engine.orderline, IndeXY) else None
+        y = engine.orderline if index is None else index.y
+        y = getattr(y, "tree", y)  # ART-B+'s Index Y wraps the disk tree
+        return _budget_state(index, [getattr(y, "pool", y)])
+
+    engine = engine_at(built)
+    engine.set_memory_limit(resized)
+    assert state(engine) == state(engine_at(resized))
+
+
+@pytest.mark.parametrize("system", SINGLE_ENGINE)
+def test_cache_hit_stats_sums_x_and_every_buffer_ledger(system):
+    from repro.lsm.store import LSMStore
+
+    engine = build_system(system, memory_limit_bytes=128 * 1024)
+    keys = range(0, 6_000 * 11, 11)
+    engine.put_many(keys, b"v" * 64)
+    engine.flush()
+    engine.get_many(range(0, 1_500 * 11, 11))
+    hits, misses = float(engine.stats["x_hits"]), 0.0
+    for buf in BUFFERS[system](engine):
+        if isinstance(buf, LSMStore):
+            for cache in (buf.block_cache, buf.row_cache):
+                if cache is not None:
+                    hits += cache.hits
+                    misses += cache.misses
+        else:
+            hits += buf.stats["pool_hits"]
+            misses += buf.stats["pool_misses"]
+    assert engine.cache_hit_stats() == (hits, misses)
+    assert hits > 0 and misses > 0
+
+
+@pytest.mark.parametrize("limit", (-5, 0))
+@pytest.mark.parametrize("system", (*registered_systems(), "TPC-C"))
+def test_set_memory_limit_rejects_a_limit_below_one_byte(system, limit):
+    if system == "TPC-C":
+        from repro.tpcc.engine import TpccConfig, TpccEngine
+
+        engine = TpccEngine(TpccConfig(warehouses=1, items=100))
+    else:
+        engine = build_system(system, memory_limit_bytes=256 * 1024)
+    with pytest.raises(ValueError, match=f"memory_limit_bytes must be at least 1, got {limit}$"):
+        engine.set_memory_limit(limit)
 
 
 def test_rocksdb_shrink_keeps_caches_within_budget_and_warm():
@@ -410,20 +503,6 @@ def test_bplus_set_memory_limit_resizes_pool():
     assert system.read(0) == b"x" * 64
     system.set_memory_limit(64 * 1024)
     assert system.tree.pool.capacity_frames == 16
-
-
-def test_lsm_resize_caches_row_cache_transitions():
-    from repro.lsm.store import LSMConfig, LSMStore
-
-    store = LSMStore(
-        config=LSMConfig(memtable_bytes=4 * 1024, block_cache_bytes=16 * 1024),
-        runtime=EngineRuntime(),
-    )
-    assert store.row_cache is None
-    store.resize_caches(16 * 1024, row_cache_bytes=8 * 1024)
-    assert store.row_cache is not None and store.row_cache.capacity_bytes == 8 * 1024
-    store.resize_caches(16 * 1024, row_cache_bytes=0)
-    assert store.row_cache is None
 
 
 # ----------------------------------------------------------------------

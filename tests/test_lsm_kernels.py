@@ -40,9 +40,12 @@ from repro.lsm.sstable import (
     search_block,
     split_by_size,
 )
+from repro.art.keys import encode_int
+from repro.art.tree import AdaptiveRadixTree
+from repro.core.config import IndeXYConfig
+from repro.core.indexy import IndeXY
 from repro.lsm.store import TOMBSTONE, LSMConfig, LSMStore
 from repro.sim.runtime import EngineRuntime
-from repro.systems.art_lsm import ArtLsmSystem
 
 Pairs = list[tuple[bytes, bytes]]
 
@@ -335,22 +338,25 @@ def test_build_sums_copy_cost_block_by_block():
 # (c) the disk image of a whole run
 # ----------------------------------------------------------------------
 def _spill_run() -> tuple:
-    system = ArtLsmSystem(
-        64 * 1024,
-        lsm_config=LSMConfig(
-            memtable_bytes=16 * 1024, block_cache_bytes=64 * 1024, level1_bytes=64 * 1024
-        ),
+    # An ART-LSM engine with a small memtable and level 1, assembled by
+    # hand: the systems size their stores from the memory limit alone.
+    runtime = EngineRuntime()
+    store = LSMStore(
+        runtime,
+        LSMConfig(memtable_bytes=16 * 1024, block_cache_bytes=64 * 1024, level1_bytes=64 * 1024),
     )
+    x = AdaptiveRadixTree(clock=runtime.clock, costs=runtime.costs)
+    index = IndeXY(x, store, IndeXYConfig(memory_limit_bytes=64 * 1024), runtime)
     rng = random.Random(19)
     keys = rng.sample(range(1 << 40), 6000)
     for i, key in enumerate(keys):
-        system.insert(key, b"%05d" % i + b"v" * (20 + i % 90))
+        index.insert(encode_int(key), b"%05d" % i + b"v" * (20 + i % 90))
         if i % 7 == 3:
-            system.insert(keys[rng.randrange(i + 1)], b"overwrite-%d" % i)
+            index.insert(encode_int(keys[rng.randrange(i + 1)]), b"overwrite-%d" % i)
         if i % 11 == 5:
-            system.delete(keys[rng.randrange(i + 1)])
-    system.flush()
-    store = system.index.y
+            index.delete(encode_int(keys[rng.randrange(i + 1)]))
+    index.flush()
+    store.flush()
     assert store.stats["compactions"] >= 3
     assert sum(1 for level in store.levels if level) >= 2
     tables = [
@@ -363,12 +369,12 @@ def _spill_run() -> tuple:
     ]  # fmt: skip
     return (
         tables,
-        system.disk.stats.snapshot(),
-        system.disk.busy_ns,
-        system.clock.cpu_ns,
-        system.clock.background_ns,
+        runtime.disk.stats.snapshot(),
+        runtime.disk.busy_ns,
+        runtime.clock.cpu_ns,
+        runtime.clock.background_ns,
         store.stats.snapshot(),
-        system.scan(0, 10_000),
+        index.scan(encode_int(0), 10_000),
     )
 
 
