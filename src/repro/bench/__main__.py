@@ -8,18 +8,16 @@ Usage::
     python -m repro.bench all
     python -m repro.bench --parallel 4 all
     python -m repro.bench --sanitize fig3_random
+    python -m repro.bench --sanitize --smoke cache_sweep
 
-``--cache-sweep`` runs the eviction-policy × workload grid from
-:mod:`repro.bench.cache_sweep` instead of a named experiment
-(``--smoke`` shrinks it to a 2×2 CI grid that skips the ``results/``
-write; ``--sanitize`` composes, sweeping the cache sanitizers over the
-live caches during the run).
-
-Each experiment prints its reproduced table and writes structured JSON
-under ``results/``.  ``--sanitize`` first runs the RL305 charge-audit
-preflight (:func:`repro.check.chargeaudit.charge_audit_preflight` — the
-runtime cross-check of the static RL3xx charge summaries), then enables
-the runtime invariant sanitizers (``repro.check``) on every system the
+Each experiment prints its reproduced table, and this runner writes its
+structured JSON to ``results/<stem>.json``; experiments themselves write
+nothing.  ``--smoke`` runs the shrunken CI variant of the experiments
+that have one (``cache_sweep``: a 2×2 policy × workload grid) and writes
+no file.  ``--sanitize`` first runs the RL305 charge-audit preflight
+(:func:`repro.check.chargeaudit.charge_audit_preflight` — the runtime
+cross-check of the static RL3xx charge summaries), then enables the
+runtime invariant sanitizers (``repro.check``) on every system the
 experiments build; the
 checks charge no simulated time, but wall-clock time grows sharply and
 buffer-pool state shifts (see EXPERIMENTS.md), so it is a debugging
@@ -27,7 +25,7 @@ mode, not a benchmarking mode.
 
 ``--parallel N`` fans the selected experiments out over ``N`` worker
 processes.  Every experiment is a pure function of its fixed seeds and
-writes to its own ``results/*.json`` file, so running them in separate
+has its own ``results/*.json`` file, so running them in separate
 processes changes nothing about the output: the JSON files and the
 printed tables are byte-identical to a serial run (tables are printed
 in request order as workers finish).
@@ -35,30 +33,75 @@ in request order as workers finish).
 
 from __future__ import annotations
 
+import json
+import os
 import sys
+from typing import Callable, NamedTuple
 
-from repro.bench import ablations, experiments, multi_y_bench, tpcc_experiments
+from repro.bench import ablations as ab
+from repro.bench import cache_sweep as cs
+from repro.bench import experiments as ex
+from repro.bench import multi_y_bench as my
+from repro.bench import report
+from repro.bench import tpcc_experiments as tp
+from repro.bench.report import Criterion
 
-EXPERIMENTS = {
-    "table1": experiments.table1_systems,
-    "fig3_random": lambda: experiments.fig3_inserts("random"),
-    "fig3_sequential": lambda: experiments.fig3_inserts("sequential"),
-    "table2": experiments.table2_pagesize,
-    "fig4": experiments.fig4_valuesize,
-    "fig5": experiments.fig5_workingset,
-    "fig6": experiments.fig6_zipf,
-    "fig7": experiments.fig7_shifting,
-    "fig8": experiments.fig8_ycsb,
-    "fig9": tpcc_experiments.fig9_tpcc_threads,
-    "fig10": tpcc_experiments.fig10_tpcc_pagesize,
-    "fig11": tpcc_experiments.fig11_scaling,
-    "multi_y": multi_y_bench.multi_y_mixed_workload,
-    "ablation_release": ablations.ablation_release_policy,
-    "ablation_precleaning": ablations.ablation_precleaning,
-    "ablation_checkback": ablations.ablation_checkback,
-    "ablation_watermarks": ablations.ablation_watermarks,
-    "ablation_readcache": ablations.ablation_readcache,
+
+class Experiment(NamedTuple):
+    """One registry entry; its CLI name is the key in :data:`EXPERIMENTS`."""
+
+    stem: str  # results/<stem>.json
+    run: Callable[[], dict]
+    criteria: tuple[Criterion, ...]
+    smoke: Callable[[], dict] | None = None
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "table1": Experiment("table1_systems", ex.table1_systems, ex.TABLE1_CRITERIA),
+    "fig3_random": Experiment(
+        "fig3_random", lambda: ex.fig3_inserts("random"), ex.FIG3_RANDOM_CRITERIA),
+    "fig3_sequential": Experiment(
+        "fig3_sequential", lambda: ex.fig3_inserts("sequential"), ex.FIG3_SEQUENTIAL_CRITERIA),
+    "table2": Experiment("table2_pagesize", ex.table2_pagesize, ex.TABLE2_CRITERIA),
+    "fig4": Experiment("fig4_valuesize", ex.fig4_valuesize, ex.FIG4_CRITERIA),
+    "fig5": Experiment("fig5_workingset", ex.fig5_workingset, ex.FIG5_CRITERIA),
+    "fig6": Experiment("fig6_zipf", ex.fig6_zipf, ex.FIG6_CRITERIA),
+    "fig7": Experiment("fig7_shifting", ex.fig7_shifting, ex.FIG7_CRITERIA),
+    "fig8": Experiment("fig8_ycsb", ex.fig8_ycsb, ex.FIG8_CRITERIA),
+    "fig9": Experiment("fig9_tpcc_threads", tp.fig9_tpcc_threads, tp.FIG9_CRITERIA),
+    "fig10": Experiment("fig10_tpcc_pagesize", tp.fig10_tpcc_pagesize, tp.FIG10_CRITERIA),
+    "fig11": Experiment("fig11_scaling", tp.fig11_scaling, tp.FIG11_CRITERIA),
+    "multi_y": Experiment("multi_y_mixed", my.multi_y_mixed_workload, my.MULTI_Y_CRITERIA),
+    "ablation_release": Experiment(
+        "ablation_release", ab.ablation_release_policy, ab.RELEASE_CRITERIA),
+    "ablation_precleaning": Experiment(
+        "ablation_precleaning", ab.ablation_precleaning, ab.PRECLEANING_CRITERIA),
+    "ablation_checkback": Experiment(
+        "ablation_checkback", ab.ablation_checkback, ab.CHECKBACK_CRITERIA),
+    "ablation_watermarks": Experiment(
+        "ablation_watermarks", ab.ablation_watermarks, ab.WATERMARKS_CRITERIA),
+    "ablation_readcache": Experiment(
+        "ablation_readcache", ab.ablation_readcache, ab.READCACHE_CRITERIA),
+    "cache_sweep": Experiment(
+        "cache_sweep", cs.cache_sweep, (), smoke=lambda: cs.cache_sweep(smoke=True)),
 }
+
+
+def write_result(name: str) -> str:
+    """Run experiment *name*, write ``results/<stem>.json``, return its table.
+
+    The payload is keyed first by the experiment's CLI name.  Serial and
+    ``--parallel`` runs both map this function over the requested names;
+    a worker resolves the name itself, since several entries are lambdas,
+    which do not pickle.
+    """
+    entry = EXPERIMENTS[name]
+    payload = {"experiment": name, **entry.run()}
+    directory = os.path.abspath(report.RESULTS_DIR)
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, f"{entry.stem}.json"), "w") as f:
+        json.dump(payload, f, indent=2, default=str)
+    return payload["table"]
 
 
 def _worker_init(sanitize: bool) -> None:
@@ -69,29 +112,19 @@ def _worker_init(sanitize: bool) -> None:
         set_sanitize(True)
 
 
-def _run_by_name(name: str) -> str:
-    """Run one experiment in a worker process and return its table.
-
-    Experiments are dispatched by *name*, not by function object: several
-    registry entries are lambdas, which do not pickle, and resolving the
-    name inside the worker keeps the parent/child contract to a plain
-    string in both directions.  The experiment writes its own
-    ``results/*.json`` from the worker.
-    """
-    return EXPERIMENTS[name]()["table"]
-
-
-def _run_parallel(names: list[str], jobs: int, sanitize: bool) -> None:
+def _run(names: list[str], jobs: int, sanitize: bool) -> None:
+    if jobs <= 1 or len(names) <= 1:
+        for table in map(write_result, names):
+            print(table, end="\n\n")
+        return
     import multiprocessing
 
-    jobs = max(1, min(jobs, len(names)))
     ctx = multiprocessing.get_context()
-    with ctx.Pool(jobs, initializer=_worker_init, initargs=(sanitize,)) as pool:
+    with ctx.Pool(min(jobs, len(names)), initializer=_worker_init, initargs=(sanitize,)) as pool:
         # imap preserves submission order, so the printed tables come out
         # exactly as a serial run would print them.
-        for table in pool.imap(_run_by_name, names):
-            print(table)
-            print()
+        for table in pool.imap(write_result, names):
+            print(table, end="\n\n")
 
 
 def main(argv: list[str]) -> int:
@@ -118,16 +151,8 @@ def main(argv: list[str]) -> int:
             )
             return 1
         print("charge audit: static summaries hold on all core systems (RL305)")
-    if "--cache-sweep" in argv:
-        from repro.bench.cache_sweep import cache_sweep
-
-        smoke = "--smoke" in argv
-        leftover = [a for a in argv if a not in ("--cache-sweep", "--smoke")]
-        if leftover:
-            print(f"--cache-sweep takes no experiment names, got: {' '.join(leftover)}", file=sys.stderr)
-            return 2
-        print(cache_sweep(smoke=smoke)["table"])
-        return 0
+    smoke = "--smoke" in argv
+    argv = [a for a in argv if a != "--smoke"]
     jobs = 0
     if "--parallel" in argv:
         at = argv.index("--parallel")
@@ -138,9 +163,9 @@ def main(argv: list[str]) -> int:
         argv = argv[:at] + argv[at + 2 :]
     if not argv or argv[0] in ("-h", "--help", "list"):
         print(__doc__)
-        print("Available experiments:")
-        for name in EXPERIMENTS:
-            print(f"  {name}")
+        print("Available experiments (and the results file each writes):")
+        for name, entry in EXPERIMENTS.items():
+            print(f"  {name:<22} {entry.stem}.json")
         return 0
     names = list(EXPERIMENTS) if argv == ["all"] else argv
     unknown = [n for n in names if n not in EXPERIMENTS]
@@ -148,13 +173,15 @@ def main(argv: list[str]) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print("run 'python -m repro.bench list' to see the options", file=sys.stderr)
         return 2
-    if jobs > 1 and len(names) > 1:
-        _run_parallel(names, jobs, sanitize)
+    if smoke:
+        for name in names:
+            run_smoke = EXPERIMENTS[name].smoke
+            if run_smoke is None:
+                print(f"--smoke: {name} has no smoke variant", file=sys.stderr)
+                return 2
+            print(run_smoke()["table"])
         return 0
-    for name in names:
-        result = EXPERIMENTS[name]()
-        print(result["table"])
-        print()
+    _run(names, jobs, sanitize)
     return 0
 
 

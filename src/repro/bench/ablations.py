@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from repro.bench.harness import preload_into_y, read_throughput
-from repro.bench.report import format_table, write_result
+from repro.bench.report import Criterion, format_table
 from repro.core.config import IndeXYConfig
 from repro.core.release import ReleasePolicy
 from repro.systems.art_lsm import ArtLsmSystem
@@ -57,9 +57,15 @@ def ablation_release_policy(
         ["Policy", "KOPS", "X hit ratio"],
         rows,
     )
-    payload = {"experiment": "ablation_release", "results": results, "table": table}
-    write_result("ablation_release", payload)
-    return payload
+    return {"results": results, "table": table}
+
+
+RELEASE_CRITERIA: tuple[Criterion, ...] = (
+    ("density release keeps a higher X hit ratio than random eviction",
+     lambda p: p["results"]["density"]["x_hit_ratio"] > p["results"]["random"]["x_hit_ratio"]),
+    ("density release >= 0.95x random eviction's KOPS",
+     lambda p: p["results"]["density"]["kops"] >= p["results"]["random"]["kops"] * 0.95),
+)
 
 
 def ablation_precleaning(n_keys: int = 20_000) -> dict:
@@ -88,9 +94,16 @@ def ablation_precleaning(n_keys: int = 20_000) -> dict:
         ["Pre-cleaning", "KOPS", "precleaned keys", "release-written keys", "clean drops"],
         rows,
     )
-    payload = {"experiment": "ablation_precleaning", "results": results, "table": table}
-    write_result("ablation_precleaning", payload)
-    return payload
+    return {"results": results, "table": table}
+
+
+PRECLEANING_CRITERIA: tuple[Criterion, ...] = (
+    ("pre-cleaning yields more clean drops",
+     lambda p: p["results"]["on"]["clean_drops"] > p["results"]["off"]["clean_drops"]),
+    ("pre-cleaning leaves fewer keys to write at release",
+     lambda p: p["results"]["on"]["release_keys_written"]
+     < p["results"]["off"]["release_keys_written"]),
+)
 
 
 def ablation_checkback(n_ops: int = 20_000, key_space: int = 8_000) -> dict:
@@ -123,9 +136,13 @@ def ablation_checkback(n_ops: int = 20_000, key_space: int = 8_000) -> dict:
         ["Check-back", "KOPS", "keys written to Y"],
         rows,
     )
-    payload = {"experiment": "ablation_checkback", "results": results, "table": table}
-    write_result("ablation_checkback", payload)
-    return payload
+    return {"results": results, "table": table}
+
+
+CHECKBACK_CRITERIA: tuple[Criterion, ...] = (
+    ("check-back writes fewer keys to Y",
+     lambda p: p["results"]["on"]["keys_written_to_y"] < p["results"]["off"]["keys_written_to_y"]),
+)
 
 
 def ablation_watermarks(n_keys: int = 20_000) -> dict:
@@ -151,9 +168,14 @@ def ablation_watermarks(n_keys: int = 20_000) -> dict:
         ["Low watermark", "KOPS", "release cycles"],
         rows,
     )
-    payload = {"experiment": "ablation_watermarks", "results": results, "table": table}
-    write_result("ablation_watermarks", payload)
-    return payload
+    return {"results": results, "table": table}
+
+
+WATERMARKS_CRITERIA: tuple[Criterion, ...] = (
+    ("a narrow watermark gap runs > 4x the release cycles",
+     lambda p: p["results"]["narrow (0.94)"]["release_cycles"]
+     > 4 * p["results"]["wide (0.80)"]["release_cycles"]),
+)
 
 
 def ablation_readcache(
@@ -170,6 +192,12 @@ def ablation_readcache(
         ["Load on miss", "KOPS", "X hit ratio"],
         rows,
     )
-    payload = {"experiment": "ablation_readcache", "results": results, "table": table}
-    write_result("ablation_readcache", payload)
-    return payload
+    return {"results": results, "table": table}
+
+
+READCACHE_CRITERIA: tuple[Criterion, ...] = (
+    ("load-on-miss > 1.1x the KOPS without it",
+     lambda p: p["results"]["on"]["kops"] > 1.1 * p["results"]["off"]["kops"]),
+    ("load-on-miss > 2x the X hit ratio without it",
+     lambda p: p["results"]["on"]["x_hit_ratio"] > 2 * p["results"]["off"]["x_hit_ratio"]),
+)

@@ -1,6 +1,6 @@
 """Eviction-policy × workload sweep over the pluggable cache framework.
 
-``python -m repro.bench --cache-sweep`` runs every registered eviction
+``python -m repro.bench cache_sweep`` runs every registered eviction
 policy (DESIGN.md §9) against four workload shapes on the two systems
 whose caches dominate their read path:
 
@@ -34,7 +34,7 @@ import random
 from itertools import islice
 from typing import Callable, Iterator
 
-from repro.bench.report import format_table, write_result
+from repro.bench.report import format_table
 from repro.cache.policy import policy_names
 from repro.check.flags import sanitize_enabled
 from repro.systems import build_system
@@ -218,14 +218,10 @@ def cache_sweep(smoke: bool = False) -> dict:
         operations,
     )
     table = rocks_table + "\n\n" + pool_table
-    payload = {
-        "experiment": "cache_sweep",
+    return {
         "policies": list(policies),
         "workloads": list(workloads),
         "rocksdb_block_cache": rocks_grid,
         "bplus_buffer_pool": pool_grid,
         "table": table,
     }
-    if not smoke:
-        write_result("cache_sweep", payload)
-    return payload

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from repro.bench.harness import insert_series, preload_into_y, read_throughput
-from repro.bench.report import format_background_report, format_table, write_result
+from repro.bench.report import Criterion, format_background_report, format_table
 from repro.systems import build_system
 from repro.workloads import (
     YCSB_WORKLOADS,
@@ -63,9 +63,17 @@ def table1_systems() -> dict:
         composition[name] = {"index_x": x, "index_y": y}
     table = format_table("Table I: the four systems in comparison",
                          ["System", "Index X", "Index Y"], rows)
-    payload = {"experiment": "table1", "composition": composition, "table": table}
-    write_result("table1_systems", payload)
-    return payload
+    return {"composition": composition, "table": table}
+
+
+TABLE1_CRITERIA: tuple[Criterion, ...] = (
+    ("the four compared systems are built",
+     lambda p: set(p["composition"]) == set(FOUR_SYSTEMS)),
+    ("ART-LSM's Index Y is the LSM tree",
+     lambda p: p["composition"]["ART-LSM"]["index_y"] == "LSM-tree Index"),
+    ("B+-B+'s Index X is a B+ tree",
+     lambda p: p["composition"]["B+-B+"]["index_x"] == "B+ Index"),
+)
 
 
 # ----------------------------------------------------------------------
@@ -109,16 +117,51 @@ def fig3_inserts(
         )
         for name, samples in series.items()
     }
-    payload = {
-        "experiment": f"fig3_{order}",
+    return {
         "n_keys": n_keys,
         "limit_bytes": limit,
         "series": series,
         "table": table,
         "background_tables": background_tables,
     }
-    write_result(f"fig3_{order}", payload)
-    return payload
+
+
+def _first_kops(p: dict, name: str) -> float:
+    return p["series"][name][0]["kops"]
+
+
+def _last_kops(p: dict, name: str) -> float:
+    return p["series"][name][-1]["kops"]
+
+
+def _keys_at_saturation(samples: list[dict], fraction: float = 0.9) -> int:
+    """Keys inserted when memory first reaches ``fraction`` of its peak."""
+    peak = max(s["memory_mb"] for s in samples)
+    return next(
+        (s["keys"] for s in samples if s["memory_mb"] >= fraction * peak), samples[-1]["keys"]
+    )
+
+
+FIG3_RANDOM_CRITERIA: tuple[Criterion, ...] = (
+    ("pre-limit: ART-LSM > 1.8x B+-B+",
+     lambda p: _first_kops(p, "ART-LSM") > 1.8 * _first_kops(p, "B+-B+")),
+    ("pre-limit: ART-B+ > 1.8x B+-B+",
+     lambda p: _first_kops(p, "ART-B+") > 1.8 * _first_kops(p, "B+-B+")),
+    ("post-limit: ART-LSM > 8x B+-B+",
+     lambda p: _last_kops(p, "ART-LSM") > 8 * _last_kops(p, "B+-B+")),
+    ("post-limit: ART-B+ > B+-B+",
+     lambda p: _last_kops(p, "ART-B+") > _last_kops(p, "B+-B+")),
+    ("ART-LSM memory stays within 1.5x the limit",
+     lambda p: max(s["memory_mb"] for s in p["series"]["ART-LSM"]) <= 1.5 * LIMIT / (1 << 20)),
+    ("ART-LSM reaches 90% of its peak memory no earlier than B+-B+",
+     lambda p: _keys_at_saturation(p["series"]["ART-LSM"])
+     >= _keys_at_saturation(p["series"]["B+-B+"])),
+)
+
+FIG3_SEQUENTIAL_CRITERIA: tuple[Criterion, ...] = (
+    ("post-limit: ART-LSM > B+-B+",
+     lambda p: _last_kops(p, "ART-LSM") > _last_kops(p, "B+-B+")),
+)
 
 
 # ----------------------------------------------------------------------
@@ -149,14 +192,22 @@ def table2_pagesize(
         ["System"] + [f"{p // 1024}KB" for p in page_sizes],
         rows,
     )
-    payload = {
-        "experiment": "table2",
+    return {
         "page_sizes": list(page_sizes),
         "kops": {k: {str(p): v for p, v in d.items()} for k, d in results.items()},
         "table": table,
     }
-    write_result("table2_pagesize", payload)
-    return payload
+
+
+TABLE2_CRITERIA: tuple[Criterion, ...] = (
+    ("B+-B+ degrades from 4 KB to 16 KB pages",
+     lambda p: p["kops"]["B+-B+"]["4096"] > p["kops"]["B+-B+"]["16384"]),
+    ("ART-B+ improves from 4 KB to 16 KB pages",
+     lambda p: p["kops"]["ART-B+"]["16384"] > p["kops"]["ART-B+"]["4096"]),
+    ("ART-B+ > 3x B+-B+ at every page size",
+     lambda p: all(p["kops"]["ART-B+"][s] > 3 * p["kops"]["B+-B+"][s]
+                   for s in ("4096", "8192", "16384"))),
+)
 
 
 # ----------------------------------------------------------------------
@@ -196,14 +247,28 @@ def fig4_valuesize(
         ["System"] + [f"{v}B" for v in value_sizes],
         rows,
     )
-    payload = {
-        "experiment": "fig4",
+    return {
         "value_sizes": list(value_sizes),
         "mb_per_s": {k: {str(v): t for v, t in d.items()} for k, d in results.items()},
         "table": table,
     }
-    write_result("fig4_valuesize", payload)
-    return payload
+
+
+def _gain_64_to_1k(p: dict, name: str) -> float:
+    return p["mb_per_s"][name]["1024"] / p["mb_per_s"][name]["64"]
+
+
+FIG4_CRITERIA: tuple[Criterion, ...] = (
+    ("B+-B+ gains more than ART-LSM from 64 B to 1 KB values",
+     lambda p: _gain_64_to_1k(p, "B+-B+") > _gain_64_to_1k(p, "ART-LSM")),
+    ("B+-B+ gains > 2x from 64 B to 1 KB values",
+     lambda p: _gain_64_to_1k(p, "B+-B+") > 2.0),
+    ("no system collapses from 8 B to 1 KB values",
+     lambda p: all(mbs["1024"] > mbs["8"] * 0.5 for mbs in p["mb_per_s"].values())),
+    ("ART-LSM > B+-B+ at every value size",
+     lambda p: all(p["mb_per_s"]["ART-LSM"][v] > p["mb_per_s"]["B+-B+"][v]
+                   for v in ("8", "64", "256", "1024"))),
+)
 
 
 # ----------------------------------------------------------------------
@@ -235,14 +300,29 @@ def fig5_workingset(
         ["System"] + [f"{ws // 1000}k" if ws >= 1000 else str(ws) for ws in working_sets],
         rows,
     )
-    payload = {
-        "experiment": "fig5",
+    return {
         "working_sets": list(working_sets),
         "kops": {k: {str(ws): v for ws, v in d.items()} for k, d in results.items()},
         "table": table,
     }
-    write_result("fig5_workingset", payload)
-    return payload
+
+
+def _fig5_kops(p: dict, name: str, at: int) -> float:
+    return p["kops"][name][str(p["working_sets"][at])]
+
+
+FIG5_CRITERIA: tuple[Criterion, ...] = (
+    ("smallest working set: ART-LSM > 3x B+-B+",
+     lambda p: _fig5_kops(p, "ART-LSM", 0) > 3 * _fig5_kops(p, "B+-B+", 0)),
+    ("smallest working set: ART-B+ > 3x B+-B+",
+     lambda p: _fig5_kops(p, "ART-B+", 0) > 3 * _fig5_kops(p, "B+-B+", 0)),
+    ("1k working set: ART-LSM > 5x B+-B+",
+     lambda p: _fig5_kops(p, "ART-LSM", 2) > 5 * _fig5_kops(p, "B+-B+", 2)),
+    ("smallest working set: RocksDB > B+-B+",
+     lambda p: _fig5_kops(p, "RocksDB", 0) > _fig5_kops(p, "B+-B+", 0)),
+    ("ART-LSM slows as the working set outgrows memory",
+     lambda p: _fig5_kops(p, "ART-LSM", 0) > _fig5_kops(p, "ART-LSM", -1)),
+)
 
 
 # ----------------------------------------------------------------------
@@ -273,14 +353,25 @@ def fig6_zipf(
         ["System"] + [f"S={t}" for t in thetas],
         rows,
     )
-    payload = {
-        "experiment": "fig6",
+    return {
         "thetas": list(thetas),
         "kops": {k: {str(t): v for t, v in d.items()} for k, d in results.items()},
         "table": table,
     }
-    write_result("fig6_zipf", payload)
-    return payload
+
+
+def _skew_gain(p: dict, name: str) -> float:
+    return p["kops"][name]["0.99"] / p["kops"][name]["0.5"]
+
+
+FIG6_CRITERIA: tuple[Criterion, ...] = (
+    ("ART-LSM gains > 2x from S=0.5 to S=0.99", lambda p: _skew_gain(p, "ART-LSM") > 2),
+    ("ART-B+ gains > 2x from S=0.5 to S=0.99", lambda p: _skew_gain(p, "ART-B+") > 2),
+    ("ART-LSM gains more from skew than B+-B+",
+     lambda p: _skew_gain(p, "ART-LSM") > _skew_gain(p, "B+-B+")),
+    ("S=0.9: ART-LSM > 1.5x B+-B+",
+     lambda p: p["kops"]["ART-LSM"]["0.9"] > 1.5 * p["kops"]["B+-B+"]["0.9"]),
+)
 
 
 # ----------------------------------------------------------------------
@@ -349,14 +440,33 @@ def fig7_shifting(
         ["System", "Access unit", "avg KOPS", "min KOPS"],
         rows,
     )
-    payload = {
-        "experiment": "fig7",
+    return {
         "access_units": list(access_units),
         "series": {k: {str(u): s for u, s in d.items()} for k, d in series.items()},
         "table": table,
     }
-    write_result("fig7_shifting", payload)
-    return payload
+
+
+def _avg_kops(samples: list[dict]) -> float:
+    return sum(s["kops"] for s in samples) / len(samples)
+
+
+def _fig7_avg(p: dict, name: str, unit: str) -> float:
+    return _avg_kops(p["series"][name][unit])
+
+
+FIG7_CRITERIA: tuple[Criterion, ...] = (
+    ("ART-B+ > B+-B+ at every access unit",
+     lambda p: all(_fig7_avg(p, "ART-B+", u) > _fig7_avg(p, "B+-B+", u) for u in ("1", "5", "10"))),
+    ("ART-B+: access unit 5 > 2.5x unit 1",
+     lambda p: _fig7_avg(p, "ART-B+", "5") > 2.5 * _fig7_avg(p, "ART-B+", "1")),
+    ("ART-B+: access unit 10 > 4x unit 1",
+     lambda p: _fig7_avg(p, "ART-B+", "10") > 4 * _fig7_avg(p, "ART-B+", "1")),
+    ("ART-B+ unit 1 dips below its average at a phase change",
+     lambda p: min(s["kops"] for s in p["series"]["ART-B+"]["1"]) < _fig7_avg(p, "ART-B+", "1")),
+    ("ART-B+ unit 1 recovers above its average",
+     lambda p: max(s["kops"] for s in p["series"]["ART-B+"]["1"]) > _fig7_avg(p, "ART-B+", "1")),
+)
 
 
 # ----------------------------------------------------------------------
@@ -397,11 +507,29 @@ def fig8_ycsb(
         ["System"] + list(workloads),
         rows,
     )
-    payload = {
-        "experiment": "fig8",
+    return {
         "workloads": list(workloads),
         "kops": results,
         "table": table,
     }
-    write_result("fig8_ycsb", payload)
-    return payload
+
+
+def _ycsb(p: dict, name: str, workload: str) -> float:
+    return p["kops"][name][workload]
+
+
+FIG8_CRITERIA: tuple[Criterion, ...] = (
+    ("Load: ART-LSM > 10x B+-B+",
+     lambda p: _ycsb(p, "ART-LSM", "Load") > 10 * _ycsb(p, "B+-B+", "Load")),
+    ("Load: ART-B+ > 5x B+-B+",
+     lambda p: _ycsb(p, "ART-B+", "Load") > 5 * _ycsb(p, "B+-B+", "Load")),
+    ("B+-B+: C > A", lambda p: _ycsb(p, "B+-B+", "C") > _ycsb(p, "B+-B+", "A")),
+    ("ART-LSM > B+-B+ on A, B, C, D and F",
+     lambda p: all(_ycsb(p, "ART-LSM", w) > _ycsb(p, "B+-B+", w) for w in "ABCDF")),
+    ("ART-B+ > B+-B+ on A, B, C, D and F",
+     lambda p: all(_ycsb(p, "ART-B+", w) > _ycsb(p, "B+-B+", w) for w in "ABCDF")),
+    ("ART-LSM: E < D / 2",
+     lambda p: _ycsb(p, "ART-LSM", "E") < _ycsb(p, "ART-LSM", "D") / 2),
+    ("E: ART-LSM <= 1.2x B+-B+",
+     lambda p: _ycsb(p, "ART-LSM", "E") <= 1.2 * _ycsb(p, "B+-B+", "E")),
+)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.report import format_table, write_result
+from repro.bench.report import Criterion, format_table
 from repro.systems import build_system
 
 THREADS = 4
@@ -67,6 +67,13 @@ def multi_y_mixed_workload(
         ["System", "KOPS"],
         rows,
     )
-    payload = {"experiment": "multi_y", "results": results, "table": table}
-    write_result("multi_y_mixed", payload)
-    return payload
+    return {"results": results, "table": table}
+
+
+MULTI_Y_CRITERIA: tuple[Criterion, ...] = (
+    ("ART-Multi > both single-Y systems",
+     lambda p: p["results"]["ART-Multi"]["kops"]
+     > max(p["results"]["ART-LSM"]["kops"], p["results"]["ART-B+"]["kops"])),
+    ("the router re-homed at least one region to the B+ tree",
+     lambda p: p["results"]["ART-Multi"].get("btree_regions", 0) >= 1),
+)

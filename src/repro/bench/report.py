@@ -1,17 +1,24 @@
-"""Result rendering and persistence."""
+"""Result rendering and the shape-criterion type."""
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any
+from typing import Any, Callable
 
-#: Output directory for ``write_result``; ``REPRO_RESULTS_DIR`` overrides
-#: the in-repo ``results/`` tree (the determinism tests redirect runs to a
-#: temporary directory and byte-compare against the committed files).
+#: Output directory of the CLI runner (``repro.bench.__main__``);
+#: ``REPRO_RESULTS_DIR`` overrides the in-repo ``results/`` tree (the
+#: determinism tests and CI redirect runs to a temporary directory and
+#: byte-compare against the committed files).
 RESULTS_DIR = os.environ.get("REPRO_RESULTS_DIR") or os.path.join(
     os.path.dirname(__file__), "..", "..", "..", "results"
 )
+
+#: One of the paper's shape claims about an experiment: a short statement
+#: and a predicate over the experiment's result payload that returns a
+#: real ``bool``.  Each experiment module writes its criteria next to the
+#: function that builds the payload; the registry in
+#: ``repro.bench.__main__`` pairs them with the result file.
+Criterion = tuple[str, Callable[[dict], bool]]
 
 
 def format_table(title: str, headers: list[str], rows: list[list[Any]]) -> str:
@@ -89,13 +96,3 @@ def _fmt(cell: Any) -> str:
             return f"{cell:.1f}"
         return f"{cell:.3f}"
     return str(cell)
-
-
-def write_result(name: str, payload: dict) -> str:
-    """Persist an experiment's structured result as ``results/<name>.json``."""
-    directory = os.path.abspath(RESULTS_DIR)
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{name}.json")
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, default=str)
-    return path

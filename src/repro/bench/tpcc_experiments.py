@@ -9,7 +9,7 @@ phase 1 before the memory limit is reached, phase 2 after.
 
 from __future__ import annotations
 
-from repro.bench.report import format_table, write_result
+from repro.bench.report import Criterion, format_table
 from repro.core.indexy import IndeXY
 from repro.tpcc.engine import TpccConfig, TpccEngine
 
@@ -102,14 +102,45 @@ def fig9_tpcc_threads(
         ["Backend", "Threads", "in-memory KTPS", "on-disk KTPS"],
         rows,
     )
-    payload = {
-        "experiment": "fig9",
+    return {
         "thread_counts": list(thread_counts),
         "ktps": {b: {str(t): v for t, v in d.items()} for b, d in results.items()},
         "table": table,
     }
-    write_result("fig9_tpcc_threads", payload)
-    return payload
+
+
+def _scaling_criteria(key: str) -> tuple[Criterion, ...]:
+    """Fig 9's and Fig 11's shared claims over ``p[key][backend][threads]``."""
+
+    def at(p: dict, backend: str, threads: int, phase: str) -> float:
+        return p[key][backend][str(threads)][phase]
+
+    return (
+        ("in-memory: 16 threads > 3x 2 threads, every backend",
+         lambda p: all(at(p, b, 16, "in_memory_ktps") > 3 * at(p, b, 2, "in_memory_ktps")
+                       for b in TPCC_BACKENDS)),
+        ("on-disk: 16 threads < 2x 2 threads, every backend",
+         lambda p: all(at(p, b, 16, "on_disk_ktps") < 2 * at(p, b, 2, "on_disk_ktps")
+                       for b in TPCC_BACKENDS)),
+    )
+
+
+def _fig9(p: dict, backend: str, threads: int, phase: str) -> float:
+    return p["ktps"][backend][str(threads)][phase]
+
+
+FIG9_CRITERIA: tuple[Criterion, ...] = _scaling_criteria("ktps") + (
+    ("the slowest in-memory point beats the fastest on-disk point, every backend",
+     lambda p: all(min(_fig9(p, b, t, "in_memory_ktps") for t in THREAD_COUNTS)
+                   > max(_fig9(p, b, t, "on_disk_ktps") for t in THREAD_COUNTS)
+                   for b in TPCC_BACKENDS)),
+    ("on-disk: ART-LSM > ART-B+ at every thread count",
+     lambda p: all(_fig9(p, "ART-LSM", t, "on_disk_ktps") > _fig9(p, "ART-B+", t, "on_disk_ktps")
+                   for t in THREAD_COUNTS)),
+    ("on-disk: ART-LSM > B+-B+ at every thread count",
+     lambda p: all(_fig9(p, "ART-LSM", t, "on_disk_ktps") > _fig9(p, "B+-B+", t, "on_disk_ktps")
+                   for t in THREAD_COUNTS)),
+)
 
 
 def fig10_tpcc_pagesize(
@@ -131,14 +162,19 @@ def fig10_tpcc_pagesize(
         ["Backend"] + [f"{p // 1024}KB" for p in page_sizes],
         rows,
     )
-    payload = {
-        "experiment": "fig10",
+    return {
         "page_sizes": list(page_sizes),
         "ktps": {b: {str(p): v for p, v in d.items()} for b, d in results.items()},
         "table": table,
     }
-    write_result("fig10_tpcc_pagesize", payload)
-    return payload
+
+
+FIG10_CRITERIA: tuple[Criterion, ...] = (
+    ("ART-B+ and B+-B+ both faster at 16 KB than at 4 KB pages",
+     lambda p: all(p["ktps"][b]["16384"] > p["ktps"][b]["4096"] for b in ("ART-B+", "B+-B+"))),
+    ("B+-B+: 16 KB > 1.5x 4 KB pages",
+     lambda p: p["ktps"]["B+-B+"]["16384"] > 1.5 * p["ktps"]["B+-B+"]["4096"]),
+)
 
 
 def fig11_scaling(
@@ -173,11 +209,15 @@ def fig11_scaling(
         ["Backend", "Threads", "in-mem KTPS", "on-disk KTPS", "disk MB/s"],
         rows,
     )
-    payload = {
-        "experiment": "fig11",
+    return {
         "thread_counts": list(thread_counts),
         "results": results,
         "table": table,
     }
-    write_result("fig11_scaling", payload)
-    return payload
+
+
+FIG11_CRITERIA: tuple[Criterion, ...] = _scaling_criteria("results") + (
+    ("8 threads on disk: ART-LSM moves more MB/s than B+-B+",
+     lambda p: p["results"]["ART-LSM"]["8"]["disk_mb_per_s"]
+     > p["results"]["B+-B+"]["8"]["disk_mb_per_s"]),
+)

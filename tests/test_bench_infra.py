@@ -1,12 +1,13 @@
 """Tests for the benchmark infrastructure: report formatting, harness, CLI."""
 
-import json
-import os
+from pathlib import Path
 
-from repro.bench.report import format_table, write_result
+from repro.bench.report import format_table
 from repro.bench.harness import insert_series, preload_into_y, read_throughput
-from repro.bench.__main__ import EXPERIMENTS, main
+from repro.bench.__main__ import EXPERIMENTS, main, write_result
 from repro.systems import build_system
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def test_format_table_aligns_columns():
@@ -29,9 +30,10 @@ def test_write_result_creates_json(tmp_path, monkeypatch):
     import repro.bench.report as report
 
     monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
-    path = write_result("unit_test", {"x": 1})
-    assert os.path.exists(path)
-    assert json.load(open(path)) == {"x": 1}
+    table = write_result("table1")
+    assert table.startswith("Table I")
+    written = (tmp_path / "table1_systems.json").read_bytes()
+    assert written == (RESULTS / "table1_systems.json").read_bytes()
 
 
 def test_insert_series_samples_chunks():
@@ -60,16 +62,19 @@ def test_read_throughput_counts_only_given_keys():
 
 
 def test_cli_registry_covers_every_table_and_figure():
-    expected = {
-        "table1", "table2",
-        "fig3_random", "fig3_sequential", "fig4", "fig5", "fig6",
-        "fig7", "fig8", "fig9", "fig10", "fig11",
-    }
-    assert expected <= set(EXPERIMENTS)
+    # Registry entries and committed results files are one-to-one.
+    stems = [entry.stem for entry in EXPERIMENTS.values()]
+    assert len(set(stems)) == len(stems)
+    assert set(stems) == {path.stem for path in RESULTS.glob("*.json")}
 
 
 def test_cli_rejects_unknown_experiment(capsys):
     assert main(["not_a_real_experiment"]) == 2
+
+
+def test_cli_smoke_rejects_an_experiment_without_a_smoke_variant(capsys):
+    assert main(["--smoke", "table1"]) == 2
+    assert "table1" in capsys.readouterr().err
 
 
 def test_cli_list_exits_cleanly(capsys):

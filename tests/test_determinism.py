@@ -21,14 +21,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.bench.__main__ import EXPERIMENTS
+
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 #: small experiments (sub-second each) with committed results files.
-EXPERIMENTS = {
-    "table1": "table1_systems.json",
-    "ablation_checkback": "ablation_checkback.json",
-}
+FAST = ("table1", "ablation_checkback")
+
+
+def result_file(name: str) -> str:
+    return f"{EXPERIMENTS[name].stem}.json"
 
 
 def run_bench(args: list[str], results_dir: Path) -> subprocess.CompletedProcess[str]:
@@ -46,20 +49,20 @@ def run_bench(args: list[str], results_dir: Path) -> subprocess.CompletedProcess
 
 
 def test_serial_rerun_is_byte_identical_to_committed(tmp_path):
-    committed = (REPO / "results" / "table1_systems.json").read_bytes()
+    filename = result_file("table1")
+    committed = (REPO / "results" / filename).read_bytes()
     first = run_bench(["table1"], tmp_path / "run1")
     second = run_bench(["table1"], tmp_path / "run2")
-    assert (tmp_path / "run1" / "table1_systems.json").read_bytes() == committed
-    assert (tmp_path / "run2" / "table1_systems.json").read_bytes() == committed
+    assert (tmp_path / "run1" / filename).read_bytes() == committed
+    assert (tmp_path / "run2" / filename).read_bytes() == committed
     assert first.stdout == second.stdout
 
 
 def test_parallel_run_matches_serial_and_committed(tmp_path):
-    names = list(EXPERIMENTS)
-    serial = run_bench(names, tmp_path / "serial")
-    parallel = run_bench(["--parallel", "2", *names], tmp_path / "parallel")
+    serial = run_bench(list(FAST), tmp_path / "serial")
+    parallel = run_bench(["--parallel", "2", *FAST], tmp_path / "parallel")
     assert parallel.stdout == serial.stdout
-    for filename in EXPERIMENTS.values():
+    for filename in map(result_file, FAST):
         serial_bytes = (tmp_path / "serial" / filename).read_bytes()
         parallel_bytes = (tmp_path / "parallel" / filename).read_bytes()
         committed = (REPO / "results" / filename).read_bytes()
