@@ -1,20 +1,22 @@
-"""Deterministic CI gate on the serving and point-read paths (ROADMAP open item 1c).
+"""Deterministic CI gate on the serving, point-read and page paths.
 
 Runs traced host benchmarks at a fixed seed — one row of ``ROWS`` each:
-``serve_skew`` (the only workload through ``ShardRouter``) and
-``spill_read`` (the LSM point read) — and checks each run's last-line
-JSON against its section of ``serve_gate_oracle.json`` (next to this
-file, outside ``hostbench/``):
+``serve_skew`` (the only workload through ``ShardRouter``),
+``spill_read`` (the LSM point read) and ``page_mixed`` (ART-B+: the
+disk B+ tree, its buffer pool and the ART range scan) — and checks each
+run's last-line JSON against its section of ``serve_gate_oracle.json``
+(next to this file, outside ``hostbench/``):
 
 * ``correct`` is true and ``failed == 0``;
 * every value under ``equal`` — the simulated-clock results and the
-  counts (migrations and re-splits, cache hit and eviction rates, tables
-  per get, loads, flushes, compactions), all properties of the code and
-  the seed alone — matches exactly;
+  counts (migrations and re-splits, cache and pool hit and eviction
+  rates, pages and tables per lookup, loads, release cycles, flushes,
+  compactions), all properties of the code and the seed alone — matches
+  exactly;
 * every value under ``at_most`` — Python calls per op in every layer the
-  workload crosses (``diskbtree`` is bypassed by both, ``shard`` by
-  ``spill_read``), the deterministic stand-in for host time — is no
-  higher.
+  workload crosses (``diskbtree`` only on ``page_mixed``, ``lsm`` not
+  on it, ``shard`` only on ``serve_skew``), the deterministic stand-in
+  for host time — is no higher.
 
 Wall-clock metrics are never compared.  ``correct`` also covers the
 benchmark's own "was the process descheduled" check, the one input a
@@ -39,6 +41,7 @@ ORACLE = Path(__file__).with_name("serve_gate_oracle.json")
 ROWS = [
     (["--workload", "serve_skew", "--trace", "1", "--seconds", "2", "--seed", "1"], "serve_skew"),
     (["--workload", "spill_read", "--trace", "1", "--seconds", "2", "--seed", "1"], "spill_read"),
+    (["--workload", "page_mixed", "--trace", "1", "--seconds", "2", "--seed", "1"], "page_mixed"),
 ]
 
 

@@ -80,9 +80,11 @@ class InnerNode:
     ``children_values`` exists for accumulation walks (memory sums, flag
     sweeps) that do not care about key order: it skips the per-child
     ``(byte, child)`` tuple of ``children_items`` and, on the indexed
-    layouts, iterates raw slots instead of 256 byte probes.  Callers must
-    treat the returned list as read-only — the sorted layouts return
-    their internal child list.
+    layouts, iterates raw slots instead of 256 byte probes.
+    ``ordered_children`` and ``children_after`` are the ordered walks'
+    counterparts: the children in ascending byte order, all of them or
+    those past one byte.  Callers must treat the returned lists as
+    read-only — the sorted layouts may return their internal child list.
     """
 
     __slots__ = (
@@ -128,6 +130,14 @@ class InnerNode:
 
     def children_items(self) -> Iterator[tuple[int, "Child"]]:
         """Yield ``(byte, child)`` in ascending byte order."""
+        raise NotImplementedError
+
+    def ordered_children(self) -> list["Child"]:
+        """The children in ascending byte order."""
+        raise NotImplementedError
+
+    def children_after(self, byte: int) -> list["Child"]:
+        """The children whose byte is greater than ``byte``, ascending."""
         raise NotImplementedError
 
     @property
@@ -231,6 +241,12 @@ class _SortedArrayNode(InnerNode):
 
     def children_values(self) -> list[Child]:
         return self._children
+
+    def ordered_children(self) -> list[Child]:
+        return self._children
+
+    def children_after(self, byte: int) -> list[Child]:
+        return self._children[bisect_right(self._bytes, byte) :]
 
     @property
     def num_children(self) -> int:
@@ -365,6 +381,14 @@ class Node48(InnerNode):
         # Slot order, not key order: only for order-insensitive walks.
         return [c for c in self._children if c is not None]
 
+    def ordered_children(self) -> list[Child]:
+        own = self._children
+        return [c for slot in self._index if slot >= 0 if (c := own[slot]) is not None]
+
+    def children_after(self, byte: int) -> list[Child]:
+        own = self._children
+        return [c for slot in self._index[byte + 1 :] if slot >= 0 if (c := own[slot]) is not None]
+
     @property
     def num_children(self) -> int:
         return self._count
@@ -431,6 +455,13 @@ class Node256(InnerNode):
 
     def children_values(self) -> list[Child]:
         return [c for c in self._children if c is not None]
+
+    def ordered_children(self) -> list[Child]:
+        # Byte-indexed, so slot order is key order.
+        return [c for c in self._children if c is not None]
+
+    def children_after(self, byte: int) -> list[Child]:
+        return [c for c in self._children[byte + 1 :] if c is not None]
 
     @property
     def num_children(self) -> int:

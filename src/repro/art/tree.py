@@ -18,6 +18,7 @@ reflects real traversal counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, Optional
 
 from repro.art.keys import common_prefix_length
@@ -502,29 +503,74 @@ class AdaptiveRadixTree:
     # ------------------------------------------------------------------
     # ordered iteration
     # ------------------------------------------------------------------
+    # Every ordered walk is a stack of subtrees, the next smallest on top:
+    # popping an inner node pushes its ordered children largest first.
+    def _seek(self, start: bytes) -> list[Child]:
+        """The walk stack holding exactly the keys >= ``start``.
+
+        One descent along ``start``: where a compressed prefix diverges
+        from it, the node's whole subtree is kept if it sorts above
+        ``start`` and dropped if below, and the descent ends; otherwise
+        the node's children after ``start``'s byte are pushed and the
+        descent follows the child at that byte.  Siblings pushed deeper
+        sort below those pushed higher up, so the stack stays ordered.
+        """
+        stack: list[Child] = []
+        node: Child = self._root
+        depth = 0
+        while isinstance(node, InnerNode):
+            prefix = node.prefix
+            if prefix:
+                end = depth + len(prefix)
+                if not start.startswith(prefix, depth):
+                    if start[depth:end] < prefix:
+                        stack.append(node)
+                    return stack
+                depth = end
+            if depth >= len(start):
+                stack.append(node)  # every key below extends ``start``
+                return stack
+            byte = start[depth]
+            stack.extend(reversed(node.children_after(byte)))
+            nxt = node.child(byte)
+            if nxt is None:
+                return stack
+            node = nxt
+            depth += 1
+        if node.key >= start:
+            stack.append(node)
+        return stack
+
+    def _walk(self, stack: list[Child]) -> Iterator[Leaf]:
+        """Yield the leaves of the subtrees on ``stack`` in key order."""
+        pop = stack.pop
+        push = stack.extend
+        while stack:
+            current = pop()
+            if isinstance(current, Leaf):
+                yield current
+            else:
+                push(reversed(current.ordered_children()))
+
     def items(self, start: bytes | None = None) -> Iterator[tuple[bytes, bytes]]:
         """Yield ``(key, value)`` in ascending key order, from ``start``."""
-        yield from ((leaf.key, leaf.value) for leaf in self.iter_leaves(self._root, start))
+        stack: list[Child] = [self._root] if start is None else self._seek(start)
+        for leaf in self._walk(stack):
+            yield leaf.key, leaf.value
 
-    def iter_leaves(self, node: Child, start: bytes | None = None) -> Iterator[Leaf]:
-        """Yield leaves under ``node`` in key order, skipping keys < start."""
-        stack: list[Child] = [node]
-        while stack:
-            current = stack.pop()
-            if isinstance(current, Leaf):
-                if start is None or current.key >= start:
-                    yield current
-                continue
-            children = [child for __, child in current.children_items()]
-            stack.extend(reversed(children))
+    def iter_leaves(self, node: Child) -> Iterator[Leaf]:
+        """Yield the leaves under ``node`` in key order."""
+        return self._walk([node])
 
     def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
-        """Return up to ``count`` pairs with key >= ``start`` in order."""
-        out: list[tuple[bytes, bytes]] = []
-        for key, value in self.items(start):
-            out.append((key, value))
-            if len(out) >= count:
-                break
+        """Return up to ``count`` pairs with key >= ``start`` in order.
+
+        Charges ``len(out) + 1`` node visits wherever ``start`` lands: the
+        seek is host work the cost model does not see.
+        """
+        if count <= 0:
+            return []
+        out = [(leaf.key, leaf.value) for leaf in islice(self._walk(self._seek(start)), count)]
         self._charge(len(out) + 1)
         return out
 
@@ -607,16 +653,16 @@ class AdaptiveRadixTree:
     def iter_dirty_leaves(self, node: Child) -> Iterator[Leaf]:
         """Yield dirty leaves under ``node`` in key order, pruning clean subtrees."""
         stack: list[Child] = [node]
+        pop = stack.pop
+        push = stack.extend
         while stack:
-            current = stack.pop()
-            if isinstance(current, Leaf):
-                if current.dirty:
-                    yield current
-                continue
+            current = pop()
             if not current.dirty:
                 continue
-            children = [child for __, child in current.children_items()]
-            stack.extend(reversed(children))
+            if isinstance(current, Leaf):
+                yield current
+            else:
+                push(reversed(current.ordered_children()))
 
     def iter_dirty_entries(self, node: Child) -> Iterator[tuple[bytes, bytes]]:
         """Yield dirty ``(key, value)`` pairs under ``node`` in key order."""

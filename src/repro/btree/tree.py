@@ -303,6 +303,8 @@ class BPlusTree:
             stack.extend(reversed(current.children))
 
     def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
+        if count <= 0:
+            return []
         out: list[tuple[bytes, bytes]] = []
         for key, value in self.items(start):
             out.append((key, value))

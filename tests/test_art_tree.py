@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.art import AdaptiveRadixTree, encode_int
-from repro.art.nodes import InnerNode
+from repro.art.nodes import InnerNode, Node4, Node16, Node48, Node256
 from repro.sim import CostModel, SimClock
 
 
@@ -406,3 +406,129 @@ def test_scan_matches_sorted_reference(keys):
     start = ordered[len(ordered) // 2]
     expect = [k for k in ordered if k >= start][:10]
     assert [k for k, __ in tree.scan(start, 10)] == expect
+
+
+# ----------------------------------------------------------------------
+# ordered walks: the seek and the ordered child lists
+# ----------------------------------------------------------------------
+#: Fan-out ranges that leave a node in each layout (grown, never shrunk).
+LAYOUT_FANOUTS = {Node4: (2, 4), Node16: (5, 16), Node48: (17, 48), Node256: (49, 256)}
+KEY_LEN = 6
+
+
+def group(head: int, middle: bytes, fan_bytes) -> set[bytes]:
+    """Keys sharing ``head`` and ``middle`` that fan out on one byte.
+
+    All keys are ``KEY_LEN`` long, so none is a prefix of another; the
+    node the group hangs from carries ``middle`` as its compressed prefix.
+    """
+    return {(bytes([head]) + middle + bytes([b])).ljust(KEY_LEN, b"z") for b in fan_bytes}
+
+
+@st.composite
+def shaped_trees(draw):
+    """A tree holding every layout and compressed prefixes, after deletes.
+
+    One untouched group per layout (distinct head bytes, non-empty
+    middles) pins all four layouts.  Free groups share heads and
+    middles among themselves, so prefixes split part way; a shrink
+    group is filled past a Node48 and then deleted down, and a random
+    share of the free keys is deleted too.
+    """
+    heads = draw(st.lists(st.integers(0, 255), min_size=6, max_size=6, unique=True))
+    # Middle bytes leave room for a start one below and one above them.
+    middle = st.lists(st.integers(1, 254), min_size=1, max_size=3).map(bytes)
+
+    def fans(lo, hi):
+        return st.lists(st.integers(0, 255), min_size=lo, max_size=hi, unique=True)
+
+    pinned: set[bytes] = set()
+    for head, (lo, hi) in zip(heads, LAYOUT_FANOUTS.values()):
+        pinned |= group(head, draw(middle), draw(fans(lo, hi)))
+    free: set[bytes] = set()
+    for __ in range(draw(st.integers(0, 6))):
+        head = draw(st.sampled_from(heads[4:]))
+        shared = st.sampled_from([b"\x22", b"\x80", b"\x80\x40", b"\x81"])
+        free |= group(head, draw(shared | middle), draw(fans(1, 20)))
+    shrink_fan = draw(fans(49, 120))
+    keep = draw(st.integers(1, len(shrink_fan)))
+    shrunk = group(heads[5], b"\x22", shrink_fan[keep:])
+    kept = pinned | free | group(heads[5], b"\x22", shrink_fan[:keep])
+    tree = AdaptiveRadixTree()
+    for key in sorted(kept | shrunk, key=lambda k: k[::-1]):
+        tree.insert(key, key[::-1])
+    if free:
+        shrunk |= set(draw(st.lists(st.sampled_from(sorted(free)), unique=True)))
+    for key in sorted(shrunk):
+        assert tree.delete(key)
+    return tree, {key: key[::-1] for key in kept - shrunk}
+
+
+def inner_nodes(tree):
+    """Every inner node with the depth its compressed prefix starts at."""
+    out, stack = [], [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        out.append((node, depth))
+        below = depth + len(node.prefix) + 1
+        stack.extend((c, below) for __, c in node.children_items() if isinstance(c, InnerNode))
+    return out
+
+
+def seek_starts(tree, model) -> list[bytes]:
+    """Starts on, between, before, past, shorter than and inside a prefix of the keys."""
+    ordered = sorted(model)
+    first, middle, last = ordered[0], ordered[len(ordered) // 2], ordered[-1]
+    starts = [first, middle, last, middle + b"\x00", b"", b"\x00", b"\xff" * (KEY_LEN + 1)]
+    starts += [middle[:1], middle[:3], last[:2]]
+    inside_prefix = []
+    for node, depth in inner_nodes(tree):
+        key = next(tree.iter_leaves(node)).key
+        for i, byte in enumerate(node.prefix):
+            at = depth + i
+            if byte > 0:  # sorts below the whole subtree
+                inside_prefix.append(key[:at] + bytes([byte - 1]) + b"\xff")
+            if byte < 255:  # sorts above it
+                inside_prefix.append(key[:at] + bytes([byte + 1]) + b"\x00")
+    assert inside_prefix
+    return starts + inside_prefix
+
+
+@settings(max_examples=40, deadline=None)
+@given(shaped_trees(), st.integers(min_value=1, max_value=60))
+def test_seek_matches_the_sorted_reference_from_every_kind_of_start(shaped, count):
+    tree, model = shaped
+    nodes = inner_nodes(tree)
+    assert {type(node) for node, __ in nodes} == set(LAYOUT_FANOUTS)
+    reference = sorted(model.items())
+    assert list(tree.items()) == reference
+    for start in seek_starts(tree, model):
+        expect = [kv for kv in reference if kv[0] >= start]
+        assert list(tree.items(start)) == expect, start
+        assert tree.scan(start, count) == expect[:count], start
+
+
+@settings(max_examples=20, deadline=None)
+@given(shaped_trees())
+def test_ordered_child_lists_match_children_items_on_every_layout(shaped):
+    tree, __ = shaped
+    for node, __ in inner_nodes(tree):
+        pairs = list(node.children_items())
+        assert node.ordered_children() == [child for __, child in pairs]
+        for byte in {0, 255, *(b for b, __ in pairs), *(b + 1 for b, __ in pairs if b < 255)}:
+            assert node.children_after(byte) == [c for b, c in pairs if b > byte], byte
+
+
+def test_scan_charges_one_visit_per_pair_plus_one_wherever_start_lands():
+    costs = CostModel()
+    clock = SimClock()
+    tree = AdaptiveRadixTree(clock=clock, costs=costs)
+    for k in range(0, 3000, 3):
+        tree.insert(ikey(k * 1009), b"v" * 12)
+    model = dict(tree.items())
+    starts = seek_starts(tree, model) + [ikey(k * 1009 + 1) for k in range(0, 3000, 97)]
+    for start in starts:
+        for count in (1, 7, 50, 5000):
+            clock.reset()
+            out = tree.scan(start, count)
+            assert clock.cpu_ns == (len(out) + 1) * costs.art_node_visit, (start, count)

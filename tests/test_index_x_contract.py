@@ -76,6 +76,16 @@ def test_key_value_verbs_match_a_dict(make_x):
     assert x.memory_bytes == x.subtree_memory(x.root_ref().node)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_scan_for_no_entries_returns_nothing_and_charges_nothing(make_x, count):
+    runtime = EngineRuntime()
+    x = make_x(clock=runtime.clock)
+    model = fill(x, n=200)
+    before = runtime.clock.cpu_ns
+    assert x.scan(min(model), count) == []
+    assert runtime.clock.cpu_ns == before
+
+
 def test_child_refs_are_disjoint_and_cover_the_inner_children(make_x):
     x = make_x()
     model = fill(x)
