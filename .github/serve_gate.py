@@ -1,11 +1,13 @@
-"""Deterministic CI gate on the serving, point-read and page paths.
+"""Deterministic CI gate on every hostbench workload.
 
 Runs traced host benchmarks at a fixed seed — one row of ``ROWS`` each:
 ``serve_skew`` (the only workload through ``ShardRouter``),
-``spill_read`` (the LSM point read) and ``page_mixed`` (ART-B+: the
-disk B+ tree, its buffer pool and the ART range scan) — and checks each
-run's last-line JSON against its section of ``serve_gate_oracle.json``
-(next to this file, outside ``hostbench/``):
+``spill_read`` (the LSM point read), ``page_mixed`` (ART-B+: the
+disk B+ tree, its buffer pool and the ART range scan), ``mem_point``
+(the in-memory fast path) and ``spill_write`` (release, write-back,
+flush and compaction) — and checks each run's last-line JSON against
+its section of ``serve_gate_oracle.json`` (next to this file, outside
+``hostbench/``):
 
 * ``correct`` is true and ``failed == 0``;
 * every value under ``equal`` — the simulated-clock results and the
@@ -15,8 +17,8 @@ run's last-line JSON against its section of ``serve_gate_oracle.json``
   exactly;
 * every value under ``at_most`` — Python calls per op in every layer the
   workload crosses (``diskbtree`` only on ``page_mixed``, ``lsm`` not
-  on it, ``shard`` only on ``serve_skew``), the deterministic stand-in
-  for host time — is no higher.
+  on it nor on ``mem_point``, ``shard`` only on ``serve_skew``), the
+  deterministic stand-in for host time — is no higher.
 
 Wall-clock metrics are never compared.  ``correct`` also covers the
 benchmark's own "was the process descheduled" check, the one input a
@@ -42,6 +44,8 @@ ROWS = [
     (["--workload", "serve_skew", "--trace", "1", "--seconds", "2", "--seed", "1"], "serve_skew"),
     (["--workload", "spill_read", "--trace", "1", "--seconds", "2", "--seed", "1"], "spill_read"),
     (["--workload", "page_mixed", "--trace", "1", "--seconds", "2", "--seed", "1"], "page_mixed"),
+    (["--workload", "mem_point", "--trace", "1", "--seconds", "2", "--seed", "1"], "mem_point"),
+    (["--workload", "spill_write", "--trace", "1", "--seconds", "2", "--seed", "1"], "spill_write"),
 ]
 
 

@@ -23,7 +23,7 @@ shards serve N requests concurrently; the makespan is bounded by the
 busiest shard.  That is the mechanism behind the shard-count scaling
 table in EXPERIMENTS.md — and it is fully deterministic: the event
 loop pops (ready_time, client_id) pairs from a heap, so results are
-byte-stable across runs, worker counts, and platforms.
+byte-stable across runs and platforms.
 
 ``--skew`` switches to the hot-range scenario (DESIGN.md §11): plain
 (unscrambled) Zipf ranks map onto *sorted* key positions, so the popular
@@ -84,6 +84,18 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[lower] + (sorted_values[upper] - sorted_values[lower]) * fraction
 
 
+def _require_positive(**values: float) -> None:
+    """Reject a non-positive harness input by name.
+
+    With no ops there is no latency to average, with no clients no
+    request is ever issued, and a rate of zero or below has no arrival
+    gap.
+    """
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+
+
 def run_serve(
     system: str = "ART-LSM",
     shards: int = 4,
@@ -94,7 +106,6 @@ def run_serve(
     get_fraction: float = 0.95,
     theta: float = 0.7,
     seed: int = 7,
-    workers: int = 0,
     partitioner: str = "hash",
     memory_bytes: int | None = None,
 ) -> dict[str, Any]:
@@ -107,6 +118,7 @@ def run_serve(
     from repro.systems.factory import build_system
     from repro.workloads import ZipfianGenerator, random_insert_keys
 
+    _require_positive(ops=ops, clients=clients)
     if memory_bytes is None:
         memory_bytes = max(64 * 1024, keys * (value_bytes + 64) // 3)
     value = b"v" * value_bytes
@@ -117,7 +129,6 @@ def run_serve(
         base_system=system,
         shards=shards,
         partitioner=partitioner,
-        workers=workers,
     )
 
     wall0 = perf_counter()
@@ -332,6 +343,7 @@ def run_serve_skew(
     from repro.systems.factory import build_system
     from repro.workloads import ZipfianGenerator, random_insert_keys
 
+    _require_positive(ops=ops, rate_kops=rate_kops)
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
     if memory_bytes is None:
@@ -695,7 +707,6 @@ def main(argv: list[str] | None = None) -> int:
         help="Zipfian skew (default 0.7; 0.99 with --skew)",
     )
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=0, help="batch-dispatch threads")
     parser.add_argument("--partitioner", choices=("hash", "range", "weighted"), default="hash")
     parser.add_argument("--memory-bytes", type=int, default=None, help="total budget")
     parser.add_argument("--sweep", default=None, help="comma-separated shard counts")
@@ -785,7 +796,6 @@ def main(argv: list[str] | None = None) -> int:
             get_fraction=args.get_fraction,
             theta=theta,
             seed=args.seed,
-            workers=args.workers,
             partitioner=args.partitioner,
             memory_bytes=args.memory_bytes,
         )

@@ -5,7 +5,7 @@ the driver are :mod:`repro.check.engine` and :mod:`repro.check.rules`.
 A bare run applies the shallow RL0xx rules to the given paths (default:
 the installed ``repro`` package source) and exits non-zero when any
 finding survives the inline pragmas.  ``--deep`` runs every family
-(RL1xx deep, RL2xx concurrency, RL3xx charge); ``--rules RL30x,RL101``
+(RL1xx deep, RL3xx charge); ``--rules RL30x,RL101``
 runs exactly the named rules (a trailing ``x`` is a prefix wildcard);
 ``--unused-pragmas`` audits ``allow[...]`` pragmas that no longer
 suppress anything; ``--list-rules`` prints the rule catalogue
@@ -189,8 +189,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--deep",
         action="store_true",
-        help="also run the RL1xx CFG/dataflow/call-graph rules, the RL2xx "
-        "concurrency-safety rules, and the RL3xx charge-effect rules",
+        help="also run the RL1xx CFG/dataflow/call-graph rules and the "
+        "RL3xx charge-effect rules",
     )
     parser.add_argument(
         "--rules",

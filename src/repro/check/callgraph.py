@@ -211,9 +211,9 @@ class _CallCollector(ast.NodeVisitor):
         for callee in self._resolve(node):
             self.sites.append(CallSite(self.info.key, callee, node))
         # ``partial(self.method, ...)`` wraps a call that some executor
-        # (BackgroundScheduler runner, ShardWorkerPool thunk) performs
-        # later; a may-call edge at the wrap site keeps that method
-        # reachable (RL101) even though no direct call expression exists.
+        # (a BackgroundScheduler runner) performs later; a may-call edge
+        # at the wrap site keeps that method reachable (RL101) even
+        # though no direct call expression exists.
         wrapped = _partial_target(node)
         if wrapped is not None:
             ref = ast.Call(func=wrapped, args=[], keywords=[])

@@ -2,11 +2,11 @@
 
 The static analyzer (:mod:`~repro.check.chargecheck`) proves properties
 of a *model* of the code — confident call edges, curated receiver types,
-a saturating count lattice.  :class:`ChargeAuditor` closes the loop the
-same way ``OwnershipSanitizer`` backs RL201–204: it subscribes to the
-runtime of a normally built system (``EngineRuntime.subscribe``), drives
-real verbs, and asserts each observed per-verb charge multiset against
-the static summary of that verb:
+a saturating count lattice.  :class:`ChargeAuditor` closes the loop at
+runtime: it subscribes to the runtime of a normally built system
+(``EngineRuntime.subscribe``), drives real verbs, and asserts each
+observed per-verb charge multiset against the static summary of that
+verb:
 
 * ``observed >= lo`` always — the analysis only counts charges it can
   prove, so its lower bounds must hold in every real execution;

@@ -35,8 +35,8 @@ RL304    exception-path charge skew: a ``raise`` edge between a
 =======  ==============================================================
 
 RL305 is the runtime half: :class:`~repro.check.chargeaudit.ChargeAuditor`
-replays sampled verbs against the summaries computed here (the same
-static/dynamic pairing as RL201–204 and the ``OwnershipSanitizer``).
+replays sampled verbs against the summaries computed here, so every
+static bound has a dynamic check.
 
 Resolution model (known imprecision — see DESIGN.md §12)
 --------------------------------------------------------
@@ -100,7 +100,6 @@ _SKEW_PREFIXES = ("sim/", "diskbtree/", "lsm/", "core/")
 
 _N_EFFECTS = len(EFFECT_NAMES)
 _DR, _DW, _CPU, _BG = range(_N_EFFECTS)
-_EFFECT_INDEX = {name: i for i, name in enumerate(EFFECT_NAMES)}
 
 Interval = tuple[int, int]
 Vec = tuple[Interval, ...]

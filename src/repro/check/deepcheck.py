@@ -376,9 +376,6 @@ def _calls_method_on(elem: ast.AST, attr: str, methods: frozenset[str]) -> bool:
     return False
 
 
-_LIST_MUTATORS = frozenset({"append", "remove", "insert", "pop", "clear", "extend"})
-
-
 def _mutates_subscript_of(elem: ast.AST, attr: str) -> bool:
     targets: list[ast.expr] = []
     if isinstance(elem, ast.Assign):

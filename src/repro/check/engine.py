@@ -1,7 +1,7 @@
 """The analysis engine every ``repro.check`` rule family plugs into.
 
-One pipeline, shared by the four static families (shallow RL0xx, deep
-RL1xx, concurrency RL2xx, charge RL3xx):
+One pipeline, shared by the three static families (shallow RL0xx, deep
+RL1xx, charge RL3xx):
 
 * :func:`load` walks the target paths and :func:`parse` parses each file
   **once** — the only ``ast.parse`` site in ``repro.check``.  A file that
@@ -127,8 +127,8 @@ class Rule:
     #: where the rule applies — module prefixes, a construct, or a runtime
     #: oracle; shown by ``--list-rules`` and the generated DESIGN.md table.
     scope: str
-    #: the layer the rule belongs to (``shallow``/``deep``/``concurrency``/
-    #: ``charge``); findings are ordered family-major.
+    #: the layer the rule belongs to (``shallow``/``deep``/``charge``);
+    #: findings are ordered family-major.
     family: str
     #: the pass that emits the rule's findings, called once per run with
     #: the active rule ids; ``None`` for rules no lint pass emits (RL000

@@ -21,7 +21,8 @@ RL002    disk-bypass: no access to ``SimDisk`` internals (``_blobs``,
          ``repro/sim`` — all time is charged through the cost model.
 RL003    inline-background: maintenance entry points may only be invoked
          from their owner modules; everyone else submits to the
-         ``BackgroundScheduler``.  Real threads are banned entirely.
+         ``BackgroundScheduler``.  Real threads (``threading``,
+         ``concurrent``) are banned entirely, with no exception.
 RL004    wall-clock: no ``time`` / ``datetime`` imports — simulated code
          reads time only from ``SimClock``.
 RL005    unseeded-random: no module-global ``random`` functions and no
@@ -35,15 +36,6 @@ RL007    hot-path-overhead: inside the hot packages (``art/``, ``lsm/``,
          local before the loop.  These patterns are semantically fine but
          cost real wall-clock time per call on the simulator's hottest
          paths (PR 3's profiles showed them dominating).
-RL008    router-dispatch-shared-state: inside ``shard/`` modules, no
-         lock acquisition (``.acquire()``/``.release()``, ``with`` on
-         router state) and no writes to ``self``-rooted state inside a
-         loop.  The router's dispatch contract is lock-free: batches are
-         partitioned once and dispatched once; per-operation loop bodies
-         touch only function locals and the owning shard (bound to a
-         local before the loop).  A router-side lock or shared counter
-         on the data path would serialize exactly the concurrency the
-         sharded layer exists to provide.
 RL009    policy-determinism: inside ``cache/`` modules, no ``time`` /
          ``random`` / ``os`` imports and no iteration over bare ``set``
          values (set literals, set comprehensions, ``set()`` /
@@ -66,7 +58,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.callgraph import _attr_chain, callee_name, rooted_at_self
+from repro.check.callgraph import _attr_chain, callee_name
 from repro.check.engine import HOT_PREFIXES, Analysis, Findings, LoopDepthVisitor, Module
 
 __all__ = ["check"]
@@ -118,25 +110,6 @@ _MUTABLE_CONSTRUCTORS = frozenset(
 #: hook-call sequence (RL009).
 _POLICY_BANNED_IMPORTS = frozenset({"time", "random", "os"})
 
-#: method names whose in-loop invocation on ``self``-rooted state means
-#: the dispatch loop is mutating shared router state (RL008).
-_SHARD_MUTATORS = frozenset(
-    {
-        "add",
-        "append",
-        "appendleft",
-        "clear",
-        "discard",
-        "extend",
-        "insert",
-        "pop",
-        "popleft",
-        "remove",
-        "setdefault",
-        "update",
-    }
-)
-
 
 def _in_sim(rel: str) -> bool:
     return rel.startswith("sim/")
@@ -148,7 +121,6 @@ class _Visitor(LoopDepthVisitor):
         self._path = module.path
         self._out = out
         self._hot = rel.startswith(HOT_PREFIXES)
-        self._shard = rel.startswith("shard/")
         self._policy = rel.startswith("cache/")
         self._func_depth = 0
 
@@ -242,27 +214,6 @@ class _Visitor(LoopDepthVisitor):
                     "RL005",
                     "Random() without a seed is OS-seeded; pass an explicit seed",
                 )
-        if self._shard and self.loop_depth > 0:
-            if name in ("acquire", "release"):
-                self._add(
-                    node,
-                    "RL008",
-                    f"lock {name}() inside a shard dispatch loop; the router's "
-                    "data path is lock-free by contract (partition once, "
-                    "dispatch once)",
-                )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and name in _SHARD_MUTATORS
-                and rooted_at_self(node.func.value)
-            ):
-                self._add(
-                    node,
-                    "RL008",
-                    f"{name}() mutates self-rooted state inside a shard "
-                    "dispatch loop; accumulate into function locals and "
-                    "publish once after the loop",
-                )
         if (
             self._hot
             and self.loop_depth > 0
@@ -307,54 +258,13 @@ class _Visitor(LoopDepthVisitor):
                 "SimDisk/SimClock may charge it",
             )
 
-    def _check_shard_state_write(self, target: ast.expr) -> None:
-        if self._shard and self.loop_depth > 0 and rooted_at_self(target):
-            self._add(
-                target,
-                "RL008",
-                "write to self-rooted state inside a shard dispatch loop; "
-                "per-operation work may touch only function locals and the "
-                "owning shard",
-            )
-
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._check_time_account_write(target)
-            self._check_shard_state_write(target)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._check_time_account_write(node.target)
-        self._check_shard_state_write(node.target)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._check_shard_state_write(node.target)
-        self.generic_visit(node)
-
-    # -- RL008: per-operation lock scopes ------------------------------
-    def _check_with(self, node: ast.With | ast.AsyncWith) -> None:
-        if not (self._shard and self.loop_depth > 0):
-            return
-        for item in node.items:
-            expr = item.context_expr
-            held = expr.func if isinstance(expr, ast.Call) else expr
-            if rooted_at_self(held):
-                self._add(
-                    item.context_expr,
-                    "RL008",
-                    "context manager on self-rooted state inside a shard "
-                    "dispatch loop (a per-operation lock scope); the dispatch "
-                    "path takes no locks",
-                )
-
-    def visit_With(self, node: ast.With) -> None:
-        self._check_with(node)
-        self.generic_visit(node)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self._check_with(node)
         self.generic_visit(node)
 
     # -- RL003 / RL004: imports ----------------------------------------
@@ -385,9 +295,8 @@ class _Visitor(LoopDepthVisitor):
             self._add(
                 node,
                 "RL003",
-                "import of 'concurrent': real thread pools are banned in "
-                "simulated code; the shard worker pool (shard/pool.py) is "
-                "the one pragma'd exception",
+                "import of 'concurrent': real thread pools are banned; "
+                "shard batches are dispatched serially",
             )
 
     def _check_local_import(self, node: ast.Import | ast.ImportFrom) -> None:
@@ -452,6 +361,6 @@ class _Visitor(LoopDepthVisitor):
 
 
 def check(analysis: Analysis, active: frozenset[str], out: Findings) -> None:
-    """The shallow pass: one AST visit per module emits RL001–RL009."""
+    """The shallow pass: one AST visit per module emits RL001–RL007 and RL009."""
     for module in analysis.modules:
         _Visitor(module, out).visit(module.tree)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.check import chargecheck, deepcheck, racecheck, reprolint
+from repro.check import chargecheck, deepcheck, reprolint
 from repro.check.engine import Analysis, Finding, Findings, Rule
 
 __all__ = ["RULES", "run"]
@@ -43,8 +43,8 @@ RULES: tuple[Rule, ...] = (
     Rule(
         "RL003",
         "inline-background",
-        "maintenance runs via the BackgroundScheduler",
-        "maintenance entry points (curated owner table)",
+        "maintenance runs via the BackgroundScheduler; no real threads",
+        "maintenance entry points (curated owner table); thread imports anywhere",
         "shallow",
         reprolint.check,
     ),
@@ -77,14 +77,6 @@ RULES: tuple[Rule, ...] = (
         "hot-path-overhead",
         "no function-local imports or in-loop attribute-chain calls in hot modules",
         "hot modules (art/ lsm/ sim/ diskbtree/)",
-        "shallow",
-        reprolint.check,
-    ),
-    Rule(
-        "RL008",
-        "router-dispatch-shared-state",
-        "no lock acquisition or shared-mutable-state writes in shard dispatch loops",
-        "shard/ dispatch loops",
         "shallow",
         reprolint.check,
     ),
@@ -127,42 +119,6 @@ RULES: tuple[Rule, ...] = (
         "hot modules (art/ lsm/ sim/ diskbtree/)",
         "deep",
         deepcheck.check,
-    ),
-    Rule(
-        "RL201",
-        "thread-escape",
-        "state escaping into a dispatched thunk must be one shard's engine, "
-        "immutable, shared-readonly, or fresh",
-        "shard/ dispatch sites",
-        "concurrency",
-        racecheck.check,
-    ),
-    Rule(
-        "RL202",
-        "ownership-partition",
-        "no two dispatched thunks may alias the same mutable root (distinct "
-        "shard per thunk)",
-        "shard/ dispatch sites",
-        "concurrency",
-        racecheck.check,
-    ),
-    Rule(
-        "RL203",
-        "shared-read-immutability",
-        "@shared_readonly objects must not be written on any path reachable "
-        "from a dispatched thunk",
-        "shard/ (reachable from dispatched thunks)",
-        "concurrency",
-        racecheck.check,
-    ),
-    Rule(
-        "RL204",
-        "barrier-bypass",
-        "no executor primitives outside ShardWorkerPool; pool.run is the only "
-        "fork/join seam",
-        "shard/ (pool.py owns the barrier)",
-        "concurrency",
-        racecheck.check,
     ),
     Rule(
         "RL301",

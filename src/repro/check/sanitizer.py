@@ -47,12 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-
-# Thread *identity* only (no locks, no thread creation): the ownership
-# oracle below must know which pool worker touched a shard substrate to
-# check its claim against the shard's owner token.
-from threading import get_ident  # reprolint: allow[RL003]
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.art.nodes import InnerNode as ARTInnerNode
 from repro.art.nodes import Leaf as ARTLeaf
@@ -65,11 +60,9 @@ from repro.diskbtree.page import InnerPage, LeafPage
 from repro.cache.bytecache import PolicyCache
 from repro.diskbtree.tree import DiskBPlusTree
 from repro.lsm.store import TOMBSTONE, LSMStore
-from repro.shard.ownership import arm_dispatch, disarm_dispatch
 
 if TYPE_CHECKING:
     from repro.core.indexy import IndeXY
-    from repro.shard.pool import ShardWorkerPool
     from repro.shard.router import ShardRouter
     from repro.sim.runtime import EngineRuntime
 
@@ -79,7 +72,6 @@ __all__ = [
     "CacheSanitizer",
     "CheckBackAuditor",
     "IndexSanitizer",
-    "OwnershipSanitizer",
     "PeriodicSanitizer",
     "ShardSanitizer",
     "StoreSanitizer",
@@ -1175,143 +1167,3 @@ class ShardSanitizer(PeriodicSanitizer):
     def sweep(self) -> list[Violation]:
         return check_shard_router(self.router)
 
-
-# ----------------------------------------------------------------------
-# dynamic ownership oracle for the shard dispatch contract (RL201-RL204)
-# ----------------------------------------------------------------------
-
-_T = TypeVar("_T")
-
-#: owner token of the router's own (dormant) substrate: only the
-#: foreground thread, outside an armed dispatch, may touch it.
-_FOREGROUND = object()
-
-
-class OwnershipSanitizer:
-    """Runtime oracle for the static RL2xx concurrency rules.
-
-    Debug-mode owner tokens checked on every substrate mutation: each
-    shard's :class:`~repro.sim.runtime.EngineRuntime` gets a subscriber
-    (clock, disk and both stats buses) bound to that shard's id, and the
-    router's own dormant runtime one bound to a foreground token.  During
-    a dispatch the router routes its thunks through :meth:`dispatch`,
-    which wraps each thunk to claim its shard id for the executing
-    thread; every subsequent charge, disk request or ``bump`` then
-    verifies the claim.  The failure modes map one-to-one onto the
-    static rules:
-
-    * a thunk touching another shard's substrate (RL202 aliasing, or a
-      cross-shard escape per RL201) → claim/token mismatch;
-    * a thunk touching the router's substrate (RL201 escape of shared
-      mutable state) → claimed worker vs. foreground token;
-    * work submitted around :meth:`ShardWorkerPool.run` (RL204 barrier
-      bypass) → a pool thread mutating engine state with no claim at all;
-    * mutation of a ``@shared_readonly`` object mid-dispatch (RL203) →
-      the armed-dispatch ``__setattr__`` guard raises on its own.
-
-    Serial dispatch is checked identically (the foreground thread claims
-    each shard while running its thunk), so the oracle needs no real
-    threads to catch ownership bugs deterministically.
-    """
-
-    def __init__(self, router: "ShardRouter") -> None:
-        self.router = router
-        #: thread ident -> owner token claimed by the thunk it is running.
-        self._claims: dict[int, object] = {}
-        self._home = get_ident()
-        self.dispatches = 0
-        router.runtime.subscribe(self._guard_for(_FOREGROUND))
-        self._shard_guards: list[Callable[[], None]] = []
-        self.restamp()
-
-    def restamp(self) -> None:
-        """(Re-)bind one guard per shard runtime to its shard id.
-
-        Shard ids shift when the fleet grows or shrinks, so after a split
-        or merge every guard is dropped and each engine of the new fleet
-        subscribes one stamped with its current id; a retired engine
-        ends up unguarded, as it is only ever touched again from the
-        foreground thread.
-        """
-        for unsubscribe in self._shard_guards:
-            unsubscribe()
-        self._shard_guards = [
-            shard.runtime.subscribe(self._guard_for(sid))
-            for sid, shard in enumerate(self.router.shards)
-        ]
-
-    # -- guard construction ---------------------------------------------
-    def _guard_for(self, token: object) -> Callable[[str, float], None]:
-        def guard(effect: str, amount: float) -> None:
-            claimed = self._claims.get(get_ident(), _NO_CLAIM)
-            if claimed is token:
-                return
-            if claimed is _NO_CLAIM:
-                if get_ident() == self._home:
-                    # The foreground thread outside any claim: legal for
-                    # single-op routing (pool.run blocks, so this cannot
-                    # overlap an armed threaded dispatch).
-                    return
-                raise CheckError.of(
-                    "shard-ownership",
-                    "a pool thread mutated engine state without an "
-                    "ownership claim; work reached the executor "
-                    "around ShardWorkerPool.run (barrier bypass)",
-                )
-            owner = "the router's foreground substrate" if token is _FOREGROUND else f"shard {token}"
-            raise CheckError.of(
-                "shard-ownership",
-                f"thunk claiming shard {claimed} mutated {owner}; each "
-                "dispatched thunk owns exactly one shard's engine substrate",
-            )
-
-        return guard
-
-    # -- the dispatch seam ----------------------------------------------
-    def dispatch(
-        self,
-        pool: "ShardWorkerPool",
-        sids: Sequence[int],
-        thunks: Sequence[Callable[[], _T]],
-    ) -> list[_T]:
-        """Run ``thunks`` through ``pool`` with ownership claims armed.
-
-        ``sids[i]`` is the shard ``thunks[i]`` is entitled to; duplicate
-        ids in one dispatch are an aliasing bug (two thunks would own one
-        mutable root — RL202's runtime face) and fail before any thunk
-        runs.
-        """
-        if len(sids) != len(thunks):
-            raise CheckError.of(
-                "shard-ownership",
-                f"dispatch of {len(thunks)} thunks declared {len(sids)} shard "
-                "ids; every thunk needs exactly one owned shard",
-            )
-        if len(set(sids)) != len(sids):
-            raise CheckError.of(
-                "shard-ownership",
-                f"duplicate shard ids in one dispatch ({list(sids)}); no two "
-                "thunks may own the same shard between partition and scatter",
-            )
-        self.dispatches += 1
-        work = [self._claimed(sid, thunk) for sid, thunk in zip(sids, thunks, strict=True)]
-        arm_dispatch()
-        try:
-            return pool.run(work)
-        finally:
-            disarm_dispatch()
-
-    def _claimed(self, sid: int, thunk: Callable[[], _T]) -> Callable[[], _T]:
-        def run() -> _T:
-            ident = get_ident()
-            self._claims[ident] = sid
-            try:
-                return thunk()
-            finally:
-                del self._claims[ident]
-
-        return run
-
-
-#: sentinel distinguishing "no claim" from any real token.
-_NO_CLAIM = object()

@@ -164,15 +164,6 @@ class BufferPool:
             raise RuntimeError(f"page {pid} is not pinned")
         frame.pins -= 1
 
-    def drop_page(self, pid: int) -> None:
-        """Discard a page that the tree freed (no write-back)."""
-        if pid in self._frames:
-            frame = self._frames.pop(pid)
-            if frame.dirty:
-                self._dirty_count -= 1
-            self._policy.on_remove(pid)
-        self.disk.free(pid)
-
     def resize(self, capacity_bytes: int) -> None:
         """Re-budget the pool, evicting down through the policy.
 

@@ -1,4 +1,4 @@
-"""Sharded concurrent serving layer.
+"""Sharded serving layer.
 
 Partitions the key space over N independent single-engine systems (each
 with its own :class:`~repro.sim.runtime.EngineRuntime`) behind a
@@ -11,12 +11,6 @@ concurrent-serving methodology.
 from repro.shard.config import BudgetConfig, RebalanceConfig
 from repro.shard.fleet import FleetController, RangeTransfer
 from repro.shard.heat import ShardHeat
-from repro.shard.ownership import (
-    OwnershipViolation,
-    dispatch_armed,
-    distinct_ids,
-    shared_readonly,
-)
 from repro.shard.partition import (
     HashPartitioner,
     Partitioner,
@@ -24,24 +18,18 @@ from repro.shard.partition import (
     WeightedRangePartitioner,
     make_partitioner,
 )
-from repro.shard.pool import ShardWorkerPool
 from repro.shard.router import ShardRouter
 
 __all__ = [
     "BudgetConfig",
     "FleetController",
     "HashPartitioner",
-    "OwnershipViolation",
     "Partitioner",
     "RangePartitioner",
     "RangeTransfer",
     "RebalanceConfig",
     "ShardHeat",
     "ShardRouter",
-    "ShardWorkerPool",
     "WeightedRangePartitioner",
-    "dispatch_armed",
-    "distinct_ids",
     "make_partitioner",
-    "shared_readonly",
 ]

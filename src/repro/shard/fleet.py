@@ -48,10 +48,9 @@ it.  A per-shard floor and a hysteresis band keep budgets from
 thrashing on measurement noise (the paper's two-watermark argument,
 Section II-A, applied fleet-wide).
 
-Every step runs on the router's foreground thread (scheduler ticks are
-issued by foreground ops), never inside dispatched thunks, so threaded
-dispatch stays byte-identical to serial and the RL2xx ownership rules
-hold.  Transfer work charges the *shards'* simulated clocks — moving
+Every step runs between the router's shard calls (scheduler ticks are
+issued by its verbs after the shards answered), never inside one.
+Transfer work charges the *shards'* simulated clocks — moving
 data competes with serving on the two engines involved, which is
 exactly the cost the skewed-serving benchmark accounts for.  Every
 input is deterministic (heat is foreground-only, op streams are
@@ -340,8 +339,6 @@ class FleetController:
         if self.heat is not None:
             self.heat.resize(shards)
         self._published_ops = [0] * shards
-        if router.ownership is not None:
-            router.ownership.restamp()
         self.events.append((kind, sid))
         router.runtime.stats.bump(f"fleet_{kind}s")
 

@@ -8,11 +8,10 @@ to detect imbalance, pick the hot shard, and choose a split key; after
 each decision round it decays every counter so heat tracks the *recent*
 load, not the whole history (DESIGN.md §11).
 
-Concurrency contract: heat is mutated only on the router's foreground
-thread — never inside dispatched thunks — so it needs no locks and the
-RL2xx ownership rules treat it like any other foreground router state.
-Every input is deterministic (op streams are seeded), so heat, and with
-it every rebalancing decision, is byte-reproducible.
+Heat is mutated only by the router itself, after its shards answered,
+never inside a shard call.  Every input is deterministic (op streams
+are seeded), so heat, and with it every rebalancing decision, is
+byte-reproducible.
 
 Key samples: a fixed-size ring per shard keeps the most recent routed
 keys.  The median of the hot shard's ring splits the *observed* load in

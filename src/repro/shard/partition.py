@@ -14,8 +14,8 @@ needs.  Two placements are offered:
 * :class:`WeightedRangePartitioner` — contiguous slices with *movable*
   boundaries: the elastic-resharding layer (DESIGN.md §11) shifts a
   boundary between adjacent shards to shed load off a hot shard, and
-  the whole boundary tuple is replaced in one assignment so concurrent
-  readers observe either the old or the new routing table, never a mix.
+  the whole boundary tuple is replaced in one assignment, so a reader
+  observes either the old or the new routing table, never a mix.
 
 All are deterministic across processes and Python versions: the hash
 mix is an explicit integer permutation (splitmix64's finalizer), never
@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from typing import Iterable, Sequence
-
-from repro.shard.ownership import distinct_ids, shared_readonly
 
 __all__ = [
     "Partitioner",
@@ -52,15 +50,8 @@ def _mix64(x: int) -> int:
     return x
 
 
-@shared_readonly
 class Partitioner:
-    """Maps integer keys onto ``shards`` shard ids.
-
-    ``@shared_readonly`` declares the concurrency contract: a partitioner
-    is read by every dispatch thunk, so it must never be written between
-    partition and scatter.  The decorator enforces this at runtime in
-    debug mode; racecheck rule RL203 proves it statically.
-    """
+    """Maps integer keys onto ``shards`` shard ids."""
 
     #: True when shard-id order equals key order (range placement):
     #: scans may then walk shards in id order and stop early.
@@ -76,8 +67,7 @@ class Partitioner:
 
     # -- batch splitting ------------------------------------------------
     # One pass over the batch, building plain per-shard lists: the
-    # router partitions once, dispatches once, and never touches shared
-    # state per operation (reprolint RL008).
+    # router partitions once, then calls each shard once.
     def split(self, keys: Iterable[int]) -> list[list[int]]:
         """Per-shard key lists, preserving the batch's relative order."""
         batches: list[list[int]] = [[] for __ in range(self.shards)]
@@ -100,7 +90,6 @@ class Partitioner:
             positions[sid].append(pos)
         return batches, positions
 
-    @distinct_ids
     def scan_shard_ids(self, start_key: int) -> list[int]:
         """Shards a scan from ``start_key`` must consult, in visit order."""
         if not self.ordered:
@@ -208,9 +197,8 @@ class WeightedRangePartitioner(Partitioner):
 
         The new boundary must stay strictly between its neighbours, so
         no shard's range ever becomes empty.  The replacement is one
-        tuple assignment: any concurrent ``shard_of`` sees the old or
-        the new table in full.  ``@shared_readonly`` (inherited) makes
-        calling this while a dispatch is armed a checked error.
+        tuple assignment: ``shard_of`` sees the old or the new table in
+        full.
         """
         bounds = self.boundaries
         if not 0 < index < self.shards:
@@ -230,9 +218,8 @@ class WeightedRangePartitioner(Partitioner):
         After the swap shard ``sid`` owns ``[lo, key)`` and a new shard
         ``sid + 1`` owns ``[key, hi)``; every shard id above ``sid``
         shifts up by one.  Like :meth:`move_boundary` this is a
-        foreground-only whole-table swap (two attribute assignments, but
-        ``@shared_readonly`` forbids calling it while a dispatch is
-        armed, so no concurrent reader can observe the intermediate
+        foreground-only whole-table swap (two attribute assignments, made
+        between operations, so no reader observes the intermediate
         state).  The caller owns the matching engine-list mutation.
         """
         bounds = self.boundaries

@@ -8,9 +8,8 @@ system) and routes operations by partition:
 * ``insert``/``read``/``delete``/``scan`` go straight to the owning
   shard — no router-side locks, queues, or counters on the data path;
 * ``put_many``/``get_many``/``delete_many`` are split into per-shard
-  sub-batches in one pass, then dispatched once to a
-  :class:`~repro.shard.pool.ShardWorkerPool` (threads for wall-clock
-  benches, serial fallback for simulated runs);
+  sub-batches in one pass, then each shard's verb runs once on its
+  sub-batch, in shard order, on the calling thread;
 * ``scan`` results from the consulted shards are k-way merged with
   :func:`heapq.merge` (each key lives on exactly one shard, so the merge
   needs no duplicate resolution).
@@ -32,28 +31,25 @@ lives in the :class:`~repro.shard.fleet.FleetController` it owns
 published, reads of the in-flight range double-read (destination first,
 then the source for keys not yet copied), deletes apply to both shards
 so the double-read cannot resurrect a deleted key, and scans merge the
-source's leftovers with destination priority.  All transfer and heat
-mutation happens on the foreground thread — dispatched thunks still
-only read shared state.
+source's leftovers with destination priority.  Transfer and heat
+bookkeeping run between shard calls, never inside one.
 
-Dispatch-loop discipline (reprolint RL008): batches are partitioned
-once and dispatched once; loop bodies bind every shard handle to a
-local and write only to function-local accumulators, never to router
-attributes, and acquire no locks.
+Dispatch is serial by design.  Each shard's simulated accounts are the
+same whichever host thread runs its sub-batch, so OS threads could only
+buy wall-clock overlap, and under the GIL they cost more than they buy
+(DESIGN.md §8).
 """
 
 from __future__ import annotations
 
-from functools import partial
 from heapq import merge as heapq_merge
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Iterable, Optional
 
 from repro.shard.config import BudgetConfig, RebalanceConfig
 from repro.shard.fleet import FleetController, RangeTransfer
 from repro.shard.heat import ShardHeat
 from repro.shard.partition import Partitioner, make_partitioner
-from repro.shard.pool import ShardWorkerPool
 from repro.sim.costs import CostModel
 from repro.sim.effects import charges
 from repro.sim.threads import ThreadModel
@@ -61,16 +57,14 @@ from repro.systems.base import KVSystem, Snapshot, limit_error
 
 __all__ = ["ShardRouter"]
 
-_T = TypeVar("_T")
-
 
 class ShardRouter(KVSystem):
     """Partitioned serving layer over ``shards`` independent engines.
 
     ``memory_limit_bytes`` is the *total* budget; each shard receives an
     equal slice, so shard counts are compared at constant total memory.
-    ``workers`` sizes the batch-dispatch thread pool (``0``/``1`` =
-    serial fallback; simulated results are identical either way).
+    ``workers`` only accepts ``0`` or ``1``: batches are always
+    dispatched serially, and a larger value raises.
     """
 
     name = "Sharded"
@@ -97,6 +91,11 @@ class ShardRouter(KVSystem):
         super().__init__(costs, thread_model)
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        if workers > 1:
+            raise ValueError(
+                f"workers={workers}: shard batches are dispatched serially, "
+                "so workers must be 0 or 1"
+            )
         self.base_system = base_system
         self.partitioner: Partitioner = (
             make_partitioner(partitioner, shards, key_space)
@@ -108,7 +107,6 @@ class ShardRouter(KVSystem):
                 f"partitioner covers {self.partitioner.shards} shards, "
                 f"router was asked for {shards}"
             )
-        self.pool = ShardWorkerPool(workers)
         if debug_checks is None:
             from repro.check.flags import sanitize_enabled
 
@@ -145,12 +143,10 @@ class ShardRouter(KVSystem):
         #: controller reads; None on a static fleet.
         self.heat: ShardHeat | None = self.fleet.heat
         self.sanitizer: Optional[Any] = None
-        self.ownership: Optional[Any] = None
         if debug_checks:
-            from repro.check.sanitizer import OwnershipSanitizer, ShardSanitizer
+            from repro.check.sanitizer import ShardSanitizer
 
             self.sanitizer = ShardSanitizer(self)
-            self.ownership = OwnershipSanitizer(self)
 
     def build_shard(self, memory_limit_bytes: int) -> KVSystem:
         """Build one shard engine from the stored construction recipe."""
@@ -210,22 +206,8 @@ class ShardRouter(KVSystem):
         return present
 
     # ------------------------------------------------------------------
-    # batched operations: partition once, dispatch once
+    # batched operations: partition once, one call per non-empty shard
     # ------------------------------------------------------------------
-    def _dispatch(
-        self, sids: Sequence[int], work: Sequence[Callable[[], _T]]
-    ) -> list[_T]:
-        """The one dispatch seam: ``work[i]`` owns shard ``sids[i]``.
-
-        ``pool.run`` is the scatter barrier — it returns only after every
-        thunk finished, so the caller may merge results on its own thread
-        immediately after.  In debug mode the :class:`OwnershipSanitizer`
-        wraps each thunk with its shard's ownership claim first.
-        """
-        if self.ownership is not None:
-            return self.ownership.dispatch(self.pool, sids, work)
-        return self.pool.run(work)
-
     def _after_batch(self, sizes: list[int]) -> None:
         """Foreground bookkeeping after one batched dispatch."""
         total = sum(sizes)
@@ -237,27 +219,20 @@ class ShardRouter(KVSystem):
 
     def put_many(self, keys: Iterable[int], value: bytes) -> None:
         batches = self.partitioner.split(keys)
-        shards = self.shards
-        dispatched = [sid for sid, batch in enumerate(batches) if batch]
-        work = [partial(shards[sid].put_many, batches[sid], value) for sid in dispatched]
-        self._dispatch(dispatched, work)
+        for shard, batch in zip(self.shards, batches, strict=True):
+            if batch:
+                shard.put_many(batch, value)
         self._after_batch([len(batch) for batch in batches])
 
     def get_many(self, keys: Iterable[int]) -> list[Optional[bytes]]:
         key_list = list(keys)
         batches, positions = self.partitioner.split_indexed(key_list)
-        shards = self.shards
-        dispatched = [sid for sid, batch in enumerate(batches) if batch]
-        work = [partial(shards[sid].get_many, batches[sid]) for sid in dispatched]
-        per_shard_values = self._dispatch(dispatched, work)
-        # Scatter per-shard results back to batch positions.  The merge
-        # runs on the calling thread after the barrier; workers only
-        # return values, they never write shared state.
+        # Scatter each shard's results back to their batch positions.
         out: list[Optional[bytes]] = [None] * len(key_list)
-        for sid, values in zip(dispatched, per_shard_values, strict=True):
-            pos = positions[sid]
-            for i, value in zip(pos, values, strict=True):
-                out[i] = value
+        for shard, batch, pos in zip(self.shards, batches, positions, strict=True):
+            if batch:
+                for i, value in zip(pos, shard.get_many(batch), strict=True):
+                    out[i] = value
         transfer = self.transfer
         if transfer is not None:
             self._backfill_in_flight(key_list, out, transfer)
@@ -272,7 +247,7 @@ class ShardRouter(KVSystem):
     ) -> None:
         """Second read of in-flight misses against the transfer source.
 
-        Runs on the foreground after the scatter barrier: keys in the
+        Runs after every shard answered its sub-batch: keys in the
         in-flight range route to the destination, but ones not yet
         copied still live on the source.
         """
@@ -291,15 +266,11 @@ class ShardRouter(KVSystem):
     def delete_many(self, keys: Iterable[int]) -> list[bool]:
         key_list = list(keys)
         batches, positions = self.partitioner.split_indexed(key_list)
-        shards = self.shards
-        dispatched = [sid for sid, batch in enumerate(batches) if batch]
-        work = [partial(shards[sid].delete_many, batches[sid]) for sid in dispatched]
-        per_shard_flags = self._dispatch(dispatched, work)
         out: list[bool] = [False] * len(key_list)
-        for sid, flags in zip(dispatched, per_shard_flags, strict=True):
-            pos = positions[sid]
-            for i, flag in zip(pos, flags, strict=True):
-                out[i] = flag
+        for shard, batch, pos in zip(self.shards, batches, positions, strict=True):
+            if batch:
+                for i, flag in zip(pos, shard.delete_many(batch), strict=True):
+                    out[i] = flag
         transfer = self.transfer
         if transfer is not None:
             # Deletes of the in-flight range must reach the source copy
@@ -337,8 +308,7 @@ class ShardRouter(KVSystem):
                     break
             result = out[:count]
         else:
-            work = [partial(shards[sid].scan, key, count) for sid in consult]
-            per_shard = self._dispatch(consult, work)
+            per_shard = [shards[sid].scan(key, count) for sid in consult]
             merged = heapq_merge(*per_shard, key=itemgetter(0))
             result = [pair for pair, __ in zip(merged, range(count))]
         if self.sanitizer is not None:
@@ -405,9 +375,6 @@ class ShardRouter(KVSystem):
         for shard in self.shards:
             shard.flush()
 
-    def close(self) -> None:
-        self.pool.close()
-
     def shard_snapshots(self) -> list[Snapshot]:
         return [shard.snapshot() for shard in self.shards]
 
@@ -427,6 +394,5 @@ class ShardRouter(KVSystem):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardRouter({self.base_system!r}, shards={self.num_shards}, "
-            f"partitioner={type(self.partitioner).__name__}, "
-            f"workers={self.pool.workers})"
+            f"partitioner={type(self.partitioner).__name__})"
         )

@@ -124,7 +124,6 @@ def test_factory_budget_spec_routes_to_router():
     assert router.fleet.budget_config == BudgetConfig()
     names = {task.name for task in router.runtime.scheduler.tasks}
     assert "budget" in names
-    router.close()
     with pytest.raises(ValueError, match="drop the explicit"):
         build_system(
             "Sharded@budget=on",
@@ -145,7 +144,6 @@ def test_router_opens_with_equal_budgets():
     per = router.fleet.budgets[0]
     assert router.fleet.budgets == [per] * 4
     assert sum(router.fleet.budgets) == router.fleet.total
-    router.close()
 
 
 def test_apply_budgets_validates_coverage_and_conservation():
@@ -158,7 +156,6 @@ def test_apply_budgets_validates_coverage_and_conservation():
     router.fleet.apply_budgets([total - total // 4, total // 4])
     assert router.fleet.budgets == [total - total // 4, total // 4]
     assert check_shard_router(router) == []
-    router.close()
 
 
 def test_router_total_resize_preserves_ratios():
@@ -170,7 +167,6 @@ def test_router_total_resize_preserves_ratios():
     assert router.fleet.total == 2 * total
     # The 3:1 shape survives the pool resize.
     assert router.fleet.budgets[0] > 2 * router.fleet.budgets[1]
-    router.close()
 
 
 def test_budget_round_follows_heat():
@@ -188,7 +184,6 @@ def test_budget_round_follows_heat():
     # Contents survive the resize and the ledger stays clean.
     assert router.get_many(keys) == [VALUE] * len(keys)
     assert check_shard_router(router) == []
-    router.close()
 
 
 def test_budget_round_hysteresis_and_min_load_gates():
@@ -204,7 +199,6 @@ def test_budget_round_hysteresis_and_min_load_gates():
     router.fleet.budget_tick()
     assert router.fleet.budgets == equal
     assert router.fleet.resplits == 0
-    router.close()
 
 
 def test_budget_round_floor_protects_cold_shards():
@@ -215,7 +209,6 @@ def test_budget_round_floor_protects_cold_shards():
     equal = router.fleet.total / 2
     assert router.fleet.budgets[1] >= int(equal * 0.25)
     assert sum(router.fleet.budgets) == router.fleet.total
-    router.close()
 
 
 def test_budget_rounds_skip_while_migration_in_flight():
@@ -229,7 +222,6 @@ def test_budget_rounds_skip_while_migration_in_flight():
     heat_shard(router, 0, 10_000.0)
     router.fleet.budget_tick()
     assert router.fleet.budgets == equal  # skipped: placement still moving
-    router.close()
 
 
 def test_budget_resize_charges_nothing():
@@ -245,7 +237,6 @@ def test_budget_resize_charges_nothing():
         delta = snap.delta(shard.snapshot())
         assert delta.cpu_ns == 0.0
         assert delta.disk_busy_ns == 0.0
-    router.close()
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +288,6 @@ def test_sharded_art_multi_fleet_takes_budget_resplits():
     assert cold.index.config.memory_limit_bytes == router.fleet.budgets[1]
     assert router.fleet.budgets[0] > router.fleet.budgets[1]
     assert router.get_many(keys) == [VALUE] * len(keys)
-    router.close()
 
 
 def test_set_memory_limit_shrink_reparts_bplus_pool():
@@ -417,8 +407,6 @@ def test_begin_split_validates_preconditions():
     hash_router = ShardRouter(shards=2, memory_limit_bytes=LIMIT, partitioner="hash")
     with pytest.raises(ValueError, match="weighted"):
         hash_router.fleet.begin(0, 1, 10, spawn=True)
-    hash_router.close()
-    router.close()
 
 
 def test_merge_validates_sid_range():
@@ -427,7 +415,6 @@ def test_merge_validates_sid_range():
         router.fleet.begin(0, -1)
     with pytest.raises(ValueError, match="left neighbour"):
         router.fleet.begin(2, 1)
-    router.close()
 
 
 def test_fleet_change_resets_heat_ledger():
@@ -438,7 +425,6 @@ def test_fleet_change_resets_heat_ledger():
     assert router.heat.shards == 3
     assert router.heat.ops == [0.0, 0.0, 0.0]
     assert router.heat.total_ops == [0, 0, 0]
-    router.close()
 
 
 def test_sanitizer_flags_budget_ledger_corruption():
@@ -451,7 +437,6 @@ def test_sanitizer_flags_budget_ledger_corruption():
     router.fleet.budgets.append(1)  # breaks coverage
     violations = check_shard_router(router)
     assert any(v.check == "shard-budget" for v in violations)
-    router.close()
 
 
 def test_sanitizer_flags_merge_descriptor_mismatch():
@@ -462,7 +447,6 @@ def test_sanitizer_flags_merge_descriptor_mismatch():
     router.transfer.dst = 2  # a merge must drain into the left neighbour
     violations = check_shard_router(router)
     assert any(v.check == "shard-merge" for v in violations)
-    router.close()
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each rule gets a violating fixture and a clean twin fed through
 the engine's ``run`` under a ``lsm/``-prefixed rel path (inside the
-analysis scope), mirroring ``test_check_racecheck.py``: the fixture
+analysis scope), like the other rule families' tests: the fixture
 *is* the contract.  The tail of the file pins the CLI behaviours the
 CI pipeline depends on — ``--rules`` parsing, ``--list-rules`` output,
 the generated DESIGN.md rule table, and RL3xx presence in SARIF.

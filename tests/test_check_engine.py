@@ -51,9 +51,9 @@ def test_full_run_parses_each_file_once_and_builds_two_call_graphs(monkeypatch):
 
     files = {str(path) for path in SRC.rglob("*.py")}
     assert {name: n for name, n in parsed.items() if name in files} == dict.fromkeys(files, 1)
-    # The full tree (RL1xx + RL2xx) and the charge scope (RL3xx): no third.
+    # The full tree (RL1xx) and the charge scope (RL3xx): no third.
     assert len(graphs) == 2 and graphs[0] == len(files) > graphs[1]
-    # RL102, RL103, the escape analysis and the charge pass all want CFGs.
+    # RL102, RL103 and the charge pass all want CFGs.
     assert cfgs and set(cfgs.values()) == {1}
 
 
@@ -69,7 +69,7 @@ def test_two_askers_get_the_same_cfg_object():
 def test_rule_table_is_the_one_catalogue():
     ids = [rule.rule_id for rule in RULES]
     assert len(ids) == len(set(ids))
-    assert {rule.family for rule in RULES} == {"shallow", "deep", "concurrency", "charge"}
+    assert {rule.family for rule in RULES} == {"shallow", "deep", "charge"}
     # Only the loader's RL000 and the runtime oracle RL305 have no pass.
     assert [rule.rule_id for rule in RULES if rule.check is None] == ["RL000", "RL305"]
 
@@ -107,3 +107,31 @@ def test_rl000_is_a_catalogued_rule(pkg, capsys):
     declared = {rule["id"] for rule in run_doc["tool"]["driver"]["rules"]}
     assert {result["ruleId"] for result in run_doc["results"]} <= declared
     assert "RL000" in declared
+
+
+# -- the stale-pragma audit ------------------------------------------------
+
+
+def write_module(tmp_path, source: str) -> Path:
+    target = tmp_path / "mod.py"
+    target.write_text(source, encoding="utf-8")
+    return target
+
+
+def test_cli_unused_pragmas_reports_stale(tmp_path, capsys):
+    target = write_module(tmp_path, "import bisect  # reprolint: allow[RL004]\n")
+    assert main(["--unused-pragmas", str(target)]) == 1
+    out = capsys.readouterr().out
+    assert "stale pragma" in out and "RL004" in out
+
+
+def test_cli_unused_pragmas_keeps_live_ones(tmp_path):
+    target = write_module(tmp_path, "import time  # reprolint: allow[RL004]\n")
+    assert main(["--unused-pragmas", str(target)]) == 0
+    # The suppressed finding keeps the lint run itself green.
+    assert main([str(target)]) == 0
+
+
+def test_cli_unused_pragmas_clean_tree(tmp_path):
+    target = write_module(tmp_path, "x = 1\n")
+    assert main(["--unused-pragmas", str(target)]) == 0

@@ -70,55 +70,6 @@ def test_parallel_run_matches_serial_and_committed(tmp_path):
         assert parallel_bytes == committed
 
 
-# ----------------------------------------------------------------------
-# Shard router: threaded dispatch must be byte-identical to serial.
-# Each pool thunk owns exactly one shard's entire simulated substrate
-# and results are gathered in submission order, so worker scheduling
-# cannot influence any simulated account.
-# ----------------------------------------------------------------------
-
-
-def _drive_router(workers: int, shards: int = 4):
-    """A mixed batched workload; returns every observable output."""
-    from repro.systems import build_system
-    from repro.workloads import random_insert_keys
-
-    router = build_system(
-        "Sharded",
-        memory_limit_bytes=192 * 1024,
-        base_system="ART-LSM",
-        shards=shards,
-        workers=workers,
-    )
-    keys = random_insert_keys(2500, key_space=1 << 40, seed=21)
-    router.put_many(keys, b"v" * 24)
-    values = router.get_many(keys[::2] + [5, 6, 7])
-    scan = router.scan(min(keys), 48)
-    flags = router.delete_many(keys[::5])
-    router.put_many(keys[::5], b"w" * 24)  # re-insert over tombstones
-    values2 = router.get_many(keys[:200])
-    snaps = [
-        (s.cpu_ns, s.background_ns, s.disk_busy_ns, s.ops, s.disk_read_bytes, s.disk_write_bytes)
-        for s in router.shard_snapshots()
-    ]
-    stats = [shard.stats.as_dict() for shard in router.shards]
-    router.close()
-    return values, scan, flags, values2, snaps, stats
-
-
-def test_router_threaded_dispatch_is_byte_identical_to_serial():
-    serial = _drive_router(workers=0)
-    threaded = _drive_router(workers=4)
-    assert serial == threaded
-
-
-def test_router_stats_independent_of_worker_count():
-    # Per-shard simulated accounts must not depend on how many workers
-    # the dispatch pool happens to have (2 vs 4 vs serial).
-    runs = [_drive_router(workers=w) for w in (1, 2, 4)]
-    assert runs[0] == runs[1] == runs[2]
-
-
 def test_parallel_rejects_bad_worker_count(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)

@@ -86,16 +86,6 @@ def test_unpin_without_pin_raises():
         pool.unpin(pid)
 
 
-def test_drop_page_frees_disk_space():
-    pool, disk = make_pool()
-    pid = pool.new_page(leaf_with(1))
-    pool.flush_all()
-    assert disk.used_bytes > 0
-    pool.drop_page(pid)
-    assert not pool.is_resident(pid)
-    assert disk.used_bytes == 0
-
-
 def test_proactive_writeback_targets_most_dirtied():
     pool, __ = make_pool(capacity_pages=4, dirty_fraction=0.5, writeback_batch_fraction=0.25)
     pids = [pool.new_page(leaf_with(1)) for __ in range(4)]

@@ -152,7 +152,6 @@ def test_one_transfer_lifecycle(case):
     # The moved range physically lives on the destination engine now.
     for key in moved[:: max(1, len(moved) // 20)]:
         assert dst_engine.read(key) == model[key]
-    router.close()
 
 
 def test_begin_rejects_a_second_transfer_and_bad_geometry():
@@ -170,7 +169,6 @@ def test_begin_rejects_a_second_transfer_and_bad_geometry():
     fleet.begin(1, 2, (lo + hi) // 2)
     with pytest.raises(RuntimeError, match="in flight"):
         fleet.begin(1, 0)
-    router.close()
 
 
 def test_snapshot_is_monotone_across_split_and_merge():
@@ -208,4 +206,3 @@ def test_snapshot_is_monotone_across_split_and_merge():
     assert sum(fleet.budgets) == total == fleet.total
     assert router.get_many(keys) == [VALUE] * len(keys)
     assert check_shard_router(router) == []
-    router.close()

@@ -15,7 +15,6 @@ from repro.shard import (
     HashPartitioner,
     RangePartitioner,
     ShardRouter,
-    ShardWorkerPool,
     make_partitioner,
 )
 from repro.systems import build_system, registered_systems
@@ -68,23 +67,12 @@ def test_make_partitioner_rejects_unknown_kind():
         make_partitioner("consistent", 4, 1 << 40)
 
 
-# -- worker pool ---------------------------------------------------------
-
-
-def test_pool_serial_and_threaded_preserve_submission_order():
-    thunks = [lambda i=i: i * i for i in range(20)]
-    with ShardWorkerPool(0) as serial, ShardWorkerPool(4) as threaded:
-        assert not serial.threaded
-        assert threaded.threaded
-        assert serial.run(thunks) == threaded.run(thunks) == [i * i for i in range(20)]
-
-
 # -- router vs reference model ------------------------------------------
 
 
 @pytest.fixture(params=["hash", "range"])
 def router(request):
-    r = build_system(
+    return build_system(
         "Sharded",
         memory_limit_bytes=LIMIT,
         base_system="ART-LSM",
@@ -92,8 +80,6 @@ def router(request):
         partitioner=request.param,
         key_space=1 << 40,
     )
-    yield r
-    r.close()
 
 
 def test_router_roundtrip_matches_reference_model(router):
@@ -160,26 +146,14 @@ def test_router_rejects_bad_shard_count():
         ShardRouter(shards=0)
 
 
-def test_router_threaded_dispatch_matches_serial():
-    keys = random_insert_keys(2000, key_space=1 << 40, seed=29)
-
-    def run(workers: int):
-        r = build_system(
-            "Sharded", memory_limit_bytes=LIMIT, base_system="ART-LSM", shards=4, workers=workers
-        )
-        r.put_many(keys, VALUE)
-        values = r.get_many(keys[::2])
-        scan = r.scan(min(keys), 40)
-        flags = r.delete_many(keys[::5])
-        snaps = [
-            (s.cpu_ns, s.background_ns, s.disk_busy_ns, s.ops, s.disk_read_bytes, s.disk_write_bytes)
-            for s in r.shard_snapshots()
-        ]
-        stats = [shard.stats.as_dict() for shard in r.shards]
-        r.close()
-        return values, scan, flags, snaps, stats
-
-    assert run(0) == run(2) == run(4)
+@pytest.mark.parametrize("workers", [2, 4])
+def test_router_rejects_worker_threads(workers):
+    # Batches are dispatched serially; 0 and 1 are the only accepted
+    # values, kept for callers that still pass the keyword.
+    with pytest.raises(ValueError, match="workers"):
+        build_system("Sharded", memory_limit_bytes=LIMIT, shards=4, workers=workers)
+    for serial in (0, 1):
+        assert build_system("Sharded", memory_limit_bytes=LIMIT, shards=2, workers=serial)
 
 
 # -- factory -------------------------------------------------------------
@@ -208,7 +182,6 @@ def test_router_wraps_every_table1_system(base):
     keys = random_insert_keys(300, key_space=1 << 40, seed=31)
     router.put_many(keys, VALUE)
     assert router.get_many(keys[:30]) == [VALUE] * 30
-    router.close()
 
 
 # -- sanitizer -----------------------------------------------------------
@@ -275,3 +248,29 @@ def test_serve_cli_runs(capsys):
     assert main(["--shards", "2", "--clients", "4", "--ops", "400", "--keys", "300"]) == 0
     out = capsys.readouterr().out
     assert "kops/sim-s" in out
+
+
+def test_serve_cli_has_no_workers_flag(capsys):
+    from repro.bench.serve import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--workers", "2", "--ops", "10"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "runner, name, value",
+    [
+        ("run_serve", "ops", 0),
+        ("run_serve", "clients", 0),
+        ("run_serve_skew", "ops", 0),
+        ("run_serve_skew", "rate_kops", 0.0),
+        ("run_serve_skew", "rate_kops", -5.0),
+    ],
+)
+def test_serve_rejects_empty_runs_by_name(runner, name, value):
+    from repro.bench import serve
+
+    with pytest.raises(ValueError, match=name):
+        getattr(serve, runner)(keys=200, **{name: value})
