@@ -61,6 +61,7 @@ from time import perf_counter  # reprolint: allow[RL004]
 from typing import Any
 
 from repro.shard.config import BudgetConfig, RebalanceConfig
+from repro.shard.partition import PARTITIONERS
 
 __all__ = ["run_serve", "run_serve_skew", "main"]
 
@@ -707,7 +708,7 @@ def main(argv: list[str] | None = None) -> int:
         help="Zipfian skew (default 0.7; 0.99 with --skew)",
     )
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--partitioner", choices=("hash", "range", "weighted"), default="hash")
+    parser.add_argument("--partitioner", choices=PARTITIONERS, default="hash")
     parser.add_argument("--memory-bytes", type=int, default=None, help="total budget")
     parser.add_argument("--sweep", default=None, help="comma-separated shard counts")
     parser.add_argument(

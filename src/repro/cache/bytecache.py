@@ -53,13 +53,17 @@ class PolicyCache(Generic[K, V]):
         return entry[0]
 
     def put(self, key: K, value: V, nbytes: int) -> None:
-        """Insert ``value`` charged at ``nbytes``; oversized values are skipped."""
-        if nbytes > self.capacity_bytes:
-            return
+        """Insert ``value`` charged at ``nbytes``, replacing ``key``'s entry.
+
+        An oversized value is not cached, but the entry it replaces is
+        still dropped: ``get`` never returns a value its caller replaced.
+        """
         old = self._entries.pop(key, None)
         if old is not None:
             self.used_bytes -= old[1]
             self.policy.on_remove(key)
+        if nbytes > self.capacity_bytes:
+            return
         self._entries[key] = (value, nbytes)
         self.used_bytes += nbytes
         self.policy.on_insert(key, nbytes)

@@ -830,20 +830,30 @@ def _test_mentions_cache(elem: Element) -> bool:
 def _zero_path_is_cache_guarded(
     fa: _FuncCharge, vec_of: dict[str, Vec], effect: int
 ) -> bool:
-    """True when every zero-charge path crosses a cache-hit predicate."""
+    """True when every zero-charge path crosses a cache-hit predicate.
+
+    A path through a ``raise`` is an exception path, which must charge
+    nothing (RL304's concern), so it is never an uncharged fast path:
+    validating an argument first leaves the contract intact.
+    """
     cfg = fa.cfg
-    definite = set()
+    # Blocks that charge on every visit, or that leave by raising.
+    covered = {
+        block.bid
+        for block in cfg.blocks
+        if any(isinstance(elem, ast.Raise) for elem in block.elements)
+    }
     for elem in fa.elems:
         if _elem_vec(elem, vec_of)[effect][0] >= 1:
-            definite.add(elem.bid)
-    if not cfg.reachable(cfg.entry, cfg.exit, avoid=frozenset(definite)):
+            covered.add(elem.bid)
+    if not cfg.reachable(cfg.entry, cfg.exit, avoid=frozenset(covered)):
         return True  # no zero path at all (lo dipped via a loop join)
     guards = set()
     for block in cfg.blocks:
         if any(_test_mentions_cache(e) for e in block.elements):
             guards.add(block.bid)
     return not cfg.reachable(
-        cfg.entry, cfg.exit, avoid=frozenset(definite | guards)
+        cfg.entry, cfg.exit, avoid=frozenset(covered | guards)
     )
 
 

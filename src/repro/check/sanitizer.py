@@ -56,10 +56,10 @@ from repro.btree.node import BInner, BLeaf, BNode
 from repro.btree.tree import BPlusTree
 from repro.core.multi_y import RoutedIndexY
 from repro.diskbtree.bufferpool import BufferPool
-from repro.diskbtree.page import InnerPage, LeafPage
+from repro.diskbtree.page import LeafPage
 from repro.cache.bytecache import PolicyCache
 from repro.diskbtree.tree import DiskBPlusTree
-from repro.lsm.store import TOMBSTONE, LSMStore
+from repro.lsm.store import MAX_LEVELS, TOMBSTONE, LSMStore
 
 if TYPE_CHECKING:
     from repro.core.indexy import IndeXY
@@ -94,6 +94,9 @@ __all__ = [
 #: cap on violations one walk reports for a single check (a corrupted
 #: structure tends to trip the same assertion everywhere).
 _MAX_PER_CHECK = 8
+#: recently deleted keys an ``IndexSanitizer`` keeps for its
+#: no-resurrection sample.
+_MAX_DELETED_TRACKED = 512
 
 
 @dataclass(frozen=True)
@@ -685,7 +688,7 @@ def check_lsm(store: LSMStore, max_deep_tables: Optional[int] = None) -> list[Vi
     if store.row_cache is not None:
         for violation in check_policy_cache(store.row_cache, "lsm-row-cache"):
             out.add(violation.check, violation.message)
-    for level in range(1, store.config.max_levels):
+    for level in range(1, MAX_LEVELS):
         tables = store.levels[level]
         for i, table in enumerate(tables):
             if table.min_key > table.max_key:
@@ -711,7 +714,7 @@ def check_lsm(store: LSMStore, max_deep_tables: Optional[int] = None) -> list[Vi
     # Deep per-table checks, newest first so a truncated budget still
     # covers the tables reads consult first.
     ordered = list(store.levels[0])
-    for level in range(1, store.config.max_levels):
+    for level in range(1, MAX_LEVELS):
         ordered.extend(store.levels[level])
     budget = len(ordered) if max_deep_tables is None else max_deep_tables
     deep = ordered[: max(0, budget)]
@@ -885,18 +888,13 @@ class IndexSanitizer(PeriodicSanitizer):
     :class:`CheckError`.
     """
 
-    def __init__(
-        self,
-        index: "IndeXY",
-        interval: int = 256,
-        max_deleted_tracked: int = 512,
-    ) -> None:
+    def __init__(self, index: "IndeXY", interval: int = 256) -> None:
         super().__init__(interval)
         self.index = index
-        self.max_deleted_tracked = max_deleted_tracked
         index.runtime.subscribe(refuse_backwards_time)
-        #: recently deleted keys (insertion-ordered, bounded) — the
-        #: no-resurrection sample of the structural sweep.
+        #: recently deleted keys (insertion-ordered, at most
+        #: ``_MAX_DELETED_TRACKED``) — the no-resurrection sample of the
+        #: structural sweep.
         self._deleted: dict[bytes, None] = {}
 
     # -- bookkeeping ----------------------------------------------------
@@ -905,7 +903,7 @@ class IndexSanitizer(PeriodicSanitizer):
 
     def note_delete(self, key: bytes) -> None:
         self._deleted[key] = None
-        while len(self._deleted) > self.max_deleted_tracked:
+        while len(self._deleted) > _MAX_DELETED_TRACKED:
             self._deleted.pop(next(iter(self._deleted)))
 
     # -- hook points ----------------------------------------------------

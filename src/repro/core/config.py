@@ -99,37 +99,25 @@ class IndeXYConfig:
             prevents release thrash (Section II-A).
         preclean_interval_inserts: the insert-count timer; the pre-cleaning
             thread makes one list pass each time this many inserts land
-            (Section II-B).  Must stay well below the watermark gap in
-            keys, or releases outrun the cleaner and find dirty subtrees.
-        preclean_batch_keys: how many keys one pass aims to write back
-            (defaults to the timer interval, pace-matching the insert
-            rate).
+            (Section II-B), and one pass aims to write back as many keys,
+            pace-matching the insert rate.  Must stay well below the
+            watermark gap in keys, or releases outrun the cleaner and find
+            dirty subtrees.
         partition_depth: starting tree level of the pre-cleaner's
             inner-node list; the cleaner walks deeper if path compression
-            leaves fewer than ``min_partition_regions`` regions there.
-        min_partition_regions: minimum number of key regions the
-            pre-cleaner wants on its list (region granularity control,
-            Section II-B).
-        sample_every: counter-update sampling period for access/insert
-            statistics (Section II-C's overhead control).
-        density_variation_threshold: SplitAndReplace splits a node when its
-            children's density spread exceeds this fraction of the parent's
-            density (Algorithm 1; 20% default per the paper).
-        release_margin_fraction: acceptable overshoot above the release
-            target before the algorithm prefers splitting (Algorithm 1's
-            "margin").
+            leaves too few regions there
+            (``precleaner.MIN_PARTITION_REGIONS``).
+
+    Algorithm 1's fixed parameters live next to the code that reads them:
+    ``release.MARGIN_FRACTION`` and ``release.VARIATION_THRESHOLD``, and
+    the counter sampling period ``indexy.SAMPLE_EVERY``.
     """
 
     memory_limit_bytes: int
     high_watermark: float = 0.95
     low_watermark: float = 0.80
     preclean_interval_inserts: int = 512
-    preclean_batch_keys: int | None = None
     partition_depth: int = 2
-    min_partition_regions: int = 16
-    sample_every: int = 4
-    density_variation_threshold: float = 0.20
-    release_margin_fraction: float = 0.10
 
     def __post_init__(self) -> None:
         if self.memory_limit_bytes <= 0:

@@ -35,6 +35,10 @@ from repro.core.release import ReleasePolicy
 from repro.sim.effects import charges
 from repro.sim.runtime import EngineRuntime
 
+#: counter-update sampling period of Index X's access/insert statistics
+#: once tracking starts (Section II-C's overhead control).
+SAMPLE_EVERY = 4
+
 
 class IndeXY:
     """An extensible index integrating Index X (memory) and Index Y (disk)."""
@@ -239,7 +243,7 @@ class IndeXY:
     def _after_growth(self) -> None:
         memory = self.x.memory_bytes
         if self.budget.should_start_tracking(memory):
-            self.x.enable_tracking(self.config.sample_every)
+            self.x.enable_tracking(SAMPLE_EVERY)
             self.stats.bump("tracking_started")
         if self.budget.over_high_watermark(memory):
             self.runtime.scheduler.request(self._release_task)
@@ -271,12 +275,7 @@ class IndeXY:
         target = self.budget.release_target_bytes(memory)
         if target <= 0:
             return 0
-        refs = self.release_policy.select(
-            self.x,
-            target,
-            self.config.release_margin_fraction,
-            self.config.density_variation_threshold,
-        )
+        refs = self.release_policy.select(self.x, target)
         released = 0
         for ref in refs:
             batch = list(self.x.iter_dirty_entries(ref.node))

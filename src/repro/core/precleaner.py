@@ -36,6 +36,10 @@ from repro.core.config import IndeXYConfig
 from repro.core.interfaces import IndexX, IndexY, SubtreeNode, SubtreeRef
 from repro.sim.stats import StatCounters
 
+#: minimum number of key regions the pre-cleaner wants on its list
+#: (region granularity control, Section II-B).
+MIN_PARTITION_REGIONS = 16
+
 
 class PreCleaner:
     """The pre-cleaning "thread" (a paced task on the background scheduler)."""
@@ -80,11 +84,11 @@ class PreCleaner:
         "sufficiently large to accumulate dirty keys for batching writes"
         (Section II-B).  Path compression can collapse the top of the tree,
         so the level is chosen by walking deeper until the partition has at
-        least ``min_partition_regions`` regions (or the tree runs out of
+        least ``MIN_PARTITION_REGIONS`` regions (or the tree runs out of
         depth).
         """
         refs = self.index_x.partition(self._depth)
-        while len(refs) < self.config.min_partition_regions and self._depth < 12:
+        while len(refs) < MIN_PARTITION_REGIONS and self._depth < 12:
             deeper = self.index_x.partition(self._depth + 1)
             if len(deeper) == len(refs):
                 break
@@ -116,7 +120,7 @@ class PreCleaner:
         refs = self._region_list()
         if not refs:
             return False
-        quota = self.config.preclean_batch_keys or self.config.preclean_interval_inserts
+        quota = self.config.preclean_interval_inserts
         n = len(refs)
         start = self._cursor % n
         fallbacks: list[tuple[int, object]] = []

@@ -29,6 +29,17 @@ from dataclasses import dataclass
 
 from repro.core.interfaces import IndexX, SubtreeNode, SubtreeRef
 
+#: Algorithm 1's "margin": acceptable overshoot above the release target,
+#: as a fraction of it, before the algorithm prefers splitting.
+MARGIN_FRACTION = 0.10
+#: SplitAndReplace splits a candidate whose children's density spread
+#: exceeds this fraction of its own density (20 %, Section II-C).
+VARIATION_THRESHOLD = 0.20
+#: refinement rounds before selection gives up and raises.
+_MAX_ITERATIONS = 10_000
+#: seed of the ``random`` ablation policy's shuffles.
+_RANDOM_SEED = 1234
+
 
 @dataclass
 class _Candidate:
@@ -51,13 +62,7 @@ def _make_candidate(index_x: IndexX, ref: SubtreeRef) -> _Candidate:
     return _Candidate(ref=ref, size=index_x.subtree_memory(ref.node), density=_density(ref.node))
 
 
-def select_for_release(
-    index_x: IndexX,
-    target_bytes: int,
-    margin_fraction: float = 0.10,
-    variation_threshold: float = 0.20,
-    max_iterations: int = 10_000,
-) -> list[SubtreeRef]:
+def select_for_release(index_x: IndexX, target_bytes: int) -> list[SubtreeRef]:
     """Run Algorithm 1: pick subtrees totalling ~``target_bytes``.
 
     Returns refs ordered by increasing density.  The refs are disjoint
@@ -65,10 +70,10 @@ def select_for_release(
     """
     if target_bytes <= 0:
         return []
-    margin = margin_fraction * target_bytes
+    margin = MARGIN_FRACTION * target_bytes
     candidates = [_make_candidate(index_x, index_x.root_ref())]
 
-    for __ in range(max_iterations):
+    for __ in range(_MAX_ITERATIONS):
         total = 0
         chosen_end = None
         for pos, cand in enumerate(candidates):
@@ -83,21 +88,19 @@ def select_for_release(
             return [c.ref for c in candidates]
         if chosen_end is not None:
             return [c.ref for c in candidates[: chosen_end + 1]]
-        replaced = _split_and_replace(index_x, candidates, variation_threshold)
+        replaced = _split_and_replace(index_x, candidates)
         if not replaced:
             # Nothing splittable: accept the overshooting prefix.
             return [c.ref for c in candidates[: pos + 1]]
     raise RuntimeError("release selection did not converge")
 
 
-def _split_and_replace(
-    index_x: IndexX, candidates: list[_Candidate], variation_threshold: float
-) -> bool:
+def _split_and_replace(index_x: IndexX, candidates: list[_Candidate]) -> bool:
     """Replace one node with its children, preserving density order.
 
     Node choice follows Algorithm 1's ``SplitAndReplace``: scan candidates
     from largest size; pick the first whose children's density spread
-    exceeds ``variation_threshold`` of the parent's density; if none
+    exceeds ``VARIATION_THRESHOLD`` of the parent's density; if none
     qualifies, take the largest splittable node.  Returns False when no
     candidate has children (the list cannot be refined further).
     """
@@ -116,7 +119,7 @@ def _split_and_replace(
             fallback = cand
         densities = [c.density for c in children]
         spread = max(densities) - min(densities)
-        if spread > variation_threshold * max(cand.density, 1e-12):
+        if spread > VARIATION_THRESHOLD * max(cand.density, 1e-12):
             chosen = cand
             break
     if chosen is None:
@@ -141,26 +144,18 @@ class ReleasePolicy:
     (an LRU-of-subtrees stand-in); ``random`` picks partitions blindly.
     """
 
-    def __init__(self, kind: str = "density", partition_depth: int = 2, seed: int = 1234) -> None:
+    def __init__(self, kind: str = "density", partition_depth: int = 2) -> None:
         if kind not in ("density", "coarse", "random"):
             raise ValueError(f"unknown release policy {kind!r}")
         self.kind = kind
         self.partition_depth = partition_depth
         import random
 
-        self._rng = random.Random(seed)
+        self._rng = random.Random(_RANDOM_SEED)
 
-    def select(
-        self,
-        index_x: IndexX,
-        target_bytes: int,
-        margin_fraction: float,
-        variation_threshold: float,
-    ) -> list[SubtreeRef]:
+    def select(self, index_x: IndexX, target_bytes: int) -> list[SubtreeRef]:
         if self.kind == "density":
-            return select_for_release(
-                index_x, target_bytes, margin_fraction, variation_threshold
-            )
+            return select_for_release(index_x, target_bytes)
         refs = index_x.partition(self.partition_depth)
         if self.kind == "coarse":
             refs = sorted(refs, key=lambda r: _density(r.node))

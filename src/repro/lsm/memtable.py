@@ -19,6 +19,9 @@ from repro.sim.effects import charges
 
 _MAX_LEVEL = 16
 _NODE_OVERHEAD = 32  # pointers + lengths in the C layout
+#: every MemTable's level-draw seed: a fresh table repeats the same tower
+#: heights, so runs are deterministic.
+_SEED = 0x5EED
 
 
 class _SkipNode:
@@ -33,15 +36,10 @@ class _SkipNode:
 class MemTable:
     """Ordered write buffer with byte-size accounting."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        costs: CostModel,
-        seed: int = 0x5EED,
-    ) -> None:
+    def __init__(self, clock: SimClock, costs: CostModel) -> None:
         self._clock = clock
         self._costs = costs
-        self._rng = random.Random(seed)
+        self._rng = random.Random(_SEED)
         self._head = _SkipNode(b"", b"", _MAX_LEVEL)
         self._level = 1
         self.entry_count = 0

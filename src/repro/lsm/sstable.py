@@ -35,6 +35,8 @@ from repro.sim.effects import charges
 _ENTRY_HEADER = Struct(">HI")
 #: stands in for an entry's header when only the encoded size is wanted.
 _HEADER_PAD = bytes(_ENTRY_HEADER.size)
+#: bloom-filter bits per key of every table (RocksDB's default).
+_BITS_PER_KEY = 10
 
 
 def encode_block(entries: list[tuple[bytes, bytes]]) -> bytes:
@@ -171,7 +173,7 @@ class SSTable:
     # disk_write is '*' not '+': the writes sit in a per-block loop, and the
     # nonempty-pairs guarantee that makes it >=1 at runtime is dynamic
     # (DESIGN.md §12, known imprecision).
-    @charges("cpu_charge?", "bg_charge?", "disk_write*")
+    @charges("bg_charge", "disk_write*")
     def build(
         cls,
         table_id: int,
@@ -180,13 +182,13 @@ class SSTable:
         costs: CostModel,
         pairs: list[tuple[bytes, bytes]],
         block_size: int = 4096,
-        bits_per_key: int = 10,
-        background: bool = False,
     ) -> "SSTable":
         """Write ``pairs`` (sorted, unique keys) as a new table.
 
         The extent is allocated once and blocks are written back-to-back,
-        so every write after the first is sequential on the device.
+        so every write after the first is sequential on the device.  Tables
+        are built by flush and compaction only, so the copy CPU is charged
+        to the background account.
         """
         if not pairs:
             raise ValueError("cannot build an empty SSTable")
@@ -205,12 +207,9 @@ class SSTable:
             first_keys.append(block[0][0])
             cursor += len(blob)
             cpu_ns += costs.copy_cost(len(blob))
-        if background:
-            clock.charge_background(cpu_ns)
-        else:
-            clock.charge_cpu(cpu_ns)
+        clock.charge_background(cpu_ns)
 
-        bloom = BloomFilter.build(map(itemgetter(0), pairs), bits_per_key)
+        bloom = BloomFilter.build(map(itemgetter(0), pairs), _BITS_PER_KEY)
         return cls(
             table_id=table_id,
             disk=disk,

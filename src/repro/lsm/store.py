@@ -42,6 +42,8 @@ from repro.sim.stats import StatCounters
 #: Deletion marker. Chosen to be an impossible user value (values are
 #: opaque bytes; the store owns this sentinel and strips it on reads).
 TOMBSTONE = b"\x00__tombstone__\x00"
+#: level 0 plus six sorted levels (RocksDB's default ``num_levels``).
+MAX_LEVELS = 7
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,9 @@ class LSMConfig:
     #: historical behaviour and keeps committed results byte-identical.
     block_cache_policy: str = "lru"
     row_cache_policy: str = "lru"
-    bits_per_key: int = 10
     level0_table_limit: int = 4
     level1_bytes: int = 1 * 1024 * 1024
     level_size_multiplier: int = 10
-    max_levels: int = 7
 
 
 class LSMStore:
@@ -88,12 +88,12 @@ class LSMStore:
         self._memtable = self._new_memtable()
         #: levels[0] is newest-first and may overlap; levels[n>=1] are
         #: sorted by min_key and disjoint.
-        self.levels: list[list[SSTable]] = [[] for __ in range(self.config.max_levels)]
+        self.levels: list[list[SSTable]] = [[] for __ in range(MAX_LEVELS)]
         #: per-level ``[t.min_key for t in tables]`` memo for the read
         #: path's bisect; invalidated whenever the level's table list
         #: changes.  Pure wall-clock: the bisect sees the same list either
         #: way, so simulated results are untouched.
-        self._min_keys: list[Optional[list[bytes]]] = [None] * self.config.max_levels
+        self._min_keys: list[Optional[list[bytes]]] = [None] * MAX_LEVELS
         self.block_cache = PolicyCache(
             self.config.block_cache_bytes, self.config.block_cache_policy
         )
@@ -104,7 +104,7 @@ class LSMStore:
         )
 
     def _new_memtable(self) -> MemTable:
-        return MemTable(self.clock, self.costs, seed=0x5EED)
+        return MemTable(self.clock, self.costs)
 
     # ------------------------------------------------------------------
     # writes
@@ -136,8 +136,6 @@ class LSMStore:
             self.costs,
             pairs,
             block_size=self.config.block_size,
-            bits_per_key=self.config.bits_per_key,
-            background=True,
         )
         self.levels[0].insert(0, table)
         self._min_keys[0] = None
@@ -159,7 +157,7 @@ class LSMStore:
         # L0 compacts by table count (tables overlap, reads touch them all).
         while len(self.levels[0]) > self.config.level0_table_limit:
             self._compact_level(0)
-        for level in range(1, self.config.max_levels - 1):
+        for level in range(1, MAX_LEVELS - 1):
             while self._level_bytes(level) > self._level_target_bytes(level):
                 self._compact_level(level)
 
@@ -199,15 +197,13 @@ class LSMStore:
                     self.costs,
                     chunk,
                     block_size=self.config.block_size,
-                    bits_per_key=self.config.bits_per_key,
-                    background=True,
                 )
                 self.levels[level + 1].append(table)
                 bump("compaction_bytes_written", table.data_bytes)
             self.levels[level + 1].sort(key=lambda t: t.min_key)
 
     def _is_bottom(self, level: int) -> bool:
-        return all(not self.levels[lv] for lv in range(level + 1, self.config.max_levels))
+        return all(not self.levels[lv] for lv in range(level + 1, MAX_LEVELS))
 
     # Merging is compaction work: its comparison/copy CPU lands on the
     # background account even when the compaction pass runs inline.
@@ -259,7 +255,7 @@ class LSMStore:
             if value is not None:
                 break
         if value is None:
-            for level in range(1, self.config.max_levels):
+            for level in range(1, MAX_LEVELS):
                 table = self._find_table(level, key)
                 if table is not None:
                     value = table.get(key, pair, block_cache)
@@ -301,7 +297,7 @@ class LSMStore:
         sources.append(iter(self._memtable.items(start)))
         for table in self.levels[0]:
             sources.append(table.iter_from(start, self.block_cache))
-        for level in range(1, self.config.max_levels):
+        for level in range(1, MAX_LEVELS):
             for table in self.levels[level]:
                 if table.max_key >= start:
                     sources.append(table.iter_from(start, self.block_cache))

@@ -14,7 +14,6 @@ from repro.shard.heat import ShardHeat
 from repro.shard.partition import (
     HashPartitioner,
     Partitioner,
-    RangePartitioner,
     WeightedRangePartitioner,
     make_partitioner,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "FleetController",
     "HashPartitioner",
     "Partitioner",
-    "RangePartitioner",
     "RangeTransfer",
     "RebalanceConfig",
     "ShardHeat",

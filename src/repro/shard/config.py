@@ -20,12 +20,9 @@ _REBALANCE_KNOBS: Knobs = {
     "interval": ("interval_ops", int),
     "chunk": ("chunk_keys", int),
     "drain": ("drain_interval_ops", int),
-    "decay": ("decay", float),
-    "samples": ("sample_size", int),
     "min_load": ("min_load", float),
     "cooldown": ("cooldown_rounds", int),
     "max_shards": ("max_shards", int),
-    "min_shards": ("min_shards", int),
     "split_load": ("split_load", float),
     "merge_load": ("merge_load", float),
 }
@@ -57,8 +54,6 @@ class RebalanceConfig:
             keys double-read and couple the source and destination
             engines, so the window must close fast — many small paced
             chunks rather than rare big bursts.
-        decay: per-round aging factor of the heat counters.
-        sample_size: recent-key ring size per shard (split-key medians).
         min_load: minimum total decayed load before imbalance is acted
             on (keeps cold startups from migrating noise).
         cooldown_rounds: planning rounds to sit out after a migration
@@ -73,8 +68,6 @@ class RebalanceConfig:
             whose hottest shard carries more than ``split_load`` decayed
             load spawns a fresh engine and drains the hot half of the
             range to it, growing the fleet by one (up to this ceiling).
-        min_shards: fleet-shrink floor for shard *merges*; an idle fleet
-            never shrinks below it.
         split_load: absolute decayed-load trigger for a split.  Unlike
             the relative ``threshold`` (which compares shards against
             each other), a split answers "is the whole fleet too small";
@@ -83,7 +76,10 @@ class RebalanceConfig:
         merge_load: when the fleet's *total* decayed load falls below
             this, the coldest adjacent pair merges: the right shard
             drains into the left and retires, returning its budget to
-            the pool.  0 disables.
+            the pool.  A fleet of one never merges.  0 disables.
+
+    The heat ledger's aging factor and sample ring are
+    :class:`~repro.shard.heat.ShardHeat`'s own defaults.
 
     The default threshold and cooldown look conservative on purpose: a
     freshly migrated-into shard pays flush/compaction debt for the
@@ -100,12 +96,9 @@ class RebalanceConfig:
     interval_ops: int = 256
     chunk_keys: int = 64
     drain_interval_ops: int = 8
-    decay: float = 0.5
-    sample_size: int = 64
     min_load: float = 32.0
     cooldown_rounds: int = 8
     max_shards: int = 0
-    min_shards: int = 1
     split_load: float = 0.0
     merge_load: float = 0.0
 
@@ -124,8 +117,6 @@ class RebalanceConfig:
             raise ValueError(f"cooldown_rounds must be >= 0, got {self.cooldown_rounds}")
         if self.max_shards < 0:
             raise ValueError(f"max_shards must be >= 0, got {self.max_shards}")
-        if self.min_shards < 1:
-            raise ValueError(f"min_shards must be >= 1, got {self.min_shards}")
         if self.split_load < 0.0:
             raise ValueError(f"split_load must be >= 0, got {self.split_load}")
         if self.merge_load < 0.0:

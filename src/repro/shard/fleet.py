@@ -115,8 +115,8 @@ class FleetController:
     Always present on a router (the budget pool and forced transfers
     work without any config); ``rebalance`` / ``budget`` only decide
     which paced tasks are registered.  With ``rebalance`` off the
-    default :class:`RebalanceConfig` still sizes the heat ledger and
-    the drain chunk.
+    default :class:`RebalanceConfig` still sizes the drain chunk and
+    the post-transfer cooldown.
     """
 
     def __init__(
@@ -154,9 +154,7 @@ class FleetController:
         # consumer and therefore owns the per-round decay.
         self._budget_decays = rebalance is None
         if rebalance is not None or budget is not None:
-            self.heat = ShardHeat(
-                shards, decay=self.config.decay, sample_size=self.config.sample_size
-            )
+            self.heat = ShardHeat(shards)
         register = router.runtime.scheduler.register
         if rebalance is not None:
             if not isinstance(router.partitioner, WeightedRangePartitioner):
@@ -451,7 +449,7 @@ class FleetController:
         # fleet has measured nothing yet and stays as built.
         if (
             config.merge_load > 0.0
-            and n > max(1, config.min_shards)
+            and n > 1
             and sum(heat.total_ops) > 0
             and sum(loads) < config.merge_load
         ):

@@ -7,17 +7,16 @@ needs.  Two placements are offered:
 * :class:`HashPartitioner` — a 64-bit finalizer mix spreads keys
   uniformly regardless of insertion pattern (sequential keys do not pile
   onto one shard).  Range scans must consult every shard.
-* :class:`RangePartitioner` — equal slices of ``[0, key_space)`` keep
-  each shard's keys contiguous, so range scans start at the owning shard
-  and walk forward; load balance then depends on the workload's key
-  distribution.
-* :class:`WeightedRangePartitioner` — contiguous slices with *movable*
-  boundaries: the elastic-resharding layer (DESIGN.md §11) shifts a
-  boundary between adjacent shards to shed load off a hot shard, and
-  the whole boundary tuple is replaced in one assignment, so a reader
-  observes either the old or the new routing table, never a mix.
+* :class:`WeightedRangePartitioner` — contiguous slices of
+  ``[0, key_space)``, equal at first, so range scans start at the
+  owning shard and walk forward; load balance then depends on the
+  workload's key distribution.  The boundaries are *movable*: the
+  elastic-resharding layer (DESIGN.md §11) shifts a boundary between
+  adjacent shards to shed load off a hot shard, and the whole boundary
+  tuple is replaced in one assignment, so a reader observes either the
+  old or the new routing table, never a mix.
 
-All are deterministic across processes and Python versions: the hash
+Both are deterministic across processes and Python versions: the hash
 mix is an explicit integer permutation (splitmix64's finalizer), never
 Python's salted ``hash``.
 """
@@ -28,14 +27,17 @@ from bisect import bisect_right
 from typing import Iterable, Sequence
 
 __all__ = [
+    "PARTITIONERS",
     "Partitioner",
     "HashPartitioner",
-    "RangePartitioner",
     "WeightedRangePartitioner",
     "make_partitioner",
 ]
 
 _MASK64 = (1 << 64) - 1
+
+#: the names :func:`make_partitioner` accepts.
+PARTITIONERS = ("hash", "weighted")
 
 
 def _mix64(x: int) -> int:
@@ -109,35 +111,14 @@ class HashPartitioner(Partitioner):
         return _mix64(key) % self.shards
 
 
-class RangePartitioner(Partitioner):
-    """Equal contiguous slices of ``[0, key_space)``; keys outside the
-    declared space clamp to the edge shards."""
-
-    ordered = True
-
-    def __init__(self, shards: int, key_space: int) -> None:
-        super().__init__(shards)
-        if key_space < shards:
-            raise ValueError(
-                f"key_space must be >= shards, got {key_space} < {shards}"
-            )
-        self.key_space = key_space
-
-    def shard_of(self, key: int) -> int:
-        if key <= 0:
-            return 0
-        if key >= self.key_space:
-            return self.shards - 1
-        return key * self.shards // self.key_space
-
-
 class WeightedRangePartitioner(Partitioner):
     """Contiguous slices of ``[0, key_space)`` with movable boundaries.
 
     ``boundaries[sid]`` is the first key of shard ``sid`` and
     ``boundaries[shards]`` caps the space, so shard ``sid`` owns
-    ``[boundaries[sid], boundaries[sid + 1])``.  The default boundaries
-    reproduce :class:`RangePartitioner` placement exactly; the
+    ``[boundaries[sid], boundaries[sid + 1])``; keys outside the declared
+    space clamp to the edge shards.  The default boundaries cut equal
+    slices, placing ``key`` on shard ``key * shards // key_space``; the
     rebalancer then moves one interior boundary per migration via
     :meth:`move_boundary`, which swaps the whole tuple in a single
     attribute assignment — the atomic routing-table swap the migration
@@ -157,8 +138,8 @@ class WeightedRangePartitioner(Partitioner):
         self.key_space = key_space
         if boundaries is None:
             # ceil(sid * key_space / shards): the exact inverse of
-            # RangePartitioner's ``key * shards // key_space``, so the
-            # initial placement matches it key for key.
+            # ``key * shards // key_space``, so the initial placement
+            # matches it key for key.
             boundaries = [-(-sid * key_space // shards) for sid in range(shards + 1)]
         self.boundaries: tuple[int, ...] = self._validated(tuple(boundaries))
 
@@ -257,15 +238,11 @@ class WeightedRangePartitioner(Partitioner):
 
 
 def make_partitioner(kind: str, shards: int, key_space: int) -> Partitioner:
-    """Build a partitioner by name (``"hash"``, ``"range"`` or ``"weighted"``)."""
+    """Build a partitioner by name (``"hash"`` or ``"weighted"``)."""
     if shards <= 0:
         raise ValueError(f"shards must be >= 1, got {shards}")
     if kind == "hash":
         return HashPartitioner(shards)
-    if kind == "range":
-        return RangePartitioner(shards, key_space)
     if kind == "weighted":
         return WeightedRangePartitioner(shards, key_space)
-    raise ValueError(
-        f"unknown partitioner {kind!r}; choose from ('hash', 'range', 'weighted')"
-    )
+    raise ValueError(f"unknown partitioner {kind!r}; choose from {PARTITIONERS}")

@@ -50,9 +50,7 @@ from repro.shard.config import BudgetConfig, RebalanceConfig
 from repro.shard.fleet import FleetController, RangeTransfer
 from repro.shard.heat import ShardHeat
 from repro.shard.partition import Partitioner, make_partitioner
-from repro.sim.costs import CostModel
 from repro.sim.effects import charges
-from repro.sim.threads import ThreadModel
 from repro.systems.base import KVSystem, Snapshot, limit_error
 
 __all__ = ["ShardRouter"]
@@ -79,8 +77,6 @@ class ShardRouter(KVSystem):
         key_space: int = 1 << 40,
         workers: int = 0,
         page_size: int = 4096,
-        costs: CostModel | None = None,
-        thread_model: ThreadModel | None = None,
         debug_checks: bool | None = None,
         rebalance: RebalanceConfig | str | bool | None = None,
         budget: BudgetConfig | str | bool | None = None,
@@ -88,7 +84,7 @@ class ShardRouter(KVSystem):
     ) -> None:
         # The inherited runtime is dormant bookkeeping only: the router
         # charges nothing itself; every simulated account lives on a shard.
-        super().__init__(costs, thread_model)
+        super().__init__()
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if workers > 1:
@@ -114,11 +110,7 @@ class ShardRouter(KVSystem):
         # Shard construction goes through the factory; splits rebuild
         # engines with the exact same recipe, so the arguments are kept.
         self._shard_recipe: dict[str, Any] = dict(
-            page_size=page_size,
-            costs=costs,
-            thread_model=thread_model,
-            debug_checks=debug_checks,
-            **system_kwargs,
+            page_size=page_size, debug_checks=debug_checks, **system_kwargs
         )
         per_shard = max(1, memory_limit_bytes // shards)
         self.shards: list[KVSystem] = [

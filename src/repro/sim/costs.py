@@ -12,8 +12,9 @@ between systems land where the paper's evaluation places them:
   overhead on every level, which is the structural reason the paper's
   B+-B+ (LeanStore) trails ART-based Index X configurations in memory.
 
-All components receive the model by injection; experiments that want a
-different machine profile construct their own instance.
+The paper evaluates one machine, so there is one profile: every
+``EngineRuntime`` builds the default ``CostModel()`` and hands that one
+instance to each of its components.
 """
 
 from __future__ import annotations

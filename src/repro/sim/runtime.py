@@ -225,12 +225,11 @@ class BackgroundScheduler:
                 assert task.runner is not None  # enforced at registration
                 self._run_one(task, task.runner, inline=False)
 
-    def drain(self, task: Optional[MaintenanceTask] = None) -> None:
+    def drain(self) -> None:
         """Run every queued item now, ignoring pacing (checkpoint/shutdown)."""
-        targets = [task] if task is not None else self._tasks
-        for t in targets:
-            if not t.running:
-                self._drain_queued(t, force=True)
+        for task in self._tasks:
+            if not task.running:
+                self._drain_queued(task, force=True)
 
     # ------------------------------------------------------------------
     # execution
@@ -278,20 +277,15 @@ class EngineRuntime:
     background scheduler.  Every component of one system receives (pieces
     of) the same runtime instead of constructing its own plumbing, so
     cross-layer mechanisms — pacing, backpressure, utilization accounting —
-    see one consistent world.
+    see one consistent world.  The machine profile is the one the paper
+    runs: the default ``CostModel``, ``ThreadModel`` and ``SimDisk`` spec.
     """
 
-    def __init__(
-        self,
-        clock: SimClock | None = None,
-        disk: SimDisk | None = None,
-        costs: CostModel | None = None,
-        thread_model: ThreadModel | None = None,
-    ) -> None:
-        self.clock = clock if clock is not None else SimClock()
-        self.disk = disk if disk is not None else SimDisk()
-        self.costs = costs if costs is not None else CostModel()
-        self.thread_model = thread_model if thread_model is not None else ThreadModel()
+    def __init__(self) -> None:
+        self.clock = SimClock()
+        self.disk = SimDisk()
+        self.costs = CostModel()
+        self.thread_model = ThreadModel()
         self.stats = StatCounters()
         self.scheduler = BackgroundScheduler(self)
         self._probes: list[Probe] = []

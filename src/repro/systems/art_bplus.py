@@ -13,9 +13,6 @@ from repro.art.tree import AdaptiveRadixTree
 from repro.core.config import CachePolicyConfig, IndeXYConfig
 from repro.core.indexy import IndeXY
 from repro.diskbtree.tree import DiskBPlusTree
-from repro.sim.costs import CostModel
-from repro.sim.runtime import EngineRuntime
-from repro.sim.threads import ThreadModel
 from repro.systems.base import IndeXYSystem
 
 
@@ -52,12 +49,9 @@ class ArtBPlusSystem(IndeXYSystem):
         page_size: int = 4096,
         indexy_config: IndeXYConfig | None = None,
         cache_policies: CachePolicyConfig | None = None,
-        costs: CostModel | None = None,
-        thread_model: ThreadModel | None = None,
-        runtime: EngineRuntime | None = None,
         **indexy_kwargs: Any,
     ) -> None:
-        super().__init__(costs, thread_model, runtime=runtime)
+        super().__init__()
         policies = cache_policies or CachePolicyConfig()
         self.page_size = page_size
         config = indexy_config or IndeXYConfig(memory_limit_bytes=memory_limit_bytes)

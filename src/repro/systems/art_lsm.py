@@ -12,9 +12,6 @@ from repro.art.tree import AdaptiveRadixTree
 from repro.core.config import CachePolicyConfig, IndeXYConfig
 from repro.core.indexy import IndeXY
 from repro.lsm.store import LSMConfig, LSMStore
-from repro.sim.costs import CostModel
-from repro.sim.runtime import EngineRuntime
-from repro.sim.threads import ThreadModel
 from repro.systems.base import IndeXYSystem, memtable_share
 
 
@@ -26,12 +23,9 @@ class ArtLsmSystem(IndeXYSystem):
         memory_limit_bytes: int,
         indexy_config: IndeXYConfig | None = None,
         cache_policies: CachePolicyConfig | None = None,
-        costs: CostModel | None = None,
-        thread_model: ThreadModel | None = None,
-        runtime: EngineRuntime | None = None,
         **indexy_kwargs: Any,
     ) -> None:
-        super().__init__(costs, thread_model, runtime=runtime)
+        super().__init__()
         policies = cache_policies or CachePolicyConfig()
         config = indexy_config or IndeXYConfig(memory_limit_bytes=memory_limit_bytes)
         x = AdaptiveRadixTree(clock=self.clock, costs=self.costs)

@@ -16,9 +16,6 @@ from repro.core.indexy import IndeXY
 from repro.core.multi_y import KeyRegionRouter, RoutedIndexY
 from repro.diskbtree.tree import DiskBPlusTree
 from repro.lsm.store import LSMConfig, LSMStore
-from repro.sim.costs import CostModel
-from repro.sim.runtime import EngineRuntime
-from repro.sim.threads import ThreadModel
 from repro.systems.art_bplus import _DiskBTreeAsY
 from repro.systems.base import IndeXYSystem, memtable_share
 
@@ -33,12 +30,9 @@ class ArtMultiYSystem(IndeXYSystem):
         region_prefix_bytes: int = 5,
         scan_threshold: float = 0.3,
         cache_policies: CachePolicyConfig | None = None,
-        costs: CostModel | None = None,
-        thread_model: ThreadModel | None = None,
-        runtime: EngineRuntime | None = None,
         **indexy_kwargs: Any,
     ) -> None:
-        super().__init__(costs, thread_model, runtime=runtime)
+        super().__init__()
         policies = cache_policies or CachePolicyConfig()
         self.page_size = page_size
         sizes = self.split(memory_limit_bytes)

@@ -20,7 +20,6 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
 from repro.art.keys import encode_int
-from repro.sim.costs import CostModel
 from repro.sim.effects import charges
 from repro.sim.runtime import EngineRuntime
 from repro.sim.threads import ThreadModel
@@ -108,17 +107,8 @@ class KVSystem:
     #: runtime sanitizer over the store, when debug checks installed one.
     sanitizer: Optional[Any] = None
 
-    def __init__(
-        self,
-        costs: CostModel | None = None,
-        thread_model: ThreadModel | None = None,
-        runtime: EngineRuntime | None = None,
-    ) -> None:
-        self.runtime = (
-            runtime
-            if runtime is not None
-            else EngineRuntime(costs=costs, thread_model=thread_model)
-        )
+    def __init__(self) -> None:
+        self.runtime = EngineRuntime()
         self.clock = self.runtime.clock
         self.disk = self.runtime.disk
         self.costs = self.runtime.costs

@@ -15,9 +15,6 @@ from __future__ import annotations
 
 from repro.core.config import CachePolicyConfig
 from repro.diskbtree.tree import DiskBPlusTree
-from repro.sim.costs import CostModel
-from repro.sim.runtime import EngineRuntime
-from repro.sim.threads import ThreadModel
 from repro.systems.base import BaselineSystem
 
 
@@ -29,12 +26,9 @@ class BPlusBPlusSystem(BaselineSystem):
         memory_limit_bytes: int,
         page_size: int = 4096,
         cache_policies: CachePolicyConfig | None = None,
-        costs: CostModel | None = None,
-        thread_model: ThreadModel | None = None,
-        runtime: EngineRuntime | None = None,
         debug_checks: bool | None = None,
     ) -> None:
-        super().__init__(costs, thread_model, runtime=runtime)
+        super().__init__()
         policies = cache_policies or CachePolicyConfig()
         self.y = DiskBPlusTree(
             pool_bytes=self.split(memory_limit_bytes)["pool"]["capacity_bytes"],

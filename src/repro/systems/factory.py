@@ -15,8 +15,6 @@ from typing import Any, Callable, NamedTuple
 from repro.core.config import CachePolicyConfig
 from repro.core.spec import parse_pairs
 from repro.shard.config import BudgetConfig, RebalanceConfig
-from repro.sim.costs import CostModel
-from repro.sim.threads import ThreadModel
 from repro.systems.art_bplus import ArtBPlusSystem
 from repro.systems.art_lsm import ArtLsmSystem
 from repro.systems.art_multi import ArtMultiYSystem
@@ -122,8 +120,6 @@ def build_system(
     name: str,
     memory_limit_bytes: int,
     page_size: int = 4096,
-    costs: CostModel | None = None,
-    thread_model: ThreadModel | None = None,
     **kwargs: Any,
 ) -> KVSystem:
     """Construct a configured system.
@@ -158,9 +154,4 @@ def build_system(
     entry = _lookup(name)
     if entry.paged:
         kwargs["page_size"] = page_size
-    return entry.build(
-        memory_limit_bytes=memory_limit_bytes,
-        costs=costs,
-        thread_model=thread_model,
-        **kwargs,
-    )
+    return entry.build(memory_limit_bytes=memory_limit_bytes, **kwargs)

@@ -13,9 +13,6 @@ from typing import Iterable
 from repro.art.keys import encode_int
 from repro.core.config import CachePolicyConfig
 from repro.lsm.store import LSMConfig, LSMStore
-from repro.sim.costs import CostModel
-from repro.sim.runtime import EngineRuntime
-from repro.sim.threads import ThreadModel
 from repro.systems.base import BaselineSystem, memtable_share
 
 
@@ -26,12 +23,9 @@ class RocksDbLikeSystem(BaselineSystem):
         self,
         memory_limit_bytes: int,
         cache_policies: CachePolicyConfig | None = None,
-        costs: CostModel | None = None,
-        thread_model: ThreadModel | None = None,
-        runtime: EngineRuntime | None = None,
         debug_checks: bool | None = None,
     ) -> None:
-        super().__init__(costs, thread_model, runtime=runtime)
+        super().__init__()
         policies = cache_policies or CachePolicyConfig()
         self.y = LSMStore(
             config=LSMConfig(

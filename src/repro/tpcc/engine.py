@@ -18,9 +18,7 @@ from repro.core.config import IndeXYConfig
 from repro.core.indexy import IndeXY
 from repro.diskbtree.tree import DiskBPlusTree
 from repro.lsm.store import LSMConfig, LSMStore
-from repro.sim.costs import CostModel
 from repro.sim.runtime import EngineRuntime
-from repro.sim.threads import ThreadModel
 from repro.systems.art_bplus import _DiskBTreeAsY
 from repro.systems.base import Snapshot, limit_error, memtable_share
 from repro.tpcc import keys
@@ -87,14 +85,9 @@ class TpccConfig:
 class TpccEngine:
     """Runs the New-Order + Payment mix against a chosen orderline backend."""
 
-    def __init__(
-        self,
-        config: TpccConfig,
-        costs: CostModel | None = None,
-        thread_model: ThreadModel | None = None,
-    ) -> None:
+    def __init__(self, config: TpccConfig) -> None:
         self.config = config
-        self.runtime = EngineRuntime(costs=costs, thread_model=thread_model)
+        self.runtime = EngineRuntime()
         self.clock = self.runtime.clock
         self.disk = self.runtime.disk
         self.costs = self.runtime.costs

@@ -29,7 +29,12 @@ class ZipfianGenerator:
         self._zetan = self._zeta(n, theta)
         self._zeta2 = self._zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
-        self._eta = (1 - (2.0 / n) ** (1 - theta)) / (1 - self._zeta2 / self._zetan)
+        # With n <= 2, ``u * zetan`` stays below ``1 + 0.5**theta``, so every
+        # draw takes one of the two early branches of ``next`` and eta is
+        # never read (at n == 2 its formula would divide by zero).
+        self._eta = (
+            (1 - (2.0 / n) ** (1 - theta)) / (1 - self._zeta2 / self._zetan) if n > 2 else 0.0
+        )
 
     @staticmethod
     def _zeta(n: int, theta: float) -> float:

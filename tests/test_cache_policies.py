@@ -192,10 +192,16 @@ def test_policy_cache_matches_historical_lru_cache():
     assert list(a.policy.keys()) == list(b.policy.keys())
 
 
-def test_policy_cache_skips_oversized_values():
-    cache = PolicyCache(10, "lru")
+@pytest.mark.parametrize("policy", policy_names())
+def test_policy_cache_skips_oversized_values(policy):
+    cache = PolicyCache(10, policy)
     cache.put("big", b"v", 11)
     assert "big" not in cache and cache.used_bytes == 0
+    # An oversized replacement still drops the value it replaces.
+    cache.put("a", b"old", 4)
+    cache.put("a", b"new", 11)
+    assert cache.get("a") is None and "a" not in cache and cache.used_bytes == 0
+    assert check_policy_cache(cache) == []
 
 
 def test_policy_cache_resize_shrinks_through_policy():

@@ -107,6 +107,22 @@ def test_rl301_cache_hit_guard_blesses_the_fast_path():
     assert findings == []
 
 
+def test_rl301_validate_first_raise_is_not_a_zero_charge_path():
+    src = """
+    class Store:
+        @charges("bg_charge")
+        def build(self, pairs):
+            if not pairs:
+                raise ValueError("empty")
+            {tail}
+    """
+    charged = "self.clock.charge_background(5)"
+    assert lint(src.format(tail=charged), rules={"RL301"}) == []
+    # The exemption covers the raise only: a returning path still counts.
+    uncharged = "if pairs[0]:\n                " + charged
+    assert rules_fired(lint(src.format(tail=uncharged), rules={"RL301"})) == {"RL301"}
+
+
 def test_rl301_clean_exactly_once():
     findings = lint(
         """

@@ -108,14 +108,14 @@ def test_release_policy_kinds():
     x = build_art_with_hot_cold(n=2000)
     for kind in ("density", "coarse", "random"):
         policy = ReleasePolicy(kind, partition_depth=1)
-        refs = policy.select(x, x.memory_bytes // 8, 0.1, 0.2)
+        refs = policy.select(x, x.memory_bytes // 8)
         assert refs
 
 
 def test_random_policy_ignores_density():
     x = build_art_with_hot_cold(n=4000)
     target = x.memory_bytes // 4
-    random_refs = ReleasePolicy("random", partition_depth=2).select(x, target, 0.1, 0.2)
+    random_refs = ReleasePolicy("random", partition_depth=2).select(x, target)
     keys = []
     for ref in random_refs:
         keys.extend(subtree_keys(x, ref))
@@ -129,9 +129,10 @@ def test_random_policy_ignores_density():
 # selection it produces is pinned against the version that rebuilt them
 # on every round.
 # ----------------------------------------------------------------------
-def _reference_split_and_replace(index_x, candidates, variation_threshold):
+def _reference_split_and_replace(index_x, candidates):
     """``release._split_and_replace`` before children were kept on the
     candidate: every round re-derives every candidate's children."""
+    variation_threshold = 0.20  # Algorithm 1's 20 %
     by_size = sorted(candidates, key=lambda c: c.size, reverse=True)
     chosen = None
     fallback = None

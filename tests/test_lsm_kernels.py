@@ -270,7 +270,7 @@ def _store_with_tables(
     store = LSMStore(runtime, LSMConfig(block_size=256))
     tables = [
         SSTable.build(
-            i + 1, runtime.disk, runtime.clock, runtime.costs, run, block_size=256, background=True
+            i + 1, runtime.disk, runtime.clock, runtime.costs, run, block_size=256
         )
         for i, run in enumerate(runs)
     ]
@@ -325,7 +325,7 @@ def test_build_sums_copy_cost_block_by_block():
     rng = random.Random(5)
     pairs = [(b"%06d" % i, rng.randbytes(rng.randrange(1, 90))) for i in range(2000)]
     table = SSTable.build(
-        1, runtime.disk, runtime.clock, runtime.costs, pairs, block_size=256, background=True
+        1, runtime.disk, runtime.clock, runtime.costs, pairs, block_size=256
     )
     want = 0.0
     for block in _reference_blocks(pairs, 256):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.art import encode_int
 from repro.lsm import LSMConfig, LSMStore
+from repro.lsm.store import MAX_LEVELS
 from repro.sim import EngineRuntime
 
 
@@ -72,7 +73,7 @@ def test_levels_1plus_are_disjoint_and_sorted(store):
     rng = random.Random(7)
     for k in rng.sample(range(10**7), 5000):
         store.put(ikey(k), b"v" * 16)
-    for level in range(1, store.config.max_levels):
+    for level in range(1, MAX_LEVELS):
         tables = store.levels[level]
         for a, b in zip(tables, tables[1:]):
             assert a.max_key < b.min_key
@@ -180,7 +181,7 @@ def test_find_table_memo_survives_level_reshape(store):
         assert store.get(ikey(k)) == expected, k
     # The invariant the invalidation maintains: a present memo always
     # mirrors the live table boundaries of its level.
-    for level in range(1, store.config.max_levels):
+    for level in range(1, MAX_LEVELS):
         memo = store._min_keys[level]
         if memo is not None:
             assert memo == [t.min_key for t in store.levels[level]], level

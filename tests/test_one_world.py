@@ -9,9 +9,15 @@ engines the optional ``disk=/clock=`` constructors used to allow).
 import pytest
 
 from repro.art import AdaptiveRadixTree
+from repro.check.sanitizer import IndexSanitizer
+from repro.core.config import IndeXYConfig
 from repro.core.indexy import IndeXY
 from repro.core.multi_y import RoutedIndexY
-from repro.lsm import LSMStore
+from repro.core.release import ReleasePolicy, select_for_release
+from repro.lsm import LSMConfig, LSMStore, MemTable, SSTable
+from repro.shard import RebalanceConfig, ShardRouter
+from repro.sim import EngineRuntime
+from repro.systems.base import KVSystem
 from repro.systems.factory import build_system, registered_systems
 from repro.tpcc.engine import ORDERLINE_BACKENDS, TpccConfig, TpccEngine
 
@@ -99,3 +105,90 @@ def test_every_tpcc_backend_shares_the_runtime(backend):
     )
     engine.run(300)
     assert_one_world(engine.runtime, engine.orderline)
+
+
+# ----------------------------------------------------------------------
+# The knob census: an option whose only value in use was its default is
+# a constant now, and a caller still passing one is told so.
+# ----------------------------------------------------------------------
+SUBSTRATE_KEYWORDS = ("costs", "thread_model", "runtime")
+
+
+@pytest.mark.parametrize("keyword", SUBSTRATE_KEYWORDS)
+@pytest.mark.parametrize("name", registered_systems())
+def test_systems_take_no_substrate_keyword(name, keyword):
+    with pytest.raises(TypeError, match=keyword):
+        build_system(name, memory_limit_bytes=128 * 1024, **{keyword: None})
+
+
+@pytest.mark.parametrize("keyword", SUBSTRATE_KEYWORDS)
+def test_engines_take_no_substrate_keyword(keyword):
+    config = TpccConfig(warehouses=1, customers_per_district=10, items=100)
+    builders = {
+        "KVSystem": KVSystem,
+        "ShardRouter": ShardRouter,
+        "TpccEngine": lambda **kw: TpccEngine(config, **kw),
+    }
+    for label, build in builders.items():
+        with pytest.raises(TypeError, match=keyword):
+            build(**{keyword: None})
+            pytest.fail(f"{label} accepted {keyword}=")
+
+
+@pytest.mark.parametrize("keyword", ("clock", "disk", "costs", "thread_model"))
+def test_engine_runtime_takes_no_arguments(keyword):
+    with pytest.raises(TypeError):
+        EngineRuntime(**{keyword: None})
+    with pytest.raises(TypeError):
+        EngineRuntime(None)
+
+
+#: every other deleted field or parameter, passed at its old default.
+REMOVED_OPTIONS = {
+    "IndeXYConfig.preclean_batch_keys": lambda: IndeXYConfig(1, preclean_batch_keys=None),
+    "IndeXYConfig.min_partition_regions": lambda: IndeXYConfig(1, min_partition_regions=16),
+    "IndeXYConfig.sample_every": lambda: IndeXYConfig(1, sample_every=4),
+    "IndeXYConfig.density_variation_threshold": (
+        lambda: IndeXYConfig(1, density_variation_threshold=0.2)
+    ),
+    "IndeXYConfig.release_margin_fraction": (
+        lambda: IndeXYConfig(1, release_margin_fraction=0.1)
+    ),
+    "select_for_release.margin_fraction": (
+        lambda: select_for_release(AdaptiveRadixTree(), 0, margin_fraction=0.1)
+    ),
+    "select_for_release.variation_threshold": (
+        lambda: select_for_release(AdaptiveRadixTree(), 0, variation_threshold=0.2)
+    ),
+    "select_for_release.max_iterations": (
+        lambda: select_for_release(AdaptiveRadixTree(), 0, max_iterations=10_000)
+    ),
+    "ReleasePolicy.select.margin_fraction+variation_threshold": (
+        lambda: ReleasePolicy().select(AdaptiveRadixTree(), 0, 0.1, 0.2)
+    ),
+    "ReleasePolicy.seed": lambda: ReleasePolicy(seed=1234),
+    "IndexSanitizer.max_deleted_tracked": lambda: IndexSanitizer(None, max_deleted_tracked=512),
+    "LSMConfig.bits_per_key": lambda: LSMConfig(bits_per_key=10),
+    "LSMConfig.max_levels": lambda: LSMConfig(max_levels=7),
+    "SSTable.build.bits_per_key": lambda: SSTable.build(1, None, None, None, [], bits_per_key=10),
+    "SSTable.build.background": lambda: SSTable.build(1, None, None, None, [], background=True),
+    "MemTable.seed": lambda: MemTable(None, None, seed=0x5EED),
+    "BackgroundScheduler.drain.task": lambda: EngineRuntime().scheduler.drain(None),
+    "RebalanceConfig.decay": lambda: RebalanceConfig(decay=0.5),
+    "RebalanceConfig.sample_size": lambda: RebalanceConfig(sample_size=64),
+    "RebalanceConfig.min_shards": lambda: RebalanceConfig(min_shards=1),
+}
+
+
+@pytest.mark.parametrize("option", REMOVED_OPTIONS)
+def test_removed_option_is_rejected(option):
+    with pytest.raises(TypeError):
+        REMOVED_OPTIONS[option]()
+
+
+@pytest.mark.parametrize("part", ("decay:0.5", "samples:64", "min_shards:2"))
+def test_rebalance_spec_rejects_removed_knobs_by_name(part):
+    with pytest.raises(ValueError, match=f"unknown name in spec part '{part}'"):
+        RebalanceConfig.from_spec(part)
+    with pytest.raises(ValueError, match=f"'{part}'"):
+        build_system("Sharded@rebalance=" + part, memory_limit_bytes=128 * 1024)

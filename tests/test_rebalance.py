@@ -22,7 +22,6 @@ from repro.shard import (
     WeightedRangePartitioner,
     make_partitioner,
 )
-from repro.shard.partition import RangePartitioner
 
 LIMIT = 256 * 1024
 VALUE = b"rebalance-value!"
@@ -187,10 +186,13 @@ def test_router_requires_weighted_partitioner_for_rebalance():
 
 
 def test_weighted_default_boundaries_match_range_partitioner():
-    plain = RangePartitioner(shards=4, key_space=1000)
-    weighted = WeightedRangePartitioner(shards=4, key_space=1000)
-    for key in range(-3, 1005):
-        assert weighted.shard_of(key) == plain.shard_of(key)
+    for shards, key_space in ((4, 1000), (3, 1000), (7, 100)):
+        weighted = WeightedRangePartitioner(shards=shards, key_space=key_space)
+        for key in range(-3, key_space + 5):
+            # Equal stripes ``key * shards // key_space``; keys outside
+            # the space clamp to the edge shards.
+            want = min(max(key, 0) * shards // key_space, shards - 1)
+            assert weighted.shard_of(key) == want
 
 
 def test_weighted_boundary_validation():

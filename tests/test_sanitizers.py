@@ -42,7 +42,7 @@ from repro.core import IndeXY, IndeXYConfig
 from repro.diskbtree import DiskBPlusTree
 from repro.lsm import LSMConfig, LSMStore
 from repro.lsm.bloom import BloomFilter
-from repro.lsm.store import TOMBSTONE
+from repro.lsm.store import MAX_LEVELS
 from repro.sim.runtime import EngineRuntime
 from repro.systems import build_system
 
@@ -413,7 +413,7 @@ def build_lsm(n=3000, seed=11):
 
 
 def deep_level_tables(store):
-    for level in range(1, store.config.max_levels):
+    for level in range(1, MAX_LEVELS):
         if len(store.levels[level]) >= 2:
             return level, store.levels[level]
     raise AssertionError("no multi-table deep level; grow the fixture")

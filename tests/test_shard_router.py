@@ -11,12 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.check.sanitizer import CheckError, ShardSanitizer, check_shard_router
-from repro.shard import (
-    HashPartitioner,
-    RangePartitioner,
-    ShardRouter,
-    make_partitioner,
-)
+from repro.shard import HashPartitioner, ShardRouter, make_partitioner
 from repro.systems import build_system, registered_systems
 from repro.workloads import random_insert_keys
 
@@ -44,7 +39,8 @@ def test_hash_partitioner_balances_uniform_keys():
 
 
 def test_range_partitioner_is_order_preserving():
-    part = RangePartitioner(shards=4, key_space=1000)
+    part = make_partitioner("weighted", 4, 1000)
+    assert part.ordered
     assert [part.shard_of(k) for k in (0, 249, 250, 499, 500, 999)] == [0, 0, 1, 1, 2, 3]
     # Out-of-range keys clamp instead of raising.
     assert part.shard_of(-5) == 0
@@ -63,14 +59,17 @@ def test_split_indexed_roundtrip():
 
 
 def test_make_partitioner_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        make_partitioner("consistent", 4, 1 << 40)
+    for kind in ("consistent", "range"):
+        with pytest.raises(ValueError, match="'hash', 'weighted'"):
+            make_partitioner(kind, 4, 1 << 40)
 
 
 # -- router vs reference model ------------------------------------------
 
 
-@pytest.fixture(params=["hash", "range"])
+# The ids name the placement: ``weighted`` at its default boundaries is
+# the static equal-range placement.
+@pytest.fixture(params=["hash", "weighted"], ids=["hash", "range"])
 def router(request):
     return build_system(
         "Sharded",
@@ -248,6 +247,13 @@ def test_serve_cli_runs(capsys):
     assert main(["--shards", "2", "--clients", "4", "--ops", "400", "--keys", "300"]) == 0
     out = capsys.readouterr().out
     assert "kops/sim-s" in out
+
+
+def test_serve_skew_runs_on_two_keys():
+    # A two-key Zipf population used to divide by zero building its sampler.
+    from repro.bench.serve import run_serve_skew
+
+    assert run_serve_skew(keys=2, ops=200, shards=2)["ops"] == 200
 
 
 def test_serve_cli_has_no_workers_flag(capsys):

@@ -71,6 +71,18 @@ def test_zipfian_golden_draws():
     ]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("theta", [0.5, 0.99])
+def test_zipfian_tiny_populations_draw_in_range(n, theta):
+    # n == 2 used to divide by zero building eta, which only ranks >= 2 use.
+    zipf = ZipfianGenerator(n, theta=theta, seed=4)
+    draws = Counter(zipf.next() for __ in range(2000))
+    assert set(draws) == set(range(n))
+    assert draws[0] == max(draws.values())
+    latest = LatestGenerator(n, theta=theta, seed=4)
+    assert {latest.next() for __ in range(200)} <= set(range(n + 1))
+
+
 def test_scrambled_zipfian_spreads_hot_keys():
     gen = ScrambledZipfianGenerator(10_000, theta=0.9, seed=7)
     draws = [gen.next() for __ in range(5000)]
