@@ -28,7 +28,9 @@ processes.  Every experiment is a pure function of its fixed seeds and
 has its own ``results/*.json`` file, so running them in separate
 processes changes nothing about the output: the JSON files and the
 printed tables are byte-identical to a serial run (tables are printed
-in request order as workers finish).
+in request order as workers finish).  Each experiment's host CPU seconds,
+measured in the process that ran it, go to stderr, never into a results
+file.
 """
 
 from __future__ import annotations
@@ -104,6 +106,18 @@ def write_result(name: str) -> str:
     return payload["table"]
 
 
+def _timed_write(name: str) -> tuple[str, float]:
+    """:func:`write_result` and the CPU seconds (user + system) this process spent on it."""
+    start = sum(os.times()[:2])
+    table = write_result(name)
+    return table, sum(os.times()[:2]) - start
+
+
+def _report(name: str, table: str, seconds: float) -> None:
+    print(table, end="\n\n")
+    print(f"{name}: {seconds:.1f} s host CPU", file=sys.stderr)
+
+
 def _worker_init(sanitize: bool) -> None:
     """Propagate the ``--sanitize`` flag into pool worker processes."""
     if sanitize:
@@ -114,8 +128,8 @@ def _worker_init(sanitize: bool) -> None:
 
 def _run(names: list[str], jobs: int, sanitize: bool) -> None:
     if jobs <= 1 or len(names) <= 1:
-        for table in map(write_result, names):
-            print(table, end="\n\n")
+        for name in names:
+            _report(name, *_timed_write(name))
         return
     import multiprocessing
 
@@ -123,8 +137,8 @@ def _run(names: list[str], jobs: int, sanitize: bool) -> None:
     with ctx.Pool(min(jobs, len(names)), initializer=_worker_init, initargs=(sanitize,)) as pool:
         # imap preserves submission order, so the printed tables come out
         # exactly as a serial run would print them.
-        for table in pool.imap(write_result, names):
-            print(table, end="\n\n")
+        for name, (table, seconds) in zip(names, pool.imap(_timed_write, names), strict=True):
+            _report(name, table, seconds)
 
 
 def main(argv: list[str]) -> int:

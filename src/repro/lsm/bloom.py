@@ -7,11 +7,13 @@ The filter is defined by the scalar :func:`hash_pair`,
 :meth:`BloomFilter.add` and :meth:`BloomFilter.may_contain_hashed`: the
 hash belongs to the key alone, so ``LSMStore.get`` takes it once and every
 table it probes only walks its own bits.  :meth:`BloomFilter.add_many` is the
-whole-table kernel that SSTable builds run, and it sets exactly the bits a
-loop of ``add`` would.  It hashes all keys of one length together, each key
-in its own 128-bit lane of one Python big integer, so the FNV-1a rounds and
-the double-hashing walk are a few C-level big-integer operations per byte
-position instead of a bytecode loop per key.
+whole-table kernel that builds an SSTable's filter, once, on the table's first
+probe, and it sets exactly the bits a loop of ``add`` would.  It hashes all
+keys of one length together, each key in its own 128-bit lane of one Python
+big integer, so the FNV-1a rounds and the double-hashing walk are a few
+C-level big-integer operations per byte position instead of a bytecode loop
+per key.  :func:`filter_bits` is the filter's size, so a table can account
+for a filter it has not built yet.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ _LANE = 16
 #: Per-key time is flat from 256 to 2048; at 2048 ``serve_skew``'s
 #: peak RSS sat 0.4 MiB above the scalar loop's, at 512 it does not.
 _LANE_BATCH = 512
+_ONE_LANE = (1).to_bytes(_LANE, "little")
 
 
 def hash_pair(key: bytes) -> tuple[int, int]:
@@ -48,22 +51,22 @@ def hash_pair(key: bytes) -> tuple[int, int]:
     return h, ((h >> 33) | (h << 31)) & _MASK64 | 1
 
 
+def filter_bits(expected_keys: int, bits_per_key: int) -> int:
+    """``num_bits`` of the filter for ``expected_keys`` keys: ``bits_per_key`` each, 64 at least."""
+    return max(64, max(1, expected_keys) * bits_per_key)
+
+
 def fnv1a(data: bytes) -> int:
     """64-bit FNV-1a hash."""
     return hash_pair(data)[0]
 
 
-def _lanes(value: int, count: int) -> int:
-    """``value`` (64-bit) repeated in each of ``count`` lanes."""
-    return int.from_bytes(value.to_bytes(_LANE, "little") * count, "little")
-
-
 def _probe_words(keys: list[bytes], num_hashes: int) -> Iterator[tuple[int, ...]]:
     """Every probe word ``(h + i * delta) mod 2**64``, ``i < num_hashes``, of every key.
 
-    Keys of one length are hashed together, ``_LANE_BATCH`` at a time.  The
-    words come two rounds of the walk at a time, in no particular order
-    (marking filter bits is order-free).
+    Keys of one length are hashed together, ``_LANE_BATCH`` at a time, and
+    each batch's words come as one tuple, in no particular order (marking
+    filter bits is order-free).
     """
     for size, same_size in groupby(sorted(keys, key=len), len):
         group = list(same_size)
@@ -71,34 +74,36 @@ def _probe_words(keys: list[bytes], num_hashes: int) -> Iterator[tuple[int, ...]
             batch = group[at : at + _LANE_BATCH]
             count = len(batch)
             width = _LANE * count
-            mask = _lanes(_MASK64, count)
+            # 1 in every lane: times a 64-bit value, that value in every lane.
+            ones = int.from_bytes(_ONE_LANE * count, "little")
+            mask = ones * _MASK64
             # FNV-1a over byte column ``i`` of every key at once.
             column = bytearray(width)
             data = b"".join(batch)
-            h = _lanes(_FNV_OFFSET, count)
+            h = ones * _FNV_OFFSET
             for i in range(size):
                 column[::_LANE] = data[i::size]
                 h = ((h ^ int.from_bytes(column, "little")) * _FNV_PRIME) & mask
             # ``h >> 33`` drags the next lane's low bits into this lane's
             # high half; the mask drops them.
-            delta = ((h >> 33) | (h << 31)) & mask | _lanes(1, count)
-            decode = f"<{2 * count}Q"  # explicitly little-endian, like the lanes
+            delta = ((h >> 33) | (h << 31)) & mask | ones
+            rounds: list[bytes] = []
             for left in range(num_hashes, 0, -2):
-                # Two rounds per decode: the next one rides in the lanes' idle
-                # high words (an odd last round rides twice; marking is
+                # Two rounds per encoding: the next one rides in the lanes'
+                # idle high words (an odd last round rides twice; marking is
                 # idempotent).
                 pair = (h + delta) & mask if left > 1 else h
-                yield unpack(decode, (h | pair << 64).to_bytes(width, "little"))
+                rounds.append((h | pair << 64).to_bytes(width, "little"))
                 h = (pair + delta) & mask
+            # explicitly little-endian, like the lanes
+            yield unpack(f"<{2 * count * len(rounds)}Q", b"".join(rounds))
 
 
 class BloomFilter:
     """A fixed-size bloom filter sized by bits-per-key."""
 
     def __init__(self, expected_keys: int, bits_per_key: int = 10) -> None:
-        if expected_keys < 1:
-            expected_keys = 1
-        self.num_bits = max(64, expected_keys * bits_per_key)
+        self.num_bits = filter_bits(expected_keys, bits_per_key)
         self.num_hashes = max(1, int(bits_per_key * 0.69))  # ln2 * bits/key
         self._bits = bytearray((self.num_bits + 7) // 8)
 

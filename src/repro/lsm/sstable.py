@@ -6,6 +6,14 @@ structures: a block index (first key + offset per block) and a bloom
 filter.  Tables are written strictly sequentially — the whole point of the
 LSM design the paper selects as its disk-friendly Index Y.
 
+The filter is built the first time anything asks for it (``SSTable.bloom``),
+from the encoded blocks the table keeps until then — the very ``bytes``
+objects the simulated disk holds.  Index X is the read cache (Section II-D),
+so most tables flush and compaction write are compacted away unprobed, and
+their filters never cost host time.  The bits, and ``index_memory_bytes``,
+which sizes the filter from ``entry_count``, do not depend on when it is
+built; building it charges nothing.
+
 A point read looks for its key inside the *encoded* block
 (:func:`search_block`) and the block cache holds that encoded block — the
 ``bytes`` object the simulated disk holds — in a :class:`CachedBlock`, which
@@ -18,13 +26,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from itertools import accumulate, chain, islice
-from operator import itemgetter
 from struct import Struct
 from typing import Iterator, Optional
 
 from repro.cache.bytecache import PolicyCache
-from repro.lsm.bloom import BloomFilter
+from repro.lsm.bloom import BloomFilter, filter_bits
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
@@ -75,6 +83,22 @@ def split_by_size(
         groups.append(pairs[start:stop])
         start, base = stop, ends[stop - 1]
     return groups
+
+
+def block_keys(blobs: list[bytes]) -> list[bytes]:
+    """Every key of the encoded blocks ``blobs``, in order: one header walk."""
+    keys: list[bytes] = []
+    append = keys.append
+    unpack = _ENTRY_HEADER.unpack_from
+    for blob in blobs:
+        pos = 0
+        end = len(blob)
+        while pos < end:
+            klen, vlen = unpack(blob, pos)
+            pos += 6
+            append(blob[pos : pos + klen])
+            pos += klen + vlen
+    return keys
 
 
 def decode_block(blob: bytes) -> list[tuple[bytes, bytes]]:
@@ -145,7 +169,7 @@ class SSTable:
         block_offsets: list[int],
         block_first_keys: list[bytes],
         block_counts: list[int],
-        bloom: BloomFilter,
+        encoded: list[bytes],
         min_key: bytes,
         max_key: bytes,
         entry_count: int,
@@ -160,7 +184,8 @@ class SSTable:
         #: entries per block: a point read charges its in-block comparisons
         #: from here, having decoded nothing to count.
         self._block_counts = block_counts
-        self.bloom = bloom
+        #: the encoded blocks, kept until ``bloom`` is built from them.
+        self._encoded: Optional[list[bytes]] = encoded
         self.min_key = min_key
         self.max_key = max_key
         self.entry_count = entry_count
@@ -208,8 +233,6 @@ class SSTable:
             cursor += len(blob)
             cpu_ns += costs.copy_cost(len(blob))
         clock.charge_background(cpu_ns)
-
-        bloom = BloomFilter.build(map(itemgetter(0), pairs), _BITS_PER_KEY)
         return cls(
             table_id=table_id,
             disk=disk,
@@ -218,12 +241,20 @@ class SSTable:
             block_offsets=offsets,
             block_first_keys=first_keys,
             block_counts=list(map(len, blocks)),
-            bloom=bloom,
+            encoded=encoded,
             min_key=pairs[0][0],
             max_key=pairs[-1][0],
             entry_count=len(pairs),
             data_bytes=total,
         )
+
+    @cached_property
+    def bloom(self) -> BloomFilter:
+        """The table's filter, built from its blocks the first time it is asked for."""
+        encoded = self._encoded
+        assert encoded is not None, f"table {self.table_id} was freed before its first probe"
+        self._encoded = None
+        return BloomFilter.build(block_keys(encoded), _BITS_PER_KEY)
 
     # ------------------------------------------------------------------
     # reads
@@ -305,17 +336,16 @@ class SSTable:
         free_extent = self._disk.free
         for offset in self._block_offsets:
             free_extent(offset)
-
-    def overlaps(self, other: "SSTable") -> bool:
-        return self.min_key <= other.max_key and other.min_key <= self.max_key
+        # Compaction's locals still hold the retired table: its blocks must not.
+        self._encoded = None
 
     def overlaps_range(self, low: bytes, high: bytes) -> bool:
         return self.min_key <= high and low <= self.max_key
 
     def index_memory_bytes(self) -> int:
-        """In-memory footprint: block index plus bloom filter."""
+        """In-memory footprint: block index plus bloom filter, built or not."""
         index_bytes = sum(len(k) + 8 for k in self._block_first_keys)
-        return index_bytes + self.bloom.memory_bytes()
+        return index_bytes + (filter_bits(self.entry_count, _BITS_PER_KEY) + 7) // 8
 
     @property
     def block_count(self) -> int:

@@ -14,10 +14,11 @@ observes (the ART-LSM throughput fluctuation in Figure 9).
 
 On the host, flush and compaction call Python once per table or per block,
 never once per entry: one dict-and-sort merge per compaction
-(``_merge_tables``), one cumulative-size pass per table for the block and
-output-table cuts (``sstable.split_by_size``), one lane-parallel hash per
-filter (``BloomFilter.add_many``).  A point read does each piece of work
-once: ``get`` hashes the key once for all the filters it probes
+(``_merge_tables``) and one cumulative-size pass per table for the block and
+output-table cuts (``sstable.split_by_size``).  They build no filter: a
+table builds its own on its first probe (``SSTable.bloom``), and most are
+compacted away before any read reaches them.  A point read does each piece
+of work once: ``get`` hashes the key once for all the filters it probes
 (``bloom.hash_pair``) and a block read for one key is searched encoded, not
 decoded (``sstable.search_block``).  The disk image, every charge and every
 bloom bit are what the per-entry loops produced (DESIGN.md §7).

@@ -1,5 +1,6 @@
 """Tests for the benchmark infrastructure: report formatting, harness, CLI."""
 
+import re
 from pathlib import Path
 
 from repro.bench.report import format_table
@@ -32,6 +33,18 @@ def test_write_result_creates_json(tmp_path, monkeypatch):
     monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
     table = write_result("table1")
     assert table.startswith("Table I")
+    written = (tmp_path / "table1_systems.json").read_bytes()
+    assert written == (RESULTS / "table1_systems.json").read_bytes()
+
+
+def test_cli_reports_host_seconds_on_stderr_only(tmp_path, monkeypatch, capsys):
+    import repro.bench.report as report
+
+    monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
+    assert main(["table1"]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == write_result("table1") + "\n\n"  # the table alone
+    assert re.fullmatch(r"table1: \d+\.\d s host CPU\n", printed.err)
     written = (tmp_path / "table1_systems.json").read_bytes()
     assert written == (RESULTS / "table1_systems.json").read_bytes()
 

@@ -259,8 +259,8 @@ def test_sstable_overlap_checks(disk):
     a, __ = make_table(disk, n=10, table_id=1)
     pairs_b = [(ikey(10**6 + i), b"v") for i in range(10)]
     b = SSTable.build(2, disk, SimClock(), CostModel(), pairs_b)
-    assert not a.overlaps(b)
-    assert a.overlaps(a)
+    assert not a.overlaps_range(b.min_key, b.max_key)
+    assert a.overlaps_range(a.min_key, a.max_key)
     assert a.overlaps_range(ikey(0), ikey(5))
     assert not a.overlaps_range(ikey(10**7), ikey(10**8))
 

@@ -14,6 +14,10 @@ Read path: ``search_block`` finds a key in the encoded block, one
 cache holds a ``CachedBlock`` that is decoded on its first reuse.  Their
 references are PR 21's ``may_contain``, ``SSTable._load_block``, ``get`` and
 ``blocks`` (sections d and e).
+
+A table builds its filter on its first probe, from the encoded blocks it
+keeps until then; its reference is the eager ``SSTable.build`` that hashed
+every key as it wrote the table (section f).
 """
 
 import heapq
@@ -21,6 +25,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right, insort
 from itertools import chain
+from operator import itemgetter
 from typing import Iterator, Optional
 
 import pytest
@@ -337,7 +342,8 @@ def test_build_sums_copy_cost_block_by_block():
 # ----------------------------------------------------------------------
 # (c) the disk image of a whole run
 # ----------------------------------------------------------------------
-def _spill_run() -> tuple:
+def _spill_store() -> tuple[EngineRuntime, LSMStore, IndeXY]:
+    """The seeded 64 KiB spill run: inserts, overwrites and deletes, no reads."""
     # An ART-LSM engine with a small memtable and level 1, assembled by
     # hand: the systems size their stores from the memory limit alone.
     runtime = EngineRuntime()
@@ -359,6 +365,11 @@ def _spill_run() -> tuple:
     store.flush()
     assert store.stats["compactions"] >= 3
     assert sum(1 for level in store.levels if level) >= 2
+    return runtime, store, index
+
+
+def _spill_run() -> tuple:
+    runtime, store, index = _spill_store()
     tables = [
         (
             t.table_id, level, t.min_key, t.max_key, t.entry_count, t.data_bytes,
@@ -609,6 +620,7 @@ def _read_run(block_policy: str, row_cache_bytes: int) -> tuple:
         (cache.hits, cache.misses, cache.evictions, cache.used_bytes),
         evicted,
         store.row_cache and (store.row_cache.hits, store.row_cache.misses),
+        store.memory_bytes,
     )
 
 
@@ -623,5 +635,65 @@ def test_store_reads_match_the_decode_per_miss_reference(
     monkeypatch.setattr(SSTable, "_load_block", _reference_load_block)
     monkeypatch.setattr(SSTable, "blocks", _reference_table_blocks)
     want = _read_run(block_policy, row_cache_bytes)
+    for produced, expected in zip(got, want, strict=True):
+        assert produced == expected
+
+
+# ----------------------------------------------------------------------
+# (f) the filter is built on first probe, with the bits the eager build set
+# ----------------------------------------------------------------------
+def test_unprobed_tables_build_no_filter_and_freed_ones_drop_their_blocks(monkeypatch):
+    freed: list[SSTable] = []
+    free = SSTable.free
+
+    def logged_free(self: SSTable) -> None:
+        freed.append(self)
+        free(self)
+
+    monkeypatch.setattr(SSTable, "free", logged_free)
+    __, store, __ = _spill_store()
+    live = [t for level in store.levels for t in level]
+    assert live and len(freed) >= 3
+    for table in live:
+        assert "bloom" not in vars(table) and table._encoded is not None
+    assert all(table._encoded is None for table in freed)
+
+
+def test_forced_filter_has_the_bits_of_the_keys_filter():
+    __, store, __ = _spill_store()
+    for table in (t for level in store.levels for t in level):
+        keys = [key for block in table.blocks() for key, __ in block]
+        memory = table.index_memory_bytes()
+        assert bytes(table.bloom._bits) == bytes(BloomFilter.build(keys)._bits)
+        assert table._encoded is None  # built once; the blocks are dropped
+        assert table.index_memory_bytes() == memory
+
+
+def test_index_memory_bytes_does_not_depend_on_the_build():
+    runtime = EngineRuntime()
+    for count in range(1, 201):  # up to 6 keys the filter is the 64-bit floor
+        pairs = [(b"%05d" % i, b"v" * (i % 7)) for i in range(count)]
+        table = SSTable.build(
+            count, runtime.disk, runtime.clock, runtime.costs, pairs, block_size=256
+        )
+        before = table.index_memory_bytes()
+        assert "bloom" not in vars(table)
+        table.bloom.may_contain(pairs[0][0])
+        assert table.index_memory_bytes() == before
+        assert table.bloom.memory_bytes() == (max(64, 10 * count) + 7) // 8
+
+
+def test_reads_match_the_eager_filter_build(monkeypatch):
+    got = _read_run("lru", 0)
+    build = SSTable.build
+
+    def eager_build(table_id, disk, clock, costs, pairs, block_size=4096) -> SSTable:
+        """The eager ``SSTable.build``: the filter hashed from ``pairs`` as the table is written."""
+        table = build(table_id, disk, clock, costs, pairs, block_size)
+        table.bloom = BloomFilter.build(map(itemgetter(0), pairs), 10)
+        return table
+
+    monkeypatch.setattr(SSTable, "build", staticmethod(eager_build))
+    want = _read_run("lru", 0)
     for produced, expected in zip(got, want, strict=True):
         assert produced == expected
