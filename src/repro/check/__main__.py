@@ -9,8 +9,8 @@ finding survives the inline pragmas.  ``--deep`` runs every family
 runs exactly the named rules (a trailing ``x`` is a prefix wildcard);
 ``--unused-pragmas`` audits ``allow[...]`` pragmas that no longer
 suppress anything; ``--list-rules`` prints the rule catalogue
-(``--format markdown`` emits the DESIGN.md table); ``--format
-json|sarif`` emits machine-readable output for CI upload.
+(``--format markdown`` emits the DESIGN.md table); ``--format sarif``
+emits the SARIF CI uploads to code scanning.
 """
 
 from __future__ import annotations
@@ -77,20 +77,6 @@ def _rule_catalogue_markdown() -> str:
             f"| {rule.scope} | {rule.summary} |"
         )
     return "\n".join(lines)
-
-
-def _as_json(findings: list[Finding]) -> str:
-    payload = [
-        {
-            "path": f.path,
-            "line": f.line,
-            "col": f.col,
-            "rule": f.rule,
-            "message": f.message,
-        }
-        for f in findings
-    ]
-    return json.dumps(payload, indent=2)
 
 
 def _as_sarif(findings: list[Finding]) -> str:
@@ -189,7 +175,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--deep",
         action="store_true",
-        help="also run the RL1xx CFG/dataflow/call-graph rules and the "
+        help="also run the RL1xx CFG/call-graph rules and the "
         "RL3xx charge-effect rules",
     )
     parser.add_argument(
@@ -207,7 +193,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif", "markdown"),
+        choices=("text", "sarif", "markdown"),
         default="text",
         help="output format (default: text; markdown applies to --list-rules)",
     )
@@ -266,9 +252,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     findings = run(analysis, selected)
     elapsed = time.monotonic() - started
 
-    if args.format == "json":
-        print(_as_json(findings))
-    elif args.format == "sarif":
+    if args.format == "sarif":
         print(_as_sarif(findings))
     else:
         for finding in findings:

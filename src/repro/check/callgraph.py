@@ -266,8 +266,7 @@ def bound_alias_chains(func: FunctionNode) -> dict[str, tuple[str, ...]]:
     ``name = partial(obj.method, ...)`` binds the same way: calling the
     name runs the wrapped method.  A later bare call through the name
     resolves to the method.  The scan is flow-insensitive (any binding in
-    the function counts) — the def-use layer exists for rules that need
-    flow precision; the call graph only needs may-call edges.
+    the function counts): the call graph only needs may-call edges.
     """
     out: dict[str, tuple[str, ...]] = {}
     for node in ast.walk(func):

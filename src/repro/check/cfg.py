@@ -1,10 +1,11 @@
 """Intra-procedural control-flow graphs over Python ASTs.
 
-The deep checker (:mod:`repro.check.deepcheck`) needs to reason about
-*paths* — "does every path that sets a dirty bit also bump the mirror
-counter before the function returns?" — which per-node AST matching
-(:mod:`repro.check.reprolint`) cannot express.  This module builds a
-classic basic-block CFG for one function at a time.
+The deep and charge checkers (:mod:`repro.check.deepcheck`,
+:mod:`repro.check.chargecheck`) reason about *paths* — "does every path
+that sets an ART D bit also set its activity bit before the function
+returns?", "how many disk reads can a path to exit make?" — which
+per-node AST matching (:mod:`repro.check.reprolint`) cannot express.
+This module builds a classic basic-block CFG for one function at a time.
 
 Model
 -----
@@ -16,10 +17,9 @@ decision expression of a compound statement (the ``test`` of an
 as the loop-head element (its per-iteration target binding), and ``with``
 statements contribute the ``ast.With`` node (its ``as`` bindings); the
 bodies of compound statements are *never* stored inside an element — they
-become their own blocks — so dataflow can walk elements without
-double-counting nested code.  :func:`repro.check.dataflow.element_defs`
-and :func:`~repro.check.dataflow.element_uses` know how to read each
-element shape.
+become their own blocks — so an analysis can walk elements without
+double-counting nested code.  :func:`element_calls` reads the calls out
+of each element shape.
 
 Soundness limits (documented, deliberate)
 -----------------------------------------
@@ -39,9 +39,9 @@ Soundness limits (documented, deliberate)
 from __future__ import annotations
 
 import ast
-from typing import Union
+from typing import Iterator, Union
 
-__all__ = ["Element", "Block", "CFG", "build_cfg", "iter_function_defs"]
+__all__ = ["Element", "Block", "CFG", "build_cfg", "element_calls", "iter_function_defs"]
 
 #: One unit of straight-line code inside a block; see the module docstring
 #: for which AST node stands for which compound construct.
@@ -388,3 +388,45 @@ def iter_function_defs(tree: ast.AST) -> list[tuple[str | None, FunctionNode]]:
 
     walk(tree, None)
     return out
+
+
+def _use_exprs(elem: Element) -> list[ast.expr]:
+    """The expressions ``elem`` itself evaluates.
+
+    Compound-statement elements expose only their decision/iterable parts;
+    their bodies are separate blocks and must not be walked here.
+    """
+    if isinstance(elem, ast.Assign):
+        # Subscript/attribute targets use their base expressions.
+        out = [elem.value]
+        for target in elem.targets:
+            if not isinstance(target, ast.Name):
+                out.append(target)
+        return out
+    if isinstance(elem, ast.AnnAssign):
+        return [elem.value] if elem.value is not None else []
+    if isinstance(elem, ast.AugAssign):
+        return [elem.target, elem.value]
+    if isinstance(elem, (ast.For, ast.AsyncFor)):
+        return [elem.iter]
+    if isinstance(elem, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in elem.items]
+    if isinstance(elem, ast.Return):
+        return [elem.value] if elem.value is not None else []
+    if isinstance(elem, ast.Assert):
+        return [elem.test] + ([elem.msg] if elem.msg is not None else [])
+    if isinstance(elem, ast.Raise):
+        return [e for e in (elem.exc, elem.cause) if e is not None]
+    if isinstance(elem, ast.Expr):
+        return [elem.value]
+    if isinstance(elem, ast.expr):
+        return [elem]
+    return []
+
+
+def element_calls(elem: Element) -> Iterator[ast.Call]:
+    """Every call expression in ``elem`` (never recursing into bodies)."""
+    for expr in _use_exprs(elem):
+        for node in ast.walk(expr):
+            if isinstance(node, ast.Call):
+                yield node

@@ -69,8 +69,7 @@ from repro.check.callgraph import (
     callee_name,
     rooted_at_self,
 )
-from repro.check.cfg import CFG, Element
-from repro.check.dataflow import element_calls
+from repro.check.cfg import CFG, Element, element_calls
 from repro.check.engine import Analysis, Findings, Module
 from repro.sim.effects import EFFECT_NAMES, MANY, parse_effect
 

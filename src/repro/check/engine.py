@@ -40,7 +40,6 @@ __all__ = [
     "Finding",
     "Findings",
     "HOT_PREFIXES",
-    "LoopDepthVisitor",
     "Module",
     "Rule",
     "allowed_rules",
@@ -50,36 +49,9 @@ __all__ = [
     "parse",
 ]
 
-#: packages forming the simulator's hot paths; RL007 and RL104 police
-#: wall-clock overhead patterns in these modules only.
+#: packages forming the simulator's hot paths; RL007 polices wall-clock
+#: overhead patterns in these modules only.
 HOT_PREFIXES = ("art/", "lsm/", "sim/", "diskbtree/")
-
-
-
-class LoopDepthVisitor(ast.NodeVisitor):
-    """Tracks loop nesting the way RL007 and RL104 both mean it.
-
-    A ``for`` iterator expression runs once, outside the per-iteration
-    cost, so it is visited at the enclosing depth; a ``while`` test
-    re-evaluates every iteration, so it counts as loop-body code.
-    """
-
-    loop_depth = 0
-
-    def visit_For(self, node: ast.For | ast.AsyncFor) -> None:
-        self.visit(node.iter)
-        self.loop_depth += 1
-        self.visit(node.target)
-        for stmt in (*node.body, *node.orelse):
-            self.visit(stmt)
-        self.loop_depth -= 1
-
-    visit_AsyncFor = visit_For
-
-    def visit_While(self, node: ast.While) -> None:
-        self.loop_depth += 1
-        self.generic_visit(node)
-        self.loop_depth -= 1
 
 
 _PRAGMA_RE = re.compile(r"#\s*reprolint:\s*allow\[([^\]]*)\]")

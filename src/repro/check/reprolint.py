@@ -30,19 +30,24 @@ RL005    unseeded-random: no module-global ``random`` functions and no
          seed so runs reproduce.
 RL006    mutable-default: no mutable default argument values.
 RL007    hot-path-overhead: inside the hot packages (``art/``, ``lsm/``,
-         ``sim/``, ``diskbtree/``) no function-local imports and no
-         attribute-chain calls (``self.clock.charge_cpu(...)``) inside
-         loops — hoist the import to module top and bind the method to a
-         local before the loop.  These patterns are semantically fine but
-         cost real wall-clock time per call on the simulator's hottest
-         paths (PR 3's profiles showed them dominating).
-RL009    policy-determinism: inside ``cache/`` modules, no ``time`` /
-         ``random`` / ``os`` imports and no iteration over bare ``set``
-         values (set literals, set comprehensions, ``set()`` /
-         ``frozenset()`` calls).  Eviction decisions must be a pure
-         function of the hook-call sequence — hash-order iteration or
-         environmental input would silently break the byte-identical
-         results contract for every system the policy serves.
+         ``sim/``, ``diskbtree/``) no function-local imports, and a loop
+         body neither makes an attribute-chain call
+         (``self.clock.charge_cpu(...)``) nor calls a helper that pays
+         an allocation or a local import on every call (one call level
+         down, through the project call graph; maintenance routines'
+         loops are exempt from that second half).  Hoist the import to
+         module top, bind the method to a local before the loop, move
+         the allocation out of the helper.  These patterns are
+         semantically fine but cost real wall-clock time per call on the
+         simulator's hottest paths.
+RL009    policy-determinism: inside ``cache/`` modules, no ``random`` /
+         ``os`` imports (``time`` is RL004's everywhere) and no
+         iteration over bare ``set`` values (set literals, set
+         comprehensions, ``set()`` / ``frozenset()`` calls).  Eviction
+         decisions must be a pure function of the hook-call sequence —
+         hash-order iteration or environmental input would silently
+         break the byte-identical results contract for every system the
+         policy serves.
 =======  ==============================================================
 
 A finding on a given line is suppressed by the inline pragma
@@ -58,8 +63,9 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.callgraph import _attr_chain, callee_name
-from repro.check.engine import HOT_PREFIXES, Analysis, Findings, LoopDepthVisitor, Module
+from repro.check.callgraph import FunctionInfo, _attr_chain, callee_name
+from repro.check.cfg import FunctionNode, iter_function_defs
+from repro.check.engine import HOT_PREFIXES, Analysis, Findings, Module
 
 __all__ = ["check"]
 
@@ -101,28 +107,31 @@ _GLOBAL_RANDOM_FUNCS = frozenset(
     }
 )
 
-#: constructors whose results are mutable (beyond the literal displays).
+#: constructors whose results are mutable (RL006 defaults; RL007 counts a
+#: call to one as an allocation), and the mutable displays.
 _MUTABLE_CONSTRUCTORS = frozenset(
     {"dict", "list", "set", "bytearray", "Counter", "defaultdict", "deque", "OrderedDict"}
 )
+_MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)
 
 #: imports that would let a cache policy observe anything beyond its
-#: hook-call sequence (RL009).
-_POLICY_BANNED_IMPORTS = frozenset({"time", "random", "os"})
+#: hook-call sequence (RL009; ``time`` is RL004's everywhere).
+_POLICY_BANNED_IMPORTS = frozenset({"random", "os"})
+
+#: what a helper's top-level statement allocates on every call (RL007).
+_ALLOC_DISPLAYS = (*_MUTABLE_DISPLAYS, ast.GeneratorExp)
 
 
 def _in_sim(rel: str) -> bool:
     return rel.startswith("sim/")
 
 
-class _Visitor(LoopDepthVisitor):
+class _Visitor(ast.NodeVisitor):
     def __init__(self, module: Module, out: Findings) -> None:
-        self.rel = rel = module.rel
+        self.rel = module.rel
         self._path = module.path
         self._out = out
-        self._hot = rel.startswith(HOT_PREFIXES)
-        self._policy = rel.startswith("cache/")
-        self._func_depth = 0
+        self._policy = module.rel.startswith("cache/")
 
     def _add(self, node: ast.AST, rule: str, message: str) -> None:
         self._out.add(self._path, node, rule, message)
@@ -164,7 +173,7 @@ class _Visitor(LoopDepthVisitor):
 
     def visit_For(self, node: ast.For | ast.AsyncFor) -> None:
         self._check_policy_iteration(node.iter)
-        super().visit_For(node)
+        self.generic_visit(node)
 
     visit_AsyncFor = visit_For
 
@@ -213,24 +222,6 @@ class _Visitor(LoopDepthVisitor):
                     node,
                     "RL005",
                     "Random() without a seed is OS-seeded; pass an explicit seed",
-                )
-        if (
-            self._hot
-            and self.loop_depth > 0
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Attribute)
-        ):
-            # Only chains rooted at ``self`` are flagged: those are
-            # loop-invariant by construction (``self`` cannot rebind),
-            # so the bound method can always be hoisted.  A chain rooted
-            # at a loop variable usually cannot.
-            chain = _attr_chain(node.func)
-            if chain is not None and chain[0] == "self":
-                self._add(
-                    node,
-                    "RL007",
-                    f"attribute-chain call {'.'.join(chain)}() inside a loop on a hot "
-                    "path; bind the method to a local before the loop",
                 )
         self.generic_visit(node)
 
@@ -299,22 +290,11 @@ class _Visitor(LoopDepthVisitor):
                 "shard batches are dispatched serially",
             )
 
-    def _check_local_import(self, node: ast.Import | ast.ImportFrom) -> None:
-        if self._hot and self._func_depth > 0:
-            self._add(
-                node,
-                "RL007",
-                "function-local import on a hot path pays the import-machinery "
-                "lookup on every call; hoist it to module top",
-            )
-
     def visit_Import(self, node: ast.Import) -> None:
-        self._check_local_import(node)
         for alias in node.names:
             self._check_import(node, alias.name)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        self._check_local_import(node)
         if node.module:
             self._check_import(node, node.module)
             if node.module == "random":
@@ -332,10 +312,7 @@ class _Visitor(LoopDepthVisitor):
         defaults: list[ast.expr] = list(node.args.defaults)
         defaults.extend(d for d in node.args.kw_defaults if d is not None)
         for default in defaults:
-            mutable = isinstance(
-                default,
-                (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp),
-            )
+            mutable = isinstance(default, _MUTABLE_DISPLAYS)
             if isinstance(default, ast.Call):
                 callee = callee_name(default.func)
                 mutable = callee in _MUTABLE_CONSTRUCTORS
@@ -347,20 +324,162 @@ class _Visitor(LoopDepthVisitor):
                     "and construct inside the function",
                 )
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         self._check_defaults(node)
-        self._func_depth += 1
         self.generic_visit(node)
-        self._func_depth -= 1
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self._func_depth += 1
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+
+# -- RL007: hot-path overhead, in the loop body and one call below it -----
+
+
+class _HotSites(ast.NodeVisitor):
+    """One hot function's local imports and in-loop call sites.
+
+    A ``for`` iterator expression runs once, outside the per-iteration
+    cost, so it is visited at the enclosing depth; a ``while`` test
+    re-evaluates every iteration, so it counts as loop-body code.  Nested
+    defs are functions of their own.
+    """
+
+    def __init__(self) -> None:
+        self.loop_depth = 0
+        self.imports: list[ast.Import | ast.ImportFrom] = []
+        self.loop_calls: list[ast.Call] = []
+
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        pass
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Import(self, node: ast.Import | ast.ImportFrom) -> None:
+        self.imports.append(node)
+
+    visit_ImportFrom = visit_Import
+
+    def visit_For(self, node: ast.For | ast.AsyncFor) -> None:
+        self.visit(node.iter)
+        self.loop_depth += 1
+        self.visit(node.target)
+        for stmt in (*node.body, *node.orelse):
+            self.visit(stmt)
+        self.loop_depth -= 1
+
+    visit_AsyncFor = visit_For
+
+    def visit_While(self, node: ast.While) -> None:
+        self.loop_depth += 1
         self.generic_visit(node)
-        self._func_depth -= 1
+        self.loop_depth -= 1
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if self.loop_depth > 0:
+            self.loop_calls.append(node)
+        self.generic_visit(node)
+
+
+def _unconditional_allocation(func: FunctionNode) -> ast.AST | None:
+    """An allocation (or local import) every call of ``func`` must pay.
+
+    Only the function body's top-level simple statements count — anything
+    under a branch, loop, or try is conditional and the caller may never
+    hit it.
+    """
+    for stmt in func.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            return stmt
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Expr, ast.Return)):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, _ALLOC_DISPLAYS):
+                return node
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in _MUTABLE_CONSTRUCTORS
+            ):
+                return node
+    return None
+
+
+def _hot_path(analysis: Analysis, out: Findings) -> None:
+    hot = [m for m in analysis.modules if m.rel.startswith(HOT_PREFIXES)]
+    if not hot:
+        return
+    graph = analysis.callgraph()
+    # In-loop call sites of hot non-maintenance functions -> their callees.
+    # Maintenance routines are background batch work whose loops allocate
+    # by design (merge outputs, flush batches).
+    callees: dict[int, list[FunctionInfo]] = {}
+    for key, info in graph.functions.items():
+        if info.rel.startswith(HOT_PREFIXES) and info.name not in _MAINTENANCE_OWNERS:
+            for site in graph.callees(key):
+                callee = graph.functions[site.callee]
+                if callee.name not in ("__init__", "__new__") and site.callee != key:
+                    callees.setdefault(id(site.call), []).append(callee)
+    for module in hot:
+        for _cls, func in iter_function_defs(module.tree):
+            sites = _HotSites()
+            for stmt in func.body:
+                sites.visit(stmt)
+            for node in sites.imports:
+                out.add(
+                    module.path,
+                    node,
+                    "RL007",
+                    "function-local import on a hot path pays the import-machinery "
+                    "lookup on every call; hoist it to module top",
+                )
+            for call in sites.loop_calls:
+                _hot_loop_call(module, call, callees.get(id(call), []), out)
+
+
+def _hot_loop_call(
+    module: Module, call: ast.Call, callees: list[FunctionInfo], out: Findings
+) -> None:
+    func = call.func
+    chain = _attr_chain(func) if isinstance(func, ast.Attribute) else None
+    if chain is not None and len(chain) > 2:
+        # Only chains rooted at ``self`` are flagged: those are
+        # loop-invariant by construction (``self`` cannot rebind), so the
+        # bound method can always be hoisted.  A chain rooted at a loop
+        # variable usually cannot.
+        if chain[0] == "self":
+            out.add(
+                module.path,
+                call,
+                "RL007",
+                f"attribute-chain call {'.'.join(chain)}() inside a loop on a hot "
+                "path; bind the method to a local before the loop",
+            )
+        return
+    if not isinstance(func, ast.Name) and (chain is None or chain[0] not in ("self", "cls")):
+        return
+    for callee in callees:
+        alloc = _unconditional_allocation(callee.node)
+        if alloc is None:
+            continue
+        what = (
+            "a function-local import"
+            if isinstance(alloc, (ast.Import, ast.ImportFrom))
+            else "an unconditional allocation"
+        )
+        out.add(
+            module.path,
+            call,
+            "RL007",
+            f"loop body calls {callee.name}() which pays {what} "
+            f"({callee.rel}:{getattr(alloc, 'lineno', '?')}) on every "
+            "iteration; hoist the work or restructure the helper",
+        )
+        return  # one finding per call site is enough
 
 
 def check(analysis: Analysis, active: frozenset[str], out: Findings) -> None:
-    """The shallow pass: one AST visit per module emits RL001–RL007 and RL009."""
+    """The shallow pass: one AST visit per module emits RL001–RL006 and
+    RL009; RL007 walks the hot functions with the call graph."""
     for module in analysis.modules:
         _Visitor(module, out).visit(module.tree)
+    if "RL007" in active:
+        _hot_path(analysis, out)

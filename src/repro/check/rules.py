@@ -52,7 +52,7 @@ RULES: tuple[Rule, ...] = (
         "RL004",
         "wall-clock",
         "no time/datetime imports in simulated code",
-        "everywhere outside bench/ and check/",
+        "src/repro (tests excluded); host timers in bench/ and check/ carry pragmas",
         "shallow",
         reprolint.check,
     ),
@@ -75,15 +75,16 @@ RULES: tuple[Rule, ...] = (
     Rule(
         "RL007",
         "hot-path-overhead",
-        "no function-local imports or in-loop attribute-chain calls in hot modules",
-        "hot modules (art/ lsm/ sim/ diskbtree/)",
+        "hot modules: no function-local imports; no loop body makes an attribute-chain "
+        "call or calls a helper that allocates or imports on every call",
+        "hot modules (art/ lsm/ sim/ diskbtree/); helpers one call level down (call graph)",
         "shallow",
         reprolint.check,
     ),
     Rule(
         "RL009",
         "policy-determinism",
-        "cache-policy modules: no time/random/os imports, no bare-set iteration",
+        "cache-policy modules: no random/os imports, no bare-set iteration",
         "cache/ policy modules",
         "shallow",
         reprolint.check,
@@ -97,26 +98,10 @@ RULES: tuple[Rule, ...] = (
         deepcheck.check,
     ),
     Rule(
-        "RL102",
-        "determinism-taint",
-        "id()/hash()/set-order/env values must not reach clock charges, seeds, or results",
-        "src/repro (tests excluded)",
-        "deep",
-        deepcheck.check,
-    ),
-    Rule(
         "RL103",
         "paired-mutation",
-        "accounting mutations execute their paired bookkeeping update on every path",
-        "paired accounting fields (curated table)",
-        "deep",
-        deepcheck.check,
-    ),
-    Rule(
-        "RL104",
-        "transitive-hot-alloc",
-        "hot-path loops must not call unconditionally-allocating helpers",
-        "hot modules (art/ lsm/ sim/ diskbtree/)",
+        "every path that sets an ART node's D bit also sets its activity bit",
+        "art/",
         "deep",
         deepcheck.check,
     ),

@@ -611,6 +611,12 @@ def check_buffer_pool(pool: BufferPool) -> list[Violation]:
     for pid, frame in pool._frames.items():
         if frame.pins < 0:
             out.add("bufferpool-pins", f"page {pid} has negative pin count {frame.pins}")
+    dirty = sum(1 for f in pool._frames.values() if f.dirty)
+    if pool._dirty_count != dirty:
+        out.add(
+            "bufferpool-dirty-count",
+            f"_dirty_count is {pool._dirty_count} but {dirty} frames are dirty",
+        )
     return out.violations
 
 

@@ -188,6 +188,8 @@ class IndeXY:
             return []
         from_x = self.x.scan(start, count)
         if not self._y_populated:
+            if self.sanitizer is not None:
+                self.sanitizer.after_op()
             return from_x[:count]
         from_y = self.y.scan(start, count)
         self.stats.bump("scans")
@@ -210,6 +212,8 @@ class IndeXY:
                 out.append(from_x[i])  # X holds the freshest version
                 i += 1
                 j += 1
+        if self.sanitizer is not None:
+            self.sanitizer.after_op()
         return out
 
     # ------------------------------------------------------------------

@@ -84,115 +84,29 @@ def test_rl101_direct_call_also_flagged():
 
 
 def test_rl101_disabled_rule_reports_nothing():
-    assert run_deep(rules=("RL102", "RL103", "RL104"), **RL101_VIOLATION) == []
+    assert run_deep(rules=("RL103",), **RL101_VIOLATION) == []
 
 
 # ----------------------------------------------------------------------
-# RL102: determinism taint
-# ----------------------------------------------------------------------
-
-RL102_VIOLATION_ID = {
-    "core/engine.py": """
-    class Engine:
-        def account(self, clock, obj):
-            cost = id(obj)
-            clock.charge_cpu(cost)
-    """
-}
-
-RL102_VIOLATION_SET_ITER = {
-    "core/engine.py": """
-    class Engine:
-        def account(self, clock, items):
-            bucket = set(items)
-            for item in bucket:
-                clock.charge_cpu(item)
-    """
-}
-
-RL102_CLEAN_SORTED = {
-    "core/engine.py": """
-    class Engine:
-        def account(self, clock, items):
-            bucket = set(items)
-            for item in sorted(bucket):
-                clock.charge_cpu(item)
-    """
-}
-
-
-def test_rl102_id_flows_into_clock_charge():
-    findings = run_deep(**RL102_VIOLATION_ID)
-    assert rule_ids(findings) == ["RL102"]
-    assert "charge_cpu" in findings[0].message
-
-
-def test_rl102_set_iteration_order_taints_charges():
-    findings = run_deep(**RL102_VIOLATION_SET_ITER)
-    assert rule_ids(findings) == ["RL102"]
-
-
-def test_rl102_sorted_sanitizes_set_order():
-    assert run_deep(**RL102_CLEAN_SORTED) == []
-
-
-def test_rl102_membership_test_on_id_set_is_clean():
-    # Identity values are stable within a run; membership does not
-    # observe ordering (the PreCleaner's check-back set relies on this).
-    findings = run_deep(
-        **{
-            "core/engine.py": """
-            class Engine:
-                def account(self, clock, nodes, probe):
-                    seen = {id(n) for n in nodes}
-                    if id(probe) in seen:
-                        clock.charge_cpu(1)
-            """
-        }
-    )
-    assert findings == []
-
-
-def test_rl102_env_read_into_persisted_results():
-    findings = run_deep(
-        **{
-            "bench/report.py": """
-            import json
-            import os
-
-            def write(fh):
-                payload = {"host": os.getenv("HOST")}
-                json.dump(payload, fh)
-            """
-        }
-    )
-    assert rule_ids(findings) == ["RL102"]
-
-
-def test_rl102_disabled_rule_reports_nothing():
-    assert run_deep(rules=("RL101", "RL103", "RL104"), **RL102_VIOLATION_ID) == []
-
-
-# ----------------------------------------------------------------------
-# RL103: paired mutations
+# RL103: paired mutation (ART D bit -> activity bit)
 # ----------------------------------------------------------------------
 
 RL103_VIOLATION = {
-    "diskbtree/pool.py": """
-    class Pool:
-        def mark(self, frame, flag):
-            frame.dirty = True
+    "art/tree.py": """
+    class Tree:
+        def mark(self, node, flag):
+            node.dirty = True
             if flag:
-                self._dirty_count += 1
+                node.activity = True
     """
 }
 
 RL103_CLEAN = {
-    "diskbtree/pool.py": """
-    class Pool:
-        def mark(self, frame):
-            frame.dirty = True
-            self._dirty_count += 1
+    "art/tree.py": """
+    class Tree:
+        def mark(self, node):
+            node.dirty = True
+            node.activity = True
     """
 }
 
@@ -200,7 +114,7 @@ RL103_CLEAN = {
 def test_rl103_flags_conditionally_unpaired_mutation():
     findings = run_deep(**RL103_VIOLATION)
     assert rule_ids(findings) == ["RL103"]
-    assert "_dirty_count" in findings[0].message
+    assert "activity" in findings[0].message
 
 
 def test_rl103_same_path_pairing_is_clean():
@@ -210,14 +124,14 @@ def test_rl103_same_path_pairing_is_clean():
 def test_rl103_branch_covering_both_paths_is_clean():
     findings = run_deep(
         **{
-            "diskbtree/pool.py": """
-            class Pool:
-                def mark(self, frame, flag):
-                    frame.dirty = True
+            "art/tree.py": """
+            class Tree:
+                def mark(self, node, flag):
+                    node.dirty = True
                     if flag:
-                        self._dirty_count += 1
+                        node.activity = True
                     else:
-                        self._dirty_count += 1
+                        node.activity = True
             """
         }
     )
@@ -227,10 +141,10 @@ def test_rl103_branch_covering_both_paths_is_clean():
 def test_rl103_constructor_is_exempt():
     findings = run_deep(
         **{
-            "diskbtree/pool.py": """
-            class Frame:
+            "art/nodes.py": """
+            class Node:
                 def __init__(self):
-                    self.dirty = False
+                    self.dirty = True
             """
         }
     )
@@ -238,98 +152,13 @@ def test_rl103_constructor_is_exempt():
 
 
 def test_rl103_outside_bound_module_is_clean():
-    # The dirty-bit pair binds diskbtree/ only.
-    findings = run_deep(
-        **{
-            "core/other.py": """
-            class Pool:
-                def mark(self, frame, flag):
-                    frame.dirty = True
-                    if flag:
-                        self._dirty_count += 1
-            """
-        }
-    )
+    # The pair binds art/ only.
+    findings = run_deep(**{"core/other.py": RL103_VIOLATION["art/tree.py"]})
     assert findings == []
 
 
 def test_rl103_disabled_rule_reports_nothing():
-    assert run_deep(rules=("RL101", "RL102", "RL104"), **RL103_VIOLATION) == []
-
-
-# ----------------------------------------------------------------------
-# RL104: transitive hot-path allocation
-# ----------------------------------------------------------------------
-
-RL104_VIOLATION = {
-    "lsm/probe.py": """
-    class Store:
-        def probe(self, tables, keys):
-            out = 0
-            for key in keys:
-                out += self._mins(tables)
-            return out
-
-        def _mins(self, tables):
-            return [t.min_key for t in tables]
-    """
-}
-
-RL104_CLEAN_CONDITIONAL = {
-    "lsm/probe.py": """
-    class Store:
-        def probe(self, tables, keys):
-            out = 0
-            for key in keys:
-                out += self._mins(tables)
-            return out
-
-        def _mins(self, tables):
-            if not self._cache:
-                self._cache = [t.min_key for t in tables]
-            return self._cache
-    """
-}
-
-
-def test_rl104_flags_allocating_helper_in_loop():
-    findings = run_deep(**RL104_VIOLATION)
-    assert rule_ids(findings) == ["RL104"]
-    assert "_mins()" in findings[0].message
-
-
-def test_rl104_conditional_allocation_is_clean():
-    assert run_deep(**RL104_CLEAN_CONDITIONAL) == []
-
-
-def test_rl104_cold_module_is_clean():
-    files = {
-        "bench/probe.py": RL104_VIOLATION["lsm/probe.py"],
-    }
-    assert run_deep(**files) == []
-
-
-def test_rl104_local_import_in_helper_is_flagged():
-    findings = run_deep(
-        **{
-            "art/walk.py": """
-            class Tree:
-                def walk(self, nodes):
-                    for node in nodes:
-                        self._span(node)
-
-                def _span(self, node):
-                    import math
-                    return math.ceil(node)
-            """
-        }
-    )
-    assert rule_ids(findings) == ["RL104"]
-    assert "function-local import" in findings[0].message
-
-
-def test_rl104_disabled_rule_reports_nothing():
-    assert run_deep(rules=("RL101", "RL102", "RL103"), **RL104_VIOLATION) == []
+    assert run_deep(rules=("RL101",), **RL103_VIOLATION) == []
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +188,7 @@ def test_pragma_for_other_rule_does_not_suppress():
             "lsm/store.py": """
             class Store:
                 def put(self, key, value):
-                    self._maybe_compact()  # reprolint: allow[RL102]
+                    self._maybe_compact()  # reprolint: allow[RL103]
 
                 def _maybe_compact(self):
                     pass
@@ -405,14 +234,6 @@ def test_cli_deep_exit_code_and_text(tmp_path, capsys):
 def test_cli_shallow_does_not_run_deep_rules(tmp_path):
     target = write_fixture(tmp_path, VIOLATING_MODULE)
     assert main([str(target)]) == 0
-
-
-def test_cli_json_format(tmp_path, capsys):
-    target = write_fixture(tmp_path, VIOLATING_MODULE)
-    assert main(["--deep", "--format", "json", str(target)]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["rule"] == "RL101"
-    assert payload[0]["line"] > 0
 
 
 def test_cli_sarif_format(tmp_path, capsys):

@@ -51,9 +51,9 @@ def test_full_run_parses_each_file_once_and_builds_two_call_graphs(monkeypatch):
 
     files = {str(path) for path in SRC.rglob("*.py")}
     assert {name: n for name, n in parsed.items() if name in files} == dict.fromkeys(files, 1)
-    # The full tree (RL1xx) and the charge scope (RL3xx): no third.
+    # The full tree (RL007, RL101) and the charge scope (RL3xx): no third.
     assert len(graphs) == 2 and graphs[0] == len(files) > graphs[1]
-    # RL102, RL103 and the charge pass all want CFGs.
+    # RL103 and the charge pass both want CFGs.
     assert cfgs and set(cfgs.values()) == {1}
 
 

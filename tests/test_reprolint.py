@@ -271,13 +271,79 @@ def test_rl007_pragma_suppresses():
     assert lint(src, path=HOT) == []
 
 
+# RL007 one call level down: a hot loop calling a helper that allocates
+# (or imports) on every call pays it per iteration.
+
+ALLOCATING_HELPER = """
+class Store:
+    def probe(self, tables, keys):
+        out = 0
+        for key in keys:
+            out += self._mins(tables)
+        return out
+
+    def _mins(self, tables):
+        return [t.min_key for t in tables]
+"""
+
+
+def test_rl007_fires_on_allocating_helper_in_loop():
+    findings = lint(ALLOCATING_HELPER, path="src/repro/lsm/probe.py")
+    assert rules_of(findings) == ["RL007"]
+    assert "_mins()" in findings[0].message
+
+
+def test_rl007_quiet_on_conditionally_allocating_helper():
+    src = """
+    class Store:
+        def probe(self, tables, keys):
+            out = 0
+            for key in keys:
+                out += self._mins(tables)
+            return out
+
+        def _mins(self, tables):
+            if not self._cache:
+                self._cache = [t.min_key for t in tables]
+            return self._cache
+    """
+    assert lint(src, path="src/repro/lsm/probe.py") == []
+
+
+def test_rl007_quiet_on_allocating_helper_outside_hot_modules():
+    assert lint(ALLOCATING_HELPER, path="src/repro/bench/probe.py") == []
+
+
+def test_rl007_fires_on_helper_with_local_import():
+    src = """
+    class Tree:
+        def walk(self, nodes):
+            for node in nodes:
+                self._span(node)
+
+        def _span(self, node):
+            import math
+            return math.ceil(node)
+    """
+    findings = lint(src, path=HOT)
+    # The call site (one level down) and the import itself.
+    assert rules_of(findings) == ["RL007", "RL007"]
+    assert "function-local import" in findings[0].message and "_span()" in findings[0].message
+
+
+def test_rl007_unselected_reports_nothing():
+    source = textwrap.dedent(ALLOCATING_HELPER)
+    analysis = parse([("lsm/probe.py", "src/repro/lsm/probe.py", source)])
+    assert run(analysis, SHALLOW - {"RL007"}) == []
+
+
 # -- RL009: cache-policy determinism ------------------------------------
 
 POLICY = "src/repro/cache/fixture.py"
 
 
 def test_rl009_fires_on_banned_imports_in_policy_module():
-    assert rules_of(lint("import time\n", path=POLICY)) == ["RL009"]
+    assert rules_of(lint("import time\n", path=POLICY)) == ["RL004"]  # RL004's everywhere
     assert rules_of(lint("import random\n", path=POLICY)) == ["RL009"]
     assert rules_of(lint("from os import environ\n", path=POLICY)) == ["RL009"]
 

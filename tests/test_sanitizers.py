@@ -392,6 +392,19 @@ def test_buffer_pool_negative_pin_detected():
     assert "bufferpool-pins" in checks_of(check_buffer_pool(tree.pool))
 
 
+def test_buffer_pool_dirty_count_drift_raises():
+    # The proactive write-back trigger reads ``_dirty_count``, the mirror
+    # of the per-frame dirty bits; a sanitized system's sweep checks it.
+    system = build_system("B+-B+", memory_limit_bytes=256 * 1024, debug_checks=True)
+    for k in range(600):
+        system.insert(k, b"v" * 16)
+    system.sanitizer.check_now()
+    system.tree.pool._dirty_count += 1
+    with pytest.raises(CheckError) as excinfo:
+        system.sanitizer.check_now()
+    assert "bufferpool-dirty-count" in {v.check for v in excinfo.value.violations}
+
+
 # ----------------------------------------------------------------------
 # LSM
 # ----------------------------------------------------------------------
@@ -604,6 +617,24 @@ def test_index_sanitizer_clean_workload_runs():
         index.delete(ikey(k))
     index.flush()
     assert index.sanitizer.checks_run > 0
+
+
+def test_index_scans_advance_the_sanitizer_cadence():
+    # Like insert/get/delete, a scan is one op on the sweep cadence, both
+    # before anything reached Index Y and on the merged X+Y path.
+    index = make_index(debug_checks=True, debug_check_interval=4)
+    index.insert(ikey(1), b"one")
+    assert not index._y_populated
+    before = index.sanitizer.checks_run
+    for __ in range(8):
+        index.scan(ikey(0), 5)
+    assert index.sanitizer.checks_run == before + 2
+    index.flush()
+    assert index._y_populated
+    before = index.sanitizer.checks_run
+    for __ in range(8):
+        index.scan(ikey(0), 5)
+    assert index.sanitizer.checks_run == before + 2
 
 
 def test_index_sanitizer_raises_on_corruption():
