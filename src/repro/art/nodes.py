@@ -26,7 +26,7 @@ hitting the limit (Figure 3 discussion).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 #: Header bytes shared by every inner node in the C layout
 #: (type tag, child count, prefix length, prefix buffer) plus the 2–4 bytes
@@ -128,12 +128,16 @@ class InnerNode:
     def remove_child(self, byte: int) -> None:
         raise NotImplementedError
 
-    def children_items(self) -> Iterator[tuple[int, "Child"]]:
-        """Yield ``(byte, child)`` in ascending byte order."""
+    def children_items(self) -> list[tuple[int, "Child"]]:
+        """The ``(byte, child)`` pairs in ascending byte order."""
         raise NotImplementedError
 
     def ordered_children(self) -> list["Child"]:
         """The children in ascending byte order."""
+        raise NotImplementedError
+
+    def byte_of(self, child: "Child") -> int:
+        """The byte of the slot holding ``child`` (by identity)."""
         raise NotImplementedError
 
     def children_after(self, byte: int) -> list["Child"]:
@@ -236,11 +240,14 @@ class _SortedArrayNode(InnerNode):
             self._bytes = bytearray((byte_b, byte_a))
             self._children = [child_b, child_a]
 
-    def children_items(self) -> Iterator[tuple[int, Child]]:
-        yield from zip(self._bytes, self._children, strict=True)
+    def children_items(self) -> list[tuple[int, Child]]:
+        return list(zip(self._bytes, self._children, strict=True))
 
     def children_values(self) -> list[Child]:
         return self._children
+
+    def byte_of(self, child: Child) -> int:
+        return self._bytes[self._children.index(child)]
 
     def ordered_children(self) -> list[Child]:
         return self._children
@@ -369,17 +376,18 @@ class Node48(InnerNode):
         self._children[slot] = None
         self._count -= 1
 
-    def children_items(self) -> Iterator[tuple[int, Child]]:
-        for byte in range(256):
-            slot = self._index[byte]
-            if slot >= 0:
-                child = self._children[slot]
-                assert child is not None
-                yield byte, child
+    def children_items(self) -> list[tuple[int, Child]]:
+        own = self._children
+        return [
+            (byte, c) for byte, slot in enumerate(self._index) if slot >= 0 if (c := own[slot]) is not None
+        ]
 
     def children_values(self) -> list[Child]:
         # Slot order, not key order: only for order-insensitive walks.
         return [c for c in self._children if c is not None]
+
+    def byte_of(self, child: Child) -> int:
+        return self._index.index(self._children.index(child))
 
     def ordered_children(self) -> list[Child]:
         own = self._children
@@ -447,14 +455,14 @@ class Node256(InnerNode):
         self._children[byte] = None
         self._count -= 1
 
-    def children_items(self) -> Iterator[tuple[int, Child]]:
-        for byte in range(256):
-            child = self._children[byte]
-            if child is not None:
-                yield byte, child
+    def children_items(self) -> list[tuple[int, Child]]:
+        return [(byte, child) for byte, child in enumerate(self._children) if child is not None]
 
     def children_values(self) -> list[Child]:
         return [c for c in self._children if c is not None]
+
+    def byte_of(self, child: Child) -> int:
+        return self._children.index(child)
 
     def ordered_children(self) -> list[Child]:
         # Byte-indexed, so slot order is key order.

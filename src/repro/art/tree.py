@@ -471,7 +471,7 @@ class AdaptiveRadixTree:
                 continue
             if node.num_children == 1 and node is not self._root:
                 # Merge the single child upward (path compression).
-                (byte, only_child) = next(node.children_items())
+                (byte, only_child) = node.children_items()[0]
                 parent, parent_byte = parent_entry  # type: ignore[misc]
                 if isinstance(only_child, InnerNode):
                     only_child.prefix = node.prefix + bytes([byte]) + only_child.prefix
@@ -588,6 +588,11 @@ class AdaptiveRadixTree:
     def root_ref(self) -> PartitionEntry:
         return PartitionEntry(node=self._root, byte=None, ancestors=[])
 
+    def subtree_ref(self, node: InnerNode, ancestors: list[InnerNode]) -> PartitionEntry:
+        """The ref of ``node``, reached through ``ancestors`` (root first)."""
+        byte = ancestors[-1].byte_of(node) if ancestors else None
+        return PartitionEntry(node=node, byte=byte, ancestors=ancestors)
+
     def child_refs(self, ref: PartitionEntry) -> list[PartitionEntry]:
         """Children usable as release candidates (inner nodes only: ART
         leaves carry no counters and are individually negligible)."""
@@ -649,6 +654,20 @@ class AdaptiveRadixTree:
             elif len(current.value) > _EMBEDDABLE_VALUE_BYTES:
                 total += ART_LEAF_OVERHEAD + len(current.value)
         return total
+
+    def subtree_sizes(
+        self, node: InnerNode
+    ) -> tuple[dict[InnerNode, int], dict[InnerNode, list[InnerNode]]]:
+        """``subtree_memory`` of ``node`` and of every inner node below it,
+        and each one's inner children in key order, from one walk.
+
+        Release selection sizes all its candidates from this memo instead
+        of walking each candidate's subtree again.
+        """
+        sizes: dict[InnerNode, int] = {}
+        children: dict[InnerNode, list[InnerNode]] = {}
+        _size_subtrees(node, sizes, children)
+        return sizes, children
 
     def iter_dirty_leaves(self, node: Child) -> Iterator[Leaf]:
         """Yield dirty leaves under ``node`` in key order, pruning clean subtrees."""
@@ -718,3 +737,25 @@ class AdaptiveRadixTree:
 
     def __len__(self) -> int:
         return self.key_count
+
+
+def _size_subtrees(
+    node: InnerNode, sizes: dict[InnerNode, int], children: dict[InnerNode, list[InnerNode]]
+) -> int:
+    """Fill ``subtree_sizes``' memo below ``node``; returns its size.
+
+    Module level, not a closure: a nested function that calls itself holds
+    a reference cycle to the memo, which outlives the selection when the
+    garbage collector is off.
+    """
+    total = node.memory_bytes()
+    inner = []
+    for child in node.ordered_children():
+        if isinstance(child, InnerNode):
+            inner.append(child)
+            total += _size_subtrees(child, sizes, children)
+        elif len(child.value) > _EMBEDDABLE_VALUE_BYTES:
+            total += ART_LEAF_OVERHEAD + len(child.value)
+    sizes[node] = total
+    children[node] = inner
+    return total

@@ -327,6 +327,11 @@ class BPlusTree:
     def root_ref(self) -> BTreePartitionEntry:
         return BTreePartitionEntry(node=self._root, child_index=None, ancestors=[])
 
+    def subtree_ref(self, node: BNode, ancestors: list[BInner]) -> BTreePartitionEntry:
+        """The ref of ``node``, reached through ``ancestors`` (root first)."""
+        index = ancestors[-1].children.index(node) if ancestors else None
+        return BTreePartitionEntry(node=node, child_index=index, ancestors=ancestors)
+
     def child_refs(self, ref: BTreePartitionEntry) -> list[BTreePartitionEntry]:
         """All children qualify: B+ leaves carry the framework counters."""
         node = ref.node
@@ -365,6 +370,15 @@ class BPlusTree:
             if isinstance(current, BInner):
                 stack.extend(current.children)
         return total
+
+    def subtree_sizes(self, node: BNode) -> tuple[dict[BNode, int], dict[BInner, list[BNode]]]:
+        """``subtree_memory`` of ``node`` and of every node below it (leaves
+        carry counters here, so they are candidates too), and each inner
+        node's children, from one walk."""
+        sizes: dict[BNode, int] = {}
+        children: dict[BInner, list[BNode]] = {}
+        _size_subtrees(node, sizes, children)
+        return sizes, children
 
     def clear_dirty(self, node: BNode) -> None:
         stack: list[BNode] = [node]
@@ -440,3 +454,17 @@ class BPlusTree:
 
     def __len__(self) -> int:
         return self.key_count
+
+
+def _size_subtrees(
+    node: BNode, sizes: dict[BNode, int], children: dict[BInner, list[BNode]]
+) -> int:
+    """Fill ``subtree_sizes``' memo below ``node``; returns its size (module
+    level for the reason given at ART's ``_size_subtrees``)."""
+    total = node.memory_bytes()
+    if isinstance(node, BInner):
+        for child in node.children:
+            total += _size_subtrees(child, sizes, children)
+        children[node] = node.children
+    sizes[node] = total
+    return total

@@ -49,8 +49,9 @@ class IndexX(Protocol):
 
     The ordered trees (ART, B+) implement this directly: the framework's
     hooks live inside Index X (Section III-A).  Whole-subtree members that
-    need parent context (``child_refs``, ``detach``) take the ref; the
-    rest take the ref's node.
+    need parent context (``child_refs``, ``detach``) take the ref, and
+    ``subtree_ref`` builds one from a node and its ancestors; the rest
+    take the ref's node.
     """
 
     # -- key-value operations -----------------------------------------
@@ -81,7 +82,17 @@ class IndexX(Protocol):
 
     def child_refs(self, ref: SubtreeRef) -> list[SubtreeRef]: ...
 
+    def subtree_ref(self, node: SubtreeNode, ancestors: list[SubtreeNode]) -> SubtreeRef: ...
+
     def subtree_memory(self, node: SubtreeNode) -> int: ...
+
+    def subtree_sizes(
+        self, node: SubtreeNode
+    ) -> tuple[dict[SubtreeNode, int], dict[SubtreeNode, list[SubtreeNode]]]:
+        """``subtree_memory`` of ``node`` and of every release candidate
+        below it, and each one's candidate children in key order, from one
+        walk (nodes without candidate children may be left out)."""
+        ...
 
     def iter_dirty_entries(self, node: SubtreeNode) -> Iterator[tuple[bytes, bytes]]: ...
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.interfaces import IndexX, SubtreeNode, SubtreeRef
 
@@ -41,16 +42,20 @@ _MAX_ITERATIONS = 10_000
 _RANDOM_SEED = 1234
 
 
-@dataclass
+@dataclass(eq=False)
 class _Candidate:
-    """A candidate subtree with its cached size and density."""
+    """A candidate subtree: its node, the path above it and its size.
 
-    ref: SubtreeRef
+    Compared by identity: no two candidates share a node.
+    """
+
+    node: SubtreeNode
+    #: the path from the root down to (excluding) ``node``.
+    ancestors: list[SubtreeNode]
     size: int
-    density: float
-    #: child candidates, built the first time a split round inspects this
-    #: one; selection mutates nothing, so they hold for every later round.
-    children: list[_Candidate] | None = None
+    #: the densities of its candidate children, in key order (None when
+    #: it has none and cannot be split).
+    densities: list[float] | None
 
 
 def _density(node: SubtreeNode) -> float:
@@ -58,82 +63,89 @@ def _density(node: SubtreeNode) -> float:
     return node.access_count / keys
 
 
-def _make_candidate(index_x: IndexX, ref: SubtreeRef) -> _Candidate:
-    return _Candidate(ref=ref, size=index_x.subtree_memory(ref.node), density=_density(ref.node))
-
-
 def select_for_release(index_x: IndexX, target_bytes: int) -> list[SubtreeRef]:
     """Run Algorithm 1: pick subtrees totalling ~``target_bytes``.
 
     Returns refs ordered by increasing density.  The refs are disjoint
     subtrees; detaching them in order is safe.
+
+    One ``subtree_sizes`` walk sizes every candidate.  Selection mutates
+    nothing, so whether a candidate can be split, and whether its
+    children's densities vary enough to prefer it, are known once it is
+    admitted.  ``SplitAndReplace`` therefore keeps two lists in its scan
+    order, ``(-size, density, admission seq)`` (the stable by-size sort of
+    the density-ordered list), and takes the first heterogeneous
+    candidate, else the largest splittable one.  Refs are built only for
+    the subtrees returned.
     """
     if target_bytes <= 0:
         return []
-    margin = MARGIN_FRACTION * target_bytes
-    candidates = [_make_candidate(index_x, index_x.root_ref())]
+    limit = target_bytes + MARGIN_FRACTION * target_bytes
+    root = index_x.root_ref().node
+    sizes, children = index_x.subtree_sizes(root)
+    #: by ``(density, seq)``; ``order`` holds the keys.
+    candidates: list[_Candidate] = []
+    order: list[tuple[float, int]] = []
+    #: by ``(-size, density, seq)``: every candidate with children, and
+    #: those whose children's density spread exceeds the threshold.
+    splittable: list[tuple[int, float, int, _Candidate]] = []
+    heterogeneous: list[tuple[int, float, int, _Candidate]] = []
+    admit: Iterable[tuple[SubtreeNode, float]] = [(root, _density(root))]
+    ancestors: list[SubtreeNode] = []
+    seq = 0
 
     for __ in range(_MAX_ITERATIONS):
+        for node, density in admit:
+            below = children.get(node)
+            densities = None
+            if below:
+                # ``_density``, inlined: a call per child would add up.
+                densities = [c.access_count / max(1, c.leaf_count) for c in below]
+            cand = _Candidate(node, ancestors, sizes[node], densities)
+            key = (density, seq)
+            pos = bisect.bisect(order, key)
+            order.insert(pos, key)
+            candidates.insert(pos, cand)
+            if densities:
+                entry = (-cand.size, density, seq, cand)
+                bisect.insort(splittable, entry)
+                spread = max(densities) - min(densities)
+                if spread > VARIATION_THRESHOLD * max(density, 1e-12):
+                    bisect.insort(heterogeneous, entry)
+            seq += 1
+
         total = 0
-        chosen_end = None
         for pos, cand in enumerate(candidates):
             total += cand.size
             if total < target_bytes:
                 continue
-            if total <= target_bytes + margin:
-                chosen_end = pos
+            if total <= limit:
+                return _refs(index_x, candidates[: pos + 1])
             break
         else:
             # The whole list is smaller than the target: take everything.
-            return [c.ref for c in candidates]
-        if chosen_end is not None:
-            return [c.ref for c in candidates[: chosen_end + 1]]
-        replaced = _split_and_replace(index_x, candidates)
-        if not replaced:
+            return _refs(index_x, candidates)
+
+        # SplitAndReplace: replace one candidate by its children.
+        if heterogeneous:
+            entry = heterogeneous.pop(0)
+            del splittable[bisect.bisect_left(splittable, entry)]
+        elif splittable:
+            entry = splittable.pop(0)
+        else:
             # Nothing splittable: accept the overshooting prefix.
-            return [c.ref for c in candidates[: pos + 1]]
+            return _refs(index_x, candidates[: pos + 1])
+        __, density, chosen_seq, chosen = entry
+        pos = bisect.bisect_left(order, (density, chosen_seq))
+        del order[pos]
+        del candidates[pos]
+        admit = zip(children[chosen.node], chosen.densities)
+        ancestors = chosen.ancestors + [chosen.node]
     raise RuntimeError("release selection did not converge")
 
 
-def _split_and_replace(index_x: IndexX, candidates: list[_Candidate]) -> bool:
-    """Replace one node with its children, preserving density order.
-
-    Node choice follows Algorithm 1's ``SplitAndReplace``: scan candidates
-    from largest size; pick the first whose children's density spread
-    exceeds ``VARIATION_THRESHOLD`` of the parent's density; if none
-    qualifies, take the largest splittable node.  Returns False when no
-    candidate has children (the list cannot be refined further).
-    """
-    by_size = sorted(candidates, key=lambda c: c.size, reverse=True)
-    chosen = None
-    fallback = None
-    for cand in by_size:
-        children = cand.children
-        if children is None:
-            children = cand.children = [
-                _make_candidate(index_x, ref) for ref in index_x.child_refs(cand.ref)
-            ]
-        if not children:
-            continue
-        if fallback is None:
-            fallback = cand
-        densities = [c.density for c in children]
-        spread = max(densities) - min(densities)
-        if spread > VARIATION_THRESHOLD * max(cand.density, 1e-12):
-            chosen = cand
-            break
-    if chosen is None:
-        chosen = fallback
-    if chosen is None:
-        return False
-
-    candidates.remove(chosen)
-    keys = [c.density for c in candidates]
-    for child in chosen.children:
-        pos = bisect.bisect(keys, child.density)
-        candidates.insert(pos, child)
-        keys.insert(pos, child.density)
-    return True
+def _refs(index_x: IndexX, chosen: list[_Candidate]) -> list[SubtreeRef]:
+    return [index_x.subtree_ref(c.node, c.ancestors) for c in chosen]
 
 
 class ReleasePolicy:

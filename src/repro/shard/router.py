@@ -87,6 +87,10 @@ class ShardRouter(KVSystem):
         super().__init__()
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        if key_space < shards:
+            # Whatever the placement, fewer keys than shards leaves a shard
+            # that can own none.
+            raise ValueError(f"key_space must be >= shards, got {key_space} < {shards}")
         if workers > 1:
             raise ValueError(
                 f"workers={workers}: shard batches are dispatched serially, "

@@ -515,6 +515,7 @@ def test_ordered_child_lists_match_children_items_on_every_layout(shaped):
     for node, __ in inner_nodes(tree):
         pairs = list(node.children_items())
         assert node.ordered_children() == [child for __, child in pairs]
+        assert [node.byte_of(child) for __, child in pairs] == [b for b, __ in pairs]
         for byte in {0, 255, *(b for b, __ in pairs), *(b + 1 for b, __ in pairs if b < 255)}:
             assert node.children_after(byte) == [c for b, c in pairs if b > byte], byte
 

@@ -2,12 +2,13 @@
 
 import bisect
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from repro.art import AdaptiveRadixTree, encode_int
 from repro.btree import BPlusTree
-from repro.core import IndeXY, IndeXYConfig, ReleasePolicy, release, select_for_release
+from repro.core import IndeXY, IndeXYConfig, ReleasePolicy, select_for_release
 from repro.lsm import LSMConfig, LSMStore
 from repro.sim import EngineRuntime
 
@@ -125,43 +126,76 @@ def test_random_policy_ignores_density():
 
 
 # ----------------------------------------------------------------------
-# SplitAndReplace keeps each candidate's children across rounds; the
-# selection it produces is pinned against the version that rebuilt them
-# on every round.
+# Selection sizes every candidate from one ``subtree_sizes`` walk and keeps
+# SplitAndReplace's by-size order across rounds; what it picks is pinned
+# against the version that walked each candidate's subtree and re-sorted
+# every candidate on every round.
 # ----------------------------------------------------------------------
-def _reference_split_and_replace(index_x, candidates):
-    """``release._split_and_replace`` before children were kept on the
-    candidate: every round re-derives every candidate's children."""
-    variation_threshold = 0.20  # Algorithm 1's 20 %
-    by_size = sorted(candidates, key=lambda c: c.size, reverse=True)
-    chosen = None
-    fallback = None
-    rebuilt = {}
-    for cand in by_size:
-        child_refs = index_x.child_refs(cand.ref)
-        if not child_refs:
-            continue
-        children = [release._make_candidate(index_x, ref) for ref in child_refs]
-        rebuilt[id(cand)] = children
-        if fallback is None:
-            fallback = cand
-        densities = [c.density for c in children]
-        spread = max(densities) - min(densities)
-        if spread > variation_threshold * max(cand.density, 1e-12):
-            chosen = cand
-            break
-    if chosen is None:
-        chosen = fallback
-    if chosen is None:
-        return False
+@dataclass
+class _ReferenceCandidate:
+    ref: object
+    size: int
+    density: float
+    children: list | None = None
 
-    candidates.remove(chosen)
-    keys = [c.density for c in candidates]
-    for child in rebuilt[id(chosen)]:
-        pos = bisect.bisect(keys, child.density)
-        candidates.insert(pos, child)
-        keys.insert(pos, child.density)
-    return True
+
+def _reference_candidate(index_x, ref):
+    node = ref.node
+    density = node.access_count / max(1, node.leaf_count)
+    return _ReferenceCandidate(ref=ref, size=index_x.subtree_memory(node), density=density)
+
+
+def _reference_select(index_x, target_bytes, rounds):
+    """``select_for_release`` as it was before ``subtree_sizes``: a
+    ``subtree_memory`` walk per candidate, ``child_refs`` per inspected
+    candidate and a full by-size sort on every round.  Appends the number
+    of split rounds it took to ``rounds``."""
+    margin = 0.10 * target_bytes  # Algorithm 1's margin
+    variation_threshold = 0.20  # and its 20 % spread
+    candidates = [_reference_candidate(index_x, index_x.root_ref())]
+    rounds.append(0)
+    while True:
+        total = 0
+        chosen_end = None
+        for pos, cand in enumerate(candidates):
+            total += cand.size
+            if total < target_bytes:
+                continue
+            if total <= target_bytes + margin:
+                chosen_end = pos
+            break
+        else:
+            return [c.ref for c in candidates]
+        if chosen_end is not None:
+            return [c.ref for c in candidates[: chosen_end + 1]]
+        by_size = sorted(candidates, key=lambda c: c.size, reverse=True)
+        chosen = None
+        fallback = None
+        for cand in by_size:
+            if cand.children is None:
+                cand.children = [
+                    _reference_candidate(index_x, ref) for ref in index_x.child_refs(cand.ref)
+                ]
+            if not cand.children:
+                continue
+            if fallback is None:
+                fallback = cand
+            densities = [c.density for c in cand.children]
+            spread = max(densities) - min(densities)
+            if spread > variation_threshold * max(cand.density, 1e-12):
+                chosen = cand
+                break
+        if chosen is None:
+            chosen = fallback
+        if chosen is None:
+            return [c.ref for c in candidates[: pos + 1]]
+        rounds[-1] += 1
+        candidates.remove(chosen)
+        keys = [c.density for c in candidates]
+        for child in chosen.children:
+            pos = bisect.bisect(keys, child.density)
+            candidates.insert(pos, child)
+            keys.insert(pos, child.density)
 
 
 @pytest.mark.parametrize(
@@ -169,7 +203,7 @@ def _reference_split_and_replace(index_x, candidates):
     [AdaptiveRadixTree, lambda clock: BPlusTree(capacity=16, clock=clock)],
     ids=["art", "btree"],
 )
-def test_selection_matches_the_rebuild_every_round_reference(make_x, monkeypatch):
+def test_selection_matches_the_rebuild_every_round_reference(make_x):
     runtime = EngineRuntime()
     index = IndeXY(
         make_x(clock=runtime.clock),
@@ -181,12 +215,6 @@ def test_selection_matches_the_rebuild_every_round_reference(make_x, monkeypatch
     rng = random.Random(9)
     keys = rng.sample(range(10**8), 9000)
     rounds = []
-    production = release._split_and_replace
-
-    def counted(*args):
-        rounds[-1] += 1
-        return production(*args)
-
     stages = 0
     for stage in range(0, len(keys), 1000):
         for k in keys[stage : stage + 1000]:
@@ -196,18 +224,20 @@ def test_selection_matches_the_rebuild_every_round_reference(make_x, monkeypatch
         if not index.stats["release_cycles"]:
             continue
         stages += 1
-        for divisor in (2, 5, 11):
+        for divisor in (1, 2, 5, 11, 40):
             target = x.memory_bytes // divisor
-            monkeypatch.setattr(release, "_split_and_replace", _reference_split_and_replace)
-            want = select_for_release(x, target)
-            rounds.append(0)
-            monkeypatch.setattr(release, "_split_and_replace", counted)
+            want = _reference_select(x, target, rounds)
+            cpu_ns = runtime.clock.cpu_ns
             got = select_for_release(x, target)
+            assert runtime.clock.cpu_ns == cpu_ns  # selection charges nothing
             assert want
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.node is b.node
                 assert a.parent is b.parent
+                assert len(a.ancestors) == len(b.ancestors)
+                assert all(p is q for p, q in zip(a.ancestors, b.ancestors))
+                assert a == b  # the slot in the parent too
     assert stages >= 5
-    # The memo is exercised: selections took several split rounds.
+    # Selections took many split rounds, so the kept order is exercised.
     assert max(rounds) >= 5

@@ -10,6 +10,8 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.art import AdaptiveRadixTree, encode_int
 from repro.btree import BPlusTree
@@ -104,6 +106,39 @@ def test_child_refs_are_disjoint_and_cover_the_inner_children(make_x):
     # partition(depth) yields the same kind of ref, disjoint and covering.
     regions = x.partition(2)
     assert sorted(k for ref in regions for k in keys_under(x, ref.node)) == sorted(model)
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from("iiid"),
+            st.integers(min_value=0, max_value=2**12),  # dense: every ART layout
+            st.integers(min_value=0, max_value=16),  # ART embeds values up to 8 bytes
+        ),
+        min_size=40,
+        max_size=400,
+    ),
+    st.lists(st.integers(min_value=0, max_value=10**6), max_size=3),
+)
+def test_subtree_sizes_match_subtree_memory_after_any_edits(name, ops, detaches):
+    x = TREES[name]()
+    for op, k, value_len in ops:
+        if op == "i":
+            x.insert(encode_int(k), b"v" * value_len)
+        else:
+            x.delete(encode_int(k))
+    for pick in detaches:
+        refs = walk(x, x.root_ref())
+        x.detach(refs[pick % len(refs)])
+    refs = walk(x, x.root_ref())
+    sizes, children = x.subtree_sizes(x.root_ref().node)
+    assert {id(n) for n in sizes} == {id(ref.node) for ref in refs}
+    for ref in refs:
+        assert sizes[ref.node] == x.subtree_memory(ref.node)
+        assert children.get(ref.node, []) == [child.node for child in x.child_refs(ref)]
+        assert x.subtree_ref(ref.node, ref.ancestors) == ref
 
 
 def test_detach_returns_exactly_the_bytes_it_removed(make_x):

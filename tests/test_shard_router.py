@@ -145,6 +145,13 @@ def test_router_rejects_bad_shard_count():
         ShardRouter(shards=0)
 
 
+@pytest.mark.parametrize("partitioner", ["hash", "weighted"])
+def test_router_rejects_a_key_space_smaller_than_the_shard_count(partitioner):
+    with pytest.raises(ValueError, match="key_space must be >= shards, got 2 < 4"):
+        build_system("Sharded", 1 << 20, shards=4, key_space=2, partitioner=partitioner)
+    assert build_system("Sharded", 1 << 20, shards=4, key_space=4, partitioner=partitioner)
+
+
 @pytest.mark.parametrize("workers", [2, 4])
 def test_router_rejects_worker_threads(workers):
     # Batches are dispatched serially; 0 and 1 are the only accepted
