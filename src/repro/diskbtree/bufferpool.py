@@ -26,7 +26,9 @@ path — a faulting access cannot proceed without a free frame.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from repro.cache.policy import make_policy
 from repro.diskbtree.page import Page, copy_page, decode_page, encode_page
@@ -79,14 +81,15 @@ class BufferPool:
         self._capacity_frames = config.capacity_bytes // config.page_size
         self._dirty_fraction = config.dirty_fraction
         self._dirty_count = 0  # incremental mirror of per-frame dirty bits
-        #: wall-clock-only decode cache: blob -> pristine decoded copy,
-        #: filled at write-back (when the page object is in hand) and
-        #: consulted at fault-in.  SimDisk returns the stored bytes object
-        #: itself, so the dict lookup runs on a cached hash.  Serving a
-        #: ``copy_page`` of the template is value-equal to decoding the
-        #: blob, so simulated behaviour is untouched; the cap just bounds
-        #: memory (cleared wholesale, deterministically, when full).
-        self._decoded: dict[bytes, Page] = {}
+        #: wall-clock-only decode memo: blob -> pristine decoded page,
+        #: filled at fault-in misses and at write-back (when the page
+        #: object is in hand), oldest use first: a hit moves its entry to
+        #: the end and a full memo drops its first.  SimDisk returns the
+        #: stored bytes object itself, so the dict lookup runs on a cached
+        #: hash.  Serving a ``copy_page`` of the template is value-equal to
+        #: decoding the blob, so simulated behaviour is untouched; the cap
+        #: just bounds memory.
+        self._decoded: OrderedDict[bytes, Page] = OrderedDict()
         self._decoded_cap = 4 * self._capacity_frames
         self._scheduler = runtime.scheduler
         self._writeback_task = self._scheduler.register(
@@ -135,7 +138,12 @@ class BufferPool:
         blob = self.disk.read(pid)
         self.clock.charge_cpu(self.costs.copy_cost(len(blob)))
         template = self._decoded.get(blob)
-        page = decode_page(blob) if template is None else copy_page(template)
+        if template is None:
+            template = decode_page(blob)
+            self._memoize(blob, template)
+        else:
+            self._decoded.move_to_end(blob)
+        page = copy_page(template)
         self._admit(pid, page, dirty=False)
         return page
 
@@ -159,10 +167,16 @@ class BufferPool:
         self._frames[pid].pins += 1
 
     def unpin(self, pid: int) -> None:
-        frame = self._frames[pid]
-        if frame.pins <= 0:
-            raise RuntimeError(f"page {pid} is not pinned")
-        frame.pins -= 1
+        self.unpin_path([], pid)
+
+    def unpin_path(self, path: list[tuple[int, int]], leaf_pid: int) -> None:
+        """Unpin a descent: the ``(pid, slot)`` pages of ``path``, then the leaf."""
+        frames = self._frames
+        for pid, __ in (*path, (leaf_pid, 0)):
+            frame = frames[pid]
+            if frame.pins <= 0:
+                raise RuntimeError(f"page {pid} is not pinned")
+            frame.pins -= 1
 
     def resize(self, capacity_bytes: int) -> None:
         """Re-budget the pool, evicting down through the policy.
@@ -229,15 +243,21 @@ class BufferPool:
                 f"({len(blob)} bytes); the tree must split before write-back"
             )
         self.disk.write(pid, blob)
-        if len(self._decoded) >= self._decoded_cap:
-            self._decoded.clear()
-        self._decoded[blob] = copy_page(frame.page)
+        self._memoize(blob, copy_page(frame.page))
         self.clock.charge_cpu(self.costs.copy_cost(len(blob)))
         frame.dirty = False
         frame.dirty_entries = 0
         self._dirty_count -= 1
         self.stats.bump("writebacks")
         self.stats.bump("writeback_bytes", len(blob))
+
+    def _memoize(self, blob: bytes, template: Page) -> None:
+        """Make ``template`` the memo's newest entry, dropping the oldest uses."""
+        memo = self._decoded
+        memo[blob] = template
+        memo.move_to_end(blob)
+        while len(memo) > self._decoded_cap:
+            memo.popitem(last=False)
 
     def _writeback_needed(self) -> bool:
         """True when the dirty fraction has crossed the flush threshold.
@@ -259,12 +279,13 @@ class BufferPool:
         """LeanStore policy: flush-and-evict the most-dirtied frames."""
         if not self._writeback_needed():
             return
-        dirty_frames = [(pid, f) for pid, f in self._frames.items() if f.dirty]
+        dirty_frames = [(f.dirty_entries, pid, f) for pid, f in self._frames.items() if f.dirty]
         batch = max(1, int(self.config.writeback_batch_fraction * len(self._frames)))
-        dirty_frames.sort(key=lambda item: item[1].dirty_entries, reverse=True)
+        # Stable: equally dirtied frames keep their frame-table order.
+        dirty_frames.sort(key=itemgetter(0), reverse=True)
         evict = self._evict_frame
         bump = self.stats.bump
-        for pid, frame in dirty_frames[:batch]:
+        for __, pid, frame in dirty_frames[:batch]:
             if frame.pins > 0:
                 continue
             evict(pid)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.diskbtree.bufferpool import BufferPool, BufferPoolConfig
-from repro.diskbtree.page import InnerPage, LeafPage
+from repro.diskbtree.page import LEAF_ENTRY_BYTES, PAGE_HEADER_BYTES, InnerPage, LeafPage
 from repro.sim.effects import charges
 from repro.sim.runtime import EngineRuntime
 from repro.sim.stats import StatCounters
@@ -62,16 +62,19 @@ class DiskBPlusTree:
 
         Returns ``(path, leaf_pid, leaf)`` where path holds
         ``(inner_pid, child_slot)`` pairs from the root downward.  Path
-        pages are pinned; the caller must release them via `_unpin_path`.
+        pages are pinned; the caller must release them via
+        ``pool.unpin_path``.
         """
         path: list[tuple[int, int]] = []
         pid = self._root_pid
         levels = 0
         get_page = self.pool.get_page
-        pin = self.pool.pin
+        # Pinned in place, as ``BufferPool.pin`` would, right after each
+        # fetch: the next level's fault must not evict this one.
+        frames = self.pool._frames
         while True:
             page = get_page(pid)
-            pin(pid)
+            frames[pid].pins += 1
             levels += 1
             if isinstance(page, LeafPage):
                 self._charge_levels(levels)
@@ -80,24 +83,15 @@ class DiskBPlusTree:
             path.append((pid, slot))
             pid = page.children[slot]
 
-    def _unpin_path(self, path: list[tuple[int, int]], leaf_pid: int) -> None:
-        unpin = self.pool.unpin
-        for pid, __ in path:
-            unpin(pid)
-        unpin(leaf_pid)
-
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def get(self, key: bytes) -> Optional[bytes]:
         path, leaf_pid, leaf = self._descend(key)
         try:
-            i = bisect.bisect_left(leaf.keys, key)
-            if i < len(leaf.keys) and leaf.keys[i] == key:
-                return leaf.values[i]
-            return None
+            return leaf.lookup(key)
         finally:
-            self._unpin_path(path, leaf_pid)
+            self.pool.unpin_path(path, leaf_pid)
 
     def __contains__(self, key: bytes) -> bool:
         return self.get(key) is not None
@@ -107,17 +101,15 @@ class DiskBPlusTree:
         if count <= 0:
             return []
         path, leaf_pid, leaf = self._descend(start)
-        self._unpin_path(path, leaf_pid)
+        self.pool.unpin_path(path, leaf_pid)
         out: list[tuple[bytes, bytes]] = []
         pid: Optional[int] = leaf_pid
         page: Optional[LeafPage] = leaf
         get_page = self.pool.get_page
         while page is not None and len(out) < count:
             i = bisect.bisect_left(page.keys, start)
-            for j in range(i, len(page.keys)):
-                out.append((page.keys[j], page.values[j]))
-                if len(out) >= count:
-                    break
+            end = i + count - len(out)
+            out.extend(zip(page.keys[i:end], page.values[i:end]))
             pid = page.next_leaf
             if pid is None or len(out) >= count:
                 break
@@ -148,27 +140,41 @@ class DiskBPlusTree:
     # writes
     # ------------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> bool:
-        """Insert or overwrite; returns True when the key is new."""
+        """Insert or overwrite; returns True when the key is new.
+
+        Raises ValueError, before touching the tree, for an entry that
+        would overflow even an empty leaf: no split could make room for it.
+        """
+        if PAGE_HEADER_BYTES + LEAF_ENTRY_BYTES + len(key) + len(value) > self.page_size:
+            raise ValueError(
+                f"entry of {len(key)}-byte key and {len(value)}-byte value does not "
+                f"fit a {self.page_size}-byte page"
+            )
         path, leaf_pid, leaf = self._descend(key)
         try:
-            i = bisect.bisect_left(leaf.keys, key)
-            if i < len(leaf.keys) and leaf.keys[i] == key:
-                leaf.values[i] = value
-                self.pool.mark_dirty(leaf_pid)
-                self._charge_levels(0, self.costs.leaf_mutate)
-                return False
-            leaf.keys.insert(i, key)
-            leaf.values.insert(i, value)
-            self.key_count += 1
+            if leaf.overwrite(key, value):
+                is_new = grew = False
+            else:
+                keys = leaf.keys
+                i = bisect.bisect_left(keys, key)
+                is_new = i == len(keys) or keys[i] != key
+                if is_new:
+                    keys.insert(i, key)
+                    leaf.values.insert(i, value)
+                    self.key_count += 1
+                    grew = True
+                else:
+                    grew = len(value) > len(leaf.values[i])
+                    leaf.values[i] = value
             self.pool.mark_dirty(leaf_pid)
             self._charge_levels(0, self.costs.leaf_mutate)
-            if leaf.payload_bytes() > self.page_size:
+            if grew and leaf.payload_bytes() > self.page_size:
                 # Splits consume their own copy of the path; the original
                 # stays intact for unpinning in the ``finally`` below.
                 self._split_leaf(leaf_pid, leaf, list(path))
-            return True
+            return is_new
         finally:
-            self._unpin_path(path, leaf_pid)
+            self.pool.unpin_path(path, leaf_pid)
 
     def put_batch(self, pairs: list[tuple[bytes, bytes]]) -> None:
         """Batched sorted writes from the framework's pre-cleaner."""
@@ -190,7 +196,7 @@ class DiskBPlusTree:
             # workloads (the framework shrinks by subtree, not by key).
             return True
         finally:
-            self._unpin_path(path, leaf_pid)
+            self.pool.unpin_path(path, leaf_pid)
 
     # ------------------------------------------------------------------
     # splits

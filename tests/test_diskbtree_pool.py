@@ -112,3 +112,45 @@ def test_used_bytes_counts_frames():
     pool.new_page(leaf_with(1))
     pool.new_page(leaf_with(1))
     assert pool.used_bytes == 2 * 4096
+
+
+def test_unpin_path_releases_every_page_and_refuses_an_unpinned_one():
+    pool, __ = make_pool()
+    inner, leaf = pool.new_page(leaf_with(1)), pool.new_page(leaf_with(2))
+    pool.pin(inner)
+    pool.pin(leaf)
+    pool.unpin_path([(inner, 0)], leaf)
+    assert [pool._frames[pid].pins for pid in (inner, leaf)] == [0, 0]
+    with pytest.raises(RuntimeError, match=f"page {inner} is not pinned"):
+        pool.unpin_path([(inner, 0)], leaf)
+
+
+def test_decode_memo_fills_on_fault_in_and_drops_its_oldest_use():
+    pool, __ = make_pool(capacity_pages=2)
+    pool._decoded_cap = 3
+    pids = [pool.new_page(leaf_with(i + 1)) for i in range(5)]
+    pool.flush_all()
+    pool._decoded.clear()
+    blob_of = {pid: pool.disk.read(pid) for pid in pids}
+    expected: list[bytes] = []  # the memo's keys, oldest use first
+    memo_hits = drops = 0
+    for pid in [0, 1, 2, 0, 3, 4, 1, 0, 2, 2, 3]:
+        pid = pids[pid]
+        misses = pool.stats["pool_misses"]
+        assert pool.get_page(pid).entry_count == pids.index(pid) + 1
+        if pool.stats["pool_misses"] == misses:
+            continue  # a resident hit leaves the memo alone
+        blob = blob_of[pid]
+        if blob in expected:
+            expected.remove(blob)
+            memo_hits += 1
+        elif len(expected) == 3:
+            del expected[0]
+            drops += 1
+        expected.append(blob)
+        assert list(pool._decoded) == expected
+    assert memo_hits and drops
+    # a frame holds a copy: mutating it leaves the template pristine
+    page = pool.get_page(pid)
+    page.keys.append(b"zz")
+    assert pool._decoded[blob_of[pid]].entry_count == pids.index(pid) + 1

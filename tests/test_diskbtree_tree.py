@@ -2,12 +2,14 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.art import encode_int
 from repro.diskbtree import DiskBPlusTree
 from repro.sim import EngineRuntime
+from repro.systems import build_system
 
 
 def ikey(i: int) -> bytes:
@@ -129,6 +131,43 @@ def test_flush_all_persists_everything():
         tree.put(ikey(k), b"v")
     tree.flush_all()
     assert disk.stats["writes"] > 0
+
+
+def test_entry_larger_than_a_page_is_rejected_up_front():
+    tree = DiskBPlusTree(EngineRuntime(), 2 * 4096)
+    for k in range(300):
+        tree.put(ikey(k), b"v%d" % k)
+    with pytest.raises(ValueError, match="4096-byte page"):
+        tree.put(b"a", b"x" * 5000)
+    with pytest.raises(ValueError, match="4096-byte page"):
+        tree.put(ikey(7), b"x" * 5000)  # an overwrite is refused too
+    tree.flush_all()
+    assert len(tree) == 300
+    assert tree.get(b"a") is None
+    assert all(tree.get(ikey(k)) == b"v%d" % k for k in range(300))
+
+
+def test_bplus_bplus_rejects_an_entry_larger_than_a_page():
+    system = build_system("B+-B+", memory_limit_bytes=2 * 4096)
+    for k in range(300):
+        system.insert(k, b"v%d" % k)
+    with pytest.raises(ValueError, match="4096-byte page"):
+        system.insert(1000, b"x" * 5000)
+    system.flush()
+    assert system.read(1000) is None
+    assert all(system.read(k) == b"v%d" % k for k in range(300))
+
+
+def test_overwrite_with_a_longer_value_splits_the_leaf():
+    tree, __ = make_tree(pool_pages=4, page_size=512)
+    for k in range(20):
+        tree.put(ikey(k), b"v")
+    assert tree.stats["leaf_splits"] == 0
+    assert tree.put(ikey(3), b"x" * 300) is False
+    assert tree.stats["leaf_splits"] == 1
+    tree.flush_all()  # every page fits its frame
+    assert tree.get(ikey(3)) == b"x" * 300
+    assert [k for k, __ in tree.items()] == [ikey(k) for k in range(20)]
 
 
 def test_put_batch():
