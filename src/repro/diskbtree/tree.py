@@ -23,6 +23,14 @@ from repro.sim.stats import StatCounters
 import bisect
 
 
+def oversized_entry(key_bytes: int, value_bytes: int, page_size: int) -> ValueError:
+    """The one refusal of an entry that would overflow even an empty leaf."""
+    return ValueError(
+        f"entry of {key_bytes}-byte key and {value_bytes}-byte value does not "
+        f"fit a {page_size}-byte page"
+    )
+
+
 class DiskBPlusTree:
     """An on-disk B+ tree: page-granular storage, split-on-overflow."""
 
@@ -36,6 +44,8 @@ class DiskBPlusTree:
         self.clock = runtime.clock
         self.costs = runtime.costs
         self.page_size = page_size
+        #: the largest key plus value an empty leaf holds.
+        self.max_entry_bytes = page_size - PAGE_HEADER_BYTES - LEAF_ENTRY_BYTES
         self.pool = BufferPool(
             runtime,
             BufferPoolConfig(
@@ -145,11 +155,8 @@ class DiskBPlusTree:
         Raises ValueError, before touching the tree, for an entry that
         would overflow even an empty leaf: no split could make room for it.
         """
-        if PAGE_HEADER_BYTES + LEAF_ENTRY_BYTES + len(key) + len(value) > self.page_size:
-            raise ValueError(
-                f"entry of {len(key)}-byte key and {len(value)}-byte value does not "
-                f"fit a {self.page_size}-byte page"
-            )
+        if len(key) + len(value) > self.max_entry_bytes:
+            raise oversized_entry(len(key), len(value), self.page_size)
         path, leaf_pid, leaf = self._descend(key)
         try:
             if leaf.overwrite(key, value):

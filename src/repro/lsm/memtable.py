@@ -115,6 +115,19 @@ class MemTable:
             yield node.key, node.value
             node = node.forward[0]
 
+    def columns(self) -> tuple[list[bytes], list[bytes]]:
+        """Every key and every value, in key order: one walk of the bottom level."""
+        keys: list[bytes] = []
+        values: list[bytes] = []
+        add_key = keys.append
+        add_value = values.append
+        node = self._head.forward[0]
+        while node is not None:
+            add_key(node.key)
+            add_value(node.value)
+            node = node.forward[0]
+        return keys, values
+
     def __len__(self) -> int:
         return self.entry_count
 
