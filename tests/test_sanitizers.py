@@ -468,6 +468,13 @@ def test_lsm_block_count_corruption_detected():
     assert checks_of(check_lsm(store)) == {"lsm-block-count"}
 
 
+def test_lsm_block_count_list_length_corruption_detected():
+    store = build_lsm()
+    __, tables = deep_level_tables(store)
+    tables[0]._block_counts.append(1)  # a count for a block the table does not have
+    assert checks_of(check_lsm(store)) == {"lsm-block-count"}
+
+
 def test_lsm_table_range_corruption_detected():
     store = build_lsm()
     __, tables = deep_level_tables(store)
