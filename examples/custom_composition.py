@@ -24,8 +24,13 @@ class SortedRunStoreY:
     """A minimal custom Index Y: an append-merged sorted array on disk.
 
     Satisfies the ``IndexY`` protocol (put_batch / get / delete / scan /
-    memory_bytes).  Not efficient — the point is how little is needed.
+    memory_bytes, and the three entry limits).  Not efficient — the point
+    is how little is needed.
     """
+
+    #: the largest key, value and entry it stores; IndeXY refuses more
+    #: before Index X holds it.  A chosen bound: no length field sets one.
+    max_key_bytes = max_value_bytes = max_entry_bytes = 64 * 1024
 
     def __init__(self, disk: SimDisk) -> None:
         self._disk = disk

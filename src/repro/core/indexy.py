@@ -4,11 +4,12 @@ Wires together an Index X, an Index Y, the memory budget, the
 pre-cleaner, and the release policy into a single ordered key-value index
 (Section II-A's architecture).  Data flow:
 
-* **insert** goes to Index X (dirty) and advances the engine runtime's
-  background scheduler, which paces the pre-cleaning passes; when the high
-  watermark is crossed, a release cycle is requested from the scheduler
-  (which runs it inline as a synchronous fallback under backpressure) to
-  persist and detach the coldest subtrees;
+* **insert** refuses an entry over Index Y's declared limits, then goes
+  to Index X (dirty) and advances the engine runtime's background
+  scheduler, which paces the pre-cleaning passes; when the high watermark
+  is crossed, a release cycle is requested from the scheduler (which runs
+  it inline as a synchronous fallback under backpressure) to persist and
+  detach the coldest subtrees;
 * **get** searches X first (X is the read cache); on a miss it consults Y
   and, on a hit there, inserts the key into X *clean* (its copy in Y
   survives, Section II-D);
@@ -58,6 +59,11 @@ class IndeXY:
     ) -> None:
         self.x = index_x
         self.y = index_y
+        #: Index Y's entry limits, read once: ``insert`` refuses an entry
+        #: over any of them before Index X holds it.
+        self._max_key_bytes = index_y.max_key_bytes
+        self._max_value_bytes = index_y.max_value_bytes
+        self._max_entry_bytes = index_y.max_entry_bytes
         self.config = config
         #: the engine substrate X, Y and this facade all charge.
         self.runtime = runtime
@@ -125,6 +131,24 @@ class IndeXY:
     # key-value operations
     # ------------------------------------------------------------------
     def insert(self, key: bytes, value: bytes) -> None:
+        """Write ``key`` to Index X, dirty.
+
+        Raises ValueError, before anything changes, for an entry over one
+        of Index Y's limits: X only buffers writes for Y, and no release
+        could ever write that entry there.
+        """
+        key_bytes = len(key)
+        value_bytes = len(value)
+        if (
+            key_bytes > self._max_key_bytes
+            or value_bytes > self._max_value_bytes
+            or key_bytes + value_bytes > self._max_entry_bytes
+        ):
+            raise ValueError(
+                f"entry of {key_bytes}-byte key and {value_bytes}-byte value exceeds "
+                f"Index Y's limits (key {self._max_key_bytes}, value "
+                f"{self._max_value_bytes}, key + value {self._max_entry_bytes} bytes)"
+            )
         self.x.insert(key, value, dirty=True)
         self.stats.bump("inserts")
         if self.sanitizer is not None:

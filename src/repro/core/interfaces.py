@@ -111,7 +111,17 @@ class IndexY(Protocol):
     The paper prefers Index Y candidates that bring their own write buffer
     and read cache (Section III-G) — both provided implementations do, and
     the framework sizes them minimally (they are only the transfer buffer).
+
+    Index Y declares the largest entry it can store, as three byte counts:
+    the key, the value, and the two together.  Index X is only a write
+    buffer in front of Y, so an entry over any of them is refused by
+    :meth:`~repro.core.indexy.IndeXY.insert` before X holds it; a release
+    or pre-clean pass never meets one.
     """
+
+    max_key_bytes: int
+    max_value_bytes: int
+    max_entry_bytes: int
 
     def put_batch(self, pairs: list[tuple[bytes, bytes]]) -> None: ...
 

@@ -110,6 +110,11 @@ class RoutedIndexY:
             raise ValueError(f"router references unknown backends: {sorted(missing)}")
         self.backends = backends
         self.router = router
+        # Any backend may become a region's home, so an entry must fit
+        # every one of them.
+        self.max_key_bytes = min(b.max_key_bytes for b in backends.values())
+        self.max_value_bytes = min(b.max_value_bytes for b in backends.values())
+        self.max_entry_bytes = min(b.max_entry_bytes for b in backends.values())
         self.stats = runtime.stats
         #: which backends hold data for each region — lets scans skip
         #: backends with nothing in range (and migrations update it).

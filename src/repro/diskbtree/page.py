@@ -33,6 +33,9 @@ from typing import Optional, Union
 PAGE_HEADER_BYTES = 32
 #: per-entry sizing overhead of a leaf: its key (2) and value (4) lengths.
 LEAF_ENTRY_BYTES = 6
+#: sizing overhead of an inner page: each separator's length, each child's id.
+SEPARATOR_LENGTH_BYTES = 2
+CHILD_BYTES = 8
 _LEAF_TAG = 1
 _INNER_TAG = 2
 _NO_PAGE = (1 << 64) - 1
@@ -166,9 +169,9 @@ class InnerPage:
         separators = self.separators
         return (
             PAGE_HEADER_BYTES
-            + 2 * len(separators)
+            + SEPARATOR_LENGTH_BYTES * len(separators)
             + sum(map(len, separators))
-            + 8 * len(self.children)
+            + CHILD_BYTES * len(self.children)
         )
 
     def child_slot(self, key: bytes) -> int:

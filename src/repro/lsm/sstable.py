@@ -52,6 +52,9 @@ from repro.sim.effects import charges
 
 #: bytes of one entry's two lengths: key (2) and value (4).
 _ENTRY_LENGTHS = 6
+#: the longest key and value the ``>H`` and ``>I`` length columns record.
+MAX_KEY_BYTES = (1 << 16) - 1
+MAX_VALUE_BYTES = (1 << 32) - 1
 #: bloom-filter bits per key of every table (RocksDB's default).
 _BITS_PER_KEY = 10
 

@@ -39,7 +39,7 @@ from typing import Iterator, Optional
 from repro.cache.bytecache import PolicyCache
 from repro.lsm.bloom import hash_pair
 from repro.lsm.memtable import MemTable
-from repro.lsm.sstable import SSTable, split_by_size
+from repro.lsm.sstable import MAX_KEY_BYTES, MAX_VALUE_BYTES, SSTable, split_by_size
 from repro.sim.effects import charges
 from repro.sim.runtime import EngineRuntime
 from repro.sim.stats import StatCounters
@@ -75,6 +75,12 @@ class LSMConfig:
 
 class LSMStore:
     """A leveled LSM key-value store over a simulated disk."""
+
+    #: the largest entry an SSTable block's length columns can record;
+    #: ``put`` refuses more before the memtable holds it.
+    max_key_bytes = MAX_KEY_BYTES
+    max_value_bytes = MAX_VALUE_BYTES
+    max_entry_bytes = MAX_KEY_BYTES + MAX_VALUE_BYTES
 
     def __init__(self, runtime: EngineRuntime, config: LSMConfig | None = None) -> None:
         self.disk = runtime.disk
@@ -115,6 +121,17 @@ class LSMStore:
     # writes
     # ------------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> None:
+        """Write to the memtable, flushing it once it reaches its budget.
+
+        Raises ValueError, before the memtable holds the entry, for a key
+        or value longer than a table's length columns record: the flush
+        that wrote it out would fail.
+        """
+        if len(key) > MAX_KEY_BYTES or len(value) > MAX_VALUE_BYTES:
+            raise ValueError(
+                f"entry of {len(key)}-byte key and {len(value)}-byte value exceeds "
+                f"an SSTable's {MAX_KEY_BYTES}-byte keys or {MAX_VALUE_BYTES}-byte values"
+            )
         self._memtable.put(key, value)
         if self.row_cache is not None:
             self.row_cache.invalidate(key)

@@ -4,19 +4,22 @@ Matches the paper's ART-B+ system: the B+ tree's (small) buffer pool plays
 the transfer-buffer role — write aggregation for pre-cleaned batches and a
 few recently-read pages for spatial locality (Section II-D).
 
-An entry larger than an empty Y page is refused before Index X holds it:
-no release could ever write it to Y.
+The tree declares its entry limits as any Index Y does: key plus value
+must fit an empty leaf, and the key an inner page as its one separator
+(``DiskBPlusTree.max_entry_bytes``, ``max_key_bytes``).
+:class:`~repro.core.indexy.IndeXY` refuses a larger entry before Index X
+holds it, so this system adds nothing to the verbs of
+:class:`~repro.systems.base.IndeXYSystem`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
-from repro.art.keys import INT_KEY_WIDTH, encode_int
 from repro.art.tree import AdaptiveRadixTree
 from repro.core.config import CachePolicyConfig, IndeXYConfig
 from repro.core.indexy import IndeXY
-from repro.diskbtree.tree import DiskBPlusTree, oversized_entry
+from repro.diskbtree.tree import DiskBPlusTree
 from repro.systems.base import IndeXYSystem
 
 
@@ -26,6 +29,9 @@ class _DiskBTreeAsY:
 
     def __init__(self, tree: DiskBPlusTree) -> None:
         self.tree = tree
+        self.max_key_bytes = tree.max_key_bytes
+        self.max_value_bytes = tree.max_value_bytes
+        self.max_entry_bytes = tree.max_entry_bytes
 
     def put_batch(self, pairs: list[tuple[bytes, bytes]]) -> None:
         self.tree.put_batch(pairs)
@@ -67,26 +73,8 @@ class ArtBPlusSystem(IndeXYSystem):
             runtime=self.runtime,
         )
         self.y_tree = tree
-        #: the largest value an integer-keyed entry may carry into Y.
-        self._max_value_bytes = tree.max_entry_bytes - INT_KEY_WIDTH
         self.parts = {"pool": tree.pool}
         self.index = IndeXY(x, _DiskBTreeAsY(tree), config, runtime=self.runtime, **indexy_kwargs)
-
-    def insert(self, key: int, value: bytes) -> None:
-        # ``IndeXYSystem.insert`` behind the refusal, inlined: a ``super()``
-        # call is one more Python frame per insert and update, which takes
-        # page_mixed's ``systems.pycalls_per_op`` from 2.33 to 2.78, past its
-        # ceiling in ``.github/serve_gate_oracle.json``.  A test in
-        # ``tests/test_diskbtree_tree.py`` holds the two bodies to one effect.
-        if len(value) > self._max_value_bytes:
-            raise oversized_entry(INT_KEY_WIDTH, len(value), self.page_size)
-        self._op()
-        self.index.insert(encode_int(key), value)
-
-    def put_many(self, keys: Iterable[int], value: bytes) -> None:
-        if len(value) > self._max_value_bytes:
-            raise oversized_entry(INT_KEY_WIDTH, len(value), self.page_size)
-        super().put_many(keys, value)
 
     def split(self, memory_limit_bytes: int) -> dict[str, dict[str, int]]:
         """The transfer pool: an eighth of the limit, floored at 24 pages.

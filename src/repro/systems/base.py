@@ -244,8 +244,10 @@ class IndeXYSystem(KVSystem):
     index: "IndeXY"
 
     def insert(self, key: int, value: bytes) -> None:
-        self._op()
+        # The op is charged once the index has taken the entry: one it
+        # refuses (over Index Y's limits) costs nothing and is no op.
         self.index.insert(encode_int(key), value)
+        self._op()
 
     def put_many(self, keys: Iterable[int], value: bytes) -> None:
         # Same per-key charge sequence as insert(), locals hoisted.
@@ -255,9 +257,9 @@ class IndeXYSystem(KVSystem):
         encode = encode_int
         insert = self.index.insert
         for key in keys:
+            insert(encode(key), value)
             charge(overhead)
             bump("ops")
-            insert(encode(key), value)
 
     def read(self, key: int) -> Optional[bytes]:
         self._op()
@@ -334,8 +336,9 @@ class BaselineSystem(KVSystem):
             self.sanitizer.after_op()
 
     def insert(self, key: int, value: bytes) -> None:
-        self._op()
+        # Charged after the put, as on IndeXYSystem: a refused entry is no op.
         self.y.put(encode_int(key), value)
+        self._op()
         self._sanitize()
 
     def put_many(self, keys: Iterable[int], value: bytes) -> None:
@@ -347,9 +350,9 @@ class BaselineSystem(KVSystem):
         put = self.y.put
         sanitizer = self.sanitizer
         for key in keys:
+            put(encode(key), value)
             charge(overhead)
             bump("ops")
-            put(encode(key), value)
             if sanitizer is not None:
                 sanitizer.after_op()
 

@@ -33,6 +33,26 @@ class DiskBTreeMachine(RuleBasedStateMachine):
         assert self.tree.put(key, value) == (key not in self.model)
         self.model[key] = value
 
+    @rule(key=keys, data=st.data())
+    def put_large(self, key, data):
+        # Up to the largest entry a page takes: one among small entries
+        # leaves a half of the middle cut overflowing, so the split must
+        # cut it out onto a leaf of its own.
+        size = data.draw(st.integers(0, self.tree.max_entry_bytes - len(key)))
+        value = data.draw(st.binary(min_size=size, max_size=size))
+        assert self.tree.put(key, value) == (key not in self.model)
+        self.model[key] = value
+
+    @rule(key=keys, data=st.data())
+    def put_long_key(self, key, data):
+        # Up to the longest key an inner page holds as its one separator:
+        # a few long separators leave a half of the middle cut overflowing,
+        # so the inner page must split by bytes.
+        key += b"k" * data.draw(st.integers(0, self.tree.max_key_bytes - len(key)))
+        value = data.draw(st.binary(max_size=min(40, self.tree.max_entry_bytes - len(key))))
+        assert self.tree.put(key, value) == (key not in self.model)
+        self.model[key] = value
+
     @precondition(lambda self: self.model)
     @rule(data=st.data())
     def overwrite_same_length(self, data):
@@ -46,6 +66,8 @@ class DiskBTreeMachine(RuleBasedStateMachine):
     def put_oversized(self, key):
         with pytest.raises(ValueError, match=f"{PAGE_SIZE}-byte page"):
             self.tree.put(key, b"x" * PAGE_SIZE)
+        with pytest.raises(ValueError, match=f"{PAGE_SIZE}-byte page"):
+            self.tree.put(key.ljust(self.tree.max_key_bytes + 1, b"k"), b"")
 
     @rule(key=keys)
     def get(self, key):
