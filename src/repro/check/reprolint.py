@@ -30,7 +30,8 @@ RL005    unseeded-random: no module-global ``random`` functions and no
          seed so runs reproduce.
 RL006    mutable-default: no mutable default argument values.
 RL007    hot-path-overhead: inside the hot packages (``art/``, ``lsm/``,
-         ``sim/``, ``diskbtree/``) no function-local imports, and a loop
+         ``sim/``, ``diskbtree/``) and ``columns.py``, the column kernel
+         both Index Y stores share, no function-local imports, and a loop
          body neither makes an attribute-chain call
          (``self.clock.charge_cpu(...)``) nor calls a helper that pays
          an allocation or a local import on every call (one call level

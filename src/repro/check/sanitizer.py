@@ -58,8 +58,8 @@ from repro.core.multi_y import RoutedIndexY
 from repro.diskbtree.bufferpool import BufferPool
 from repro.diskbtree.page import LeafPage
 from repro.cache.bytecache import PolicyCache
+from repro.columns import run_fits, run_pairs
 from repro.diskbtree.tree import DiskBPlusTree
-from repro.lsm.sstable import block_fits, decode_block
 from repro.lsm.store import MAX_LEVELS, TOMBSTONE, LSMStore
 
 if TYPE_CHECKING:
@@ -739,7 +739,7 @@ def check_lsm(store: LSMStore, max_deep_tables: Optional[int] = None) -> list[Vi
         if len(counts) != len(blobs):
             misfit = f"it has {len(blobs)} blocks"
         else:
-            misfits = [i for i, fits in enumerate(map(block_fits, blobs, counts)) if not fits]
+            misfits = [i for i, fits in enumerate(map(run_fits, blobs, counts)) if not fits]
             if misfits:
                 misfit = f"the length columns of blocks {misfits} do not add up to their bytes"
         if misfit:
@@ -751,7 +751,7 @@ def check_lsm(store: LSMStore, max_deep_tables: Optional[int] = None) -> list[Vi
             )
             all_decoded = False
             continue
-        entries = list(chain.from_iterable(map(decode_block, blobs, counts)))
+        entries = list(chain.from_iterable(map(run_pairs, blobs, counts)))
         if len(entries) != table.entry_count:
             out.add(
                 "lsm-table-count",

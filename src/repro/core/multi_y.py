@@ -130,6 +130,20 @@ class RoutedIndexY:
     # writes
     # ------------------------------------------------------------------
     def put_batch(self, pairs: list[tuple[bytes, bytes]]) -> None:
+        """Write each pair to its region's home.
+
+        Raises ValueError, before anything changes, if an entry is over
+        the limits: a home that takes it could not hand it on when its
+        region is re-homed.
+        """
+        max_key, max_value = self.max_key_bytes, self.max_value_bytes
+        max_entry = self.max_entry_bytes
+        for key, value in pairs:
+            if len(key) > max_key or len(value) > max_value or len(key) + len(value) > max_entry:
+                raise ValueError(
+                    f"entry of {len(key)}-byte key and {len(value)}-byte value exceeds "
+                    f"a backend's limits (key {max_key}, value {max_value}, entry {max_entry})"
+                )
         grouped: defaultdict[str, list[tuple[bytes, bytes]]] = defaultdict(list)
         for key, value in pairs:
             self.router.note_write(key)

@@ -170,13 +170,19 @@ class BufferPool:
         self.unpin_path([], pid)
 
     def unpin_path(self, path: list[tuple[int, int]], leaf_pid: int) -> None:
-        """Unpin a descent: the ``(pid, slot)`` pages of ``path``, then the leaf."""
+        """Unpin a descent: the ``(pid, slot)`` pages of ``path``, then the leaf.
+
+        A pool that admitted pages while every frame was pinned evicts
+        back down to its capacity here, once the pins allow it.
+        """
         frames = self._frames
         for pid, __ in (*path, (leaf_pid, 0)):
             frame = frames[pid]
             if frame.pins <= 0:
                 raise RuntimeError(f"page {pid} is not pinned")
             frame.pins -= 1
+        if len(frames) > self._capacity_frames:
+            self._evict_to_capacity()
 
     def resize(self, capacity_bytes: int) -> None:
         """Re-budget the pool, evicting down through the policy.
@@ -192,9 +198,7 @@ class BufferPool:
         self._capacity_frames = capacity_bytes // self.config.page_size
         self._decoded_cap = 4 * self._capacity_frames
         self._policy.set_capacity(capacity_bytes)
-        while len(self._frames) > self._capacity_frames:
-            if not self._evict_one():
-                break  # everything pinned: temporarily overcommit
+        self._evict_to_capacity()
 
     def hit_counts(self) -> tuple[float, float]:
         """(hits, misses) of page accesses, from the pool's own counters."""
@@ -213,6 +217,11 @@ class BufferPool:
             self._dirty_count += 1
         self._frames[pid] = frame
         self._policy.on_insert(pid, self.config.page_size)
+
+    def _evict_to_capacity(self) -> None:
+        while len(self._frames) > self._capacity_frames:
+            if not self._evict_one():
+                break  # everything pinned: temporarily overcommit
 
     def _is_unpinned(self, pid: int) -> bool:
         return self._frames[pid].pins == 0

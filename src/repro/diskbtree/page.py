@@ -4,19 +4,17 @@ A page is a leaf (sorted key/value entries plus a next-leaf link) or an
 inner node (separators plus child page ids).  The byte-size helpers let the
 tree decide when a page overflows its fixed on-disk size and must split.
 
-The wire format is a column layout, all fields big-endian:
+All fields are big-endian:
 
-* leaf: tag(1) next_leaf(8) count(4), then every key length (2 bytes
-  each), every value length (4 bytes each), the keys, the values;
+* leaf: tag(1) next_leaf(8) count(4), then the entries as one run of
+  :mod:`repro.columns`, whose layout, search and decoding live there;
 * inner: tag(1) count(4), then every separator length (2 bytes each),
   the separators, the ``count + 1`` child page ids (8 bytes each).
 
-Encoding is one ``pack`` of the header and lengths plus one ``join``;
-decoding is one ``unpack_from`` of the lengths and an ``accumulate`` of
-them into offsets.  A page's encoded length is that of the earlier
-per-entry row layout, so every charge derived from it is too.
+A page's encoded length is that of the earlier per-entry row layout, so
+every charge derived from it is too.
 
-A decoded leaf is lazy: it keeps its blob and entry offsets,
+A decoded leaf is lazy: it keeps its blob and entry count,
 :meth:`LeafPage.lookup` finds a key inside the blob, and
 :meth:`LeafPage.overwrite` replaces a value of the same length there.
 Its ``keys`` and ``values`` lists are built together on the first read of
@@ -26,13 +24,12 @@ either.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, islice
 from struct import Struct, pack, unpack_from
 from typing import Optional, Union
 
+from repro.columns import ENTRY_BYTES, find_value, length_columns, run_columns, unpack_strings
+
 PAGE_HEADER_BYTES = 32
-#: per-entry sizing overhead of a leaf: its key (2) and value (4) lengths.
-LEAF_ENTRY_BYTES = 6
 #: sizing overhead of an inner page: each separator's length, each child's id.
 SEPARATOR_LENGTH_BYTES = 2
 CHILD_BYTES = 8
@@ -40,8 +37,10 @@ _LEAF_TAG = 1
 _INNER_TAG = 2
 _NO_PAGE = (1 << 64) - 1
 
-#: tag(1) + next_leaf(8) + entry count(4).
-_LEAF_HEADER = Struct(">BQI")
+#: tag(1) + next_leaf(8) + entry count(4), then the run.
+_LEAF_HEAD = "BQI"
+_LEAF_HEADER = Struct(">" + _LEAF_HEAD)
+_RUN_AT = _LEAF_HEADER.size
 #: the next_leaf field, after the tag.
 _NEXT_LEAF = Struct(">Q")
 #: tag(1) + separator count(4).
@@ -52,15 +51,14 @@ _LAZY_LISTS = ("keys", "values")
 class LeafPage:
     """Sorted entries; ``next_leaf`` chains leaves for range scans.
 
-    A leaf from :func:`decode_page` holds ``_blob`` and ``_offsets`` (the
-    ``2 * count + 1`` boundaries of its keys, then of its values) and
-    leaves ``keys``/``values`` unset; ``__getattr__`` builds both lists on
-    the first read of either and drops the blob and offsets, which from
-    then on may be stale.  Read a decoded leaf's lists before replacing
-    them.
+    A leaf from :func:`decode_page` holds ``_blob`` and ``_count`` (its
+    entries) and leaves ``keys``/``values`` unset; ``__getattr__`` builds
+    both lists on the first read of either and drops the blob, whose
+    entries from then on may be stale.  Read a decoded leaf's lists before
+    replacing them.
     """
 
-    __slots__ = ("keys", "values", "next_leaf", "_blob", "_offsets")
+    __slots__ = ("keys", "values", "next_leaf", "_blob", "_count")
 
     def __init__(self) -> None:
         self.keys: list[bytes] = []
@@ -71,14 +69,12 @@ class LeafPage:
     def __getattr__(self, name: str) -> list[bytes]:
         if name not in _LAZY_LISTS or self._blob is None:
             raise AttributeError(f"'LeafPage' object has no attribute {name!r}")
-        blob = self._blob
-        offsets = self._offsets
-        count = len(offsets) >> 1
-        parts = [blob[start:end] for start, end in zip(offsets, islice(offsets, 1, None))]
-        self.keys = parts[:count]
-        self.values = parts[count:]
+        count = self._count
+        keys = list(run_columns(self._blob, count, _RUN_AT))
+        self.values = keys[count:]
+        del keys[count:]
+        self.keys = keys
         self._blob = None
-        del self._offsets
         return self.keys if name == "keys" else self.values
 
     def lookup(self, key: bytes) -> Optional[bytes]:
@@ -90,11 +86,8 @@ class LeafPage:
             if i < len(keys) and keys[i] == key:
                 return self.values[i]
             return None
-        at = self._value_at(blob, key)
-        if at < 0:
-            return None
-        offsets = self._offsets
-        return blob[offsets[at] : offsets[at + 1]]
+        span = find_value(blob, self._count, key, _RUN_AT)
+        return None if span is None else blob[span]
 
     def overwrite(self, key: bytes, value: bytes) -> bool:
         """Replace ``key``'s value inside the blob of a lazy leaf.
@@ -106,30 +99,11 @@ class LeafPage:
         blob = self._blob
         if blob is None:
             return False
-        at = self._value_at(blob, key)
-        if at < 0:
+        span = find_value(blob, self._count, key, _RUN_AT)
+        if span is None or span.stop - span.start != len(value):
             return False
-        offsets = self._offsets
-        start, end = offsets[at], offsets[at + 1]
-        if end - start != len(value):
-            return False
-        self._blob = b"".join((blob[:start], value, blob[end:]))
+        self._blob = b"".join((blob[: span.start], value, blob[span.stop :]))
         return True
-
-    def _value_at(self, blob: bytes, key: bytes) -> int:
-        """Index in ``_offsets`` of ``key``'s value in ``blob``, or -1."""
-        offsets = self._offsets
-        count = len(offsets) >> 1
-        lo, hi = 0, count
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            if blob[offsets[mid] : offsets[mid + 1]] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < count and blob[offsets[lo] : offsets[lo + 1]] == key:
-            return count + lo
-        return -1
 
     def payload_bytes(self) -> int:
         keys = self.keys
@@ -137,7 +111,7 @@ class LeafPage:
         if len(keys) == len(values):
             return (
                 PAGE_HEADER_BYTES
-                + LEAF_ENTRY_BYTES * len(keys)
+                + ENTRY_BYTES * len(keys)
                 + sum(map(len, keys))
                 + sum(map(len, values))
             )
@@ -145,7 +119,7 @@ class LeafPage:
         # sanitizers size those too, so the mismatch must surface as a
         # finding, not a crash (hence strict=False).
         return PAGE_HEADER_BYTES + sum(
-            LEAF_ENTRY_BYTES + len(k) + len(v) for k, v in zip(keys, values, strict=False)
+            ENTRY_BYTES + len(k) + len(v) for k, v in zip(keys, values, strict=False)
         )
 
     @property
@@ -190,7 +164,7 @@ def copy_page(page: Page) -> Page:
     """Structural copy of a page (fresh lists, shared immutable entries).
 
     Value-equal to ``decode_page(encode_page(page))``: a lazy leaf's copy
-    shares its blob and offsets, anything else gets two C-level list
+    shares its blob, anything else gets two C-level list
     copies.  The buffer pool serves fault-ins from its decode memo with it.
     """
     if isinstance(page, LeafPage):
@@ -202,7 +176,7 @@ def copy_page(page: Page) -> Page:
             leaf.keys = page.keys[:]
             leaf.values = page.values[:]
         else:
-            leaf._offsets = page._offsets
+            leaf._count = page._count
         return leaf
     inner = _new(InnerPage)
     inner.separators = page.separators[:]
@@ -225,13 +199,8 @@ def encode_page(page: Page) -> bytes:
         count = len(keys)
         if len(values) != count:
             raise ValueError(f"leaf has {count} keys but {len(values)} values")
-        head = pack(
-            f">BQI{count}H{count}I",
-            _LEAF_TAG,
-            next_leaf,
-            count,
-            *map(len, keys),
-            *map(len, values),
+        head = length_columns(count, _LEAF_HEAD).pack(
+            _LEAF_TAG, next_leaf, count, *map(len, keys), *map(len, values)
         )
         return b"".join((head, *keys, *values))
     separators = page.separators
@@ -245,19 +214,17 @@ def decode_page(blob: bytes) -> Page:
     tag = blob[0]
     if tag == _LEAF_TAG:
         __, next_leaf, count = _LEAF_HEADER.unpack_from(blob)
-        start = _LEAF_HEADER.size
-        lengths = unpack_from(f">{count}H{count}I", blob, start)
         leaf = _new(LeafPage)
         leaf.next_leaf = None if next_leaf == _NO_PAGE else next_leaf
         leaf._blob = blob
-        leaf._offsets = list(accumulate(lengths, initial=start + LEAF_ENTRY_BYTES * count))
+        leaf._count = count
         return leaf
     if tag == _INNER_TAG:
         __, count = _INNER_HEADER.unpack_from(blob)
-        start = _INNER_HEADER.size
-        offsets = list(accumulate(unpack_from(f">{count}H", blob, start), initial=start + 2 * count))
+        lengths = unpack_from(f">{count}H", blob, _INNER_HEADER.size)
+        at = _INNER_HEADER.size + SEPARATOR_LENGTH_BYTES * count
         inner = _new(InnerPage)
-        inner.separators = [blob[a:b] for a, b in zip(offsets, islice(offsets, 1, None))]
-        inner.children = list(unpack_from(f">{count + 1}Q", blob, offsets[-1]))
+        inner.separators = list(unpack_strings(blob, lengths, at))
+        inner.children = list(unpack_from(f">{count + 1}Q", blob, at + sum(lengths)))
         return inner
     raise ValueError(f"unknown page tag {tag}")

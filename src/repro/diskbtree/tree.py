@@ -15,10 +15,10 @@ from __future__ import annotations
 from operator import add
 from typing import Iterator, Optional
 
+from repro.columns import ENTRY_BYTES
 from repro.diskbtree.bufferpool import BufferPool, BufferPoolConfig
 from repro.diskbtree.page import (
     CHILD_BYTES,
-    LEAF_ENTRY_BYTES,
     PAGE_HEADER_BYTES,
     SEPARATOR_LENGTH_BYTES,
     InnerPage,
@@ -55,7 +55,7 @@ class DiskBPlusTree:
         #: the largest key plus value an empty leaf holds, and the longest
         #: key an inner page holds as its one separator; ``put`` refuses
         #: more.  A value is bounded by the leaf alone.
-        self.max_entry_bytes = page_size - PAGE_HEADER_BYTES - LEAF_ENTRY_BYTES
+        self.max_entry_bytes = page_size - PAGE_HEADER_BYTES - ENTRY_BYTES
         self.max_key_bytes = (
             page_size - PAGE_HEADER_BYTES - SEPARATOR_LENGTH_BYTES - 2 * CHILD_BYTES
         )
@@ -240,8 +240,8 @@ class DiskBPlusTree:
         sizes = list(map(add, map(len, keys), map(len, values)))
         room = self.page_size - PAGE_HEADER_BYTES
         if (
-            sum(sizes[:mid]) + LEAF_ENTRY_BYTES * mid > room
-            or sum(sizes[mid:]) + LEAF_ENTRY_BYTES * (count - mid) > room
+            sum(sizes[:mid]) + ENTRY_BYTES * mid > room
+            or sum(sizes[mid:]) + ENTRY_BYTES * (count - mid) > room
         ):
             largest = sizes.index(max(sizes))
             cuts = [cut for cut in (largest, largest + 1) if 0 < cut < count]

@@ -6,16 +6,11 @@ structures: a block index (first key + offset per block) and a bloom
 filter.  Tables are written strictly sequentially — the whole point of the
 LSM design the paper selects as its disk-friendly Index Y.
 
-A block is stored as columns, all big-endian: every key length (2 bytes
-each), every value length (4 bytes each), the keys, then the values.  It has
-no header; its entry count is the table's ``_block_counts`` entry, kept in
-memory from the build.  A block is exactly as long as the earlier per-entry
-row layout (a 6-byte length pair before each entry), so every offset, disk
-request and charge sized from a block is too.  Tables are built from key and
-value columns: one length pass cuts the blocks, and each block is one
-``pack`` of its lengths plus a ``join`` (:func:`encode_block`).  Decoding is
-one ``unpack_from`` of the lengths and one of a ``Struct`` of byte strings of
-those lengths: no Python code runs per entry.
+A block is one run of :mod:`repro.columns`, which owns its layout,
+search and decoding.  It has no header; its entry count is the table's
+``_block_counts`` entry, kept in memory from the build.  Tables are built
+from key and value columns: one length pass cuts the blocks
+(:func:`split_by_size`), and each block is one :func:`encode_run`.
 
 The filter is built the first time anything asks for it (``SSTable.bloom``),
 from the encoded blocks the table keeps until then — the very ``bytes``
@@ -26,7 +21,7 @@ which sizes the filter from ``entry_count``, do not depend on when it is
 built; building it charges nothing.
 
 A point read bisects for its key inside the *encoded* block
-(:func:`search_block`) and the block cache holds that encoded block — the
+(:func:`find_value`) and the block cache holds that encoded block — the
 ``bytes`` object the simulated disk holds — in a :class:`CachedBlock`, which
 is decoded once, the first time it is reused (a cache hit or a scan).  The
 paper keeps these caches minimal (Section II-D), so most blocks are read for
@@ -37,56 +32,21 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import add, sub
-from struct import Struct
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from repro.cache.bytecache import PolicyCache
+from repro.columns import ENTRY_BYTES, encode_run, find_value, run_columns, run_keys, run_pairs
 from repro.lsm.bloom import BloomFilter, filter_bits
 from repro.sim.clock import SimClock
 from repro.sim.costs import CostModel
 from repro.sim.disk import SimDisk
 from repro.sim.effects import charges
 
-#: bytes of one entry's two lengths: key (2) and value (4).
-_ENTRY_LENGTHS = 6
-#: the longest key and value the ``>H`` and ``>I`` length columns record.
-MAX_KEY_BYTES = (1 << 16) - 1
-MAX_VALUE_BYTES = (1 << 32) - 1
 #: bloom-filter bits per key of every table (RocksDB's default).
 _BITS_PER_KEY = 10
-
-
-@cache
-def _columns(count: int) -> Struct:
-    """The length columns of a ``count``-entry block: key lengths, then value lengths."""
-    return Struct(f">{count}H{count}I")
-
-
-class _Fields(dict[int, str]):
-    """Length ``n`` -> ``"{n}s"``, the struct field of an ``n``-byte string."""
-
-    def __missing__(self, length: int) -> str:
-        field = self[length] = f"{length}s"
-        return field
-
-
-#: ``Struct(">" + "".join(map(_FIELD.__getitem__, lengths)))`` lays out
-#: back-to-back byte strings of ``lengths``: one unpack slices them all.
-_FIELD = _Fields()
-
-
-def encode_block(
-    keys: Sequence[bytes],
-    values: Sequence[bytes],
-    key_lengths: Sequence[int],
-    value_lengths: Sequence[int],
-) -> bytes:
-    """One block in the column layout: one ``pack`` of the lengths, then the bytes."""
-    head = _columns(len(keys)).pack(*key_lengths, *value_lengths)
-    return head + b"".join(keys) + b"".join(values)
 
 
 def split_by_size(
@@ -103,7 +63,7 @@ def split_by_size(
     """
     count = len(key_lengths)
     # Each entry's encoded size (its lengths plus 6), then one running sum.
-    sizes = map(add, key_lengths, map(add, value_lengths, repeat(_ENTRY_LENGTHS)))
+    sizes = map(add, key_lengths, map(add, value_lengths, repeat(ENTRY_BYTES)))
     ends = list(accumulate(sizes))
     stops: list[int] = []
     start = base = 0
@@ -115,60 +75,6 @@ def split_by_size(
         stops.append(stop)
         start, base = stop, ends[stop - 1]
     return stops
-
-
-def block_fits(blob: bytes, count: int) -> bool:
-    """Whether ``count`` entries' length columns account for exactly ``blob``."""
-    size = _ENTRY_LENGTHS * count
-    if not 0 <= size <= len(blob):
-        return False
-    return size + sum(_columns(count).unpack_from(blob)) == len(blob)
-
-
-def block_keys(blobs: list[bytes], counts: list[int]) -> list[bytes]:
-    """Every key of the encoded blocks ``blobs`` (``counts`` entries each), in order."""
-    keys: list[bytes] = []
-    extend = keys.extend
-    for blob, count in zip(blobs, counts, strict=True):
-        columns = _columns(count)
-        fields = map(_FIELD.__getitem__, islice(columns.unpack_from(blob), count))
-        extend(Struct(">" + "".join(fields)).unpack_from(blob, columns.size))
-    return keys
-
-
-def block_columns(blob: bytes, count: int) -> tuple[bytes, ...]:
-    """A block's ``count`` keys, then its ``count`` values."""
-    columns = _columns(count)
-    fields = map(_FIELD.__getitem__, columns.unpack_from(blob))
-    return Struct(">" + "".join(fields)).unpack_from(blob, columns.size)
-
-
-def decode_block(blob: bytes, count: int) -> list[tuple[bytes, bytes]]:
-    """Invert :func:`encode_block`: the block's ``count`` entries as pairs."""
-    parts = block_columns(blob, count)
-    return list(zip(islice(parts, count), islice(parts, count, None)))
-
-
-def search_block(blob: bytes, count: int, key: bytes) -> Optional[bytes]:
-    """The value stored under ``key`` in an encoded block, or ``None``.
-
-    Bisects the block's sorted keys in place, at offsets accumulated from
-    the length columns: what ``decode_block`` plus a bisect finds, slicing
-    out only the keys it compares and the value it returns.
-    """
-    columns = _columns(count)
-    bounds = list(accumulate(columns.unpack_from(blob), initial=columns.size))
-    lo, hi = 0, count
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if blob[bounds[mid] : bounds[mid + 1]] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < count and blob[bounds[lo] : bounds[lo + 1]] == key:
-        at = count + lo
-        return blob[bounds[at] : bounds[at + 1]]
-    return None
 
 
 class CachedBlock:
@@ -184,7 +90,7 @@ class CachedBlock:
         """The decoded block of ``count`` entries; decoded once and kept, never re-``put``."""
         decoded = self.decoded
         if decoded is None:
-            decoded = self.decoded = decode_block(self.blob, count)
+            decoded = self.decoded = run_pairs(self.blob, count)
         return decoded
 
 
@@ -257,7 +163,7 @@ class SSTable:
         stops = split_by_size(key_lengths, value_lengths, block_size, close_after=False)
         starts = [0, *stops[:-1]]
         encoded = [
-            encode_block(keys[a:b], values[a:b], key_lengths[a:b], value_lengths[a:b])
+            encode_run(keys[a:b], values[a:b], key_lengths[a:b], value_lengths[a:b])
             for a, b in zip(starts, stops)
         ]
         total = sum(map(len, encoded))
@@ -291,7 +197,7 @@ class SSTable:
         encoded = self._encoded
         assert encoded is not None, f"table {self.table_id} was freed before its first probe"
         self._encoded = None
-        return BloomFilter.build(block_keys(encoded, self._block_counts), _BITS_PER_KEY)
+        return BloomFilter.build(run_keys(encoded, self._block_counts), _BITS_PER_KEY)
 
     # ------------------------------------------------------------------
     # reads
@@ -335,7 +241,9 @@ class SSTable:
         self._clock.charge_cpu(self._costs.compare_cost(comparisons) + self._costs.hash_probe)
         entries = block.decoded
         if entries is None:
-            return search_block(block.blob, count, key)
+            blob = block.blob
+            span = find_value(blob, count, key)
+            return None if span is None else blob[span]
         i = bisect_left(entries, (key, b""))
         if i < len(entries) and entries[i][0] == key:
             return entries[i][1]
@@ -349,7 +257,7 @@ class SSTable:
         if block_cache is None:
             # A table read without a cache: nothing to hold.
             blobs = map(self._disk.read, self._block_offsets[first:])
-            yield from map(decode_block, blobs, counts[first:])
+            yield from map(run_pairs, blobs, counts[first:])
             return
         load_block = self._load_block
         for index in range(first, len(self._block_offsets)):
@@ -359,7 +267,7 @@ class SSTable:
         """Every block's keys then values, in order, read past the cache (compaction)."""
         read = self._disk.read
         for offset, count in zip(self._block_offsets, self._block_counts, strict=True):
-            yield block_columns(read(offset), count)
+            yield run_columns(read(offset), count)
 
     def iter_from(
         self, start: bytes, block_cache: PolicyCache | None = None

@@ -23,7 +23,7 @@ builds its own on its first probe (``SSTable.bloom``), and most are
 compacted away before any read reaches them.  A point read does each piece
 of work once: ``get`` hashes the key once for all the filters it probes
 (``bloom.hash_pair``) and a block read for one key is bisected encoded, not
-decoded (``sstable.search_block``).  Block lengths, offsets, every charge
+decoded (``columns.find_value``).  Block lengths, offsets, every charge
 and every bloom bit are what the per-entry row codec and loops produced
 (DESIGN.md §7).
 """
@@ -37,9 +37,10 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from repro.cache.bytecache import PolicyCache
+from repro.columns import MAX_KEY_BYTES, MAX_VALUE_BYTES
 from repro.lsm.bloom import hash_pair
 from repro.lsm.memtable import MemTable
-from repro.lsm.sstable import MAX_KEY_BYTES, MAX_VALUE_BYTES, SSTable, split_by_size
+from repro.lsm.sstable import SSTable, split_by_size
 from repro.sim.effects import charges
 from repro.sim.runtime import EngineRuntime
 from repro.sim.stats import StatCounters

@@ -6,7 +6,8 @@ separator).  The column layout must decode to the same page and encode to
 the same byte length, so every charge sized from a blob stays the same.
 A decoded leaf is lazy; its in-blob ``lookup`` must agree with a bisect on
 its materialised lists, and no mutation may make ``encode_page`` hand back
-the blob it was decoded from.
+the blob it was decoded from.  After its header a leaf is an SSTable block
+of the same entries, and reads the same as one (the cross-format pin).
 """
 
 import bisect
@@ -16,8 +17,11 @@ from typing import Optional
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.diskbtree import InnerPage, LeafPage, decode_page, encode_page
+from repro.columns import encode_run, find_value, run_columns
+from repro.diskbtree import DiskBPlusTree, InnerPage, LeafPage, decode_page, encode_page
 from repro.diskbtree.page import copy_page
+from repro.lsm.sstable import SSTable
+from repro.sim.runtime import EngineRuntime
 
 # ----------------------------------------------------------------------
 # reference: the row-layout codec
@@ -246,3 +250,60 @@ def test_overwrite_in_the_blob_matches_the_lists(page, data):
     assert lazy.lookup(key) == bisect_lookup(page, key)
     assert (lazy.keys, lazy.values) == (page.keys, page.values)
     assert not lazy.overwrite(key, value)  # never in place once materialised
+
+
+# ----------------------------------------------------------------------
+# one format: a leaf after its header is the SSTable block of its entries
+# ----------------------------------------------------------------------
+_LIMITS = DiskBPlusTree(EngineRuntime(), 8 * 4096)  # a 4 KiB page's entry limits
+
+
+def _filled(head: bytes, fill: int, length: int) -> bytes:
+    """``length`` bytes starting with ``head``: long strings from a short draw."""
+    return (head + bytes([fill]) * length)[:length]
+
+
+@st.composite
+def limit_entries(draw):
+    """Sorted unique entries of up to the page's key and entry limits."""
+    max_key, max_entry = _LIMITS.max_key_bytes, _LIMITS.max_entry_bytes
+    key_lengths = st.one_of(st.integers(0, 24), st.sampled_from([max_key - 1, max_key]))
+    entries = {}
+    for __ in range(draw(st.integers(0, 8))):
+        key_length = draw(key_lengths)
+        key = _filled(draw(st.binary(max_size=6)), draw(st.integers(0, 255)), key_length)
+        value_length = draw(
+            st.one_of(st.integers(0, 40), st.just(max_entry - key_length))
+        )
+        entries[key] = bytes([draw(st.integers(0, 255))]) * value_length
+    return sorted(entries.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(limit_entries(), next_leaves, st.lists(st.binary(max_size=8), max_size=6))
+def test_leaf_body_is_the_sstable_block_of_its_entries(entries, next_leaf, probes):
+    keys = [key for key, __ in entries]
+    values = [value for __, value in entries]
+    leaf = LeafPage()
+    leaf.keys, leaf.values, leaf.next_leaf = keys[:], values[:], next_leaf
+    block = encode_run(keys, values, map(len, keys), map(len, values))
+    page = encode_page(leaf)
+    assert page[_LEAF_HEADER.size :] == block
+    if keys:
+        # The block a table writes for these entries is that very run.
+        runtime = EngineRuntime()
+        table = SSTable.build(
+            1, runtime.disk, runtime.clock, runtime.costs, keys, values,
+            list(map(len, keys)), list(map(len, values)), block_size=1 << 20,
+        )  # fmt: skip
+        assert table._block_counts == [len(keys)]
+        assert runtime.disk.read(table._block_offsets[0]) == block
+    lazy = decode_page(page)
+    around = [key[:-1] for key in keys] + [key + b"\x00" for key in keys]
+    for key in [*keys, *around, *probes]:
+        span = find_value(block, len(keys), key)
+        assert lazy.lookup(key) == (None if span is None else block[span])
+    assert lazy._blob is not None  # lookups leave the leaf lazy
+    parts = run_columns(block, len(keys))
+    assert (lazy.keys, lazy.values) == (list(parts[: len(keys)]), list(parts[len(keys) :]))
+    assert (lazy.keys, lazy.values) == (keys, values)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.art import encode_int
 from repro.lsm import BloomFilter, MemTable, PolicyCache, SSTable
 from repro.lsm.bloom import fnv1a, hash_pair
-from repro.lsm.sstable import decode_block, encode_block
+from repro.columns import encode_run, run_pairs
 from repro.sim import CostModel, SimClock, SimDisk
 
 
@@ -167,8 +167,8 @@ def test_memtable_deterministic_across_instances():
 def test_block_codec_roundtrip(entries):
     keys = [key for key, __ in entries]
     values = [value for __, value in entries]
-    blob = encode_block(keys, values, list(map(len, keys)), list(map(len, values)))
-    assert decode_block(blob, len(entries)) == entries
+    blob = encode_run(keys, values, list(map(len, keys)), list(map(len, values)))
+    assert run_pairs(blob, len(entries)) == entries
 
 
 # ----------------------------------------------------------------------

@@ -7,17 +7,17 @@ once per entry.  The replaced loops are kept here verbatim as references
 demands equality — one bit of a filter, one block boundary or one float of a
 charge off fails it.
 
-Block codec: a block is stored as columns (every key length, every value
-length, the keys, the values) and its entry count is kept by the table.  The
-row codec it replaced — a ``(klen, vlen)`` header before each entry — is
-kept below verbatim (``row_encode_block``, ``row_decode_block``,
+Block codec: a block is one run of ``repro.columns`` (every key length,
+every value length, the keys, the values) and its entry count is kept by the
+table.  The row codec it replaced — a ``(klen, vlen)`` header before each
+entry — is kept below verbatim (``row_encode_block``, ``row_decode_block``,
 ``row_search_block``, ``row_block_keys``).  The two layouts differ in their
 bytes, so the pins compare what every charge and request is sized from:
-each block's encoded length, its decoded entries, every ``search_block``
+each block's encoded length, its decoded entries, every ``find_value``
 answer, and a whole run's offsets, filter bits and accounts with the row
 codec swapped in (section c).
 
-Read path: ``search_block`` bisects for a key inside the encoded block, one
+Read path: ``find_value`` bisects for a key inside the encoded block, one
 ``hash_pair`` per ``LSMStore.get`` probes every table's filter, and the block
 cache holds a ``CachedBlock`` that is decoded on its first reuse.  Their
 references are PR 21's ``may_contain``, ``SSTable._load_block``, ``get`` and
@@ -45,14 +45,8 @@ from repro.lsm import sstable as sstable_module
 from repro.lsm import store as store_module
 from repro.cache.bytecache import PolicyCache
 from repro.lsm.bloom import BloomFilter, hash_pair
-from repro.lsm.sstable import (
-    SSTable,
-    block_fits,
-    decode_block,
-    encode_block,
-    search_block,
-    split_by_size,
-)
+from repro.lsm.sstable import SSTable, split_by_size
+from repro.columns import encode_run, find_value, run_fits, run_pairs
 from repro.art.keys import encode_int
 from repro.art.tree import AdaptiveRadixTree
 from repro.core.config import IndeXYConfig
@@ -72,8 +66,14 @@ def _lengths(pairs: Pairs) -> tuple[list[int], list[int]]:
 
 
 def _encode(entries: Pairs) -> bytes:
-    """``encode_block`` of ``entries`` in the column layout."""
-    return encode_block(*_columns(entries), *_lengths(entries))
+    """``encode_run`` of ``entries`` in the column layout."""
+    return encode_run(*_columns(entries), *_lengths(entries))
+
+
+def _search(blob: bytes, count: int, key: bytes) -> Optional[bytes]:
+    """The value ``find_value`` locates in the block, or ``None``."""
+    span = find_value(blob, count, key)
+    return None if span is None else blob[span]
 
 
 def _build(
@@ -171,20 +171,31 @@ def row_search_block(blob: bytes, key: bytes) -> Optional[bytes]:
     return None
 
 
+def _row_find_value(blob: bytes, count: int, key: bytes) -> Optional[slice]:
+    """Where in a row block ``row_search_block``'s answer lies, or ``None``."""
+    end = 0
+    for found, value in row_decode_block(blob):
+        end += 6 + len(found) + len(value)
+        if found == key:
+            span = slice(end - len(value), end)
+            assert blob[span] == row_search_block(blob, key)
+            return span
+    assert row_search_block(blob, key) is None
+    return None
+
+
 def _install_row_codec(monkeypatch) -> None:
     """Swap the row codec in, behind the column codec's signatures."""
     monkeypatch.setattr(
         sstable_module,
-        "encode_block",
+        "encode_run",
         lambda keys, values, key_lengths, value_lengths: row_encode_block(
             list(zip(keys, values, strict=True))
         ),
     )
-    monkeypatch.setattr(sstable_module, "decode_block", lambda blob, count: row_decode_block(blob))
-    monkeypatch.setattr(
-        sstable_module, "search_block", lambda blob, count, key: row_search_block(blob, key)
-    )
-    monkeypatch.setattr(sstable_module, "block_keys", lambda blobs, counts: row_block_keys(blobs))
+    monkeypatch.setattr(sstable_module, "run_pairs", lambda blob, count: row_decode_block(blob))
+    monkeypatch.setattr(sstable_module, "find_value", _row_find_value)
+    monkeypatch.setattr(sstable_module, "run_keys", lambda blobs, counts: row_block_keys(blobs))
 
 
 def _reference_blocks(pairs: Pairs, block_size: int) -> list[Pairs]:
@@ -388,14 +399,14 @@ def test_block_codec_matches_reference_and_round_trips(entries):
     row = row_encode_block(entries)
     assert row == _reference_encode_block(entries)
     assert len(blob) == len(row)
-    assert decode_block(blob, len(entries)) == row_decode_block(row) == entries
-    assert block_fits(blob, len(entries))
+    assert run_pairs(blob, len(entries)) == row_decode_block(row) == entries
+    assert run_fits(blob, len(entries))
 
 
 def test_block_codec_round_trips_the_empty_block():
-    assert encode_block([], [], [], []) == b""
-    assert decode_block(b"", 0) == []
-    assert block_fits(b"", 0)
+    assert encode_run([], [], [], []) == b""
+    assert run_pairs(b"", 0) == []
+    assert run_fits(b"", 0)
 
 
 def test_a_count_that_does_not_match_the_columns_does_not_fit():
@@ -406,9 +417,9 @@ def test_a_count_that_does_not_match_the_columns_does_not_fit():
     assert table.block_count > 10
     for offset, count in zip(table._block_offsets, table._block_counts, strict=True):
         blob = runtime.disk.read(offset)
-        assert block_fits(blob, count)
+        assert run_fits(blob, count)
         for wrong in (count - 1, count + 1, 0, -1, len(blob), 1 << 40):
-            assert not block_fits(blob, wrong)
+            assert not run_fits(blob, wrong)
 
 
 def _store_with_tables(
@@ -585,11 +596,11 @@ _block_entries = st.dictionaries(
 
 
 def _search_both(entries: Pairs, keys: list[bytes]) -> list[Optional[bytes]]:
-    """``search_block`` of ``keys`` in ``entries``' block, checked against the row block."""
+    """``find_value`` of ``keys`` in ``entries``' block, checked against the row block."""
     blob = _encode(entries)
     row = row_encode_block(entries)
     assert len(blob) == len(row)
-    found = [search_block(blob, len(entries), key) for key in keys]
+    found = [_search(blob, len(entries), key) for key in keys]
     assert found == [row_search_block(row, key) for key in keys]
     assert found == [_reference_find(row, key) for key in keys]
     return found
@@ -679,7 +690,7 @@ def test_block_counts_are_the_decoded_lengths(pairs, block_size):
     blobs = [runtime.disk.read(at) for at in table._block_offsets]
     assert table._block_counts == [len(block) for block in want]
     assert [len(blob) for blob in blobs] == [len(row_encode_block(block)) for block in want]
-    assert [decode_block(*b) for b in zip(blobs, table._block_counts, strict=True)] == want
+    assert [run_pairs(*b) for b in zip(blobs, table._block_counts, strict=True)] == want
     assert sum(table._block_counts) == table.entry_count == len(pairs)
 
 
@@ -694,7 +705,7 @@ def _reference_load_block(self: SSTable, index: int, block_cache: PolicyCache | 
         if cached is not None:
             return cached
     blob = self._disk.read(self._block_offsets[index])
-    entries = decode_block(blob, self._block_counts[index])
+    entries = run_pairs(blob, self._block_counts[index])
     if block_cache is not None:
         block_cache.put(cache_key, entries, len(blob))
     return entries
